@@ -45,6 +45,8 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
         blob = f.read()
     if blob[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic {blob[:4]!r}, expected {MAGIC!r}")
+    if len(blob) < 8:
+        raise CheckpointError(f"{path}: truncated header of {len(blob)} bytes")
     (version,) = struct.unpack_from("<I", blob, 4)
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")

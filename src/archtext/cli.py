@@ -37,8 +37,8 @@ from .graph import (
     parse_graph,
     to_dot,
 )
-from .model import Model, ModelConfig
-from .text import TextVocab, build_vocab, tokenize
+from .model import Model, ModelConfig, embed_graphs, embed_texts, set_params
+from .text import TextVocab, build_vocab
 from .training import TrainConfig
 
 
@@ -120,8 +120,6 @@ def _apply_ablations(cfg: ModelConfig, args) -> ModelConfig:
     for flag in _ABLATION_FLAGS:
         if getattr(args, flag, False):
             updates[flag] = True
-    if getattr(args, "alpha", None) is not None:
-        updates["alpha"] = args.alpha
     if getattr(args, "tau", None) is not None:
         updates["tau"] = args.tau
     return dataclasses.replace(cfg, **updates) if updates else cfg
@@ -159,19 +157,30 @@ def save_bundle(out_dir: str, model: Model, text_vocab: TextVocab,
     return ckpt_path
 
 
+def _load_model_config(path: str) -> ModelConfig:
+    """A bundle's config.json; it must name every ModelConfig field and no other key."""
+    with open(path, encoding="utf-8") as f:
+        raw = json.load(f)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    names = {f.name for f in dataclasses.fields(ModelConfig)}
+    for key in sorted(set(raw) - names):
+        raise ValueError(f"{path}: unknown key {key!r}")
+    for key in sorted(names - set(raw)):
+        raise ValueError(f"{path}: missing key {key!r}")
+    return ModelConfig(**raw)
+
+
 def load_bundle(checkpoint: str) -> tuple[Model, TextVocab, NodeVocab, str]:
     bundle = _bundle_dir(checkpoint)
     ckpt_path = os.path.join(bundle, CKPT_FILE)
     for required in (ckpt_path, os.path.join(bundle, CONFIG_FILE)):
         if not os.path.exists(required):
             raise ValueError(f"checkpoint bundle incomplete: missing {required}")
-    with open(os.path.join(bundle, CONFIG_FILE), encoding="utf-8") as f:
-        cfg = ModelConfig(**json.load(f))
+    cfg = _load_model_config(os.path.join(bundle, CONFIG_FILE))
     text_vocab = TextVocab.load(os.path.join(bundle, TEXT_VOCAB_FILE))
     node_vocab = NodeVocab.load(os.path.join(bundle, NODE_VOCAB_FILE))
     model = Model.initialized(cfg, seed=0)
-    from .model import set_params
-
     set_params(model.params, load_checkpoint(ckpt_path))
     return model, text_vocab, node_vocab, ckpt_path
 
@@ -236,26 +245,28 @@ def _cmd_train(args) -> int:
         model.cfg = _apply_ablations(model.cfg, args)
     else:
         node_vocab = gen_cfg.node_vocab()
-        if args.task == "aqa":
-            samples_for_vocab = [s.question for s in datagen.load_aqa(args.dataset, node_vocab)]
-        else:
-            samples_for_vocab = [s.text for s in datagen.load_bimodal(args.dataset, node_vocab)]
-        text_vocab = build_vocab(samples_for_vocab, max_size=args.vocab_size)
-        model_kwargs = dict(file_cfg["model"])
-        cfg = ModelConfig(node_vocab_size=len(node_vocab),
-                          text_vocab_size=len(text_vocab), **model_kwargs)
-        cfg = _apply_ablations(cfg, args)
-        model = Model.initialized(cfg, seed=tcfg.seed)
 
-    if args.task == "pretrain":
-        samples = datagen.load_bimodal(args.dataset, node_vocab)
-        log = training.pretrain(samples, model, tcfg, text_vocab)
-    elif args.task == "aqa":
-        aqa_samples = datagen.load_aqa(args.dataset, node_vocab)
-        log = training.finetune_aqa(aqa_samples, model, tcfg, text_vocab)
+    if args.task == "aqa":
+        samples = datagen.load_aqa(args.dataset, node_vocab)
+        corpus = [s.question for s in samples]
+    elif args.task == "ac" and args.checkpoint:
+        samples = datagen.load_ac(args.dataset, node_vocab)
     else:
-        ac_samples = datagen.load_ac(args.dataset, node_vocab)
-        log = training.finetune_ac(ac_samples, model, tcfg, text_vocab)
+        samples = datagen.load_bimodal(args.dataset, node_vocab)
+        # a fresh caption vocabulary covers every description, negatives too
+        corpus = [s.text for s in samples]
+        if args.task == "ac":
+            samples = [datagen.ACSample(graph=s.graph, text=s.text)
+                       for s in samples if s.y == 1.0]
+    if not args.checkpoint:
+        text_vocab = build_vocab(corpus, max_size=args.vocab_size)
+        cfg = ModelConfig(node_vocab_size=len(node_vocab),
+                          text_vocab_size=len(text_vocab), **file_cfg["model"])
+        model = Model.initialized(_apply_ablations(cfg, args), seed=tcfg.seed)
+
+    train = {"pretrain": training.pretrain, "aqa": training.finetune_aqa,
+             "ac": training.finetune_ac}[args.task]
+    log = train(samples, model, tcfg, text_vocab)
 
     ckpt_path = save_bundle(args.out, model, text_vocab, node_vocab, log)
     print(f"checkpoint written to {ckpt_path} ({len(log)} steps)")
@@ -334,7 +345,7 @@ def _cmd_search(args) -> int:
             graphs.append((gid, s.graph))
         idx = index_mod.build_index(model, graphs, fingerprint)
         index_mod.save_index(idx, args.out)
-        print(f"indexed {len(idx.entries)} architectures into {args.out}")
+        print(f"indexed {len(idx.ids)} architectures into {args.out}")
         return 0
     idx = index_mod.load_index(args.index)
     hits = index_mod.search(idx, args.query, model, args.k, text_vocab, fingerprint)
@@ -351,14 +362,9 @@ def _cmd_reason(args) -> int:
     model, text_vocab, node_vocab, _ = load_bundle(args.checkpoint)
     model.cfg = _apply_ablations(model.cfg, args)
     g = _load_graph_file(args.graph, node_vocab)
-    from .model import cosine, encode_graph, encode_text
-
-    fm = Model(cfg=model.cfg, params=model.params)
-    seq = tokenize(args.text, text_vocab, fm.cfg.max_tokens)
-    _, j_t = encode_text(seq, fm.params, fm.cfg)
-    _, j_g = encode_graph(g, fm.params, fm.cfg)
-    tau = args.tau if args.tau is not None else fm.cfg.tau
-    score = cosine(j_t, j_g, fm.cfg.eps_cos).item()
+    (score,) = evaluate.pair_scores(embed_texts([args.text], model, text_vocab),
+                                    embed_graphs([g], model), model.cfg.eps_cos)
+    tau = args.tau if args.tau is not None else model.cfg.tau
     print(json.dumps({"score": score,
                       "verdict": "correct" if score > tau else "incorrect"}, indent=2))
     return 0
@@ -370,15 +376,12 @@ def _cmd_clone(args) -> int:
     g1 = _load_graph_file(args.g1, node_vocab)
     g2 = _load_graph_file(args.g2, node_vocab)
     tau = args.tau if args.tau is not None else model.cfg.tau
-    from .model import cosine, encode_graph
-
-    _, j1 = encode_graph(g1, model.params, model.cfg)
-    _, j2 = encode_graph(g2, model.params, model.cfg)
     if args.text:
         sample = datagen.BACDSample(g1=g1, g2=g2, label=0, text=args.text)
         score = evaluate.bacd_score(model, sample, text_vocab)
     else:
-        score = cosine(j1, j2, model.cfg.eps_cos).item()
+        j = embed_graphs([g1, g2], model)
+        (score,) = evaluate.pair_scores(j[:1], j[1:], model.cfg.eps_cos)
     print(json.dumps({"score": score,
                       "verdict": "similar" if score > tau else "dissimilar"}, indent=2))
     return 0
@@ -388,13 +391,8 @@ def _cmd_qa(args) -> int:
     model, text_vocab, node_vocab, _ = load_bundle(args.checkpoint)
     model.cfg = _apply_ablations(model.cfg, args)
     g = _load_graph_file(args.graph, node_vocab)
-    from .model import aqa_logits, encode_graph, encode_text
-
-    seq = tokenize(args.question, text_vocab, model.cfg.max_tokens)
-    _, j_t = encode_text(seq, model.params, model.cfg)
-    _, j_g = encode_graph(g, model.params, model.cfg)
-    logits = aqa_logits(j_t, j_g, model.params).data[0]
-    probs = 1.0 / (1.0 + np.exp(-logits))
+    probs = evaluate.answer_probs(model, embed_texts([args.question], model, text_vocab)[0],
+                                  embed_graphs([g], model)[0])
     answers = load_answer_catalog()
     chosen = [i for i in range(len(answers)) if probs[i] > 0.5]
     if not chosen:
@@ -428,22 +426,20 @@ def _cmd_viz(args) -> int:
     # PCA of text and graph embeddings over a bi-modal dataset
     model, text_vocab, node_vocab, _ = load_bundle(args.checkpoint)
     model.cfg = _apply_ablations(model.cfg, args)
-    from .model import encode_graph, encode_text
-
     samples = datagen.load_bimodal(args.dataset, node_vocab)
-    labels, vectors = [], []
-    seen_graphs = set()
+    j_ts = embed_texts([s.text for s in samples], model, text_vocab)
+    first: dict[str, int] = {}   # graph id -> the sample that shows it first
     for i, s in enumerate(samples):
-        seq = tokenize(s.text, text_vocab, model.cfg.max_tokens)
-        _, j_t = encode_text(seq, model.params, model.cfg)
+        first.setdefault(s.graph.name or f"arch{i}", i)
+    j_gs = embed_graphs([samples[i].graph for i in first.values()], model)
+    arch_at = {i: (gid, j_g) for (gid, i), j_g in zip(first.items(), j_gs)}
+    labels, vectors = [], []
+    for i, s in enumerate(samples):
         labels.append(f"text:{i}:y={s.y:g}")
-        vectors.append(j_t.data[0])
-        gid = s.graph.name or f"arch{i}"
-        if gid not in seen_graphs:
-            seen_graphs.add(gid)
-            _, j_g = encode_graph(s.graph, model.params, model.cfg)
-            labels.append(f"arch:{gid}")
-            vectors.append(j_g.data[0])
+        vectors.append(j_ts[i])
+        if i in arch_at:
+            labels.append(f"arch:{arch_at[i][0]}")
+            vectors.append(arch_at[i][1])
     coords = evaluate.pca_project(np.stack(vectors), k=2)
     lines = ["label,x,y"]
     for label, row in zip(labels, coords):

@@ -39,7 +39,7 @@ from .catalog import (
     load_answer_catalog,
     phrase_of,
 )
-from .graph import ArchGraph, NodeVocab
+from .graph import ArchGraph, NodeVocab, graph_from_obj, graph_to_obj
 from .text import normalize
 
 CHANNEL_CHOICES = (8, 16, 32, 64, 128)
@@ -664,25 +664,6 @@ def gen_bacd_dataset(cfg: GenConfig) -> list[BACDSample]:
 
 # ---------------------------------------------------------------------------
 # JSONL serialization
-
-def graph_to_obj(g: ArchGraph, vocab: NodeVocab) -> dict:
-    obj: dict = {}
-    if g.name is not None:
-        obj["name"] = g.name
-    obj["nodes"] = [vocab.name_of(n) for n in g.nodes]
-    obj["edges"] = [[u, v] for u, v in g.sorted_edges()]
-    obj["shapes"] = [list(s) for s in g.shapes]
-    return obj
-
-
-def graph_from_obj(obj: dict, vocab: NodeVocab) -> ArchGraph:
-    return ArchGraph(
-        nodes=[vocab.id_of(n) for n in obj["nodes"]],
-        edges=[(e[0], e[1]) for e in obj["edges"]],
-        shapes=[tuple(s) for s in obj["shapes"]],
-        name=obj.get("name"),
-    )
-
 
 def record_of(sample, vocab: NodeVocab) -> dict:
     if isinstance(sample, BiModalSample):

@@ -15,18 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import Tensor
 from .datagen import ACDPair, ACSample, AQASample, BACDSample, BiModalSample
 from .graph import ArchGraph, NodeVocab
-from .model import (
-    Model,
-    aqa_logits,
-    cosine,
-    decode_beam,
-    detach_params,
-    encode_graph,
-    encode_text,
-)
-from .text import TextVocab, detokenize, normalize, tokenize
+from .model import Model, aqa_logits, caption_ids, cosine, embed_graphs, embed_texts
+from .text import TextVocab, detokenize, normalize
 
 
 @dataclass(frozen=True)
@@ -194,8 +187,14 @@ def ar_name_baseline(arch_name: str, statement: str) -> bool:
 # task runners
 
 
-def _frozen(model: Model) -> Model:
-    return Model(cfg=model.cfg, params=detach_params(model.params))
+def _pooled(rows: np.ndarray) -> list[Tensor]:
+    """Each row of an (N, d) embedding matrix as a (1, d) constant."""
+    return [Tensor(row[None]) for row in rows]
+
+
+def pair_scores(a: np.ndarray, b: np.ndarray, eps: float) -> list[float]:
+    """Cosine of each row pair of two (N, d) embedding matrices."""
+    return [cosine(x, y, eps).item() for x, y in zip(_pooled(a), _pooled(b))]
 
 
 def run_ar(model: Model, samples: list[BiModalSample], tau: float,
@@ -203,30 +202,20 @@ def run_ar(model: Model, samples: list[BiModalSample], tau: float,
     """Statement verification: cosine(J_t, J_g) > tau counts as correct."""
     if not samples:
         raise ValueError("empty dataset")
-    fm = _frozen(model)
-    preds, labels = [], []
-    for s in samples:
-        seq = tokenize(s.text, text_vocab, fm.cfg.max_tokens)
-        _, j_t = encode_text(seq, fm.params, fm.cfg)
-        _, j_g = encode_graph(s.graph, fm.params, fm.cfg)
-        score = cosine(j_t, j_g, fm.cfg.eps_cos).item()
-        preds.append(threshold_decision(score, tau))
-        labels.append(s.y >= 0.5)
-    return accuracy_f1(preds, labels)
+    scores = pair_scores(embed_texts([s.text for s in samples], model, text_vocab),
+                         embed_graphs([s.graph for s in samples], model), model.cfg.eps_cos)
+    return accuracy_f1([threshold_decision(sc, tau) for sc in scores],
+                       [s.y >= 0.5 for s in samples])
 
 
 def run_acd(model: Model, pairs: list[ACDPair], tau: float) -> ClsMetrics:
     """Clone detection: cosine of the two pooled graph embeddings vs tau."""
     if not pairs:
         raise ValueError("empty dataset")
-    fm = _frozen(model)
-    preds, labels = [], []
-    for p in pairs:
-        _, j1 = encode_graph(p.g1, fm.params, fm.cfg)
-        _, j2 = encode_graph(p.g2, fm.params, fm.cfg)
-        preds.append(threshold_decision(cosine(j1, j2, fm.cfg.eps_cos).item(), tau))
-        labels.append(p.label == 1)
-    return accuracy_f1(preds, labels)
+    j_g = embed_graphs([p.g1 for p in pairs] + [p.g2 for p in pairs], model)
+    scores = pair_scores(j_g[:len(pairs)], j_g[len(pairs):], model.cfg.eps_cos)
+    return accuracy_f1([threshold_decision(sc, tau) for sc in scores],
+                       [p.label == 1 for p in pairs])
 
 
 def three_way_score(j1, j2, j_t, eps: float = 1e-8) -> float:
@@ -235,13 +224,15 @@ def three_way_score(j1, j2, j_t, eps: float = 1e-8) -> float:
             + cosine(j2, j_t, eps).item()) / 3.0
 
 
+def _bacd_scores(model: Model, samples: list[BACDSample], text_vocab: TextVocab) -> list[float]:
+    n = len(samples)
+    j_g = _pooled(embed_graphs([s.g1 for s in samples] + [s.g2 for s in samples], model))
+    j_t = _pooled(embed_texts([s.text for s in samples], model, text_vocab))
+    return [three_way_score(j_g[i], j_g[n + i], j_t[i], model.cfg.eps_cos) for i in range(n)]
+
+
 def bacd_score(model: Model, s: BACDSample, text_vocab: TextVocab) -> float:
-    fm = _frozen(model)
-    seq = tokenize(s.text, text_vocab, fm.cfg.max_tokens)
-    _, j_t = encode_text(seq, fm.params, fm.cfg)
-    _, j1 = encode_graph(s.g1, fm.params, fm.cfg)
-    _, j2 = encode_graph(s.g2, fm.params, fm.cfg)
-    return three_way_score(j1, j2, j_t, fm.cfg.eps_cos)
+    return _bacd_scores(model, [s], text_vocab)[0]
 
 
 def run_bacd(model: Model, samples: list[BACDSample], tau: float,
@@ -249,9 +240,15 @@ def run_bacd(model: Model, samples: list[BACDSample], tau: float,
     """Text-assisted clone detection over the three-way cosine average."""
     if not samples:
         raise ValueError("empty dataset")
-    preds = [threshold_decision(bacd_score(model, s, text_vocab), tau) for s in samples]
+    preds = [threshold_decision(sc, tau) for sc in _bacd_scores(model, samples, text_vocab)]
     labels = [s.label == 1 for s in samples]
     return accuracy_f1(preds, labels)
+
+
+def answer_probs(model: Model, j_t: np.ndarray, j_g: np.ndarray) -> np.ndarray:
+    """Per-answer probabilities of the QA head for one pooled (J_t, J_g) pair."""
+    logits = aqa_logits(Tensor(j_t[None]), Tensor(j_g[None]), model.params).data[0]
+    return 1.0 / (1.0 + np.exp(-logits))
 
 
 def run_aqa(model: Model, samples: list[AQASample],
@@ -259,15 +256,12 @@ def run_aqa(model: Model, samples: list[AQASample],
     """Multi-label QA, micro-averaged over every answer slot of every sample."""
     if not samples:
         raise ValueError("empty dataset")
-    fm = _frozen(model)
+    j_ts = embed_texts([s.question for s in samples], model, text_vocab)
+    j_gs = embed_graphs([s.graph for s in samples], model)
     tp = fp = tn = fn = 0
-    for s in samples:
-        seq = tokenize(s.question, text_vocab, fm.cfg.max_tokens)
-        _, j_t = encode_text(seq, fm.params, fm.cfg)
-        _, j_g = encode_graph(s.graph, fm.params, fm.cfg)
-        logits = aqa_logits(j_t, j_g, fm.params).data[0]
-        probs = 1.0 / (1.0 + np.exp(-logits))
-        for slot in range(fm.cfg.n_answers):
+    for s, j_t, j_g in zip(samples, j_ts, j_gs):
+        probs = answer_probs(model, j_t, j_g)
+        for slot in range(model.cfg.n_answers):
             pred = threshold_decision(float(probs[slot]), 0.5)
             gold = slot in s.answers
             if pred and gold:
@@ -284,12 +278,8 @@ def run_aqa(model: Model, samples: list[AQASample],
 def caption_graph(model: Model, g: ArchGraph, text_vocab: TextVocab,
                   beam: int = 10, max_len: int | None = None) -> str:
     """Beam-decode one caption for a graph."""
-    fm = _frozen(model)
-    h_g, _ = encode_graph(g, fm.params, fm.cfg)
-    budget = max_len if max_len is not None else fm.cfg.max_tokens - 1
-    ids = decode_beam(h_g, np.ones(g.num_nodes, dtype=bool), fm.params, fm.cfg,
-                      beam=beam, max_len=budget)
-    return detokenize(ids, text_vocab)
+    budget = max_len if max_len is not None else model.cfg.max_tokens - 1
+    return detokenize(caption_ids(g, model, beam, budget), text_vocab)
 
 
 def run_ac(model: Model, samples: list[ACSample], text_vocab: TextVocab,

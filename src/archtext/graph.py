@@ -42,14 +42,6 @@ class GraphValidationError(ValueError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class OpKind:
-    """One entry of the node vocabulary."""
-
-    id: int
-    name: str
-
-
 class NodeVocab:
     """Operation-name vocabulary; ids 0..2 are reserved control tokens."""
 
@@ -78,9 +70,6 @@ class NodeVocab:
         if not 0 <= op_id < len(self._names):
             raise KeyError(f"op id {op_id} out of vocabulary (size {len(self._names)})")
         return self._names[op_id]
-
-    def kinds(self) -> list[OpKind]:
-        return [OpKind(i, n) for i, n in enumerate(self._names)]
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as f:
@@ -134,11 +123,8 @@ def validate_graph(g: ArchGraph) -> ValidationReport:
     for i, n in enumerate(g.nodes):
         if n < 0:
             violations.append(("node-id", f"node {i} has negative op id {n}"))
-    in_range_edges = []
     for u, v in g.sorted_edges():
-        if 0 <= u < m and 0 <= v < m:
-            in_range_edges.append((u, v))
-        else:
+        if not (0 <= u < m and 0 <= v < m):
             violations.append(("edge-range", f"edge ({u},{v}) index out of range for {m} nodes"))
     if len(g.shapes) != m:
         violations.append(("shape-count", f"{len(g.shapes)} shapes for {m} nodes"))
@@ -147,43 +133,17 @@ def validate_graph(g: ArchGraph) -> ValidationReport:
             violations.append(("shape-arity", f"shape {i} has {len(s)} entries, expected 4"))
         elif any(x < 0 for x in s):
             violations.append(("shape-negative", f"shape {i} = {s} has a negative entry"))
-    back = _find_back_edge(m, in_range_edges)
+    _, back = _kahn(g)
     if back is not None:
         violations.append(("cycle", f"graph contains a cycle through edge {back}"))
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
-def _find_back_edge(m: int, edges: list[tuple[int, int]]) -> tuple[int, int] | None:
-    """Kahn elimination; returns an edge inside the residual cyclic core, if any."""
-    indeg = [0] * m
-    succ: list[list[int]] = [[] for _ in range(m)]
-    for u, v in edges:
-        indeg[v] += 1
-        succ[u].append(v)
-    heap = [i for i in range(m) if indeg[i] == 0]
-    heapq.heapify(heap)
-    removed = [False] * m
-    count = 0
-    while heap:
-        u = heapq.heappop(heap)
-        removed[u] = True
-        count += 1
-        for v in succ[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(heap, v)
-    if count == m:
-        return None
-    for u, v in sorted(edges):
-        if not removed[u] and not removed[v]:
-            return (u, v)
-    return sorted(edges)[0] if edges else None
+def _kahn(g: ArchGraph) -> tuple[list[int], tuple[int, int] | None]:
+    """Kahn elimination over the in-range edges, smallest index first.
 
-
-def topo_order(g: ArchGraph) -> list[int]:
-    """Kahn's method with smallest-index-first tie break.
-
-    Raises ValueError naming one back edge if the graph is cyclic.
+    Returns the elimination order and, if a cycle blocks it, the smallest
+    edge inside the residual cyclic core.
     """
     m = g.num_nodes
     edges = [(u, v) for u, v in g.sorted_edges() if 0 <= u < m and 0 <= v < m]
@@ -202,8 +162,20 @@ def topo_order(g: ArchGraph) -> list[int]:
             indeg[v] -= 1
             if indeg[v] == 0:
                 heapq.heappush(heap, v)
-    if len(order) != m:
-        back = _find_back_edge(m, edges)
+    if len(order) == m:
+        return order, None
+    removed = set(order)
+    # every node left has an in-edge from another node left, so this finds one
+    return order, next((u, v) for u, v in edges if u not in removed and v not in removed)
+
+
+def topo_order(g: ArchGraph) -> list[int]:
+    """Kahn's method with smallest-index-first tie break.
+
+    Raises ValueError naming one back edge if the graph is cyclic.
+    """
+    order, back = _kahn(g)
+    if back is not None:
         raise ValueError(f"graph is cyclic; back edge {back}")
     return order
 
@@ -222,6 +194,27 @@ def attention_mask(g: ArchGraph, use_edges: bool = True) -> np.ndarray:
         mask[u, v] = True
         mask[v, u] = True
     return mask
+
+
+def graph_to_obj(g: ArchGraph, vocab: NodeVocab) -> dict:
+    """The graph document as a dict: op names, edges sorted lexicographically."""
+    obj: dict = {}
+    if g.name is not None:
+        obj["name"] = g.name
+    obj["nodes"] = [vocab.name_of(n) for n in g.nodes]
+    obj["edges"] = [[u, v] for u, v in g.sorted_edges()]
+    obj["shapes"] = [list(s) for s in g.shapes]
+    return obj
+
+
+def graph_from_obj(obj: dict, vocab: NodeVocab) -> ArchGraph:
+    """Graph from a document dict; op names map to ids via `vocab`."""
+    return ArchGraph(
+        nodes=[vocab.id_of(n) for n in obj["nodes"]],
+        edges=[(e[0], e[1]) for e in obj["edges"]],
+        shapes=[tuple(s) for s in obj["shapes"]],
+        name=obj.get("name"),
+    )
 
 
 def parse_graph(text: str, vocab: NodeVocab) -> ArchGraph:
@@ -247,22 +240,16 @@ def parse_graph(text: str, vocab: NodeVocab) -> ArchGraph:
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise GraphParseError("field 'name' must be a string")
-    nodes = []
     for i, n in enumerate(doc["nodes"]):
         if not isinstance(n, str):
             raise GraphParseError(f"nodes[{i}] must be an op-name string")
-        nodes.append(vocab.id_of(n))
-    edges = []
     for i, e in enumerate(doc["edges"]):
         if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
             raise GraphParseError(f"edges[{i}] must be a pair of integers")
-        edges.append((e[0], e[1]))
-    shapes = []
     for i, s in enumerate(doc["shapes"]):
         if not (isinstance(s, list) and len(s) == 4 and all(isinstance(x, int) for x in s)):
             raise GraphParseError(f"shapes[{i}] must be a list of 4 integers")
-        shapes.append(tuple(s))
-    g = ArchGraph(nodes=nodes, edges=edges, shapes=shapes, name=name)
+    g = graph_from_obj(doc, vocab)
     report = validate_graph(g)
     if not report.ok:
         raise GraphValidationError(report)
@@ -271,13 +258,7 @@ def parse_graph(text: str, vocab: NodeVocab) -> ArchGraph:
 
 def serialize_graph(g: ArchGraph, vocab: NodeVocab) -> str:
     """Canonical JSON form: nodes in stored order, edges sorted lexicographically."""
-    doc: dict = {}
-    if g.name is not None:
-        doc["name"] = g.name
-    doc["nodes"] = [vocab.name_of(n) for n in g.nodes]
-    doc["edges"] = [[u, v] for u, v in g.sorted_edges()]
-    doc["shapes"] = [list(s) for s in g.shapes]
-    return json.dumps(doc, indent=1) + "\n"
+    return json.dumps(graph_to_obj(g, vocab), indent=1) + "\n"
 
 
 def to_dot(g: ArchGraph, vocab: NodeVocab) -> str:

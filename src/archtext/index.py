@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import ArchGraph
-from .model import Model, detach_params, encode_graph, encode_text
-from .text import TextVocab, tokenize
+from .model import Model, embed_graphs, embed_texts
+from .text import TextVocab
 
 MAGIC = b"ABIX"
 VERSION = 1
@@ -27,39 +27,43 @@ class IndexError_(ValueError):
 
 @dataclass
 class EmbeddingIndex:
+    """Architecture ids and their unit-normalized embeddings, row i for ids[i]."""
+
     d: int
-    entries: list[tuple[str, np.ndarray]]
+    ids: list[str]
+    vectors: np.ndarray
     fingerprint: bytes
 
     def __post_init__(self):
         if len(self.fingerprint) != 32:
             raise IndexError_("fingerprint must be 32 bytes")
+        if self.vectors.shape != (len(self.ids), self.d):
+            raise IndexError_(f"vectors have shape {self.vectors.shape}, want "
+                              f"({len(self.ids)}, {self.d})")
         seen = set()
-        for arch_id, vec in self.entries:
+        for arch_id in self.ids:
             if arch_id in seen:
                 raise IndexError_(f"duplicate architecture id {arch_id!r}")
             seen.add(arch_id)
-            if vec.shape != (self.d,):
-                raise IndexError_(f"entry {arch_id!r} has dimension {vec.shape}, want ({self.d},)")
 
 
-def _unit(vec: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(vec))
-    if norm < 1e-12:
-        return np.zeros_like(vec)
-    return vec / norm
+def _unit_rows(m: np.ndarray) -> np.ndarray:
+    """Each row scaled to unit length; rows of near-zero norm become zero."""
+    out = np.zeros_like(m)
+    for i, row in enumerate(m):
+        norm = float(np.linalg.norm(row))
+        if norm >= 1e-12:
+            out[i] = row / norm
+    return out
 
 
 def build_index(model: Model, graphs: list[tuple[str, ArchGraph]],
                 fingerprint: bytes) -> EmbeddingIndex:
     """Encode every graph through the architecture path and store the
     unit-normalized pooled embeddings."""
-    fm = Model(cfg=model.cfg, params=detach_params(model.params))
-    entries = []
-    for arch_id, g in graphs:
-        _, j_g = encode_graph(g, fm.params, fm.cfg)
-        entries.append((arch_id, _unit(j_g.data[0])))
-    return EmbeddingIndex(d=model.cfg.d, entries=entries, fingerprint=fingerprint)
+    vectors = _unit_rows(embed_graphs([g for _, g in graphs], model))
+    return EmbeddingIndex(d=model.cfg.d, ids=[arch_id for arch_id, _ in graphs],
+                          vectors=vectors, fingerprint=fingerprint)
 
 
 def search(index: EmbeddingIndex, query: str, model: Model, k: int,
@@ -75,12 +79,11 @@ def search(index: EmbeddingIndex, query: str, model: Model, k: int,
             "against the loaded checkpoint")
     if k <= 0:
         return []
-    fm = Model(cfg=model.cfg, params=detach_params(model.params))
-    seq = tokenize(query, text_vocab, fm.cfg.max_tokens)
-    _, j_t = encode_text(seq, fm.params, fm.cfg)
-    q = _unit(j_t.data[0])
-    scored = [(arch_id, float(q @ vec)) for arch_id, vec in index.entries]
-    scored.sort(key=lambda e: (-e[1], e[0]))
+    q = _unit_rows(embed_texts([query], model, text_vocab))[0]
+    # not `vectors @ q`: BLAS mat-vec rounds a row differently depending on its
+    # position, so an entry's score would depend on the order of the index
+    scores = np.einsum("ij,j->i", index.vectors, q)
+    scored = sorted(zip(index.ids, scores.tolist()), key=lambda e: (-e[1], e[0]))
     return scored[:k]
 
 
@@ -89,9 +92,9 @@ def save_index(index: EmbeddingIndex, path: str) -> None:
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))
         f.write(struct.pack("<I", index.d))
-        f.write(struct.pack("<I", len(index.entries)))
+        f.write(struct.pack("<I", len(index.ids)))
         f.write(index.fingerprint)
-        for arch_id, vec in index.entries:
+        for arch_id, vec in zip(index.ids, index.vectors):
             encoded = arch_id.encode("utf-8")
             f.write(struct.pack("<I", len(encoded)))
             f.write(encoded)
@@ -111,15 +114,17 @@ def load_index(path: str) -> EmbeddingIndex:
         (count,) = struct.unpack_from("<I", blob, 12)
         fingerprint = blob[16:48]
         offset = 48
-        entries = []
+        ids, rows = [], []
         for _ in range(count):
             (id_len,) = struct.unpack_from("<I", blob, offset)
             offset += 4
-            arch_id = blob[offset:offset + id_len].decode("utf-8")
+            ids.append(blob[offset:offset + id_len].decode("utf-8"))
             offset += id_len
-            vec = np.frombuffer(blob, dtype="<f4", count=d, offset=offset).astype(np.float64)
+            rows.append(np.frombuffer(blob, dtype="<f4", count=d, offset=offset))
             offset += 4 * d
-            entries.append((arch_id, vec))
     except (struct.error, ValueError) as e:
         raise IndexError_(f"{path}: truncated or corrupt index: {e}") from e
-    return EmbeddingIndex(d=d, entries=entries, fingerprint=fingerprint)
+    if offset != len(blob):
+        raise IndexError_(f"{path}: {len(blob) - offset} trailing bytes after {count} entries")
+    vectors = np.array(rows, dtype=np.float64).reshape(len(rows), d)
+    return EmbeddingIndex(d=d, ids=ids, vectors=vectors, fingerprint=fingerprint)

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .graph import ArchGraph, attention_mask
-from .text import BOS_ID, EOS_ID, MASK_ID, PAD_ID, TokenSeq
+from .text import BOS_ID, EOS_ID, MASK_ID, PAD_ID, TextVocab, TokenSeq, tokenize
 
 
 @dataclass
@@ -39,9 +39,7 @@ class ModelConfig:
     n_answers: int = 51
     shape_buckets: int = 16
     eps_cos: float = 1e-8
-    mask_ratio: float = 0.15
     tau: float = 0.5
-    alpha: float = 5e-2
     no_shape: bool = False
     no_edge: bool = False
     no_mam: bool = False
@@ -53,8 +51,6 @@ class ModelConfig:
         for heads in (self.gat_heads, self.cross_heads, self.dec_heads):
             if self.d % heads != 0:
                 raise ValueError(f"d={self.d} not divisible by head count {heads}")
-        if not 0.0 < self.mask_ratio < 1.0:
-            raise ValueError("mask_ratio must lie in (0, 1)")
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
         if self.node_vocab_size < 4 or self.text_vocab_size < 6:
@@ -342,6 +338,32 @@ def encode_graph(g: ArchGraph, params: dict[str, Tensor],
     h_g = cross_encode(m_g, real, params, cfg)
     j_g = pool(h_g, real)
     return h_g, j_g
+
+
+# ---------------------------------------------------------------------------
+# frozen encode core: every task that scores pooled embeddings reads them here
+
+
+def embed_texts(texts: list[str], model: Model, text_vocab: TextVocab) -> np.ndarray:
+    """Pooled text embeddings J_t under constant parameters; shape (N, d)."""
+    params, cfg = detach_params(model.params), model.cfg
+    rows = [encode_text(tokenize(t, text_vocab, cfg.max_tokens), params, cfg)[1].data[0]
+            for t in texts]
+    return np.array(rows).reshape(len(rows), cfg.d)
+
+
+def embed_graphs(graphs: list[ArchGraph], model: Model) -> np.ndarray:
+    """Pooled graph embeddings J_g under constant parameters; shape (N, d)."""
+    params, cfg = detach_params(model.params), model.cfg
+    rows = [encode_graph(g, params, cfg)[1].data[0] for g in graphs]
+    return np.array(rows).reshape(len(rows), cfg.d)
+
+
+def caption_ids(g: ArchGraph, model: Model, beam: int, max_len: int) -> list[int]:
+    """Beam-decode one graph's caption token ids under constant parameters."""
+    h_g, _ = encode_graph(g, detach_params(model.params), model.cfg)
+    return decode_beam(h_g, np.ones(g.num_nodes, dtype=bool), model.params, model.cfg,
+                       beam=beam, max_len=max_len)
 
 
 # ---------------------------------------------------------------------------

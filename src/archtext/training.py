@@ -45,6 +45,8 @@ class TrainConfig:
             raise ValueError(f"unknown task {self.task!r}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
+        if not 0.0 < self.mask_ratio < 1.0:
+            raise ValueError("mask_ratio must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -148,52 +150,71 @@ def _batches(n: int, batch_size: int, order: np.ndarray):
         yield [int(i) for i in order[start:start + batch_size]]
 
 
-def pretrain(samples: list[BiModalSample], model: Model, tcfg: TrainConfig,
-             text_vocab: TextVocab) -> list[dict]:
-    """Joint similarity + masked-node pre-training; returns step log records."""
-    if not samples:
+def _train(n: int, model: Model, tcfg: TrainConfig, stream: int, batch_loss) -> list[dict]:
+    """The one optimization loop: seed-derived epoch permutations, batches,
+    one Adam step per batch, one log record per step.
+
+    `batch_loss(batch, view, rng)` returns (l_total, l_sim, l_mam) for the
+    sample indices of one batch; the last two may be None. It may draw from
+    `rng`, the same stream that permutes the epochs.
+    """
+    if n == 0:
         raise ValueError("empty dataset")
-    cfg = model.cfg
-    seqs = [tokenize(s.text, text_vocab, cfg.max_tokens) for s in samples]
     state = AdamState(lr=tcfg.lr)
-    rng = np.random.default_rng([tcfg.seed, 11])
+    rng = np.random.default_rng([tcfg.seed, stream])
     log: list[dict] = []
     step = 0
     for epoch in range(tcfg.epochs):
-        order = rng.permutation(len(samples))
-        for batch in _batches(len(samples), tcfg.batch_size, order):
-            view = _frozen_view(model)
-            sim_terms, mam_terms = [], []
-            for i in batch:
-                s = samples[i]
-                _, j_t = encode_text(seqs[i], view, cfg)
-                _, j_g = encode_graph(s.graph, view, cfg)
-                sim_terms.append(sim_loss(j_t, j_g, s.y, cfg.eps_cos))
-                if not cfg.no_mam:
-                    masked, plan = mask_nodes(s.graph, tcfg.mask_ratio, rng)
-                    h_gm, _ = encode_graph(masked, view, cfg)
-                    mam_terms.append(mam_loss(mam_logits(h_gm, view), plan))
-            inv = 1.0 / len(batch)
-            l_sim = _sum(sim_terms) * inv
-            l_mam = _sum(mam_terms) * inv if mam_terms else None
-            l_total = total_loss(l_sim, l_mam, tcfg.alpha, cfg.no_mam)
+        order = rng.permutation(n)
+        for batch in _batches(n, tcfg.batch_size, order):
+            l_total, l_sim, l_mam = batch_loss(batch, _frozen_view(model), rng)
             _step(model, l_total, state, epoch, step)
             step += 1
             log.append({
                 "epoch": epoch,
                 "step": step,
-                "l_sim": l_sim.item(),
+                "l_sim": l_sim.item() if l_sim is not None else None,
                 "l_mam": l_mam.item() if l_mam is not None else None,
                 "l_total": l_total.item(),
             })
     return log
 
 
+def _mean_of(sample_loss):
+    """Batch loss of a per-sample loss: the mean over the batch, no terms logged."""
+    def batch_loss(batch, view, rng):
+        return _sum([sample_loss(i, view) for i in batch]) * (1.0 / len(batch)), None, None
+    return batch_loss
+
+
+def pretrain(samples: list[BiModalSample], model: Model, tcfg: TrainConfig,
+             text_vocab: TextVocab) -> list[dict]:
+    """Joint similarity + masked-node pre-training; returns step log records."""
+    cfg = model.cfg
+    seqs = [tokenize(s.text, text_vocab, cfg.max_tokens) for s in samples]
+
+    def batch_loss(batch, view, rng):
+        sim_terms, mam_terms = [], []
+        for i in batch:
+            s = samples[i]
+            _, j_t = encode_text(seqs[i], view, cfg)
+            _, j_g = encode_graph(s.graph, view, cfg)
+            sim_terms.append(sim_loss(j_t, j_g, s.y, cfg.eps_cos))
+            if not cfg.no_mam:
+                masked, plan = mask_nodes(s.graph, tcfg.mask_ratio, rng)
+                h_gm, _ = encode_graph(masked, view, cfg)
+                mam_terms.append(mam_loss(mam_logits(h_gm, view), plan))
+        inv = 1.0 / len(batch)
+        l_sim = _sum(sim_terms) * inv
+        l_mam = _sum(mam_terms) * inv if mam_terms else None
+        return total_loss(l_sim, l_mam, tcfg.alpha, cfg.no_mam), l_sim, l_mam
+
+    return _train(len(samples), model, tcfg, 11, batch_loss)
+
+
 def finetune_aqa(samples: list[AQASample], model: Model, tcfg: TrainConfig,
                  text_vocab: TextVocab) -> list[dict]:
     """Multi-label answer fine-tuning with binary cross-entropy."""
-    if not samples:
-        raise ValueError("empty dataset")
     cfg = model.cfg
     seqs = [tokenize(s.question, text_vocab, cfg.max_tokens) for s in samples]
     targets = []
@@ -202,60 +223,32 @@ def finetune_aqa(samples: list[AQASample], model: Model, tcfg: TrainConfig,
         for a in s.answers:
             t[a] = 1.0
         targets.append(t)
-    state = AdamState(lr=tcfg.lr)
-    rng = np.random.default_rng([tcfg.seed, 12])
-    log: list[dict] = []
-    step = 0
-    for epoch in range(tcfg.epochs):
-        order = rng.permutation(len(samples))
-        for batch in _batches(len(samples), tcfg.batch_size, order):
-            view = _frozen_view(model)
-            terms = []
-            for i in batch:
-                _, j_t = encode_text(seqs[i], view, cfg)
-                _, j_g = encode_graph(samples[i].graph, view, cfg)
-                terms.append(aqa_loss(aqa_logits(j_t, j_g, view), targets[i]))
-            l_total = _sum(terms) * (1.0 / len(batch))
-            _step(model, l_total, state, epoch, step)
-            step += 1
-            log.append({"epoch": epoch, "step": step, "l_sim": None,
-                        "l_mam": None, "l_total": l_total.item()})
-    return log
+
+    def sample_loss(i, view):
+        _, j_t = encode_text(seqs[i], view, cfg)
+        _, j_g = encode_graph(samples[i].graph, view, cfg)
+        return aqa_loss(aqa_logits(j_t, j_g, view), targets[i])
+
+    return _train(len(samples), model, tcfg, 12, _mean_of(sample_loss))
 
 
 def finetune_ac(samples: list[ACSample], model: Model, tcfg: TrainConfig,
                 text_vocab: TextVocab) -> list[dict]:
     """Caption fine-tuning: teacher-forced decoder likelihood over the graph
     path; the text encoder is not part of this computation."""
-    if not samples:
-        raise ValueError("empty dataset")
     cfg = model.cfg
     seqs = [tokenize(s.text, text_vocab, cfg.max_tokens) for s in samples]
-    state = AdamState(lr=tcfg.lr)
-    rng = np.random.default_rng([tcfg.seed, 13])
-    log: list[dict] = []
-    step = 0
-    for epoch in range(tcfg.epochs):
-        order = rng.permutation(len(samples))
-        for batch in _batches(len(samples), tcfg.batch_size, order):
-            view = _frozen_view(model)
-            terms = []
-            for i in batch:
-                s = samples[i]
-                h_g, _ = encode_graph(s.graph, view, cfg)
-                seq = seqs[i]
-                n_real = seq.real_length
-                input_ids = seq.ids[:n_real - 1]
-                target_ids = seq.ids[1:n_real]
-                logits = decoder_logits(h_g, np.ones(s.graph.num_nodes, dtype=bool),
-                                        input_ids, view, cfg)
-                terms.append(decoder_loss(logits, target_ids, [True] * len(target_ids)))
-            l_total = _sum(terms) * (1.0 / len(batch))
-            _step(model, l_total, state, epoch, step)
-            step += 1
-            log.append({"epoch": epoch, "step": step, "l_sim": None,
-                        "l_mam": None, "l_total": l_total.item()})
-    return log
+
+    def sample_loss(i, view):
+        g = samples[i].graph
+        h_g, _ = encode_graph(g, view, cfg)
+        n_real = seqs[i].real_length
+        input_ids = seqs[i].ids[:n_real - 1]
+        target_ids = seqs[i].ids[1:n_real]
+        logits = decoder_logits(h_g, np.ones(g.num_nodes, dtype=bool), input_ids, view, cfg)
+        return decoder_loss(logits, target_ids, [True] * len(target_ids))
+
+    return _train(len(samples), model, tcfg, 13, _mean_of(sample_loss))
 
 
 def _sum(terms: list[Tensor]) -> Tensor:

@@ -50,6 +50,13 @@ def test_bad_magic_rejected(tmp_path):
         load_checkpoint(str(path))
 
 
+def test_short_header_rejected(tmp_path):
+    path = tmp_path / "short.abkt"
+    path.write_bytes(b"ABKT\x01")
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(str(path))
+
+
 def test_truncated_rejected(tmp_path, params):
     path = tmp_path / "m.abkt"
     save_checkpoint(params, str(path))

@@ -282,6 +282,30 @@ class TestErrors:
         assert run(["gen", "--task", "autonet", "--config", str(bad),
                     "--out", str(out)]) == 2
 
+    @pytest.mark.parametrize("key", ["mask_ratio", "alpha"])
+    def test_training_knob_in_model_section_is_data_error(self, tmp_path, key):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(f"[model]\n{key} = 0.3\n")
+        assert run(["gen", "--task", "autonet", "--config", str(bad),
+                    "--out", str(tmp_path / "x.jsonl")]) == 2
+
+    @pytest.mark.parametrize("edit", ["unknown", "missing"])
+    def test_bad_bundle_config_is_data_error(self, tmp_path, pretrained, capsys, edit):
+        data, ckpt = pretrained
+        config = ckpt / "config.json"
+        cfg = json.loads(config.read_text())
+        if edit == "unknown":
+            cfg["mask_ratio"] = 0.15
+            key = "mask_ratio"
+        else:
+            del cfg["d"]
+            key = "d"
+        config.write_text(json.dumps(cfg))
+        assert run(["eval", "--task", "ar", "--checkpoint", str(ckpt),
+                    "--dataset", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert "config.json" in err and f"{edit} key {key!r}" in err
+
     def test_unknown_section_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[nope]\nx = 1\n")

@@ -35,13 +35,13 @@ class TestBuild:
     def test_entries_unit_norm(self, setup):
         graphs, _, model = setup
         idx = build_index(model, graphs[:1], FP)
-        assert len(idx.entries) == 1
-        assert np.linalg.norm(idx.entries[0][1]) == pytest.approx(1.0, abs=1e-9)
+        assert len(idx.ids) == 1
+        assert np.linalg.norm(idx.vectors[0]) == pytest.approx(1.0, abs=1e-9)
 
     def test_same_graph_same_vector(self, setup):
         graphs, _, model = setup
         idx = build_index(model, [("a", graphs[0][1]), ("b", graphs[0][1])], FP)
-        np.testing.assert_array_equal(idx.entries[0][1], idx.entries[1][1])
+        np.testing.assert_array_equal(idx.vectors[0], idx.vectors[1])
 
     def test_duplicate_ids_rejected(self, setup):
         graphs, _, model = setup
@@ -65,8 +65,8 @@ class TestFileFormat:
         loaded = load_index(str(path))
         assert loaded.d == idx.d
         assert loaded.fingerprint == FP
-        assert [e[0] for e in loaded.entries] == [e[0] for e in idx.entries]
-        for (_, a), (_, b) in zip(loaded.entries, idx.entries):
+        assert loaded.ids == idx.ids
+        for a, b in zip(loaded.vectors, idx.vectors):
             np.testing.assert_array_equal(a, b.astype(np.float32).astype(np.float64))
 
     def test_magic(self, setup, tmp_path):
@@ -79,6 +79,14 @@ class TestFileFormat:
         path = tmp_path / "bad.abix"
         path.write_bytes(b"WHAT" + b"\x00" * 60)
         with pytest.raises(IndexError_, match="magic"):
+            load_index(str(path))
+
+    def test_trailing_bytes_rejected(self, setup, tmp_path):
+        graphs, _, model = setup
+        path = tmp_path / "i.abix"
+        save_index(build_index(model, graphs, FP), str(path))
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(IndexError_, match="trailing"):
             load_index(str(path))
 
 
@@ -115,18 +123,26 @@ class TestSearch:
         h2 = search(idx2, "some text", model, 4, vocab, FP)
         assert h1 == h2
 
+    def test_score_independent_of_position(self, setup):
+        graphs, vocab, model = setup
+        for _, g in graphs:
+            same = [(f"g{i}", g) for i in range(7)]
+            hits = search(build_index(model, same, FP), "some text", model, 7, vocab, FP)
+            assert len({s for _, s in hits}) == 1
+            assert [i for i, _ in hits] == sorted(i for i, _ in same)
+
     def test_query_matching_entry_vector_ranks_first(self, setup):
         graphs, vocab, model = setup
         idx = build_index(model, graphs, FP)
         # a query embedding equal to an entry's vector has cosine exactly 1 there
-        for arch_id, vec in idx.entries:
-            scored = sorted(((float(vec @ v), i) for i, v in idx.entries),
+        for arch_id, vec in zip(idx.ids, idx.vectors):
+            scored = sorted(((float(vec @ v), i) for i, v in zip(idx.ids, idx.vectors)),
                             key=lambda t: (-t[0], t[1]))
             assert scored[0][1] == arch_id
 
 
 def test_index_invariants_checked():
     with pytest.raises(IndexError_):
-        EmbeddingIndex(d=4, entries=[], fingerprint=b"short")
+        EmbeddingIndex(d=4, ids=[], vectors=np.zeros((0, 4)), fingerprint=b"short")
     with pytest.raises(IndexError_):
-        EmbeddingIndex(d=4, entries=[("a", np.zeros(3))], fingerprint=bytes(32))
+        EmbeddingIndex(d=4, ids=["a"], vectors=np.zeros((1, 3)), fingerprint=bytes(32))
