@@ -158,16 +158,23 @@ def save_bundle(out_dir: str, model: Model, text_vocab: TextVocab,
 
 
 def _load_model_config(path: str) -> ModelConfig:
-    """A bundle's config.json; it must name every ModelConfig field and no other key."""
+    """A bundle's config.json; it must name every ModelConfig field, with a
+    value of the field's type, and no other key."""
     with open(path, encoding="utf-8") as f:
         raw = json.load(f)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    names = {f.name for f in dataclasses.fields(ModelConfig)}
-    for key in sorted(set(raw) - names):
+    hints = typing.get_type_hints(ModelConfig)
+    for key in sorted(set(raw) - set(hints)):
         raise ValueError(f"{path}: unknown key {key!r}")
-    for key in sorted(names - set(raw)):
+    for key in sorted(set(hints) - set(raw)):
         raise ValueError(f"{path}: missing key {key!r}")
+    for key, typ in hints.items():
+        value = raw[key]
+        # exact types: a JSON true is a bool, never an int or a float
+        if type(value) not in ((int, float) if typ is float else (typ,)):
+            raise ValueError(f"{path}: key {key!r} must be {typ.__name__}, "
+                             f"got {type(value).__name__} {value!r}")
     return ModelConfig(**raw)
 
 
@@ -463,7 +470,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="INI config file (default: none)")
     p.add_argument("--seed", type=int, default=None, help="master RNG seed (default: config value)")
     p.add_argument("--tau", type=float, default=None, help="decision threshold (default 0.5)")
-    p.add_argument("--alpha", type=float, default=None, help="masked-node loss weight (default 0.05)")
     for flag in _ABLATION_FLAGS:
         p.add_argument(f"--{flag.replace('_', '-')}", action="store_true",
                        dest=flag, help=f"ablation switch {flag} (default off)")
@@ -498,6 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=None, help="batch size (default 8)")
     p.add_argument("--vocab-size", type=int, default=4096,
                    help="max text vocabulary size when built fresh (default 4096)")
+    p.add_argument("--alpha", type=float, default=None,
+                   help="masked-node loss weight (default 0.05)")
     _add_common(p)
     p.set_defaults(func=_cmd_train)
 

@@ -153,8 +153,10 @@ def set_params(params: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> None
 
 
 def detach_params(params: dict[str, Tensor]) -> dict[str, Tensor]:
-    """A constant view of the parameters (shared storage, no gradients)."""
-    return {name: Tensor(p.data) for name, p in params.items()}
+    """A constant view of the parameters (shared storage, no gradients).
+    Tensors that are already constants are reused, so detaching a detached
+    view costs no copy and no finiteness scan."""
+    return {name: Tensor(p.data) if p.requires_grad else p for name, p in params.items()}
 
 
 def freeze_groups(params: dict[str, Tensor], frozen_prefixes: tuple[str, ...]) -> dict[str, Tensor]:
@@ -240,29 +242,38 @@ def gat_forward(feats: Tensor, mask: np.ndarray, params: dict[str, Tensor],
     return x
 
 
-def _multi_head_attention(q_in: Tensor, kv_in: Tensor, key_mask: np.ndarray,
-                          params: dict[str, Tensor], prefix: str, heads: int,
-                          extra_mask: np.ndarray | None = None) -> Tensor:
-    d = q_in.shape[1]
-    dh = d // heads
-    q = q_in @ params[f"{prefix}.wq"] + params[f"{prefix}.bq"]
-    k = kv_in @ params[f"{prefix}.wk"] + params[f"{prefix}.bk"]
-    v = kv_in @ params[f"{prefix}.wv"] + params[f"{prefix}.bv"]
-    mask = np.broadcast_to(np.asarray(key_mask, dtype=bool)[None, :],
-                           (q.shape[0], kv_in.shape[0]))
-    if extra_mask is not None:
-        mask = mask & extra_mask
-    outs = []
+def _project(x: Tensor, params: dict[str, Tensor], prefix: str, gate: str) -> Tensor:
+    return x @ params[f"{prefix}.w{gate}"] + params[f"{prefix}.b{gate}"]
+
+
+def _key_value_heads(k: Tensor, v: Tensor, heads: int) -> tuple[list[Tensor], list[Tensor]]:
+    """Per-head transposed keys (dh, n) and values (n, dh)."""
+    dh = k.shape[1] // heads
+    cols = [(h * dh, (h + 1) * dh) for h in range(heads)]
+    return ([ad.transpose(ad.slice_cols(k, a, b)) for a, b in cols],
+            [ad.slice_cols(v, a, b) for a, b in cols])
+
+
+def _attend(q: Tensor, keys_t: list[Tensor], values: list[Tensor], mask: np.ndarray,
+            params: dict[str, Tensor], prefix: str) -> Tensor:
+    """Scaled dot-product attention per head over pre-split keys and values,
+    heads merged and projected out. `mask` broadcasts to (queries, keys)."""
+    dh = q.shape[1] // len(values)
     scale = 1.0 / math.sqrt(dh)
-    for h in range(heads):
+    outs = []
+    for h, (kt, vh) in enumerate(zip(keys_t, values)):
         qh = ad.slice_cols(q, h * dh, (h + 1) * dh)
-        kh = ad.slice_cols(k, h * dh, (h + 1) * dh)
-        vh = ad.slice_cols(v, h * dh, (h + 1) * dh)
-        scores = (qh @ ad.transpose(kh)) * scale
-        attn = ad.softmax_masked(scores, mask)
+        attn = ad.softmax_masked((qh @ kt) * scale, mask)
         outs.append(attn @ vh)
-    merged = ad.concat(outs, axis=1)
-    return merged @ params[f"{prefix}.wo"] + params[f"{prefix}.bo"]
+    return _project(ad.concat(outs, axis=1), params, prefix, "o")
+
+
+def _multi_head_attention(q_in: Tensor, kv_in: Tensor, key_mask: np.ndarray,
+                          params: dict[str, Tensor], prefix: str, heads: int) -> Tensor:
+    keys_t, values = _key_value_heads(_project(kv_in, params, prefix, "k"),
+                                      _project(kv_in, params, prefix, "v"), heads)
+    return _attend(_project(q_in, params, prefix, "q"), keys_t, values,
+                   np.asarray(key_mask, dtype=bool), params, prefix)
 
 
 def _ffn(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
@@ -361,8 +372,9 @@ def embed_graphs(graphs: list[ArchGraph], model: Model) -> np.ndarray:
 
 def caption_ids(g: ArchGraph, model: Model, beam: int, max_len: int) -> list[int]:
     """Beam-decode one graph's caption token ids under constant parameters."""
-    h_g, _ = encode_graph(g, detach_params(model.params), model.cfg)
-    return decode_beam(h_g, np.ones(g.num_nodes, dtype=bool), model.params, model.cfg,
+    params = detach_params(model.params)
+    h_g, _ = encode_graph(g, params, model.cfg)
+    return decode_beam(h_g, np.ones(g.num_nodes, dtype=bool), params, model.cfg,
                        beam=beam, max_len=max_len)
 
 
@@ -386,6 +398,41 @@ def aqa_logits(j_t: Tensor, j_g: Tensor, params: dict[str, Tensor]) -> Tensor:
 # decoder
 
 
+def _decoder_cross(h_g: Tensor, g_pad_mask, params: dict[str, Tensor],
+                   cfg: ModelConfig) -> tuple[list[Tensor], list[Tensor], np.ndarray]:
+    """The graph side of cross-attention: per-head keys and values over H_g,
+    plus its key mask. It does not depend on the tokens, so a caption
+    computes it once."""
+    keys_t, values = _key_value_heads(_project(h_g, params, "dec.xattn", "k"),
+                                      _project(h_g, params, "dec.xattn", "v"), cfg.dec_heads)
+    return keys_t, values, np.asarray(g_pad_mask, dtype=bool)
+
+
+def _decoder_layer(x: Tensor, past: tuple[Tensor, Tensor] | None, self_mask: np.ndarray,
+                   cross, params: dict[str, Tensor],
+                   cfg: ModelConfig) -> tuple[Tensor, tuple[Tensor, Tensor]]:
+    """The decoder block over new rows `x`: self-attention over the rows
+    cached in `past` followed by `x`'s own, cross-attention over the graph,
+    then the feed-forward net. Returns the block output and the extended
+    self-attention (K, V) rows; `self_mask` is (rows of x, rows of K)."""
+    y = _ln(x, params, "dec.ln.self")
+    q = _project(y, params, "dec.attn", "q")
+    k = _project(y, params, "dec.attn", "k")
+    v = _project(y, params, "dec.attn", "v")
+    if past is not None:
+        k, v = ad.concat([past[0], k]), ad.concat([past[1], v])
+    x = x + _attend(q, *_key_value_heads(k, v, cfg.dec_heads), self_mask, params, "dec.attn")
+    y = _ln(x, params, "dec.ln.xattn")
+    x = x + _attend(_project(y, params, "dec.xattn", "q"), *cross, params, "dec.xattn")
+    y = _ln(x, params, "dec.ln.ffn")
+    return x + _ffn(y, params, "dec.ffn"), (k, v)
+
+
+def _decoder_out(x: Tensor, params: dict[str, Tensor]) -> Tensor:
+    h = ad.leaky_relu(x @ params["dec.out.fc1.w"] + params["dec.out.fc1.b"], slope=0.2)
+    return h @ params["dec.out.fc2.w"] + params["dec.out.fc2.b"]
+
+
 def decoder_logits(h_g: Tensor, g_pad_mask, input_ids, params: dict[str, Tensor],
                    cfg: ModelConfig) -> Tensor:
     """Teacher-forced decoder pass: causal self-attention over the token
@@ -396,16 +443,38 @@ def decoder_logits(h_g: Tensor, g_pad_mask, input_ids, params: dict[str, Tensor]
     x = ad.gather_rows(params["dec.emb.tok"], list(input_ids))
     x = x + ad.gather_rows(params["dec.emb.pos"], list(range(t)))
     causal = np.tril(np.ones((t, t), dtype=bool))
-    y = _ln(x, params, "dec.ln.self")
-    x = x + _multi_head_attention(y, y, np.ones(t, dtype=bool), params,
-                                  "dec.attn", cfg.dec_heads, extra_mask=causal)
-    y = _ln(x, params, "dec.ln.xattn")
-    x = x + _multi_head_attention(y, h_g, np.asarray(g_pad_mask, dtype=bool),
-                                  params, "dec.xattn", cfg.dec_heads)
-    y = _ln(x, params, "dec.ln.ffn")
-    x = x + _ffn(y, params, "dec.ffn")
-    h = ad.leaky_relu(x @ params["dec.out.fc1.w"] + params["dec.out.fc1.b"], slope=0.2)
-    return h @ params["dec.out.fc2.w"] + params["dec.out.fc2.b"]
+    x, _ = _decoder_layer(x, None, causal, _decoder_cross(h_g, g_pad_mask, params, cfg),
+                          params, cfg)
+    return _decoder_out(x, params)
+
+
+def _decoder_step(tokens: np.ndarray, past: tuple[Tensor, Tensor] | None, cross,
+                  params: dict[str, Tensor],
+                  cfg: ModelConfig) -> tuple[np.ndarray, tuple[Tensor, Tensor]]:
+    """One incremental step for B hypotheses of equal length.
+
+    `tokens[b]` is hypothesis b's newest token. `past` holds the self-attention
+    (K, V) rows of the earlier positions, position-major: row p*B + b is
+    position p of hypothesis b. Returns next-token log-probabilities (B, vocab)
+    and the cache extended by this position. Each query sees only its own
+    hypothesis's rows, so B rows run as one batch.
+    """
+    b = len(tokens)
+    pos = 0 if past is None else past[0].shape[0] // b
+    x = ad.gather_rows(params["dec.emb.tok"], tokens)
+    x = x + ad.gather_rows(params["dec.emb.pos"], [pos] * b)
+    own = np.arange((pos + 1) * b)[None, :] % b == np.arange(b)[:, None]
+    x, cache = _decoder_layer(x, past, own, cross, params, cfg)
+    return ad.log_softmax(_decoder_out(x, params)).data, cache
+
+
+def _reorder_cache(cache: tuple[Tensor, Tensor], parents: np.ndarray,
+                   width: int) -> tuple[Tensor, Tensor]:
+    """Each new hypothesis takes over its parent's cache rows; `width` is the
+    number of hypotheses the cache was built for."""
+    positions = cache[0].shape[0] // width
+    rows = (np.arange(positions)[:, None] * width + parents[None, :]).ravel()
+    return ad.gather_rows(cache[0], rows), ad.gather_rows(cache[1], rows)
 
 
 _FORBIDDEN_DECODE_IDS = (PAD_ID, BOS_ID, MASK_ID)
@@ -418,41 +487,46 @@ def decode_beam(h_g: Tensor, g_pad_mask, params: dict[str, Tensor], cfg: ModelCo
 
     Hypotheses are compared by (mean log-probability, then lexicographically
     smaller token ids). A hypothesis reaching the length budget is closed
-    with the end token. beam=1 is greedy decoding.
+    with the end token. beam=1 is greedy decoding. All live hypotheses share
+    one length, so each step decodes them as one batch against a key/value
+    cache instead of re-running their prefixes.
     """
     if beam < 1:
         raise ValueError("beam width must be >= 1")
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
     max_len = min(max_len, cfg.max_tokens - 1)
-    const_params = detach_params(params)
-    h_g_const = Tensor(h_g.data)
-    allowed = [i for i in range(cfg.text_vocab_size) if i not in _FORBIDDEN_DECODE_IDS]
+    params = detach_params(params)
+    cross = _decoder_cross(Tensor(h_g.data), g_pad_mask, params, cfg)
+    allowed = np.array([i for i in range(cfg.text_vocab_size)
+                        if i not in _FORBIDDEN_DECODE_IDS], dtype=np.int64)
+    eos_only = np.array([EOS_ID], dtype=np.int64)
 
-    live: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
+    seqs = np.full((1, 1), BOS_ID, dtype=np.int64)   # live prefixes, start token first
+    sums = np.zeros(1)                                # their summed log-probabilities
+    cache = None
     done: list[tuple[tuple[int, ...], float]] = []
-    while live:
-        expansions: list[tuple[tuple[int, ...], float]] = []
-        for ids, logp_sum in live:
-            prefix = [BOS_ID] + list(ids)
-            logits = decoder_logits(h_g_const, g_pad_mask, prefix, const_params, cfg)
-            logp = ad.log_softmax(logits).data[-1]
-            if len(ids) == max_len - 1:
-                candidates = [EOS_ID]
-            else:
-                candidates = allowed
-            for tok in candidates:
-                seq = ids + (tok,)
-                expansions.append((seq, logp_sum + float(logp[tok])))
+    while len(seqs):
+        logp, cache = _decoder_step(seqs[:, -1], cache, cross, params, cfg)
+        length = seqs.shape[1]   # tokens after the start token once extended
+        cands = eos_only if length == max_len else allowed
+        totals = (sums[:, None] + logp[:, cands]).ravel()
+        key = totals / length
         # finished and unfinished expansions compete for the same beam slots,
-        # so beam=1 degenerates to greedy decoding
-        expansions.sort(key=lambda e: (-(e[1] / len(e[0])), e[0]))
-        live = []
-        for seq, total in expansions[:beam]:
-            if seq[-1] == EOS_ID:
-                done.append((seq, total / len(seq)))
-            else:
-                live.append((seq, total))
-    best = done[0]
-    for cand in done[1:]:
-        if cand[1] > best[1] or (cand[1] == best[1] and cand[0] < best[0]):
-            best = cand
+        # so beam=1 degenerates to greedy decoding; ties go to the
+        # lexicographically smaller sequence: parent first, then token
+        rank = np.empty(len(seqs), dtype=np.int64)
+        rank[np.lexsort(seqs.T[::-1])] = np.arange(len(seqs))
+        order = np.lexsort((np.tile(cands, len(seqs)), np.repeat(rank, len(cands)),
+                            -key))[:beam]
+        parents, toks = np.divmod(order, len(cands))
+        toks = cands[toks]
+        ended = toks == EOS_ID
+        grown = np.concatenate([seqs[parents], toks[:, None]], axis=1)
+        done.extend((tuple(int(t) for t in s[1:]), float(k))
+                    for s, k in zip(grown[ended], key[order][ended]))
+        if not ended.all():
+            cache = _reorder_cache(cache, parents[~ended], len(seqs))
+        seqs, sums = grown[~ended], totals[order][~ended]
+    best = min(done, key=lambda c: (-c[1], c[0]))
     return list(best[0])

@@ -138,6 +138,16 @@ class TestTrain:
             assert rec["l_mam"] is None
             assert rec["l_total"] == pytest.approx(rec["l_sim"])
 
+    def test_alpha_flag_weights_mam_term(self, tmp_path, cfg_file):
+        data = _gen(tmp_path, cfg_file, "autonet", "al.jsonl")
+        out = tmp_path / "al_ckpt"
+        assert run(["train", "--task", "pretrain", "--config", cfg_file,
+                    "--dataset", str(data), "--out", str(out), "--seed", "1",
+                    "--epochs", "1", "--alpha", "0.5"]) == 0
+        for line in (out / "loss_log.jsonl").read_text().splitlines():
+            rec = json.loads(line)
+            assert rec["l_total"] == pytest.approx(rec["l_sim"] + 0.5 * rec["l_mam"])
+
 
 class TestEval:
     def test_eval_requires_checkpoint(self, tmp_path, cfg_file):
@@ -289,22 +299,34 @@ class TestErrors:
         assert run(["gen", "--task", "autonet", "--config", str(bad),
                     "--out", str(tmp_path / "x.jsonl")]) == 2
 
-    @pytest.mark.parametrize("edit", ["unknown", "missing"])
+    @pytest.mark.parametrize("edit", ["unknown", "missing", "wrong-type"])
     def test_bad_bundle_config_is_data_error(self, tmp_path, pretrained, capsys, edit):
         data, ckpt = pretrained
         config = ckpt / "config.json"
         cfg = json.loads(config.read_text())
         if edit == "unknown":
             cfg["mask_ratio"] = 0.15
-            key = "mask_ratio"
-        else:
+            expect = "unknown key 'mask_ratio'"
+        elif edit == "missing":
             del cfg["d"]
-            key = "d"
+            expect = "missing key 'd'"
+        else:
+            cfg["d"] = "16"
+            expect = "key 'd' must be int"
         config.write_text(json.dumps(cfg))
         assert run(["eval", "--task", "ar", "--checkpoint", str(ckpt),
                     "--dataset", str(data)]) == 2
         err = capsys.readouterr().err
-        assert "config.json" in err and f"{edit} key {key!r}" in err
+        assert "config.json" in err and expect in err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--task", "ar", "--checkpoint", "ckpt", "--dataset", "d.jsonl"],
+        ["search", "build", "--checkpoint", "ckpt", "--dataset", "d.jsonl", "--out", "i.abix"],
+    ])
+    def test_alpha_outside_train_is_usage_error(self, argv, capsys):
+        # only train reads the masked-node loss weight
+        assert run([*argv, "--alpha", "7"]) == 1
+        assert "--alpha" in capsys.readouterr().err
 
     def test_unknown_section_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.ini"

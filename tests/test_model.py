@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 import archtext.autodiff as ad
+import archtext.model as model_mod
 from archtext.autodiff import Tensor, finite_diff
+from archtext.datagen import ACSample, GenConfig, gen_architecture, gen_descriptions
 from archtext.graph import ArchGraph, attention_mask
 from archtext.model import (
+    _FORBIDDEN_DECODE_IDS,
     Model,
     ModelConfig,
     aqa_logits,
@@ -26,7 +29,8 @@ from archtext.model import (
     set_params,
     shape_bucket,
 )
-from archtext.text import BOS_ID, EOS_ID, TextVocab, tokenize
+from archtext.text import BOS_ID, EOS_ID, TextVocab, build_vocab, tokenize
+from archtext.training import TrainConfig, finetune_ac
 
 from test_autodiff import rel_err
 
@@ -344,6 +348,111 @@ def _exhaustive_reference(h_g, mask, params, cfg, max_len):
     return list(best[0])
 
 
+def _full_prefix_beam_reference(h_g, mask, params, cfg, beam, max_len):
+    """The beam search decode_beam replaced: every step re-runs the
+    teacher-forced decoder over each live hypothesis's whole prefix and
+    sorts Python tuples."""
+    max_len = min(max_len, cfg.max_tokens - 1)
+    const = detach_params(params)
+    h_g_const = Tensor(h_g.data)
+    allowed = [i for i in range(cfg.text_vocab_size) if i not in _FORBIDDEN_DECODE_IDS]
+    live = [((), 0.0)]
+    done = []
+    while live:
+        expansions = []
+        for ids, logp_sum in live:
+            logits = decoder_logits(h_g_const, mask, [BOS_ID] + list(ids), const, cfg)
+            logp = ad.log_softmax(logits).data[-1]
+            candidates = [EOS_ID] if len(ids) == max_len - 1 else allowed
+            for tok in candidates:
+                expansions.append((ids + (tok,), logp_sum + float(logp[tok])))
+        expansions.sort(key=lambda e: (-(e[1] / len(e[0])), e[0]))
+        live = []
+        for seq, total in expansions[:beam]:
+            if seq[-1] == EOS_ID:
+                done.append((seq, total / len(seq)))
+            else:
+                live.append((seq, total))
+    best = done[0]
+    for cand in done[1:]:
+        if cand[1] > best[1] or (cand[1] == best[1] and cand[0] < best[0]):
+            best = cand
+    return list(best[0])
+
+
+@pytest.fixture(scope="module")
+def tuned_decoder():
+    """A decoder moved off its random init, where every caption repeats one
+    token, by a few high learning-rate caption fine-tuning steps."""
+    gcfg = GenConfig(rng_seed=3, ops=("conv2d", "relu", "maxpool2d", "linear", "gelu",
+                                      "avgpool2d", "batchnorm2d"),
+                     min_nodes=3, max_nodes=6)
+    samples = []
+    for i in range(6):
+        rng = np.random.default_rng([17, i])
+        g = gen_architecture(gcfg, rng, name=f"dec{i}")
+        pos = [s for s in gen_descriptions(g, gcfg, rng) if s.y == 1.0]
+        samples.append(ACSample(graph=g, text=pos[0].text))
+    vocab = build_vocab([s.text for s in samples], 64)
+    cfg = ModelConfig(node_vocab_size=len(gcfg.node_vocab()), text_vocab_size=len(vocab),
+                      d=16, gat_layers=1, gat_heads=2, cross_layers=1, cross_heads=2,
+                      dec_heads=2, max_nodes=8, max_tokens=12, shape_buckets=8)
+    model = Model.initialized(cfg, seed=4)
+    finetune_ac(samples, model, TrainConfig(task="ac", lr=3e-2, batch_size=3, epochs=6,
+                                            seed=0), vocab)
+    const = detach_params(model.params)
+    encoded = [(encode_graph(s.graph, const, cfg)[0], np.ones(s.graph.num_nodes, dtype=bool))
+               for s in samples]
+    return model, cfg, encoded
+
+
+class TestIncrementalDecoder:
+    @pytest.mark.parametrize("beam", [1, 3, 10])
+    def test_matches_full_prefix_reference(self, tuned_decoder, beam):
+        model, cfg, encoded = tuned_decoder
+        captions = set()
+        for h_g, mask in encoded:
+            got = decode_beam(h_g, mask, model.params, cfg, beam=beam, max_len=8)
+            want = _full_prefix_beam_reference(h_g, mask, model.params, cfg, beam, 8)
+            assert got == want
+            captions.add(tuple(got))
+        # the fine-tuned decoder tells the graphs apart
+        assert len(captions) > 1
+
+    def test_step_log_probs_equal_full_prefix_last_row(self, tuned_decoder):
+        model, cfg, encoded = tuned_decoder
+        params = detach_params(model.params)
+        h_g, mask = encoded[0]
+        cross = model_mod._decoder_cross(h_g, mask, params, cfg)
+        rng = np.random.default_rng(0)
+        prefixes = [[BOS_ID]]
+        cache = None
+        for step in range(6):
+            tokens = np.array([p[-1] for p in prefixes])
+            logp, cache = model_mod._decoder_step(tokens, cache, cross, params, cfg)
+            assert logp.shape == (len(prefixes), cfg.text_vocab_size)
+            for row, prefix in zip(logp, prefixes):
+                full = ad.log_softmax(decoder_logits(h_g, mask, prefix, params, cfg)).data[-1]
+                np.testing.assert_allclose(row, full, rtol=0, atol=1e-12)
+            # regroup: hypotheses fork, die and swap places, with distinct histories
+            width = len(prefixes)
+            parents = rng.integers(0, width, size=min(4, width + 2))
+            toks = rng.choice([5, 6, 7, 8, 9], size=len(parents), replace=False)
+            prefixes = [prefixes[p] + [int(t)] for p, t in zip(parents, toks)]
+            cache = model_mod._reorder_cache(cache, parents, width)
+
+    def test_decoding_never_runs_the_full_prefix(self, tuned_decoder, monkeypatch):
+        model, cfg, encoded = tuned_decoder
+        h_g, mask = encoded[1]
+        want = decode_beam(h_g, mask, model.params, cfg, beam=3, max_len=6)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("decode_beam ran the teacher-forced decoder")
+
+        monkeypatch.setattr(model_mod, "decoder_logits", forbidden)
+        assert decode_beam(h_g, mask, model.params, cfg, beam=3, max_len=6) == want
+
+
 class TestBeamSearch:
     @pytest.fixture
     def decode_setup(self):
@@ -383,7 +492,35 @@ class TestBeamSearch:
         # every candidate ties; the smallest allowed id (UNK=1) repeats, then EOS
         assert out == [1, 1, 1, EOS_ID]
 
+    def test_equal_scores_prefer_smaller_parent(self, decode_setup, monkeypatch):
+        """Expansions of two parents tie exactly; the lexicographically smaller
+        sequence takes the last beam slot although its parent ranked second."""
+        h_g, mask, model, cfg = decode_setup
+        scores = {(BOS_ID,): {7: -1.0, 6: -2.0},
+                  (BOS_ID, 7): {5: -0.5, 1: -3.0},
+                  (BOS_ID, 6): {1: -2.0},
+                  (BOS_ID, 7, 1): {EOS_ID: 0.0},
+                  (BOS_ID, 6, 1): {EOS_ID: 0.0}}
+
+        def scripted_step(tokens, past, cross, params, cfg):
+            # the cache carries each hypothesis's tokens, position-major
+            col = Tensor(np.asarray(tokens, dtype=np.float64)[:, None])
+            cache = col if past is None else ad.concat([past[0], col])
+            logp = np.full((len(tokens), cfg.text_vocab_size), -100.0)
+            for row, history in zip(logp, cache.data.reshape(-1, len(tokens)).T):
+                for tok, lp in scores.get(tuple(int(t) for t in history), {}).items():
+                    row[tok] = lp
+            return logp, (cache, cache)
+
+        monkeypatch.setattr(model_mod, "_decoder_step", scripted_step)
+        assert decode_beam(h_g, mask, model.params, cfg, beam=2, max_len=3) == [6, 1, EOS_ID]
+
     def test_beam_must_be_positive(self, decode_setup):
         h_g, mask, model, cfg = decode_setup
         with pytest.raises(ValueError):
             decode_beam(h_g, mask, model.params, cfg, beam=0, max_len=3)
+
+    def test_max_len_must_be_positive(self, decode_setup):
+        h_g, mask, model, cfg = decode_setup
+        with pytest.raises(ValueError):
+            decode_beam(h_g, mask, model.params, cfg, beam=2, max_len=0)
