@@ -1,10 +1,11 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
 The engine covers exactly the operation set the model needs: elementwise
-arithmetic with broadcasting, 2-D matmul, reductions, masked softmax,
-log-softmax, leaky rectifier, logistic, sqrt, clamp, row gather, column
-slicing, and concatenation. Every op validates that its output is finite;
-NaN or Inf anywhere is a hard error rather than a silent corruption.
+arithmetic with broadcasting, batched matmul with broadcasting, reductions,
+masked softmax, log-softmax, leaky rectifier, logistic, sqrt, clamp, row
+gather, column slicing, concatenation, reshape and axis permutation. Every
+op validates that its output is finite; NaN or Inf anywhere is a hard error
+rather than a silent corruption.
 
 Gradients flow through a tape built implicitly by op closures; calling
 `backward` on a scalar seeds the reverse pass. `finite_diff` provides the
@@ -14,6 +15,7 @@ independent central-difference oracle used by the gradient checks, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +26,9 @@ class NonFiniteError(ArithmeticError):
 
 
 def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    # the ufunc reduce, not np.all: np.all's Python-level wrapper costs more
+    # than the check itself on the small arrays most ops produce
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise NonFiniteError(f"non-finite values produced by {op}")
     return arr
 
@@ -36,7 +40,9 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
-        _check_finite(self.data, "tensor construction")
+        # Python floats, the common constants, are checked without numpy
+        if not (type(data) is float and math.isfinite(data)):
+            _check_finite(self.data, "tensor construction")
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -50,7 +56,11 @@ class Tensor:
         t = cls.__new__(cls)
         t.data = _check_finite(np.asarray(data, dtype=np.float64), op)
         t.grad = None
-        t.requires_grad = any(p.requires_grad for p in parents)
+        t.requires_grad = False
+        for p in parents:
+            if p.requires_grad:
+                t.requires_grad = True
+                break
         t._parents = tuple(parents) if t.requires_grad else ()
         t._backward = backward if t.requires_grad else None
         t.name = None
@@ -61,7 +71,7 @@ class Tensor:
         return self.data.shape
 
     def item(self) -> float:
-        return float(self.data)
+        return float(self.data.item())
 
     # -- autodiff -----------------------------------------------------------
 
@@ -192,19 +202,21 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.data.shape} @ {b.data.shape}")
+    """Matrix product over the last two axes; leading axes broadcast."""
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ValueError(f"matmul expects operands of 2 or more axes, got "
+                         f"{a.data.shape} @ {b.data.shape}")
     out = a.data @ b.data
     return Tensor._from_op(out, (a, b), lambda g: (
-        (a, g @ b.data.T),
-        (b, a.data.T @ g),
+        (a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)),
+        (b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)),
     ), "matmul")
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ValueError("transpose expects a 2-D tensor")
-    return Tensor._from_op(a.data.T, (a,), lambda g: ((a, g.T),), "transpose")
+    return permute(a, (1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +224,7 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def sum_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    out = np.add.reduce(a.data, axis=axis, keepdims=keepdims)
 
     def backward(g):
         gg = g
@@ -233,7 +245,9 @@ def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
 
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    out = np.where(a.data > 0, a.data, slope * a.data)
+    if not 0.0 < slope < 1.0:
+        raise ValueError("leaky_relu slope must lie in (0, 1)")
+    out = np.maximum(a.data, slope * a.data)
     return Tensor._from_op(out, (a,), lambda g: (
         (a, g * np.where(a.data > 0, 1.0, slope)),
     ), "leaky_relu")
@@ -261,19 +275,30 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
     ), "clamp_min")
 
 
+def _as_rows(x: np.ndarray) -> np.ndarray:
+    """At least 2-D: a single row becomes a (1, n) matrix."""
+    return x.reshape((1,) * (2 - x.ndim) + x.shape)
+
+
 def softmax_masked(logits: Tensor, mask: np.ndarray) -> Tensor:
     """Softmax along the last axis restricted to mask-true positions.
 
     Masked positions receive exactly zero probability; each row must keep
-    at least one unmasked entry.
+    at least one unmasked entry. The work runs with the last axis outermost
+    in memory, so the normalizer is an in-order sum: masked trailing entries
+    add exact zeros, and a row's values do not depend on how far its batch
+    pads it (a pairwise sum along a contiguous row would group differently
+    for each row length). The result is a transposed view.
     """
-    m = np.broadcast_to(np.asarray(mask, dtype=bool), logits.data.shape)
-    if not m.any(axis=-1).all():
+    mask = np.asarray(mask, dtype=bool)
+    if not mask.any(axis=-1).all():
         raise ValueError("softmax row with every position masked")
-    rowmax = np.max(np.where(m, logits.data, -np.inf), axis=-1, keepdims=True)
-    shifted = np.where(m, logits.data - rowmax, -np.inf)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
+    bias_t = _as_rows(np.where(mask, 0.0, -np.inf)).swapaxes(-1, -2)
+    z = np.add(_as_rows(logits.data).swapaxes(-1, -2), bias_t, order="C")
+    z -= np.maximum.reduce(z, axis=-2, keepdims=True)
+    e = np.exp(z, out=z)
+    e /= np.add.reduce(e, axis=-2, keepdims=True)
+    p = e.swapaxes(-1, -2).reshape(logits.data.shape)
 
     def backward(g):
         inner = (g * p).sum(axis=-1, keepdims=True)
@@ -324,8 +349,14 @@ def gather_rows(table: Tensor, ids) -> Tensor:
     out = table.data[idx]
 
     def backward(g):
+        # sum each id's rows in one reduceat over the rows sorted by id;
+        # np.add.at scatters one row at a time and costs several times more
         gt = np.zeros_like(table.data)
-        np.add.at(gt, idx, g)
+        if idx.size:
+            order = np.argsort(idx, kind="stable")
+            ids = idx[order]
+            starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+            gt[ids[starts]] = np.add.reduceat(g[order], starts, axis=0)
         return ((table, gt),)
 
     return Tensor._from_op(out, (table,), backward, "gather_rows")
@@ -356,6 +387,17 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
         return tuple(grads)
 
     return Tensor._from_op(out, tuple(parts), backward, "concat")
+
+
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    return Tensor._from_op(a.data.reshape(shape), (a,),
+                           lambda g: ((a, g.reshape(a.data.shape)),), "reshape")
+
+
+def permute(a: Tensor, axes: tuple[int, ...]) -> Tensor:
+    """Reorder the axes: output axis i is input axis axes[i]."""
+    return Tensor._from_op(a.data.transpose(axes), (a,),
+                           lambda g: ((a, g.transpose(np.argsort(axes))),), "permute")
 
 
 def layer_norm(x: Tensor, scale: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -15,6 +15,7 @@ import struct
 import numpy as np
 
 from .autodiff import Tensor
+from .fileio import atomic_write
 
 MAGIC = b"ABKT"
 VERSION = 1
@@ -25,7 +26,7 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(params: dict[str, Tensor], path: str) -> None:
-    with open(path, "wb") as f:
+    with atomic_write(path, binary=True) as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))
         for name in sorted(params):

@@ -30,6 +30,7 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .datagen import GenConfig
+from .fileio import atomic_write
 from .graph import (
     GraphParseError,
     GraphValidationError,
@@ -148,10 +149,10 @@ def save_bundle(out_dir: str, model: Model, text_vocab: TextVocab,
     save_checkpoint(model.params, ckpt_path)
     text_vocab.save(os.path.join(out_dir, TEXT_VOCAB_FILE))
     node_vocab.save(os.path.join(out_dir, NODE_VOCAB_FILE))
-    with open(os.path.join(out_dir, CONFIG_FILE), "w", encoding="utf-8") as f:
+    with atomic_write(os.path.join(out_dir, CONFIG_FILE)) as f:
         json.dump(model.cfg.to_dict(), f, indent=2, sort_keys=True)
         f.write("\n")
-    with open(os.path.join(out_dir, LOG_FILE), "w", encoding="utf-8") as f:
+    with atomic_write(os.path.join(out_dir, LOG_FILE)) as f:
         for rec in log:
             f.write(json.dumps(rec) + "\n")
     return ckpt_path

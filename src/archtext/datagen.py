@@ -39,7 +39,14 @@ from .catalog import (
     load_answer_catalog,
     phrase_of,
 )
-from .graph import ArchGraph, NodeVocab, graph_from_obj, graph_to_obj
+from .graph import (
+    ArchGraph,
+    GraphParseError,
+    GraphValidationError,
+    NodeVocab,
+    graph_from_obj,
+    graph_to_obj,
+)
 from .text import normalize
 
 CHANNEL_CHOICES = (8, 16, 32, 64, 128)
@@ -688,50 +695,62 @@ def write_jsonl(samples, vocab: NodeVocab, path: str) -> None:
             f.write(json.dumps(record_of(s, vocab)) + "\n")
 
 
-def _read_jsonl(path: str) -> list[dict]:
-    records = []
+def _load(path: str, build) -> list:
+    """One sample per non-blank JSONL line, built by `build(record)`, which
+    may return None to skip a record. A bad line is a ValueError naming the
+    file, the line and the field."""
+    out = []
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                records.append(json.loads(line))
+                sample = build(json.loads(line))
             except json.JSONDecodeError as e:
                 raise ValueError(f"{path}:{line_no}: invalid JSON: {e.msg}") from e
-    return records
+            except KeyError as e:
+                raise ValueError(f"{path}:{line_no}: missing field {e}") from e
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"{path}:{line_no}: {e}") from e
+            if sample is not None:
+                out.append(sample)
+    return out
+
+
+def _graph_at(record: dict, key: str, vocab: NodeVocab) -> ArchGraph:
+    """The validated graph under `key`; an error names the field."""
+    try:
+        return graph_from_obj(record[key], vocab)
+    except (GraphParseError, GraphValidationError) as e:
+        raise ValueError(f"field '{key}': {e}") from e
 
 
 def load_bimodal(path: str, vocab: NodeVocab) -> list[BiModalSample]:
-    return [BiModalSample(graph=graph_from_obj(r["graph"], vocab), text=r["text"], y=float(r["y"]))
-            for r in _read_jsonl(path)]
+    return _load(path, lambda r: BiModalSample(graph=_graph_at(r, "graph", vocab),
+                                               text=r["text"], y=float(r["y"])))
 
 
 def load_aqa(path: str, vocab: NodeVocab) -> list[AQASample]:
-    return [AQASample(graph=graph_from_obj(r["graph"], vocab), question=r["question"],
-                      answers=frozenset(r["answers"]))
-            for r in _read_jsonl(path)]
+    return _load(path, lambda r: AQASample(graph=_graph_at(r, "graph", vocab),
+                                           question=r["question"],
+                                           answers=frozenset(r["answers"])))
 
 
 def load_acd(path: str, vocab: NodeVocab) -> list[ACDPair]:
-    return [ACDPair(g1=graph_from_obj(r["g1"], vocab), g2=graph_from_obj(r["g2"], vocab),
-                    label=int(r["label"]))
-            for r in _read_jsonl(path)]
+    return _load(path, lambda r: ACDPair(g1=_graph_at(r, "g1", vocab),
+                                         g2=_graph_at(r, "g2", vocab), label=int(r["label"])))
 
 
 def load_bacd(path: str, vocab: NodeVocab) -> list[BACDSample]:
-    return [BACDSample(g1=graph_from_obj(r["g1"], vocab), g2=graph_from_obj(r["g2"], vocab),
-                       label=int(r["label"]), text=r["text"])
-            for r in _read_jsonl(path)]
+    return _load(path, lambda r: BACDSample(g1=_graph_at(r, "g1", vocab),
+                                            g2=_graph_at(r, "g2", vocab),
+                                            label=int(r["label"]), text=r["text"]))
 
 
 def load_ac(path: str, vocab: NodeVocab) -> list[ACSample]:
     """Caption pairs: the positive rows of a bi-modal file."""
-    out = []
-    for r in _read_jsonl(path):
-        if float(r.get("y", 1.0)) == 1.0:
-            out.append(ACSample(graph=graph_from_obj(r["graph"], vocab), text=r["text"]))
-    return out
+    return _load(path, lambda r: (ACSample(graph=_graph_at(r, "graph", vocab), text=r["text"])
+                                  if float(r.get("y", 1.0)) == 1.0 else None))
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +770,7 @@ def _dist(values) -> dict:
 
 def compute_stats(path: str) -> dict:
     """Table-style statistics of a JSONL dataset (any record schema)."""
-    records = _read_jsonl(path)
+    records = _load(path, lambda r: r)
     graphs, texts = [], []
     for r in records:
         for key in ("graph", "g1", "g2"):

@@ -194,7 +194,7 @@ def _pooled(rows: np.ndarray) -> list[Tensor]:
 
 def pair_scores(a: np.ndarray, b: np.ndarray, eps: float) -> list[float]:
     """Cosine of each row pair of two (N, d) embedding matrices."""
-    return [cosine(x, y, eps).item() for x, y in zip(_pooled(a), _pooled(b))]
+    return cosine(Tensor(a), Tensor(b), eps).data.tolist()
 
 
 def run_ar(model: Model, samples: list[BiModalSample], tau: float,

@@ -1,9 +1,9 @@
 """Architecture-graph IR: a DAG of operation nodes with parameter shapes.
 
 A graph holds an ordered node list (operation ids into a node vocabulary),
-a set of directed edges, and one 4-tuple of non-negative integers per node
-(out-channels, in-channels, kernel-h, kernel-w). Nodes without shape
-attributes carry the sentinel (0, 0, 0, 0).
+a set of directed edges, and one 4-tuple of non-negative integers below
+2**53 per node (out-channels, in-channels, kernel-h, kernel-w). Nodes
+without shape attributes carry the sentinel (0, 0, 0, 0).
 
 All values are immutable after construction and safe to share across
 threads; every operation in this module is pure.
@@ -14,8 +14,11 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
+
+from .fileio import atomic_write
 
 MASK_NODE = "[MASK_NODE]"
 PAD_NODE = "[PAD_NODE]"
@@ -28,6 +31,8 @@ UNK_NODE_ID = 2
 
 Shape = tuple[int, int, int, int]
 SENTINEL_SHAPE: Shape = (0, 0, 0, 0)
+# shape entries stay below 2**53, where float64 holds every integer exactly
+SHAPE_LIMIT = 2 ** 53
 
 
 class GraphParseError(ValueError):
@@ -72,7 +77,7 @@ class NodeVocab:
         return self._names[op_id]
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_write(path) as f:
             for name in self._names:
                 f.write(name + "\n")
 
@@ -95,9 +100,9 @@ class ArchGraph:
     name: str | None = None
 
     def __init__(self, nodes, edges, shapes, name: str | None = None):
-        object.__setattr__(self, "nodes", tuple(int(n) for n in nodes))
+        object.__setattr__(self, "nodes", tuple(map(int, nodes)))
         object.__setattr__(self, "edges", frozenset((int(a), int(b)) for a, b in edges))
-        object.__setattr__(self, "shapes", tuple(tuple(int(x) for x in s) for s in shapes))
+        object.__setattr__(self, "shapes", tuple(tuple(map(int, s)) for s in shapes))
         object.__setattr__(self, "name", name)
 
     @property
@@ -115,27 +120,43 @@ class ValidationReport:
 
 
 def validate_graph(g: ArchGraph) -> ValidationReport:
-    """Check every graph invariant; reports all violations, never raises."""
+    """Check every graph invariant; reports all violations, never raises.
+
+    Each check first tests the whole graph at C speed and walks it item by
+    item only to report what it found, so a valid graph costs little.
+    """
     violations: list[tuple[str, str]] = []
     m = g.num_nodes
     if m < 1:
         violations.append(("empty", "graph must have at least one node"))
-    for i, n in enumerate(g.nodes):
-        if n < 0:
-            violations.append(("node-id", f"node {i} has negative op id {n}"))
-    for u, v in g.sorted_edges():
-        if not (0 <= u < m and 0 <= v < m):
-            violations.append(("edge-range", f"edge ({u},{v}) index out of range for {m} nodes"))
+    if g.nodes and min(g.nodes) < 0:
+        for i, n in enumerate(g.nodes):
+            if n < 0:
+                violations.append(("node-id", f"node {i} has negative op id {n}"))
+    ends = list(chain.from_iterable(g.edges))
+    if ends and not (min(ends) >= 0 and max(ends) < m):
+        for u, v in g.sorted_edges():
+            if not (0 <= u < m and 0 <= v < m):
+                violations.append(("edge-range",
+                                   f"edge ({u},{v}) index out of range for {m} nodes"))
     if len(g.shapes) != m:
         violations.append(("shape-count", f"{len(g.shapes)} shapes for {m} nodes"))
-    for i, s in enumerate(g.shapes):
-        if len(s) != 4:
-            violations.append(("shape-arity", f"shape {i} has {len(s)} entries, expected 4"))
-        elif any(x < 0 for x in s):
-            violations.append(("shape-negative", f"shape {i} = {s} has a negative entry"))
-    _, back = _kahn(g)
-    if back is not None:
-        violations.append(("cycle", f"graph contains a cycle through edge {back}"))
+    entries = list(chain.from_iterable(g.shapes))
+    if set(map(len, g.shapes)) - {4} or (entries and not 0 <= min(entries) <= max(entries)
+                                         < SHAPE_LIMIT):
+        for i, s in enumerate(g.shapes):
+            if len(s) != 4:
+                violations.append(("shape-arity", f"shape {i} has {len(s)} entries, expected 4"))
+            elif any(x < 0 for x in s):
+                violations.append(("shape-negative", f"shape {i} = {s} has a negative entry"))
+            elif any(x >= SHAPE_LIMIT for x in s):
+                violations.append(("shape-range", f"shape {i} = {s} has an entry of 2**53 "
+                                                  "or more"))
+    # a cycle needs an edge that does not point to a later node
+    if any(u >= v for u, v in g.edges):
+        _, back = _kahn(g)
+        if back is not None:
+            violations.append(("cycle", f"graph contains a cycle through edge {back}"))
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
@@ -207,53 +228,64 @@ def graph_to_obj(g: ArchGraph, vocab: NodeVocab) -> dict:
     return obj
 
 
-def graph_from_obj(obj: dict, vocab: NodeVocab) -> ArchGraph:
-    """Graph from a document dict; op names map to ids via `vocab`."""
-    return ArchGraph(
-        nodes=[vocab.id_of(n) for n in obj["nodes"]],
-        edges=[(e[0], e[1]) for e in obj["edges"]],
-        shapes=[tuple(s) for s in obj["shapes"]],
-        name=obj.get("name"),
-    )
+def _is_int_list(x, n: int) -> bool:
+    return type(x) is list and len(x) == n and all(type(v) is int for v in x)
 
 
-def parse_graph(text: str, vocab: NodeVocab) -> ArchGraph:
-    """Parse the JSON graph document; op names map to ids via `vocab`.
+def _raise_first_bad(field: str, items: list, ok, what: str) -> None:
+    for i, item in enumerate(items):
+        if not ok(item):
+            raise GraphParseError(f"{field}[{i}] must be {what}")
 
-    Raises GraphParseError on malformed documents and GraphValidationError
-    (embedding the full report) when the parsed graph violates invariants.
+
+def graph_from_obj(obj, vocab: NodeVocab) -> ArchGraph:
+    """Graph from a document dict; op names map to ids via `vocab`. The one
+    validating path for graph files and dataset records alike.
+
+    Raises GraphParseError when the document does not follow the schema and
+    GraphValidationError (embedding the full report) when the graph violates
+    an invariant.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise GraphParseError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
-    if not isinstance(doc, dict):
+    if not isinstance(obj, dict):
         raise GraphParseError("top-level value must be an object")
-    unknown = set(doc) - {"name", "nodes", "edges", "shapes"}
+    unknown = set(obj) - {"name", "nodes", "edges", "shapes"}
     if unknown:
         raise GraphParseError(f"unknown fields: {sorted(unknown)}")
     for key in ("nodes", "edges", "shapes"):
-        if key not in doc:
+        if key not in obj:
             raise GraphParseError(f"missing field '{key}'")
-        if not isinstance(doc[key], list):
+        if not isinstance(obj[key], list):
             raise GraphParseError(f"field '{key}' must be a list")
-    name = doc.get("name")
+    name = obj.get("name")
     if name is not None and not isinstance(name, str):
         raise GraphParseError("field 'name' must be a string")
-    for i, n in enumerate(doc["nodes"]):
-        if not isinstance(n, str):
-            raise GraphParseError(f"nodes[{i}] must be an op-name string")
-    for i, e in enumerate(doc["edges"]):
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
-            raise GraphParseError(f"edges[{i}] must be a pair of integers")
-    for i, s in enumerate(doc["shapes"]):
-        if not (isinstance(s, list) and len(s) == 4 and all(isinstance(x, int) for x in s)):
-            raise GraphParseError(f"shapes[{i}] must be a list of 4 integers")
-    g = graph_from_obj(doc, vocab)
+    nodes, edges, shapes = obj["nodes"], obj["edges"], obj["shapes"]
+    # exact types, so a JSON true is never read as an index or a shape entry;
+    # the set tests run at C speed, and the loops only name the first bad entry
+    if not set(map(type, nodes)) <= {str}:
+        _raise_first_bad("nodes", nodes, lambda n: type(n) is str, "an op-name string")
+    if not (set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}
+            and set(map(type, chain.from_iterable(edges))) <= {int}):
+        _raise_first_bad("edges", edges, lambda e: _is_int_list(e, 2), "a pair of integers")
+    if not (set(map(type, shapes)) <= {list} and set(map(len, shapes)) <= {4}
+            and set(map(type, chain.from_iterable(shapes))) <= {int}):
+        _raise_first_bad("shapes", shapes, lambda sh: _is_int_list(sh, 4),
+                         "a list of 4 integers")
+    g = ArchGraph(nodes=map(vocab.id_of, nodes), edges=edges, shapes=shapes, name=name)
     report = validate_graph(g)
     if not report.ok:
         raise GraphValidationError(report)
     return g
+
+
+def parse_graph(text: str, vocab: NodeVocab) -> ArchGraph:
+    """Parse the JSON graph document through `graph_from_obj`; malformed JSON
+    is a GraphParseError too."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise GraphParseError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+    return graph_from_obj(doc, vocab)
 
 
 def serialize_graph(g: ArchGraph, vocab: NodeVocab) -> str:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import atomic_write
 from .graph import ArchGraph
 from .model import Model, embed_graphs, embed_texts
 from .text import TextVocab
@@ -88,7 +89,7 @@ def search(index: EmbeddingIndex, query: str, model: Model, k: int,
 
 
 def save_index(index: EmbeddingIndex, path: str) -> None:
-    with open(path, "wb") as f:
+    with atomic_write(path, binary=True) as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))
         f.write(struct.pack("<I", index.d))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graph import ArchGraph, attention_mask
+from .graph import PAD_NODE_ID, ArchGraph, attention_mask
 from .text import BOS_ID, EOS_ID, MASK_ID, PAD_ID, TextVocab, TokenSeq, tokenize
 
 
@@ -60,9 +60,11 @@ class ModelConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def shape_bucket(x: int, n_buckets: int) -> int:
-    """Logarithmic bucketing of a non-negative shape entry."""
-    return min((int(x) + 1).bit_length() - 1, n_buckets - 1)
+def shape_bucket(x, n_buckets: int):
+    """Logarithmic bucketing of non-negative shape entries: floor(log2(x + 1)),
+    capped at n_buckets - 1. Works elementwise on arrays; exact below 2**53."""
+    _, exponent = np.frexp(np.asarray(x, dtype=np.float64) + 1.0)
+    return np.minimum(exponent - 1, n_buckets - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -183,97 +185,101 @@ class Model:
 
 
 # ---------------------------------------------------------------------------
-# encoders
+# encoders: every encode runs on a padded batch of B sequences of length L.
+# Row-wise layers (embeddings, layer norm, projections, FFN) see (B*L, d)
+# rows; attention sees (B, H, L, L) scores, with heads as an axis.
 
 
-def embed_text(seq: TokenSeq, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
-    """Token plus positional embeddings for the whole padded sequence."""
-    n = len(seq.ids)
+def embed_text(seqs: list[TokenSeq], params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
+    """Token plus positional embeddings of equal-length sequences; (B, L, d)."""
+    n = len(seqs[0].ids)
     if n > cfg.max_tokens:
         raise ValueError(f"sequence length {n} exceeds max_tokens {cfg.max_tokens}")
-    tok = ad.gather_rows(params["text.tok_emb"], list(seq.ids))
+    if any(len(s.ids) != n for s in seqs):
+        raise ValueError("sequences of one batch must have one length")
+    tok = ad.gather_rows(params["text.tok_emb"], [i for s in seqs for i in s.ids])
     pos = ad.gather_rows(params["text.pos_emb"], list(range(n)))
-    return tok + pos
+    return ad.reshape(tok, (len(seqs), n, tok.shape[1])) + pos
 
 
-def embed_nodes_shapes(g: ArchGraph, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
+def embed_nodes_shapes(graphs: list[ArchGraph], params: dict[str, Tensor],
+                       cfg: ModelConfig) -> Tensor:
     """Node-type embeddings, plus four bucketed shape embeddings unless the
-    shape ablation is active."""
-    if g.num_nodes > cfg.max_nodes:
-        raise ValueError(f"graph has {g.num_nodes} nodes, max_nodes is {cfg.max_nodes}")
-    for n in g.nodes:
-        if n >= cfg.node_vocab_size:
-            raise ValueError(f"node id {n} outside vocabulary of {cfg.node_vocab_size}")
-    feats = ad.gather_rows(params["arch.node_emb"], list(g.nodes))
-    if cfg.no_shape:
-        return feats
-    for k in range(4):
-        buckets = [shape_bucket(s[k], cfg.shape_buckets) for s in g.shapes]
-        feats = feats + ad.gather_rows(params[f"arch.shape_emb.{k}"], buckets)
-    return feats
+    shape ablation is active; (B, L, d) for L the largest node count.
+    Padding rows embed the pad node with the sentinel shape."""
+    n = max(g.num_nodes for g in graphs)
+    nodes = np.full((len(graphs), n), PAD_NODE_ID, dtype=np.int64)
+    shapes = np.zeros((len(graphs), n, 4))
+    for b, g in enumerate(graphs):
+        if g.num_nodes > cfg.max_nodes:
+            raise ValueError(f"graph has {g.num_nodes} nodes, max_nodes is {cfg.max_nodes}")
+        nodes[b, :g.num_nodes] = g.nodes
+        shapes[b, :g.num_nodes] = g.shapes
+    if nodes.max() >= cfg.node_vocab_size:
+        raise ValueError(f"node id {nodes.max()} outside vocabulary of {cfg.node_vocab_size}")
+    feats = ad.gather_rows(params["arch.node_emb"], nodes.ravel())
+    if not cfg.no_shape:
+        buckets = shape_bucket(shapes, cfg.shape_buckets).reshape(-1, 4)
+        for k in range(4):
+            feats = feats + ad.gather_rows(params[f"arch.shape_emb.{k}"], buckets[:, k])
+    return ad.reshape(feats, (len(graphs), n, feats.shape[1]))
+
+
+def _heads(rows: Tensor, batch: int, heads: int, keys: bool = False) -> Tensor:
+    """(batch*L, H*dh) rows as per-head blocks (batch, H, L, dh); keys come
+    transposed, (batch, H, dh, L), ready for the score product."""
+    n, d = rows.shape
+    split = ad.reshape(rows, (batch, n // batch, heads, d // heads))
+    return ad.permute(split, (0, 2, 3, 1) if keys else (0, 2, 1, 3))
+
+
+def _merge_heads(x: Tensor) -> Tensor:
+    """(B, H, L, dh) per-head blocks back to (B*L, H*dh) rows."""
+    b, h, n, dh = x.shape
+    return ad.reshape(ad.permute(x, (0, 2, 1, 3)), (b * n, h * dh))
 
 
 def gat_forward(feats: Tensor, mask: np.ndarray, params: dict[str, Tensor],
                 cfg: ModelConfig) -> Tensor:
-    """Multi-head graph attention with residual connections.
+    """Multi-head graph attention with residual connections over a padded
+    batch: feats (B, L, d), mask (B, L, L).
 
     Per head: additive attention logits through a leaky rectifier, masked
     softmax over the neighborhood, then an attention-weighted combination
-    of projected features. Heads are concatenated and projected back to d.
+    of projected features. The per-head weights are concatenated so all
+    heads run at once; the head outputs are projected back to d.
     """
-    d = cfg.d
-    dh = d // cfg.gat_heads
-    x = feats
+    b, n, d = feats.shape
+    heads = cfg.gat_heads
+    dh = d // heads
+    mask = np.asarray(mask, dtype=bool)[:, None]   # one neighborhood for every head
+    x = ad.reshape(feats, (b * n, d))
     for layer in range(cfg.gat_layers):
-        head_outs = []
-        for h in range(cfg.gat_heads):
-            W = params[f"gat.{layer}.{h}.W"]
-            a = params[f"gat.{layer}.{h}.a"]
-            wh = x @ W
-            a_src = ad.slice_cols(a, 0, dh)
-            a_dst = ad.slice_cols(a, dh, 2 * dh)
-            src = wh @ ad.transpose(a_src)
-            dst = wh @ ad.transpose(a_dst)
-            logits = ad.leaky_relu(src + ad.transpose(dst), slope=0.2)
-            alpha = ad.softmax_masked(logits, mask)
-            head_outs.append(alpha @ wh)
-        stacked = ad.concat(head_outs, axis=1)
-        x = x + stacked @ params[f"gat.{layer}.proj"]
-    return x
+        w = ad.concat([params[f"gat.{layer}.{h}.W"] for h in range(heads)], axis=1)
+        a = ad.concat([params[f"gat.{layer}.{h}.a"] for h in range(heads)], axis=0)
+        wh = _heads(x @ w, b, heads)
+        # sum of products, not a matrix-vector product: BLAS mat-vec rounds
+        # a row differently depending on its position in the batch
+        src, dst = (ad.sum_(wh * ad.reshape(ad.slice_cols(a, lo, lo + dh), (1, heads, 1, dh)),
+                            axis=-1, keepdims=True) for lo in (0, dh))
+        logits = ad.leaky_relu(src + ad.permute(dst, (0, 1, 3, 2)), slope=0.2)
+        alpha = ad.softmax_masked(logits, mask)
+        x = x + _merge_heads(alpha @ wh) @ params[f"gat.{layer}.proj"]
+    return ad.reshape(x, (b, n, d))
 
 
 def _project(x: Tensor, params: dict[str, Tensor], prefix: str, gate: str) -> Tensor:
     return x @ params[f"{prefix}.w{gate}"] + params[f"{prefix}.b{gate}"]
 
 
-def _key_value_heads(k: Tensor, v: Tensor, heads: int) -> tuple[list[Tensor], list[Tensor]]:
-    """Per-head transposed keys (dh, n) and values (n, dh)."""
-    dh = k.shape[1] // heads
-    cols = [(h * dh, (h + 1) * dh) for h in range(heads)]
-    return ([ad.transpose(ad.slice_cols(k, a, b)) for a, b in cols],
-            [ad.slice_cols(v, a, b) for a, b in cols])
-
-
-def _attend(q: Tensor, keys_t: list[Tensor], values: list[Tensor], mask: np.ndarray,
+def _attend(q: Tensor, keys_t: Tensor, values: Tensor, mask: np.ndarray,
             params: dict[str, Tensor], prefix: str) -> Tensor:
-    """Scaled dot-product attention per head over pre-split keys and values,
-    heads merged and projected out. `mask` broadcasts to (queries, keys)."""
-    dh = q.shape[1] // len(values)
-    scale = 1.0 / math.sqrt(dh)
-    outs = []
-    for h, (kt, vh) in enumerate(zip(keys_t, values)):
-        qh = ad.slice_cols(q, h * dh, (h + 1) * dh)
-        attn = ad.softmax_masked((qh @ kt) * scale, mask)
-        outs.append(attn @ vh)
-    return _project(ad.concat(outs, axis=1), params, prefix, "o")
-
-
-def _multi_head_attention(q_in: Tensor, kv_in: Tensor, key_mask: np.ndarray,
-                          params: dict[str, Tensor], prefix: str, heads: int) -> Tensor:
-    keys_t, values = _key_value_heads(_project(kv_in, params, prefix, "k"),
-                                      _project(kv_in, params, prefix, "v"), heads)
-    return _attend(_project(q_in, params, prefix, "q"), keys_t, values,
-                   np.asarray(key_mask, dtype=bool), params, prefix)
+    """Scaled dot-product attention, all heads at once: q (B, H, Lq, dh),
+    keys_t (B, H, dh, Lk), values (B, H, Lk, dh); `mask` broadcasts to
+    (B, H, Lq, Lk). Returns the heads merged and projected out, (B*Lq, d)."""
+    # scaling q, not the (Lq, Lk) scores, keeps one score-sized array off the tape
+    attn = ad.softmax_masked((q * (1.0 / math.sqrt(q.shape[-1]))) @ keys_t, mask)
+    return _project(_merge_heads(attn @ values), params, prefix, "o")
 
 
 def _ffn(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
@@ -287,7 +293,8 @@ def _ln(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
 
 def cross_encode(seq: Tensor, pad_mask, params: dict[str, Tensor],
                  cfg: ModelConfig) -> Tensor:
-    """Pre-norm transformer encoder applied to one modality's sequence.
+    """Pre-norm transformer encoder over one modality's padded batch:
+    seq (B, L, d), pad_mask (B, L) with True on real rows.
 
     The same weights serve both modalities. Padded positions are excluded
     as attention keys, so they never influence real positions. Identity
@@ -295,79 +302,112 @@ def cross_encode(seq: Tensor, pad_mask, params: dict[str, Tensor],
     """
     if cfg.no_cross_encoder:
         return seq
-    k = seq.shape[0]
-    if k > max(cfg.max_tokens, cfg.max_nodes):
-        raise ValueError(f"sequence of {k} exceeds encoder limit")
-    key_mask = np.asarray(pad_mask, dtype=bool)
-    x = seq
+    b, n, d = seq.shape
+    if n > max(cfg.max_tokens, cfg.max_nodes):
+        raise ValueError(f"sequence of {n} exceeds encoder limit")
+    key_mask = np.asarray(pad_mask, dtype=bool)[:, None, None, :]
+    heads = cfg.cross_heads
+    x = ad.reshape(seq, (b * n, d))
     for layer in range(cfg.cross_layers):
+        prefix = f"cross.{layer}.attn"
         y = _ln(x, params, f"cross.{layer}.ln.attn")
-        x = x + _multi_head_attention(y, y, key_mask, params,
-                                      f"cross.{layer}.attn", cfg.cross_heads)
+        q, k, v = (_project(y, params, prefix, gate) for gate in ("q", "k", "v"))
+        x = x + _attend(_heads(q, b, heads), _heads(k, b, heads, keys=True), _heads(v, b, heads),
+                        key_mask, params, prefix)
         y = _ln(x, params, f"cross.{layer}.ln.ffn")
         x = x + _ffn(y, params, f"cross.{layer}.ffn")
-    return x
+    return ad.reshape(x, (b, n, d))
 
 
 def pool(h: Tensor, pad_mask) -> Tensor:
-    """Mean over real (unpadded) rows; shape (1, d)."""
+    """Mean over each sequence's real (unpadded) rows: (B, L, d) -> (B, d)."""
     mask = np.asarray(pad_mask, dtype=np.float64)
-    count = float(mask.sum())
-    if count < 1:
+    count = mask.sum(axis=1, keepdims=True)
+    if (count < 1).any():
         raise ValueError("cannot pool an all-padding sequence")
-    weighted = h * Tensor(mask[:, None])
-    return ad.sum_(weighted, axis=0, keepdims=True) * (1.0 / count)
+    return ad.sum_(h * Tensor(mask[:, :, None]), axis=1) * Tensor(1.0 / count)
 
 
 def cosine(j_a: Tensor, j_b: Tensor, eps: float = 1e-8) -> Tensor:
-    """Cosine similarity with a clamped denominator; zero vectors score 0."""
-    dot = ad.sum_(j_a * j_b)
-    na = ad.sqrt(ad.sum_(j_a * j_a))
-    nb = ad.sqrt(ad.sum_(j_b * j_b))
+    """Row-wise cosine similarity with a clamped denominator; zero vectors
+    score 0. (B, d) pairs give (B,)."""
+    dot = ad.sum_(j_a * j_b, axis=-1)
+    na = ad.sqrt(ad.sum_(j_a * j_a, axis=-1))
+    nb = ad.sqrt(ad.sum_(j_b * j_b, axis=-1))
     return dot / ad.clamp_min(na * nb, eps)
+
+
+def encode_texts(seqs: list[TokenSeq], params: dict[str, Tensor],
+                 cfg: ModelConfig) -> tuple[Tensor, Tensor]:
+    """Text path for a batch, cut to its longest real length: embeddings,
+    cross encoding, pooling. Returns (H_t (B, L, d), J_t (B, d))."""
+    n = max(s.real_length for s in seqs)
+    cut = [TokenSeq(s.ids[:n], s.pad_mask[:n]) for s in seqs]
+    real = np.array([s.pad_mask for s in cut])
+    h_t = cross_encode(embed_text(cut, params, cfg), real, params, cfg)
+    return h_t, pool(h_t, real)
+
+
+def _graph_masks(graphs: list[ArchGraph], use_edges: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """GAT attention mask (B, L, L) and real-row mask (B, L) of a padded batch.
+    Each graph keeps its own attention mask; a padding row attends only to
+    itself, so no softmax row is empty and no real row sees padding."""
+    n = max(g.num_nodes for g in graphs)
+    attn = np.tile(np.eye(n, dtype=bool), (len(graphs), 1, 1))
+    for b, g in enumerate(graphs):
+        attn[b, :g.num_nodes, :g.num_nodes] = attention_mask(g, use_edges)
+    real = np.arange(n) < np.array([g.num_nodes for g in graphs])[:, None]
+    return attn, real
+
+
+def encode_graphs(graphs: list[ArchGraph], params: dict[str, Tensor],
+                  cfg: ModelConfig) -> tuple[Tensor, Tensor]:
+    """Graph path for a padded batch: node+shape embeddings, GAT, cross
+    encoding, pooling. Returns (H_g (B, L, d), J_g (B, d))."""
+    attn, real = _graph_masks(graphs, use_edges=not cfg.no_edge)
+    m_g = gat_forward(embed_nodes_shapes(graphs, params, cfg), attn, params, cfg)
+    h_g = cross_encode(m_g, real, params, cfg)
+    return h_g, pool(h_g, real)
 
 
 def encode_text(seq: TokenSeq, params: dict[str, Tensor],
                 cfg: ModelConfig) -> tuple[Tensor, Tensor]:
-    """Text path: embeddings, cross encoding, pooled vector. Returns (H_t, J_t)."""
-    m_t = embed_text(seq, params, cfg)
-    h_t = cross_encode(m_t, seq.pad_mask, params, cfg)
-    j_t = pool(h_t, seq.pad_mask)
-    return h_t, j_t
+    """One text as a batch of one. Returns (H_t (real length, d), J_t (1, d))."""
+    h_t, j_t = encode_texts([seq], params, cfg)
+    return ad.reshape(h_t, h_t.shape[1:]), j_t
 
 
 def encode_graph(g: ArchGraph, params: dict[str, Tensor],
                  cfg: ModelConfig) -> tuple[Tensor, Tensor]:
-    """Graph path: node+shape embeddings, GAT, cross encoding, pooling.
-
-    Returns (H_g, J_g).
-    """
-    feats = embed_nodes_shapes(g, params, cfg)
-    mask = attention_mask(g, use_edges=not cfg.no_edge)
-    m_g = gat_forward(feats, mask, params, cfg)
-    real = np.ones(g.num_nodes, dtype=bool)
-    h_g = cross_encode(m_g, real, params, cfg)
-    j_g = pool(h_g, real)
-    return h_g, j_g
+    """One graph as a batch of one. Returns (H_g (nodes, d), J_g (1, d))."""
+    h_g, j_g = encode_graphs([g], params, cfg)
+    return ad.reshape(h_g, h_g.shape[1:]), j_g
 
 
 # ---------------------------------------------------------------------------
 # frozen encode core: every task that scores pooled embeddings reads them here
 
+# Items per frozen encode: batching pays for the padding, and a fixed chunk
+# keeps peak memory flat however many items there are.
+_EMBED_CHUNK = 8
+
+
+def _pooled_chunks(items: list, encode, d: int) -> np.ndarray:
+    rows = [encode(items[i:i + _EMBED_CHUNK]).data for i in range(0, len(items), _EMBED_CHUNK)]
+    return np.concatenate(rows) if rows else np.zeros((0, d))
+
 
 def embed_texts(texts: list[str], model: Model, text_vocab: TextVocab) -> np.ndarray:
     """Pooled text embeddings J_t under constant parameters; shape (N, d)."""
     params, cfg = detach_params(model.params), model.cfg
-    rows = [encode_text(tokenize(t, text_vocab, cfg.max_tokens), params, cfg)[1].data[0]
-            for t in texts]
-    return np.array(rows).reshape(len(rows), cfg.d)
+    seqs = [tokenize(t, text_vocab, cfg.max_tokens) for t in texts]
+    return _pooled_chunks(seqs, lambda chunk: encode_texts(chunk, params, cfg)[1], cfg.d)
 
 
 def embed_graphs(graphs: list[ArchGraph], model: Model) -> np.ndarray:
     """Pooled graph embeddings J_g under constant parameters; shape (N, d)."""
     params, cfg = detach_params(model.params), model.cfg
-    rows = [encode_graph(g, params, cfg)[1].data[0] for g in graphs]
-    return np.array(rows).reshape(len(rows), cfg.d)
+    return _pooled_chunks(graphs, lambda chunk: encode_graphs(chunk, params, cfg)[1], cfg.d)
 
 
 def caption_ids(g: ArchGraph, model: Model, beam: int, max_len: int) -> list[int]:
@@ -399,13 +439,14 @@ def aqa_logits(j_t: Tensor, j_g: Tensor, params: dict[str, Tensor]) -> Tensor:
 
 
 def _decoder_cross(h_g: Tensor, g_pad_mask, params: dict[str, Tensor],
-                   cfg: ModelConfig) -> tuple[list[Tensor], list[Tensor], np.ndarray]:
+                   cfg: ModelConfig) -> tuple[Tensor, Tensor, np.ndarray]:
     """The graph side of cross-attention: per-head keys and values over H_g,
     plus its key mask. It does not depend on the tokens, so a caption
     computes it once."""
-    keys_t, values = _key_value_heads(_project(h_g, params, "dec.xattn", "k"),
-                                      _project(h_g, params, "dec.xattn", "v"), cfg.dec_heads)
-    return keys_t, values, np.asarray(g_pad_mask, dtype=bool)
+    k = _project(h_g, params, "dec.xattn", "k")
+    v = _project(h_g, params, "dec.xattn", "v")
+    return (_heads(k, 1, cfg.dec_heads, keys=True), _heads(v, 1, cfg.dec_heads),
+            np.asarray(g_pad_mask, dtype=bool))
 
 
 def _decoder_layer(x: Tensor, past: tuple[Tensor, Tensor] | None, self_mask: np.ndarray,
@@ -413,17 +454,21 @@ def _decoder_layer(x: Tensor, past: tuple[Tensor, Tensor] | None, self_mask: np.
                    cfg: ModelConfig) -> tuple[Tensor, tuple[Tensor, Tensor]]:
     """The decoder block over new rows `x`: self-attention over the rows
     cached in `past` followed by `x`'s own, cross-attention over the graph,
-    then the feed-forward net. Returns the block output and the extended
-    self-attention (K, V) rows; `self_mask` is (rows of x, rows of K)."""
+    then the feed-forward net. All rows form one attention batch.
+    Returns the block output and the extended self-attention (K, V) rows;
+    `self_mask` is (rows of x, rows of K)."""
+    heads = cfg.dec_heads
     y = _ln(x, params, "dec.ln.self")
-    q = _project(y, params, "dec.attn", "q")
     k = _project(y, params, "dec.attn", "k")
     v = _project(y, params, "dec.attn", "v")
     if past is not None:
         k, v = ad.concat([past[0], k]), ad.concat([past[1], v])
-    x = x + _attend(q, *_key_value_heads(k, v, cfg.dec_heads), self_mask, params, "dec.attn")
+    q = _heads(_project(y, params, "dec.attn", "q"), 1, heads)
+    x = x + _attend(q, _heads(k, 1, heads, keys=True), _heads(v, 1, heads), self_mask,
+                    params, "dec.attn")
     y = _ln(x, params, "dec.ln.xattn")
-    x = x + _attend(_project(y, params, "dec.xattn", "q"), *cross, params, "dec.xattn")
+    q = _heads(_project(y, params, "dec.xattn", "q"), 1, heads)
+    x = x + _attend(q, *cross, params, "dec.xattn")
     y = _ln(x, params, "dec.ln.ffn")
     return x + _ffn(y, params, "dec.ffn"), (k, v)
 

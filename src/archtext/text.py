@@ -11,6 +11,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
+from .fileio import atomic_write
+
 PAD, UNK, BOS, EOS, MASK = "[PAD]", "[UNK]", "[BOS]", "[EOS]", "[MASK]"
 RESERVED_TOKENS = (PAD, UNK, BOS, EOS, MASK)
 PAD_ID, UNK_ID, BOS_ID, EOS_ID, MASK_ID = range(5)
@@ -52,7 +54,7 @@ class TextVocab:
         return self._tokens[token_id]
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_write(path) as f:
             for t in self._tokens:
                 f.write(t + "\n")
 

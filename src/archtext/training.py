@@ -22,8 +22,8 @@ from .model import (
     aqa_logits,
     cosine,
     decoder_logits,
-    encode_graph,
-    encode_text,
+    encode_graphs,
+    encode_texts,
     freeze_groups,
     mam_logits,
 )
@@ -78,22 +78,29 @@ def mask_nodes(g: ArchGraph, ratio: float, rng: np.random.Generator) -> tuple[Ar
 # losses
 
 
-def sim_loss(j_t: Tensor, j_g: Tensor, y: float, eps_cos: float = 1e-8) -> Tensor:
-    """Squared error between the target score and the cosine of the pair."""
-    diff = Tensor(float(y)) - cosine(j_t, j_g, eps_cos)
+def sim_loss(j_t: Tensor, j_g: Tensor, y, eps_cos: float = 1e-8) -> Tensor:
+    """Squared error between the target score and the cosine of each pair:
+    (B, d) pooled pairs and B targets (or one) give (B,)."""
+    diff = Tensor(np.asarray(y, dtype=np.float64)) - cosine(j_t, j_g, eps_cos)
     return diff * diff
 
 
+def mam_terms(f_m: Tensor, plans: list[MaskPlan]) -> Tensor:
+    """Per-graph mean negative log-likelihood of the original ids at masked
+    positions: (B, L, vocab) logits of a padded batch give (B,). Rows that
+    no plan masks, padding included, do not count."""
+    weights = np.zeros(f_m.shape)
+    for b, plan in enumerate(plans):
+        if not plan.positions:
+            raise ValueError("empty mask plan")
+        weights[b, list(plan.positions), list(plan.original_ids)] = 1.0 / len(plan.positions)
+    picked = ad.sum_(ad.log_softmax(f_m) * Tensor(weights), axis=2)
+    return -ad.sum_(picked, axis=1)
+
+
 def mam_loss(f_m: Tensor, plan: MaskPlan) -> Tensor:
-    """Mean negative log-likelihood of the original ids at masked positions."""
-    if not plan.positions:
-        raise ValueError("empty mask plan")
-    logp = ad.log_softmax(f_m)
-    onehot = np.zeros(f_m.shape)
-    for pos, orig in zip(plan.positions, plan.original_ids):
-        onehot[pos, orig] = 1.0
-    picked = ad.sum_(logp * Tensor(onehot))
-    return -picked * (1.0 / len(plan.positions))
+    """`mam_terms` of one graph's (nodes, vocab) logits; shape (1,)."""
+    return mam_terms(ad.reshape(f_m, (1,) + f_m.shape), [plan])
 
 
 def total_loss(l_sim: Tensor, l_mam: Tensor | None, alpha: float, no_mam: bool) -> Tensor:
@@ -103,8 +110,9 @@ def total_loss(l_sim: Tensor, l_mam: Tensor | None, alpha: float, no_mam: bool) 
 
 
 def aqa_loss(f_q: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean element-wise binary cross-entropy against soft target scores."""
-    t = np.asarray(targets, dtype=np.float64).reshape(1, -1)
+    """Mean element-wise binary cross-entropy against soft target scores;
+    (B, answers) logits and targets, or one sample's answer vector."""
+    t = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     if t.shape != f_q.shape:
         raise ValueError(f"target shape {t.shape} != logits shape {f_q.shape}")
     if t.min() < 0.0 or t.max() > 1.0:
@@ -180,33 +188,23 @@ def _train(n: int, model: Model, tcfg: TrainConfig, stream: int, batch_loss) -> 
     return log
 
 
-def _mean_of(sample_loss):
-    """Batch loss of a per-sample loss: the mean over the batch, no terms logged."""
-    def batch_loss(batch, view, rng):
-        return _sum([sample_loss(i, view) for i in batch]) * (1.0 / len(batch)), None, None
-    return batch_loss
-
-
 def pretrain(samples: list[BiModalSample], model: Model, tcfg: TrainConfig,
              text_vocab: TextVocab) -> list[dict]:
     """Joint similarity + masked-node pre-training; returns step log records."""
     cfg = model.cfg
     seqs = [tokenize(s.text, text_vocab, cfg.max_tokens) for s in samples]
+    ys = np.array([s.y for s in samples], dtype=np.float64)
 
     def batch_loss(batch, view, rng):
-        sim_terms, mam_terms = [], []
-        for i in batch:
-            s = samples[i]
-            _, j_t = encode_text(seqs[i], view, cfg)
-            _, j_g = encode_graph(s.graph, view, cfg)
-            sim_terms.append(sim_loss(j_t, j_g, s.y, cfg.eps_cos))
-            if not cfg.no_mam:
-                masked, plan = mask_nodes(s.graph, tcfg.mask_ratio, rng)
-                h_gm, _ = encode_graph(masked, view, cfg)
-                mam_terms.append(mam_loss(mam_logits(h_gm, view), plan))
-        inv = 1.0 / len(batch)
-        l_sim = _sum(sim_terms) * inv
-        l_mam = _sum(mam_terms) * inv if mam_terms else None
+        graphs = [samples[i].graph for i in batch]
+        _, j_t = encode_texts([seqs[i] for i in batch], view, cfg)
+        _, j_g = encode_graphs(graphs, view, cfg)
+        l_sim = ad.mean(sim_loss(j_t, j_g, ys[batch], cfg.eps_cos))
+        l_mam = None
+        if not cfg.no_mam:
+            masked, plans = zip(*(mask_nodes(g, tcfg.mask_ratio, rng) for g in graphs))
+            h_gm, _ = encode_graphs(list(masked), view, cfg)
+            l_mam = ad.mean(mam_terms(mam_logits(h_gm, view), list(plans)))
         return total_loss(l_sim, l_mam, tcfg.alpha, cfg.no_mam), l_sim, l_mam
 
     return _train(len(samples), model, tcfg, 11, batch_loss)
@@ -217,38 +215,41 @@ def finetune_aqa(samples: list[AQASample], model: Model, tcfg: TrainConfig,
     """Multi-label answer fine-tuning with binary cross-entropy."""
     cfg = model.cfg
     seqs = [tokenize(s.question, text_vocab, cfg.max_tokens) for s in samples]
-    targets = []
-    for s in samples:
-        t = np.zeros(cfg.n_answers)
-        for a in s.answers:
-            t[a] = 1.0
-        targets.append(t)
+    targets = np.zeros((len(samples), cfg.n_answers))
+    for i, s in enumerate(samples):
+        targets[i, list(s.answers)] = 1.0
 
-    def sample_loss(i, view):
-        _, j_t = encode_text(seqs[i], view, cfg)
-        _, j_g = encode_graph(samples[i].graph, view, cfg)
-        return aqa_loss(aqa_logits(j_t, j_g, view), targets[i])
+    def batch_loss(batch, view, rng):
+        _, j_t = encode_texts([seqs[i] for i in batch], view, cfg)
+        _, j_g = encode_graphs([samples[i].graph for i in batch], view, cfg)
+        return aqa_loss(aqa_logits(j_t, j_g, view), targets[batch]), None, None
 
-    return _train(len(samples), model, tcfg, 12, _mean_of(sample_loss))
+    return _train(len(samples), model, tcfg, 12, batch_loss)
 
 
 def finetune_ac(samples: list[ACSample], model: Model, tcfg: TrainConfig,
                 text_vocab: TextVocab) -> list[dict]:
     """Caption fine-tuning: teacher-forced decoder likelihood over the graph
-    path; the text encoder is not part of this computation."""
+    path; the text encoder is not part of this computation. The graphs of a
+    batch encode together; the decoder runs per caption on its graph's rows."""
     cfg = model.cfg
     seqs = [tokenize(s.text, text_vocab, cfg.max_tokens) for s in samples]
 
-    def sample_loss(i, view):
-        g = samples[i].graph
-        h_g, _ = encode_graph(g, view, cfg)
-        n_real = seqs[i].real_length
-        input_ids = seqs[i].ids[:n_real - 1]
-        target_ids = seqs[i].ids[1:n_real]
-        logits = decoder_logits(h_g, np.ones(g.num_nodes, dtype=bool), input_ids, view, cfg)
-        return decoder_loss(logits, target_ids, [True] * len(target_ids))
+    def batch_loss(batch, view, rng):
+        graphs = [samples[i].graph for i in batch]
+        h_g, _ = encode_graphs(graphs, view, cfg)
+        b, n, d = h_g.shape
+        rows = ad.reshape(h_g, (b * n, d))
+        terms = []
+        for k, (i, g) in enumerate(zip(batch, graphs)):
+            own = ad.gather_rows(rows, np.arange(k * n, k * n + g.num_nodes))
+            n_real = seqs[i].real_length
+            logits = decoder_logits(own, np.ones(g.num_nodes, dtype=bool),
+                                    seqs[i].ids[:n_real - 1], view, cfg)
+            terms.append(decoder_loss(logits, seqs[i].ids[1:n_real], [True] * (n_real - 1)))
+        return _sum(terms) * (1.0 / len(batch)), None, None
 
-    return _train(len(samples), model, tcfg, 13, _mean_of(sample_loss))
+    return _train(len(samples), model, tcfg, 13, batch_loss)
 
 
 def _sum(terms: list[Tensor]) -> Tensor:

@@ -169,6 +169,12 @@ class TestMaskedSoftmaxSemantics:
         assert (p.data[~mask] == 0.0).all()
         np.testing.assert_allclose(p.data.sum(axis=-1), 1.0)
 
+    def test_single_row_keeps_its_shape(self):
+        p = ad.softmax_masked(Tensor([math.log(1.0), math.log(3.0), 7.0]),
+                              np.array([True, True, False]))
+        assert p.shape == (3,)
+        np.testing.assert_allclose(p.data, [0.25, 0.75, 0.0])
+
     def test_all_masked_row_rejected(self):
         with pytest.raises(ValueError, match="masked"):
             ad.softmax_masked(Tensor([[1.0, 2.0]]), np.array([[False, False]]))

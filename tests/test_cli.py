@@ -328,6 +328,22 @@ class TestErrors:
         assert run([*argv, "--alpha", "7"]) == 1
         assert "--alpha" in capsys.readouterr().err
 
+    def test_invalid_graph_record_is_data_error(self, tmp_path, cfg_file, capsys):
+        data = _gen(tmp_path, cfg_file, "autonet", "d.jsonl")
+        lines = data.read_text().splitlines()
+        rec = json.loads(lines[1])
+        # out of range and cyclic: an attention mask would wire -1 to the last node
+        rec["graph"]["edges"] = [[-1, 0], [1, 0], [0, 1]]
+        lines[1] = json.dumps(rec)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["train", "--task", "pretrain", "--config", cfg_file,
+                    "--dataset", str(bad), "--out", str(tmp_path / "c")]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:2" in err and "field 'graph'" in err and "edge-range" in err
+        assert not (tmp_path / "c").exists()
+
     def test_unknown_section_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[nope]\nx = 1\n")

@@ -1,13 +1,16 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import archtext.autodiff as ad
 import archtext.model as model_mod
 from archtext.autodiff import Tensor, finite_diff
 from archtext.datagen import ACSample, GenConfig, gen_architecture, gen_descriptions
-from archtext.graph import ArchGraph, attention_mask
+from archtext.graph import MASK_NODE_ID, ArchGraph, attention_mask
 from archtext.model import (
     _FORBIDDEN_DECODE_IDS,
     Model,
@@ -21,7 +24,9 @@ from archtext.model import (
     embed_nodes_shapes,
     embed_text,
     encode_graph,
+    encode_graphs,
     encode_text,
+    encode_texts,
     gat_forward,
     init_params,
     mam_logits,
@@ -29,8 +34,15 @@ from archtext.model import (
     set_params,
     shape_bucket,
 )
-from archtext.text import BOS_ID, EOS_ID, TextVocab, build_vocab, tokenize
-from archtext.training import TrainConfig, finetune_ac
+from archtext.text import BOS_ID, EOS_ID, TextVocab, TokenSeq, build_vocab, tokenize
+from archtext.training import (
+    MaskPlan,
+    TrainConfig,
+    finetune_ac,
+    mam_terms,
+    mask_nodes,
+    sim_loss,
+)
 
 from test_autodiff import rel_err
 
@@ -54,6 +66,13 @@ class TestShapeBucket:
         assert shape_bucket(16, 5) == 4
         assert shape_bucket(10 ** 6, 5) == 4
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=2 ** 53 - 1), min_size=1, max_size=40),
+           st.integers(min_value=1, max_value=64))
+    def test_array_buckets_match_bit_length(self, xs, n_buckets):
+        want = [min((x + 1).bit_length() - 1, n_buckets - 1) for x in xs]
+        assert shape_bucket(np.array(xs, dtype=np.int64), n_buckets).tolist() == want
+
 
 class TestEmbedText:
     def test_zero_tables_give_zero(self, tiny_model_cfg, tiny_text_vocab):
@@ -62,20 +81,20 @@ class TestEmbedText:
             "text.pos_emb": Tensor(np.zeros((8, 8))),
         }
         seq = tokenize("alpha", tiny_text_vocab, 6)
-        out = embed_text(seq, params, tiny_model_cfg)
-        np.testing.assert_array_equal(out.data, np.zeros((6, 8)))
+        out = embed_text([seq], params, tiny_model_cfg)
+        np.testing.assert_array_equal(out.data[0], np.zeros((6, 8)))
 
     def test_position_disambiguates_repeats(self, tiny_model, tiny_text_vocab):
         seq = tokenize("alpha alpha", tiny_text_vocab, 6)
-        out = embed_text(seq, tiny_model.params, tiny_model.cfg)
+        out = embed_text([seq], tiny_model.params, tiny_model.cfg)
         pos = tiny_model.params["text.pos_emb"].data
-        np.testing.assert_allclose(out.data[1] - out.data[2], pos[1] - pos[2], atol=1e-12)
+        np.testing.assert_allclose(out.data[0, 1] - out.data[0, 2], pos[1] - pos[2], atol=1e-12)
 
     def test_shape_is_seq_len_by_d(self, tiny_model, tiny_text_vocab):
         for max_len in (4, 6, 8):
             seq = tokenize("alpha beta", tiny_text_vocab, max_len)
-            out = embed_text(seq, tiny_model.params, tiny_model.cfg)
-            assert out.shape == (max_len, tiny_model.cfg.d)
+            out = embed_text([seq], tiny_model.params, tiny_model.cfg)
+            assert out.shape == (1, max_len, tiny_model.cfg.d)
 
     def test_too_long_rejected(self, tiny_model, tiny_text_vocab):
         seq = tokenize("alpha", tiny_text_vocab, 8)
@@ -83,30 +102,30 @@ class TestEmbedText:
         long_seq = tokenize("alpha " * 10, tiny_text_vocab, 9)
         assert seq  # sanity
         with pytest.raises(ValueError, match="max_tokens"):
-            embed_text(long_seq, tiny_model.params, cfg)
+            embed_text([long_seq], tiny_model.params, cfg)
 
 
 class TestEmbedNodesShapes:
     def test_sentinel_shape_hits_bucket_zero(self, tiny_model):
         g = ArchGraph(nodes=[3], edges=[], shapes=[(0, 0, 0, 0)])
-        out = embed_nodes_shapes(g, tiny_model.params, tiny_model.cfg)
+        out = embed_nodes_shapes([g], tiny_model.params, tiny_model.cfg)
         expect = tiny_model.params["arch.node_emb"].data[3].copy()
         for k in range(4):
             expect = expect + tiny_model.params[f"arch.shape_emb.{k}"].data[0]
-        np.testing.assert_allclose(out.data[0], expect, atol=1e-12)
+        np.testing.assert_allclose(out.data[0, 0], expect, atol=1e-12)
 
     def test_no_shape_flag_is_pure_node_lookup(self, tiny_model_cfg, small_graph):
         import dataclasses
         cfg = dataclasses.replace(tiny_model_cfg, no_shape=True)
         params = init_params(cfg, seed=2)
-        out = embed_nodes_shapes(small_graph, params, cfg)
+        out = embed_nodes_shapes([small_graph], params, cfg)
         np.testing.assert_array_equal(
-            out.data, params["arch.node_emb"].data[list(small_graph.nodes)])
+            out.data[0], params["arch.node_emb"].data[list(small_graph.nodes)])
 
     def test_node_id_out_of_vocab(self, tiny_model):
         g = ArchGraph(nodes=[99], edges=[], shapes=[(0, 0, 0, 0)])
         with pytest.raises(ValueError, match="vocabulary"):
-            embed_nodes_shapes(g, tiny_model.params, tiny_model.cfg)
+            embed_nodes_shapes([g], tiny_model.params, tiny_model.cfg)
 
 
 class TestGat:
@@ -115,30 +134,30 @@ class TestGat:
         cfg = tiny_model.cfg
         params = tiny_model.params
         x = np.random.default_rng(0).standard_normal((1, cfg.d))
-        out = gat_forward(Tensor(x), np.eye(1, dtype=bool), params, cfg)
+        out = gat_forward(Tensor(x[None]), np.eye(1, dtype=bool)[None], params, cfg)
         dh = cfg.d // cfg.gat_heads
         heads = [x @ params[f"gat.0.{h}.W"].data for h in range(cfg.gat_heads)]
         manual = x + np.concatenate(heads, axis=1) @ params["gat.0.proj"].data
-        np.testing.assert_allclose(out.data, manual, atol=1e-12)
+        np.testing.assert_allclose(out.data[0], manual, atol=1e-12)
 
     def test_identical_features_give_uniform_attention(self, tiny_model):
         cfg = tiny_model.cfg
         x = np.tile(np.random.default_rng(1).standard_normal((1, cfg.d)), (4, 1))
         full = np.ones((4, 4), dtype=bool)
-        out_full = gat_forward(Tensor(x), full, tiny_model.params, cfg)
+        out_full = gat_forward(Tensor(x[None]), full[None], tiny_model.params, cfg)
         # identical rows must stay identical under uniform attention
         for row in range(1, 4):
-            np.testing.assert_allclose(out_full.data[row], out_full.data[0], atol=1e-12)
+            np.testing.assert_allclose(out_full.data[0, row], out_full.data[0, 0], atol=1e-12)
 
     def test_gradient_vs_finite_difference(self, tiny_model, small_graph):
         cfg = tiny_model.cfg
         params = tiny_model.params
-        feats = embed_nodes_shapes(small_graph, params, cfg)
-        mask = attention_mask(small_graph)
+        feats = embed_nodes_shapes([small_graph], params, cfg)
+        mask = attention_mask(small_graph)[None]
         target = params["gat.0.0.W"]
 
         def build():
-            return ad.sum_(gat_forward(embed_nodes_shapes(small_graph, params, cfg),
+            return ad.sum_(gat_forward(embed_nodes_shapes([small_graph], params, cfg),
                                        mask, params, cfg))
 
         for p in params.values():
@@ -146,15 +165,15 @@ class TestGat:
         build().backward()
         numeric = finite_diff(lambda: build().item(), [target])[0]
         assert rel_err(target.grad, numeric) <= 1e-4
-        assert feats.shape == (3, cfg.d)
+        assert feats.shape == (1, 3, cfg.d)
 
 
 class TestCrossEncode:
     def test_no_cross_encoder_is_identity(self, tiny_model):
         import dataclasses
         cfg = dataclasses.replace(tiny_model.cfg, no_cross_encoder=True)
-        x = Tensor(np.random.default_rng(0).standard_normal((4, cfg.d)))
-        out = cross_encode(x, np.ones(4, dtype=bool), tiny_model.params, cfg)
+        x = Tensor(np.random.default_rng(0).standard_normal((1, 4, cfg.d)))
+        out = cross_encode(x, np.ones((1, 4), dtype=bool), tiny_model.params, cfg)
         assert out is x
 
     def test_pad_rows_never_influence_real_rows(self, tiny_model):
@@ -162,42 +181,42 @@ class TestCrossEncode:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((5, cfg.d))
         mask = np.array([True, True, True, False, False])
-        out1 = cross_encode(Tensor(x), mask, tiny_model.params, cfg)
+        out1 = cross_encode(Tensor(x[None]), mask[None], tiny_model.params, cfg)
         x2 = x.copy()
         x2[3] += 17.0
-        out2 = cross_encode(Tensor(x2), mask, tiny_model.params, cfg)
-        np.testing.assert_array_equal(out1.data[:3], out2.data[:3])
+        out2 = cross_encode(Tensor(x2[None]), mask[None], tiny_model.params, cfg)
+        np.testing.assert_array_equal(out1.data[0, :3], out2.data[0, :3])
 
     def test_pad_row_permutation_bit_identical(self, tiny_model):
         cfg = tiny_model.cfg
         rng = np.random.default_rng(4)
         x = rng.standard_normal((5, cfg.d))
         mask = np.array([True, True, True, False, False])
-        out1 = cross_encode(Tensor(x), mask, tiny_model.params, cfg)
+        out1 = cross_encode(Tensor(x[None]), mask[None], tiny_model.params, cfg)
         x2 = x.copy()
         x2[[3, 4]] = x2[[4, 3]]
-        out2 = cross_encode(Tensor(x2), mask, tiny_model.params, cfg)
-        np.testing.assert_array_equal(out1.data[:3], out2.data[:3])
+        out2 = cross_encode(Tensor(x2[None]), mask[None], tiny_model.params, cfg)
+        np.testing.assert_array_equal(out1.data[0, :3], out2.data[0, :3])
 
 
 class TestPool:
     def test_single_real_row(self):
-        h = Tensor(np.array([[1.0, 2.0], [9.0, 9.0]]))
-        out = pool(h, [True, False])
+        h = Tensor(np.array([[[1.0, 2.0], [9.0, 9.0]]]))
+        out = pool(h, [[True, False]])
         np.testing.assert_array_equal(out.data, [[1.0, 2.0]])
 
     def test_duplicate_rows(self):
         v = np.array([3.0, -1.0])
-        out = pool(Tensor(np.stack([v, v])), [True, True])
+        out = pool(Tensor(np.stack([v, v])[None]), [[True, True]])
         np.testing.assert_allclose(out.data, [v], atol=1e-15)
 
     def test_two_basis_rows(self):
-        out = pool(Tensor(np.array([[1.0, 0.0], [0.0, 1.0]])), [True, True])
+        out = pool(Tensor(np.array([[[1.0, 0.0], [0.0, 1.0]]])), [[True, True]])
         np.testing.assert_allclose(out.data, [[0.5, 0.5]])
 
     def test_all_pad_rejected(self):
         with pytest.raises(ValueError, match="pool"):
-            pool(Tensor(np.ones((2, 2))), [False, False])
+            pool(Tensor(np.ones((1, 2, 2))), [[False, False]])
 
 
 class TestCosine:
@@ -303,6 +322,140 @@ class TestEndToEnd:
             _, j_g = encode_graph(small_graph, model.params, cfg)
             scores.append(cosine(j_t, j_g).item())
         assert abs(scores[0] - scores[1]) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the batched encode core: padded batches must give every sample what it
+# gets alone
+
+
+SMALL_OPS = ("conv2d", "relu", "maxpool2d", "linear", "gelu", "avgpool2d", "batchnorm2d")
+
+
+def _mixed_graphs(gcfg, sizes):
+    """One generated graph of each node count in `sizes`."""
+    out = []
+    for n in sizes:
+        cfg = GenConfig(rng_seed=gcfg.rng_seed, ops=gcfg.ops, min_nodes=n, max_nodes=n)
+        out.append(gen_architecture(cfg, np.random.default_rng([7, n]), name=f"g{n}"))
+    return out
+
+
+def _batch_terms(model, cfg, seqs, graphs, plans, ys, targets):
+    """Per-sample pooled vectors and loss terms of one padded batch."""
+    _, j_t = encode_texts(seqs, model.params, cfg)
+    _, j_g = encode_graphs(graphs, model.params, cfg)
+    masked = [ArchGraph(nodes=[MASK_NODE_ID if i in p.positions else n
+                               for i, n in enumerate(g.nodes)],
+                        edges=g.edges, shapes=g.shapes) for g, p in zip(graphs, plans)]
+    h_gm, _ = encode_graphs(masked, model.params, cfg)
+    return {
+        "j_t": j_t, "j_g": j_g,
+        "sim": sim_loss(j_t, j_g, ys, cfg.eps_cos),
+        "mam": mam_terms(mam_logits(h_gm, model.params), plans),
+        "aqa": ad.mean(ad.bce_with_logits(aqa_logits(j_t, j_g, model.params), targets),
+                       axis=1),
+    }
+
+
+class TestBatchedCore:
+    @pytest.fixture
+    def tiny(self):
+        """The configuration of acceptance criterion 1, and a padded batch of
+        3 samples with different node counts and text lengths."""
+        gcfg = GenConfig(rng_seed=1, ops=SMALL_OPS, min_nodes=2, max_nodes=4)
+        vocab = TextVocab(["tiny", "net", "words"])
+        cfg = ModelConfig(node_vocab_size=len(gcfg.node_vocab()), text_vocab_size=len(vocab),
+                          d=8, gat_layers=1, gat_heads=1, cross_layers=1, cross_heads=1,
+                          dec_heads=1, max_nodes=4, max_tokens=6, n_answers=6,
+                          shape_buckets=4)
+        # seed 3, criterion 1's, puts a leaky-rectifier kink within the
+        # finite-difference step of one MAM probe; seed 5 keeps clear of kinks
+        model = Model.initialized(cfg, seed=5)
+        graphs = _mixed_graphs(gcfg, (3, 2, 4))
+        seqs = [tokenize(t, vocab, cfg.max_tokens)
+                for t in ("tiny net words", "tiny", "net words")]
+        plans = [mask_nodes(g, 0.15, np.random.default_rng(i))[1] for i, g in enumerate(graphs)]
+        targets = np.zeros((3, cfg.n_answers))
+        targets[0, [1, 4]] = targets[1, 2] = targets[2, [0, 5]] = 1.0
+        return model, cfg, seqs, graphs, plans, np.array([1.0, 0.0, 1.0]), targets
+
+    @pytest.mark.parametrize("loss", ["sim", "mam", "aqa"])
+    def test_gradients_match_finite_differences(self, tiny, loss):
+        model, cfg, seqs, graphs, plans, ys, targets = tiny
+        assert len({g.num_nodes for g in graphs}) == 3
+        assert len({s.real_length for s in seqs}) == 3
+
+        def build():
+            terms = _batch_terms(model, cfg, seqs, graphs, plans, ys, targets)
+            return ad.mean(terms[loss])
+
+        # every layer, the padded-row candidates (positions, shape buckets)
+        # and the heads; the full sweep is acceptance criterion 1
+        names = ["text.pos_emb", "arch.shape_emb.0", "gat.0.0.W", "gat.0.0.a", "gat.0.proj",
+                 "cross.0.attn.wq", "cross.0.attn.wk", "cross.0.attn.bv", "cross.0.attn.wo",
+                 "cross.0.ln.attn.scale", "cross.0.ffn.b1", "cross.0.ln.ffn.bias",
+                 "head.mam.proj.b", "head.aqa.fc1.b"]
+        def grads(loss_fn):
+            for p in model.params.values():
+                p.grad = None
+            loss_fn().backward()
+            return {k: p.grad if p.grad is not None else np.zeros_like(p.data)
+                    for k, p in model.params.items()}
+
+        analytic = grads(build)
+        for name in names:
+            numeric = finite_diff(lambda: build().item(), [model.params[name]])[0]
+            assert rel_err(analytic[name], numeric) <= 1e-4, name
+
+        # every parameter: the padded batch's gradient is the mean of the
+        # samples' gradients, each encoded alone
+        def one_by_one():
+            terms = [_batch_terms(model, cfg, seqs[i:i + 1], graphs[i:i + 1], plans[i:i + 1],
+                                  ys[i:i + 1], targets[i:i + 1])[loss] for i in range(3)]
+            return (terms[0] + terms[1] + terms[2]) * (1.0 / 3)
+
+        alone = grads(one_by_one)
+        for name in model.params:
+            np.testing.assert_allclose(analytic[name], alone[name], rtol=1e-9, atol=1e-12,
+                                       err_msg=name)
+
+    def test_pooled_vectors_independent_of_batch(self):
+        gcfg = GenConfig(rng_seed=0, ops=SMALL_OPS)
+        graphs = _mixed_graphs(gcfg, (5, 17, 2, 11, 30))
+        texts = ["relu", "a small conv net with relu and linear layers",
+                 "conv then pool then a linear head", "gelu"]
+        vocab = build_vocab(texts, 64)
+        cfg = ModelConfig(node_vocab_size=len(gcfg.node_vocab()), text_vocab_size=len(vocab),
+                          d=16, gat_heads=2, cross_heads=4, dec_heads=2)
+        params = detach_params(Model.initialized(cfg, seed=4).params)
+        alone = [encode_graph(g, params, cfg)[1].data for g in graphs]
+        for order in ([0, 1, 2, 3, 4], [4, 2, 0, 3, 1], [1, 1, 3]):
+            _, j_g = encode_graphs([graphs[i] for i in order], params, cfg)
+            for row, i in enumerate(order):
+                assert np.array_equal(j_g.data[row], alone[i][0])
+        seqs = [tokenize(t, vocab, cfg.max_tokens) for t in texts]
+        _, j_t = encode_texts(seqs, params, cfg)
+        for row, seq in enumerate(seqs):
+            n = seq.real_length
+            unpadded = encode_texts([TokenSeq(seq.ids[:n], seq.pad_mask[:n])], params, cfg)[1]
+            np.testing.assert_allclose(j_t.data[row], unpadded.data[0], rtol=0, atol=1e-12)
+
+    def test_longer_batch_mate_changes_nothing_else(self, tiny):
+        model, cfg, seqs, graphs, plans, ys, targets = tiny
+        # sample 1 becomes the longest graph and the longest text of the batch
+        (longer,) = _mixed_graphs(GenConfig(rng_seed=2, ops=SMALL_OPS), (cfg.max_nodes + 1,))
+        cfg = dataclasses.replace(cfg, max_nodes=cfg.max_nodes + 1)
+        text = tokenize("tiny net words net", TextVocab(["tiny", "net", "words"]), 6)
+        assert text.real_length > max(s.real_length for s in seqs)
+        plan = MaskPlan(positions=(cfg.max_nodes - 1,), original_ids=(longer.nodes[-1],))
+        before = _batch_terms(model, cfg, seqs, graphs, plans, ys, targets)
+        after = _batch_terms(model, cfg, [seqs[0], text, seqs[2]], [graphs[0], longer, graphs[2]],
+                             [plans[0], plan, plans[2]], ys, targets)
+        for key in before:
+            for row in (0, 2):
+                np.testing.assert_allclose(after[key].data[row], before[key].data[row],
+                                           rtol=0, atol=1e-12, err_msg=key)
 
 
 def _greedy_reference(h_g, mask, params, cfg, max_len):
