@@ -15,7 +15,6 @@ independent central-difference oracle used by the gradient checks, and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +25,8 @@ class NonFiniteError(ArithmeticError):
 
 
 def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
-    # the ufunc reduce, not np.all: np.all's Python-level wrapper costs more
-    # than the check itself on the small arrays most ops produce
+    # the ufunc reduce, not np.all: on the small arrays of a batch of one,
+    # np.all's Python-level wrapper costs more than the check itself
     if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise NonFiniteError(f"non-finite values produced by {op}")
     return arr
@@ -40,9 +39,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
-        # Python floats, the common constants, are checked without numpy
-        if not (type(data) is float and math.isfinite(data)):
-            _check_finite(self.data, "tensor construction")
+        _check_finite(self.data, "tensor construction")
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -56,11 +53,7 @@ class Tensor:
         t = cls.__new__(cls)
         t.data = _check_finite(np.asarray(data, dtype=np.float64), op)
         t.grad = None
-        t.requires_grad = False
-        for p in parents:
-            if p.requires_grad:
-                t.requires_grad = True
-                break
+        t.requires_grad = any(p.requires_grad for p in parents)
         t._parents = tuple(parents) if t.requires_grad else ()
         t._backward = backward if t.requires_grad else None
         t.name = None
@@ -76,7 +69,9 @@ class Tensor:
     # -- autodiff -----------------------------------------------------------
 
     def backward(self) -> None:
-        """Reverse pass from this scalar; accumulates into `.grad` fields."""
+        """Reverse pass from this scalar; accumulates into the `.grad` of the
+        leaves. The tape is used up: afterwards the intermediate results are
+        constants, so build the computation again for another pass."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar objective")
         order: list[Tensor] = []
@@ -95,15 +90,21 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if node.requires_grad and node._parents == ():
+            step = node._backward
+            if node._parents:
+                # the pass consumes the tape: once its gradient has gone
+                # through, a result keeps its value as a constant and lets go
+                # of its inputs, so the forward pass's memory is released as
+                # the pass goes rather than after it
+                node._parents, node._backward, node.requires_grad = (), None, False
+            elif g is not None and node.requires_grad:
                 node.grad = g if node.grad is None else node.grad + g
-            if node._backward is None:
+            if g is None or step is None:
                 continue
-            for parent, pg in node._backward(g):
+            for parent, pg in step(g):
                 if not parent.requires_grad:
                     continue
                 key = id(parent)
@@ -224,7 +225,7 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def sum_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    out = np.add.reduce(a.data, axis=axis, keepdims=keepdims)
+    out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
         gg = g
@@ -245,9 +246,7 @@ def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
 
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    if not 0.0 < slope < 1.0:
-        raise ValueError("leaky_relu slope must lie in (0, 1)")
-    out = np.maximum(a.data, slope * a.data)
+    out = np.where(a.data > 0, a.data, slope * a.data)
     return Tensor._from_op(out, (a,), lambda g: (
         (a, g * np.where(a.data > 0, 1.0, slope)),
     ), "leaky_relu")
@@ -349,14 +348,8 @@ def gather_rows(table: Tensor, ids) -> Tensor:
     out = table.data[idx]
 
     def backward(g):
-        # sum each id's rows in one reduceat over the rows sorted by id;
-        # np.add.at scatters one row at a time and costs several times more
         gt = np.zeros_like(table.data)
-        if idx.size:
-            order = np.argsort(idx, kind="stable")
-            ids = idx[order]
-            starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
-            gt[ids[starts]] = np.add.reduceat(g[order], starts, axis=0)
+        np.add.at(gt, idx, g)
         return ((table, gt),)
 
     return Tensor._from_op(out, (table,), backward, "gather_rows")

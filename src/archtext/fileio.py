@@ -1,21 +1,32 @@
-"""Atomic file writes: the bytes go to a temp file beside the target, which
-then replaces the target in one rename, so a reader sees the old file or the
-whole new one, never a torn one."""
+"""Atomic file writes: the bytes go to a temp file beside the target, are
+flushed to disk, and then replace the target in one rename, so a reader sees
+the old file or the whole new one, never a torn one."""
 
 from __future__ import annotations
 
 import os
+import tempfile
 from contextlib import contextmanager
+
+# mkstemp creates its file readable by the owner only; the target gets the
+# mode a plain open() would give it
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
 
 
 @contextmanager
 def atomic_write(path: str, binary: bool = False):
     """Open a temp file in `path`'s directory for writing. On a clean exit it
-    replaces `path`; on an error it is removed and `path` is left as it was."""
-    tmp = f"{path}.{os.getpid()}.tmp"
+    is synced and replaces `path`; on an error it is removed and `path` is
+    left as it was."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
-        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as f:
+        os.fchmod(fd, 0o666 & ~_UMASK)
+        with open(fd, "wb") if binary else open(fd, "w", encoding="utf-8") as f:
             yield f
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -14,7 +14,6 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -100,9 +99,9 @@ class ArchGraph:
     name: str | None = None
 
     def __init__(self, nodes, edges, shapes, name: str | None = None):
-        object.__setattr__(self, "nodes", tuple(map(int, nodes)))
+        object.__setattr__(self, "nodes", tuple(int(n) for n in nodes))
         object.__setattr__(self, "edges", frozenset((int(a), int(b)) for a, b in edges))
-        object.__setattr__(self, "shapes", tuple(tuple(map(int, s)) for s in shapes))
+        object.__setattr__(self, "shapes", tuple(tuple(int(x) for x in s) for s in shapes))
         object.__setattr__(self, "name", name)
 
     @property
@@ -120,43 +119,29 @@ class ValidationReport:
 
 
 def validate_graph(g: ArchGraph) -> ValidationReport:
-    """Check every graph invariant; reports all violations, never raises.
-
-    Each check first tests the whole graph at C speed and walks it item by
-    item only to report what it found, so a valid graph costs little.
-    """
+    """Check every graph invariant; reports all violations, never raises."""
     violations: list[tuple[str, str]] = []
     m = g.num_nodes
     if m < 1:
         violations.append(("empty", "graph must have at least one node"))
-    if g.nodes and min(g.nodes) < 0:
-        for i, n in enumerate(g.nodes):
-            if n < 0:
-                violations.append(("node-id", f"node {i} has negative op id {n}"))
-    ends = list(chain.from_iterable(g.edges))
-    if ends and not (min(ends) >= 0 and max(ends) < m):
-        for u, v in g.sorted_edges():
-            if not (0 <= u < m and 0 <= v < m):
-                violations.append(("edge-range",
-                                   f"edge ({u},{v}) index out of range for {m} nodes"))
+    for i, n in enumerate(g.nodes):
+        if n < 0:
+            violations.append(("node-id", f"node {i} has negative op id {n}"))
+    for u, v in g.sorted_edges():
+        if not (0 <= u < m and 0 <= v < m):
+            violations.append(("edge-range", f"edge ({u},{v}) index out of range for {m} nodes"))
     if len(g.shapes) != m:
         violations.append(("shape-count", f"{len(g.shapes)} shapes for {m} nodes"))
-    entries = list(chain.from_iterable(g.shapes))
-    if set(map(len, g.shapes)) - {4} or (entries and not 0 <= min(entries) <= max(entries)
-                                         < SHAPE_LIMIT):
-        for i, s in enumerate(g.shapes):
-            if len(s) != 4:
-                violations.append(("shape-arity", f"shape {i} has {len(s)} entries, expected 4"))
-            elif any(x < 0 for x in s):
-                violations.append(("shape-negative", f"shape {i} = {s} has a negative entry"))
-            elif any(x >= SHAPE_LIMIT for x in s):
-                violations.append(("shape-range", f"shape {i} = {s} has an entry of 2**53 "
-                                                  "or more"))
-    # a cycle needs an edge that does not point to a later node
-    if any(u >= v for u, v in g.edges):
-        _, back = _kahn(g)
-        if back is not None:
-            violations.append(("cycle", f"graph contains a cycle through edge {back}"))
+    for i, s in enumerate(g.shapes):
+        if len(s) != 4:
+            violations.append(("shape-arity", f"shape {i} has {len(s)} entries, expected 4"))
+        elif any(x < 0 for x in s):
+            violations.append(("shape-negative", f"shape {i} = {s} has a negative entry"))
+        elif any(x >= SHAPE_LIMIT for x in s):
+            violations.append(("shape-range", f"shape {i} = {s} has an entry of 2**53 or more"))
+    _, back = _kahn(g)
+    if back is not None:
+        violations.append(("cycle", f"graph contains a cycle through edge {back}"))
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
@@ -228,16 +213,6 @@ def graph_to_obj(g: ArchGraph, vocab: NodeVocab) -> dict:
     return obj
 
 
-def _is_int_list(x, n: int) -> bool:
-    return type(x) is list and len(x) == n and all(type(v) is int for v in x)
-
-
-def _raise_first_bad(field: str, items: list, ok, what: str) -> None:
-    for i, item in enumerate(items):
-        if not ok(item):
-            raise GraphParseError(f"{field}[{i}] must be {what}")
-
-
 def graph_from_obj(obj, vocab: NodeVocab) -> ArchGraph:
     """Graph from a document dict; op names map to ids via `vocab`. The one
     validating path for graph files and dataset records alike.
@@ -259,19 +234,22 @@ def graph_from_obj(obj, vocab: NodeVocab) -> ArchGraph:
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
         raise GraphParseError("field 'name' must be a string")
-    nodes, edges, shapes = obj["nodes"], obj["edges"], obj["shapes"]
-    # exact types, so a JSON true is never read as an index or a shape entry;
-    # the set tests run at C speed, and the loops only name the first bad entry
-    if not set(map(type, nodes)) <= {str}:
-        _raise_first_bad("nodes", nodes, lambda n: type(n) is str, "an op-name string")
-    if not (set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}
-            and set(map(type, chain.from_iterable(edges))) <= {int}):
-        _raise_first_bad("edges", edges, lambda e: _is_int_list(e, 2), "a pair of integers")
-    if not (set(map(type, shapes)) <= {list} and set(map(len, shapes)) <= {4}
-            and set(map(type, chain.from_iterable(shapes))) <= {int}):
-        _raise_first_bad("shapes", shapes, lambda sh: _is_int_list(sh, 4),
-                         "a list of 4 integers")
-    g = ArchGraph(nodes=map(vocab.id_of, nodes), edges=edges, shapes=shapes, name=name)
+    # exact types, so a JSON true is never read as an index or a shape entry
+    for i, n in enumerate(obj["nodes"]):
+        if type(n) is not str:
+            raise GraphParseError(f"nodes[{i}] must be an op-name string")
+    for i, e in enumerate(obj["edges"]):
+        if not (type(e) is list and len(e) == 2 and all(type(x) is int for x in e)):
+            raise GraphParseError(f"edges[{i}] must be a pair of integers")
+    for i, sh in enumerate(obj["shapes"]):
+        if not (type(sh) is list and len(sh) == 4 and all(type(x) is int for x in sh)):
+            raise GraphParseError(f"shapes[{i}] must be a list of 4 integers")
+    g = ArchGraph(
+        nodes=[vocab.id_of(n) for n in obj["nodes"]],
+        edges=[(e[0], e[1]) for e in obj["edges"]],
+        shapes=[tuple(sh) for sh in obj["shapes"]],
+        name=name,
+    )
     report = validate_graph(g)
     if not report.ok:
         raise GraphValidationError(report)

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -210,6 +211,18 @@ class TestBackwardShape:
         x = Tensor(3.0, requires_grad=True)
         (x * x + x * x).backward()
         assert x.grad == pytest.approx(12.0)
+
+    def test_backward_releases_the_tape(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        h = x * x
+        loss = ad.sum_(h * 2.0)
+        held_by_tape_only = weakref.ref(loss._parents[0].data)   # h * 2.0
+        loss.backward()
+        assert held_by_tape_only() is None
+        np.testing.assert_array_equal(x.grad, [0.0, 4.0, 8.0])
+        # results the caller still holds keep their values, as constants
+        np.testing.assert_array_equal(h.data, [0.0, 1.0, 4.0])
+        assert not h.requires_grad and not loss.requires_grad
 
 
 class TestAdam:
