@@ -5,13 +5,8 @@ the old file or the whole new one, never a torn one."""
 from __future__ import annotations
 
 import os
-import tempfile
+import uuid
 from contextlib import contextmanager
-
-# mkstemp creates its file readable by the owner only; the target gets the
-# mode a plain open() would give it
-_UMASK = os.umask(0o022)
-os.umask(_UMASK)
 
 
 @contextmanager
@@ -19,10 +14,11 @@ def atomic_write(path: str, binary: bool = False):
     """Open a temp file in `path`'s directory for writing. On a clean exit it
     is synced and replaces `path`; on an error it is removed and `path` is
     left as it was."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    # O_EXCL: a name already in use is an error, never a file two writers
+    # share; the mode is the one a plain open() gives, umask applied
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        os.fchmod(fd, 0o666 & ~_UMASK)
         with open(fd, "wb") if binary else open(fd, "w", encoding="utf-8") as f:
             yield f
             f.flush()

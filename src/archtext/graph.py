@@ -135,9 +135,9 @@ def validate_graph(g: ArchGraph) -> ValidationReport:
     for i, s in enumerate(g.shapes):
         if len(s) != 4:
             violations.append(("shape-arity", f"shape {i} has {len(s)} entries, expected 4"))
-        elif any(x < 0 for x in s):
+        elif min(s) < 0:
             violations.append(("shape-negative", f"shape {i} = {s} has a negative entry"))
-        elif any(x >= SHAPE_LIMIT for x in s):
+        elif max(s) >= SHAPE_LIMIT:
             violations.append(("shape-range", f"shape {i} = {s} has an entry of 2**53 or more"))
     _, back = _kahn(g)
     if back is not None:
@@ -152,6 +152,10 @@ def _kahn(g: ArchGraph) -> tuple[list[int], tuple[int, int] | None]:
     edge inside the residual cyclic core.
     """
     m = g.num_nodes
+    if all(0 <= u < v < m for u, v in g.edges):
+        # every edge points to a later node, so index order is the order
+        # smallest-index-first elimination produces
+        return list(range(m)), None
     edges = [(u, v) for u, v in g.sorted_edges() if 0 <= u < m and 0 <= v < m]
     indeg = [0] * m
     succ: list[list[int]] = [[] for _ in range(m)]

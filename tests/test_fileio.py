@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from archtext import checkpoint, cli, index
+from archtext import checkpoint, cli, fileio, index
 from archtext.autodiff import Tensor
 from archtext.graph import NodeVocab
 from archtext.model import Model, ModelConfig
@@ -78,3 +78,16 @@ def test_failed_write_leaves_old_file(tmp_path, monkeypatch, writer):
     save(2.0)
     assert path.read_bytes() != before
     assert sorted(os.listdir(path.parent)) == listing
+
+
+def test_synced_before_rename_with_plain_open_mode(tmp_path, monkeypatch):
+    calls = []
+    real_fsync, real_replace = fileio.os.fsync, fileio.os.replace
+    monkeypatch.setattr(fileio.os, "fsync", lambda fd: (calls.append("fsync"), real_fsync(fd)))
+    monkeypatch.setattr(fileio.os, "replace",
+                        lambda a, b: (calls.append("replace"), real_replace(a, b)))
+    with fileio.atomic_write(str(tmp_path / "new.txt")) as f:
+        f.write("x")
+    assert calls == ["fsync", "replace"]
+    (tmp_path / "plain.txt").write_text("x")
+    assert (tmp_path / "new.txt").stat().st_mode == (tmp_path / "plain.txt").stat().st_mode

@@ -98,6 +98,12 @@ class TestTopoOrder:
                       shapes=[(0, 0, 0, 0)] * 4)
         assert topo_order(g) == [0, 1, 2, 3]
 
+    def test_edge_to_earlier_index(self):
+        # 2->0, 0->1: node 2 has no inputs, so it leads
+        g = ArchGraph(nodes=[3, 4, 5], edges=[(2, 0), (0, 1)], shapes=[(0, 0, 0, 0)] * 3)
+        assert topo_order(g) == [2, 0, 1]
+        assert validate_graph(g).ok
+
     def test_cycle_raises_naming_edge(self):
         g = ArchGraph(nodes=[3, 4], edges=[(0, 1), (1, 0)], shapes=[(0, 0, 0, 0)] * 2)
         with pytest.raises(ValueError, match="back edge"):
