@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -217,6 +218,17 @@ def graph_to_obj(g: ArchGraph, vocab: NodeVocab) -> dict:
     return obj
 
 
+def _only(items, kind) -> bool:
+    """Whether every item's type is exactly `kind`, so a JSON true, a bool,
+    is never taken for an integer."""
+    return set(map(type, items)) <= {kind}
+
+
+def _int_lists(rows, n: int) -> bool:
+    """Whether every row is a list of exactly n integers."""
+    return _only(rows, list) and set(map(len, rows)) <= {n} and _only(chain.from_iterable(rows), int)
+
+
 def graph_from_obj(obj, vocab: NodeVocab) -> ArchGraph:
     """Graph from a document dict; op names map to ids via `vocab`. The one
     validating path for graph files and dataset records alike.
@@ -238,22 +250,16 @@ def graph_from_obj(obj, vocab: NodeVocab) -> ArchGraph:
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
         raise GraphParseError("field 'name' must be a string")
-    # exact types, so a JSON true is never read as an index or a shape entry
-    for i, n in enumerate(obj["nodes"]):
-        if type(n) is not str:
-            raise GraphParseError(f"nodes[{i}] must be an op-name string")
-    for i, e in enumerate(obj["edges"]):
-        if not (type(e) is list and len(e) == 2 and all(type(x) is int for x in e)):
-            raise GraphParseError(f"edges[{i}] must be a pair of integers")
-    for i, sh in enumerate(obj["shapes"]):
-        if not (type(sh) is list and len(sh) == 4 and all(type(x) is int for x in sh)):
-            raise GraphParseError(f"shapes[{i}] must be a list of 4 integers")
-    g = ArchGraph(
-        nodes=[vocab.id_of(n) for n in obj["nodes"]],
-        edges=[(e[0], e[1]) for e in obj["edges"]],
-        shapes=[tuple(sh) for sh in obj["shapes"]],
-        name=name,
-    )
+    # one test per field over all its entries: dataset files hold thousands
+    # of graphs, and a loop per entry would cost more than building them
+    if not _only(obj["nodes"], str):
+        raise GraphParseError("field 'nodes' must hold op-name strings")
+    if not _int_lists(obj["edges"], 2):
+        raise GraphParseError("field 'edges' must hold pairs of integers")
+    if not _int_lists(obj["shapes"], 4):
+        raise GraphParseError("field 'shapes' must hold lists of 4 integers")
+    g = ArchGraph(nodes=[vocab.id_of(n) for n in obj["nodes"]], edges=obj["edges"],
+                  shapes=obj["shapes"], name=name)
     report = validate_graph(g)
     if not report.ok:
         raise GraphValidationError(report)

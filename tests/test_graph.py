@@ -166,12 +166,15 @@ class TestParseSerialize:
 
     @pytest.mark.parametrize("doc, field", [
         ('{"nodes": ["relu", "relu"], "edges": [[false, true]], '
-         '"shapes": [[0,0,0,0],[0,0,0,0]]}', r"edges\[0\]"),
-        ('{"nodes": ["relu"], "edges": [], "shapes": [[true,0,0,0]]}', r"shapes\[0\]"),
+         '"shapes": [[0,0,0,0],[0,0,0,0]]}', "field 'edges'"),
+        ('{"nodes": ["relu"], "edges": [], "shapes": [[true,0,0,0]]}', "field 'shapes'"),
+        ('{"nodes": ["relu", "relu"], "edges": [[0, 1, 1]], '
+         '"shapes": [[0,0,0,0],[0,0,0,0]]}', "field 'edges'"),
+        ('{"nodes": ["relu"], "edges": [], "shapes": [[1.5,0,0,0]]}', "field 'shapes'"),
         ('{"nodes": ["relu", 3], "edges": [], "shapes": [[0,0,0,0],[0,0,0,0]]}',
-         r"nodes\[1\]"),
+         "field 'nodes'"),
     ])
-    def test_wrong_json_type_names_entry(self, vocab, doc, field):
+    def test_wrong_json_type_names_field(self, vocab, doc, field):
         # a JSON true is a bool, never read as the integer 1
         with pytest.raises(GraphParseError, match=field):
             parse_graph(doc, vocab)
