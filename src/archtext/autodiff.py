@@ -3,9 +3,11 @@
 The engine covers exactly the operation set the model needs: elementwise
 arithmetic with broadcasting, batched matmul with broadcasting, reductions,
 masked softmax, log-softmax, leaky rectifier, logistic, sqrt, clamp, row
-gather, column slicing, concatenation, reshape and axis permutation. Every
-op validates that its output is finite; NaN or Inf anywhere is a hard error
-rather than a silent corruption.
+gather, row packing (`take_rows`/`pad_rows`), column slicing,
+concatenation, reshape, axis permutation, and the two edge-list graph
+attention ops (`segment_softmax`, `neighbour_mix`). Every op validates that
+its output is finite; NaN or Inf anywhere is a hard error rather than a
+silent corruption.
 
 Gradients flow through a tape built implicitly by op closures; calling
 `backward` on a scalar seeds the reverse pass. `finite_diff` provides the
@@ -16,6 +18,7 @@ independent central-difference oracle used by the gradient checks, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -353,6 +356,100 @@ def gather_rows(table: Tensor, ids) -> Tensor:
         return ((table, gt),)
 
     return Tensor._from_op(out, (table,), backward, "gather_rows")
+
+
+def _check_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """Row indices into n rows, each once and in order."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 1 or (rows.size and (rows[0] < 0 or rows[-1] >= n
+                                         or (np.diff(rows) <= 0).any())):
+        raise ValueError(f"rows must be strictly increasing indices in [0, {n})")
+    return rows
+
+
+def take_rows(a: Tensor, rows) -> Tensor:
+    """The listed rows of `a`, strictly increasing so that each is taken once
+    and the gradient goes back by assignment."""
+    rows = _check_rows(rows, a.data.shape[0])
+
+    def backward(g):
+        ga = np.zeros_like(a.data)
+        ga[rows] = g
+        return ((a, ga),)
+
+    return Tensor._from_op(a.data[rows], (a,), backward, "take_rows")
+
+
+def pad_rows(a: Tensor, rows, n: int) -> Tensor:
+    """`n` rows, zero but for rows[i] = a[i]; the inverse of `take_rows`."""
+    rows = _check_rows(rows, n)
+    if len(rows) != a.data.shape[0]:
+        raise ValueError(f"{len(rows)} row indices for {a.data.shape[0]} rows")
+    out = np.zeros((n,) + a.data.shape[1:])
+    out[rows] = a.data
+    return Tensor._from_op(out, (a,), lambda g: ((a, g[rows]),), "pad_rows")
+
+
+class Segments(NamedTuple):
+    """Rows grouped into consecutive, non-empty segments, as `segments`
+    builds them: ids[r] is the segment of row r, starts[i] the first row of
+    segment i."""
+
+    ids: np.ndarray
+    starts: np.ndarray
+
+
+def segments(ids) -> Segments:
+    """The segments of rows labelled 0, 1, 2, ... in order, each label on at
+    least one row."""
+    ids = np.asarray(ids, dtype=np.int64)
+    step = np.diff(ids)
+    if ids.ndim != 1 or len(ids) == 0 or ids[0] != 0 or ((step != 0) & (step != 1)).any():
+        raise ValueError("segment ids must run 0, 1, 2, ... in order, each on a row")
+    return Segments(ids, np.flatnonzero(np.concatenate(([1], step))))
+
+
+def segment_softmax(logits: Tensor, seg: Segments) -> Tensor:
+    """Softmax along axis 0 within each segment of rows.
+
+    Each segment is reduced on its own (`reduceat`), so its values do not
+    depend on the segments around it.
+    """
+    if len(seg.ids) != logits.data.shape[0]:
+        raise ValueError(f"{len(seg.ids)} segment ids for {logits.data.shape[0]} rows")
+    z = logits.data - np.maximum.reduceat(logits.data, seg.starts, axis=0)[seg.ids]
+    e = np.exp(z, out=z)
+    p = e / np.add.reduceat(e, seg.starts, axis=0)[seg.ids]
+
+    def backward(g):
+        inner = np.add.reduceat(g * p, seg.starts, axis=0)[seg.ids]
+        return ((logits, p * (g - inner)),)
+
+    return Tensor._from_op(p, (logits,), backward, "segment_softmax")
+
+
+def neighbour_mix(alpha: Tensor, values: Tensor, src: np.ndarray, seg: Segments,
+                  reverse: np.ndarray) -> Tensor:
+    """Attention-weighted sums over an edge list: out[i] = sum of
+    alpha[e, :, None] * values[src[e]] over the edges e of segment i.
+
+    alpha (E, H) holds one weight per edge and head, values (R, H, dh) one
+    row per node; the edges are grouped by target, node i's edges forming
+    segment i. The edge set must be symmetric: `reverse[e]` is the index of
+    edge e with its ends swapped. The gradient for `values` then is the same
+    segment sum over the reversed edges, with no scattered adds.
+    """
+    if len(seg.starts) != values.data.shape[0] or len(seg.ids) != len(src):
+        raise ValueError(f"{len(seg.starts)} segments of {len(seg.ids)} edges for "
+                         f"{values.data.shape[0]} nodes and {len(src)} edges")
+    out = np.add.reduceat(alpha.data[:, :, None] * values.data[src], seg.starts, axis=0)
+
+    def backward(g):
+        return ((alpha, np.einsum("ehk,ehk->eh", g[seg.ids], values.data[src])),
+                (values, np.add.reduceat(alpha.data[reverse][:, :, None] * g[src],
+                                         seg.starts, axis=0)))
+
+    return Tensor._from_op(out, (alpha, values), backward, "neighbour_mix")
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:

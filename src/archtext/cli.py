@@ -180,16 +180,33 @@ def _load_model_config(path: str) -> ModelConfig:
 
 
 def load_bundle(checkpoint: str) -> tuple[Model, TextVocab, NodeVocab, str]:
+    """Model, vocabularies and checkpoint path of a bundle, checked to agree:
+    each vocabulary has the size config.json gives it, every weight has the
+    shape config.json implies (the embedding tables included) and is finite."""
     bundle = _bundle_dir(checkpoint)
     ckpt_path = os.path.join(bundle, CKPT_FILE)
     for required in (ckpt_path, os.path.join(bundle, CONFIG_FILE)):
         if not os.path.exists(required):
             raise ValueError(f"checkpoint bundle incomplete: missing {required}")
     cfg = _load_model_config(os.path.join(bundle, CONFIG_FILE))
-    text_vocab = TextVocab.load(os.path.join(bundle, TEXT_VOCAB_FILE))
-    node_vocab = NodeVocab.load(os.path.join(bundle, NODE_VOCAB_FILE))
+    text_path = os.path.join(bundle, TEXT_VOCAB_FILE)
+    node_path = os.path.join(bundle, NODE_VOCAB_FILE)
+    text_vocab = TextVocab.load(text_path)
+    node_vocab = NodeVocab.load(node_path)
+    for path, size, key in ((text_path, len(text_vocab), "text_vocab_size"),
+                            (node_path, len(node_vocab), "node_vocab_size")):
+        if size != getattr(cfg, key):
+            raise ValueError(f"{path}: {size} entries, but {CONFIG_FILE} has "
+                             f"{key} = {getattr(cfg, key)}")
+    arrays = load_checkpoint(ckpt_path)
+    for name in sorted(arrays):
+        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"{ckpt_path}: parameter {name!r} has non-finite values")
     model = Model.initialized(cfg, seed=0)
-    set_params(model.params, load_checkpoint(ckpt_path))
+    try:
+        set_params(model.params, arrays)
+    except ValueError as e:
+        raise ValueError(f"{ckpt_path}: {e}") from e
     return model, text_vocab, node_vocab, ckpt_path
 
 

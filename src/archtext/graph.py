@@ -191,19 +191,42 @@ def topo_order(g: ArchGraph) -> list[int]:
     return order
 
 
-def attention_mask(g: ArchGraph, use_edges: bool = True) -> np.ndarray:
-    """Boolean m x m attention mask: symmetrized adjacency plus self-loops.
+def attention_edges(graphs: list[ArchGraph], use_edges: bool = True) -> np.ndarray:
+    """The attention neighbourhoods of `graphs` laid end to end, each graph's
+    nodes numbered after those of the graphs before it, as (target, source)
+    index pairs, shape (E, 2), sorted by target, then source: each graph's
+    symmetrized adjacency plus self-loops, so the pair set is symmetric and
+    every node has a pair.
 
-    With use_edges=False every position may attend everywhere (the
-    structure-blind ablation).
+    With use_edges=False every position may attend everywhere in its graph
+    (the structure-blind ablation).
     """
-    m = g.num_nodes
-    if not use_edges:
-        return np.ones((m, m), dtype=bool)
-    mask = np.eye(m, dtype=bool)
-    for u, v in g.edges:
-        mask[u, v] = True
-        mask[v, u] = True
+    sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
+    offsets = np.cumsum(sizes) - sizes
+    n = int(sizes.sum())
+    if use_edges:
+        counts = [len(g.edges) for g in graphs]
+        ends = np.fromiter(chain.from_iterable(chain.from_iterable(g.edges for g in graphs)),
+                           dtype=np.int64, count=2 * sum(counts)).reshape(-1, 2)
+        if ((ends < 0) | (ends >= np.repeat(sizes, counts)[:, None])).any():
+            raise ValueError("edge index out of range for its graph's nodes")
+        u, v = (ends + np.repeat(offsets, counts)[:, None]).T
+        keys = np.concatenate([u * n + v, v * n + u, np.arange(n) * (n + 1)])
+    else:
+        keys = np.concatenate([(np.arange(m)[:, None] * n + np.arange(m)).ravel() + o * (n + 1)
+                               for o, m in zip(offsets, sizes)])
+    keys.sort()
+    # a sorted unique, without np.unique's hashing, which costs ten times more here
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    return np.stack(np.divmod(keys, n), axis=1)
+
+
+def attention_mask(g: ArchGraph, use_edges: bool = True) -> np.ndarray:
+    """Boolean m x m attention mask of `attention_edges`: row i marks the
+    positions node i attends to."""
+    mask = np.zeros((g.num_nodes, g.num_nodes), dtype=bool)
+    target, source = attention_edges([g], use_edges).T
+    mask[target, source] = True
     return mask
 
 

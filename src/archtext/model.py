@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from itertools import chain
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graph import PAD_NODE_ID, ArchGraph, attention_mask
+from .graph import ArchGraph, attention_edges
 from .text import BOS_ID, EOS_ID, MASK_ID, PAD_ID, TextVocab, TokenSeq, tokenize
 
 
@@ -185,9 +186,10 @@ class Model:
 
 
 # ---------------------------------------------------------------------------
-# encoders: every encode runs on a padded batch of B sequences of length L.
-# Row-wise layers (embeddings, layer norm, projections, FFN) see (B*L, d)
-# rows; attention sees (B, H, L, L) scores, with heads as an axis.
+# encoders: every encode runs on a batch of B sequences. Row-wise layers
+# (embeddings, GAT, layer norm, projections, FFN) see only the R real rows,
+# packed as (R, d); the cross-encoder's attention alone scatters them into
+# a padded (B, H, L, L) layout, with heads as an axis.
 
 
 def embed_text(seqs: list[TokenSeq], params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
@@ -205,24 +207,21 @@ def embed_text(seqs: list[TokenSeq], params: dict[str, Tensor], cfg: ModelConfig
 def embed_nodes_shapes(graphs: list[ArchGraph], params: dict[str, Tensor],
                        cfg: ModelConfig) -> Tensor:
     """Node-type embeddings, plus four bucketed shape embeddings unless the
-    shape ablation is active; (B, L, d) for L the largest node count.
-    Padding rows embed the pad node with the sentinel shape."""
-    n = max(g.num_nodes for g in graphs)
-    nodes = np.full((len(graphs), n), PAD_NODE_ID, dtype=np.int64)
-    shapes = np.zeros((len(graphs), n, 4))
-    for b, g in enumerate(graphs):
+    shape ablation is active; packed rows (R, d), one per node of each graph
+    in turn."""
+    for g in graphs:
         if g.num_nodes > cfg.max_nodes:
             raise ValueError(f"graph has {g.num_nodes} nodes, max_nodes is {cfg.max_nodes}")
-        nodes[b, :g.num_nodes] = g.nodes
-        shapes[b, :g.num_nodes] = g.shapes
+    nodes = np.fromiter(chain.from_iterable(g.nodes for g in graphs), dtype=np.int64)
     if nodes.max() >= cfg.node_vocab_size:
         raise ValueError(f"node id {nodes.max()} outside vocabulary of {cfg.node_vocab_size}")
-    feats = ad.gather_rows(params["arch.node_emb"], nodes.ravel())
+    feats = ad.gather_rows(params["arch.node_emb"], nodes)
     if not cfg.no_shape:
-        buckets = shape_bucket(shapes, cfg.shape_buckets).reshape(-1, 4)
+        shapes = np.array([s for g in graphs for s in g.shapes], dtype=np.float64)
+        buckets = shape_bucket(shapes, cfg.shape_buckets)
         for k in range(4):
             feats = feats + ad.gather_rows(params[f"arch.shape_emb.{k}"], buckets[:, k])
-    return ad.reshape(feats, (len(graphs), n, feats.shape[1]))
+    return feats
 
 
 def _heads(rows: Tensor, batch: int, heads: int, keys: bool = False) -> Tensor:
@@ -239,47 +238,64 @@ def _merge_heads(x: Tensor) -> Tensor:
     return ad.reshape(ad.permute(x, (0, 2, 1, 3)), (b * n, h * dh))
 
 
-def gat_forward(feats: Tensor, mask: np.ndarray, params: dict[str, Tensor],
-                cfg: ModelConfig) -> Tensor:
-    """Multi-head graph attention with residual connections over a padded
-    batch: feats (B, L, d), mask (B, L, L).
+def _gat_edges(edges: np.ndarray, rows: int) -> tuple[np.ndarray, ad.Segments, np.ndarray]:
+    """Sources, target segments and reversed-edge permutation of a GAT edge
+    list: (target, source) pairs over `rows` nodes, sorted by target,
+    symmetric, with at least one pair per node."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    seg = ad.segments(edges[:, 0])
+    # in (source, target) order, edge k is the reverse of edge k of the list
+    reverse = np.lexsort((edges[:, 0], edges[:, 1]))
+    if len(seg.starts) != rows or (edges[reverse] != edges[:, ::-1]).any():
+        raise ValueError("GAT edges must be symmetric (target, source) pairs sorted by "
+                         f"target, with at least one for each of {rows} nodes")
+    return edges[:, 1], seg, reverse
 
-    Per head: additive attention logits through a leaky rectifier, masked
-    softmax over the neighborhood, then an attention-weighted combination
-    of projected features. The per-head weights are concatenated so all
-    heads run at once; the head outputs are projected back to d.
+
+def gat_forward(feats: Tensor, edges: np.ndarray, params: dict[str, Tensor],
+                cfg: ModelConfig) -> Tensor:
+    """Multi-head graph attention with residual connections over packed node
+    rows: feats (R, d), edges an (E, 2) list of (target, source) pairs over
+    the packed rows, as `graph.attention_edges` gives them.
+
+    Per head and edge: additive attention logits through a leaky rectifier,
+    a softmax over each node's edges, then an attention-weighted sum of the
+    neighbours' projected features. The per-head weights are concatenated
+    so all heads run at once; the head outputs are projected back to d.
     """
-    b, n, d = feats.shape
+    r, d = feats.shape
     heads = cfg.gat_heads
     dh = d // heads
-    mask = np.asarray(mask, dtype=bool)[:, None]   # one neighborhood for every head
-    x = ad.reshape(feats, (b * n, d))
+    source, seg, reverse = _gat_edges(edges, r)
+    x = feats
     for layer in range(cfg.gat_layers):
         w = ad.concat([params[f"gat.{layer}.{h}.W"] for h in range(heads)], axis=1)
         a = ad.concat([params[f"gat.{layer}.{h}.a"] for h in range(heads)], axis=0)
-        wh = _heads(x @ w, b, heads)
+        wh = ad.reshape(x @ w, (r, heads, dh))
         # sum of products, not a matrix-vector product: BLAS mat-vec rounds
         # a row differently depending on its position in the batch
-        src, dst = (ad.sum_(wh * ad.reshape(ad.slice_cols(a, lo, lo + dh), (1, heads, 1, dh)),
-                            axis=-1, keepdims=True) for lo in (0, dh))
-        logits = ad.leaky_relu(src + ad.permute(dst, (0, 1, 3, 2)), slope=0.2)
-        alpha = ad.softmax_masked(logits, mask)
-        x = x + _merge_heads(alpha @ wh) @ params[f"gat.{layer}.proj"]
-    return ad.reshape(x, (b, n, d))
+        own, other = (ad.sum_(wh * ad.reshape(ad.slice_cols(a, lo, lo + dh), (1, heads, dh)),
+                              axis=-1) for lo in (0, dh))
+        logits = ad.leaky_relu(ad.gather_rows(own, seg.ids) + ad.gather_rows(other, source),
+                               slope=0.2)
+        alpha = ad.segment_softmax(logits, seg)
+        mixed = ad.neighbour_mix(alpha, wh, source, seg, reverse)
+        x = x + ad.reshape(mixed, (r, d)) @ params[f"gat.{layer}.proj"]
+    return x
 
 
 def _project(x: Tensor, params: dict[str, Tensor], prefix: str, gate: str) -> Tensor:
     return x @ params[f"{prefix}.w{gate}"] + params[f"{prefix}.b{gate}"]
 
 
-def _attend(q: Tensor, keys_t: Tensor, values: Tensor, mask: np.ndarray,
-            params: dict[str, Tensor], prefix: str) -> Tensor:
+def _attend(q: Tensor, keys_t: Tensor, values: Tensor, mask: np.ndarray) -> Tensor:
     """Scaled dot-product attention, all heads at once: q (B, H, Lq, dh),
     keys_t (B, H, dh, Lk), values (B, H, Lk, dh); `mask` broadcasts to
-    (B, H, Lq, Lk). Returns the heads merged and projected out, (B*Lq, d)."""
+    (B, H, Lq, Lk). Returns the heads merged, (B*Lq, d), before the output
+    projection."""
     # scaling q, not the (Lq, Lk) scores, keeps one score-sized array off the tape
     attn = ad.softmax_masked((q * (1.0 / math.sqrt(q.shape[-1]))) @ keys_t, mask)
-    return _project(_merge_heads(attn @ values), params, prefix, "o")
+    return _merge_heads(attn @ values)
 
 
 def _ffn(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
@@ -291,32 +307,48 @@ def _ln(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
     return ad.layer_norm(x, params[f"{prefix}.scale"], params[f"{prefix}.bias"])
 
 
+def _pack(x: Tensor, rows: np.ndarray) -> Tensor:
+    """The listed real rows of padded rows x; x itself when none is padding."""
+    return x if len(rows) == x.shape[0] else ad.take_rows(x, rows)
+
+
+def _spread(x: Tensor, rows: np.ndarray, n: int) -> Tensor:
+    """Packed rows x placed at `rows` of n padded rows, zero elsewhere; x
+    itself when none is padding."""
+    return x if len(rows) == n else ad.pad_rows(x, rows, n)
+
+
 def cross_encode(seq: Tensor, pad_mask, params: dict[str, Tensor],
                  cfg: ModelConfig) -> Tensor:
     """Pre-norm transformer encoder over one modality's padded batch:
     seq (B, L, d), pad_mask (B, L) with True on real rows.
 
-    The same weights serve both modalities. Padded positions are excluded
-    as attention keys, so they never influence real positions. Identity
-    when the cross-encoder ablation is active.
+    The same weights serve both modalities. Only the real rows are encoded:
+    row-wise layers run on them packed, and attention spreads them into
+    the padded layout, where padding is never a key. Padded positions of the
+    result are zero. Identity when the cross-encoder ablation is active.
     """
     if cfg.no_cross_encoder:
         return seq
     b, n, d = seq.shape
     if n > max(cfg.max_tokens, cfg.max_nodes):
         raise ValueError(f"sequence of {n} exceeds encoder limit")
-    key_mask = np.asarray(pad_mask, dtype=bool)[:, None, None, :]
+    real = np.asarray(pad_mask, dtype=bool)
+    key_mask = real[:, None, None, :]
+    rows = np.flatnonzero(real)
     heads = cfg.cross_heads
-    x = ad.reshape(seq, (b * n, d))
+    x = _pack(ad.reshape(seq, (b * n, d)), rows)
     for layer in range(cfg.cross_layers):
         prefix = f"cross.{layer}.attn"
         y = _ln(x, params, f"cross.{layer}.ln.attn")
-        q, k, v = (_project(y, params, prefix, gate) for gate in ("q", "k", "v"))
-        x = x + _attend(_heads(q, b, heads), _heads(k, b, heads, keys=True), _heads(v, b, heads),
-                        key_mask, params, prefix)
+        q, k, v = (_spread(_project(y, params, prefix, gate), rows, b * n)
+                   for gate in ("q", "k", "v"))
+        att = _attend(_heads(q, b, heads), _heads(k, b, heads, keys=True), _heads(v, b, heads),
+                      key_mask)
+        x = x + _project(_pack(att, rows), params, prefix, "o")
         y = _ln(x, params, f"cross.{layer}.ln.ffn")
         x = x + _ffn(y, params, f"cross.{layer}.ffn")
-    return ad.reshape(x, (b, n, d))
+    return ad.reshape(_spread(x, rows, b * n), (b, n, d))
 
 
 def pool(h: Tensor, pad_mask) -> Tensor:
@@ -348,25 +380,19 @@ def encode_texts(seqs: list[TokenSeq], params: dict[str, Tensor],
     return h_t, pool(h_t, real)
 
 
-def _graph_masks(graphs: list[ArchGraph], use_edges: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """GAT attention mask (B, L, L) and real-row mask (B, L) of a padded batch.
-    Each graph keeps its own attention mask; a padding row attends only to
-    itself, so no softmax row is empty and no real row sees padding."""
-    n = max(g.num_nodes for g in graphs)
-    attn = np.tile(np.eye(n, dtype=bool), (len(graphs), 1, 1))
-    for b, g in enumerate(graphs):
-        attn[b, :g.num_nodes, :g.num_nodes] = attention_mask(g, use_edges)
-    real = np.arange(n) < np.array([g.num_nodes for g in graphs])[:, None]
-    return attn, real
-
-
 def encode_graphs(graphs: list[ArchGraph], params: dict[str, Tensor],
                   cfg: ModelConfig) -> tuple[Tensor, Tensor]:
-    """Graph path for a padded batch: node+shape embeddings, GAT, cross
-    encoding, pooling. Returns (H_g (B, L, d), J_g (B, d))."""
-    attn, real = _graph_masks(graphs, use_edges=not cfg.no_edge)
-    m_g = gat_forward(embed_nodes_shapes(graphs, params, cfg), attn, params, cfg)
-    h_g = cross_encode(m_g, real, params, cfg)
+    """Graph path for a batch: node+shape embeddings and GAT on the packed
+    node rows, cross encoding, pooling. Returns (H_g (B, L, d), J_g (B, d))
+    for L the largest node count; padded rows of H_g are zero."""
+    m_g = gat_forward(embed_nodes_shapes(graphs, params, cfg),
+                      attention_edges(graphs, not cfg.no_edge), params, cfg)
+    sizes = np.array([g.num_nodes for g in graphs])
+    real = np.arange(sizes.max()) < sizes[:, None]
+    # cross_encode takes one padded form for both modalities and packs the
+    # real rows again; the round trip is two row copies
+    padded = ad.reshape(_spread(m_g, np.flatnonzero(real), real.size), real.shape + (cfg.d,))
+    h_g = cross_encode(padded, real, params, cfg)
     return h_g, pool(h_g, real)
 
 
@@ -464,11 +490,11 @@ def _decoder_layer(x: Tensor, past: tuple[Tensor, Tensor] | None, self_mask: np.
     if past is not None:
         k, v = ad.concat([past[0], k]), ad.concat([past[1], v])
     q = _heads(_project(y, params, "dec.attn", "q"), 1, heads)
-    x = x + _attend(q, _heads(k, 1, heads, keys=True), _heads(v, 1, heads), self_mask,
-                    params, "dec.attn")
+    x = x + _project(_attend(q, _heads(k, 1, heads, keys=True), _heads(v, 1, heads),
+                             self_mask), params, "dec.attn", "o")
     y = _ln(x, params, "dec.ln.xattn")
     q = _heads(_project(y, params, "dec.xattn", "q"), 1, heads)
-    x = x + _attend(q, *cross, params, "dec.xattn")
+    x = x + _project(_attend(q, *cross), params, "dec.xattn", "o")
     y = _ln(x, params, "dec.ln.ffn")
     return x + _ffn(y, params, "dec.ffn"), (k, v)
 

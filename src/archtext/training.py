@@ -242,7 +242,7 @@ def finetune_ac(samples: list[ACSample], model: Model, tcfg: TrainConfig,
         rows = ad.reshape(h_g, (b * n, d))
         terms = []
         for k, (i, g) in enumerate(zip(batch, graphs)):
-            own = ad.gather_rows(rows, np.arange(k * n, k * n + g.num_nodes))
+            own = ad.take_rows(rows, np.arange(k * n, k * n + g.num_nodes))
             n_real = seqs[i].real_length
             logits = decoder_logits(own, np.ones(g.num_nodes, dtype=bool),
                                     seqs[i].ids[:n_real - 1], view, cfg)

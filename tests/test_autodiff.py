@@ -128,6 +128,45 @@ class TestOpGradients:
             w = Tensor(rng.standard_normal((5, 4)))
             check_grad(lambda: ad.sum_(ad.gather_rows(table, ids) * w), [table])
 
+    def test_take_rows(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            a = _param(rng, 6, 3)
+            rows = np.flatnonzero(rng.random(6) < 0.6)
+            w = Tensor(rng.standard_normal((len(rows), 3)))
+            check_grad(lambda: ad.sum_(ad.take_rows(a, rows) * w), [a])
+
+    def test_pad_rows(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            rows = np.flatnonzero(rng.random(7) < 0.6)
+            a = _param(rng, len(rows), 3)
+            w = Tensor(rng.standard_normal((7, 3)))
+            check_grad(lambda: ad.sum_(ad.pad_rows(a, rows, 7) * w), [a])
+
+    def test_segment_softmax(self):
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            n = int(rng.integers(1, 9))
+            seg = ad.segments(np.cumsum(np.r_[0, rng.random(n - 1) < 0.4]))
+            a = _param(rng, n, 2)
+            w = Tensor(rng.standard_normal((n, 2)))
+            check_grad(lambda: ad.sum_(ad.segment_softmax(a, seg) * w), [a])
+
+    def test_neighbour_mix(self):
+        rng = np.random.default_rng(14)
+        for _ in range(10):
+            r = int(rng.integers(1, 6))
+            adj = rng.random((r, r)) < 0.4
+            target, source = np.argwhere(adj | adj.T | np.eye(r, dtype=bool)).T
+            seg = ad.segments(target)
+            reverse = np.lexsort((target, source))
+            alpha = _param(rng, len(target), 2)
+            values = _param(rng, r, 2, 3)
+            w = Tensor(rng.standard_normal((r, 2, 3)))
+            check_grad(lambda: ad.sum_(ad.neighbour_mix(alpha, values, source, seg, reverse)
+                                       * w), [alpha, values])
+
     def test_slice_concat(self):
         for rng, n, m in self._shapes():
             a = _param(rng, n, 2 * m)
@@ -199,6 +238,59 @@ class TestFiniteness:
         big = Tensor(np.full(3, 1e308))
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
             big * big
+
+
+class TestRowAndSegmentOps:
+    def test_pad_then_take_is_identity(self):
+        a = Tensor(np.arange(6.0).reshape(3, 2))
+        padded = ad.pad_rows(a, [0, 2, 3], 5)
+        np.testing.assert_array_equal(padded.data[[1, 4]], 0.0)
+        np.testing.assert_array_equal(ad.take_rows(padded, [0, 2, 3]).data, a.data)
+
+    def test_segment_softmax_matches_masked_softmax(self):
+        # each segment is one row of a masked softmax over its entries
+        rng = np.random.default_rng(0)
+        logits = rng.standard_normal(9) * 5
+        seg = ad.segments([0, 1, 1, 1, 2, 2, 2, 2, 2])
+        np.testing.assert_array_equal(seg.starts, [0, 1, 4])
+        dense = np.zeros((3, 9))
+        mask = np.zeros((3, 9), dtype=bool)
+        for i, (lo, hi) in enumerate(zip(seg.starts, [1, 4, 9])):
+            dense[i, lo:hi] = logits[lo:hi]
+            mask[i, lo:hi] = True
+        want = ad.softmax_masked(Tensor(dense), mask).data[mask]
+        np.testing.assert_allclose(ad.segment_softmax(Tensor(logits), seg).data, want,
+                                   rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("call", [
+        lambda a: ad.take_rows(a, [1, 1]),
+        lambda a: ad.take_rows(a, [2, 0]),
+        lambda a: ad.pad_rows(a, [0, 4, 5], 5),
+        lambda a: ad.pad_rows(a, [0, 1], 5),
+        lambda a: ad.segments([1, 1, 2]),
+        lambda a: ad.segments([0, 2, 2]),
+        lambda a: ad.segments([0, 1, 0]),
+        lambda a: ad.segment_softmax(a, ad.segments([0, 1])),
+        lambda a: ad.neighbour_mix(a, Tensor(np.ones((2, 2, 1))), np.array([0, 1, 2]),
+                                   ad.segments([0, 1, 2]), np.array([0, 1, 2])),
+    ])
+    def test_bad_indices_rejected(self, call):
+        with pytest.raises(ValueError):
+            call(Tensor(np.ones((3, 2))))
+
+    @pytest.mark.parametrize("op, shape, call", [
+        ("take_rows", (2, 2), lambda a: ad.take_rows(a, [0, 1])),
+        ("pad_rows", (2, 2), lambda a: ad.pad_rows(a, [0, 1], 3)),
+        ("segment_softmax", (2, 2), lambda a: ad.segment_softmax(a, ad.segments([0, 1]))),
+        ("neighbour_mix", (2, 2, 1), lambda a: ad.neighbour_mix(
+            Tensor(np.ones((2, 2))), a, np.array([0, 1]), ad.segments([0, 1]),
+            np.array([0, 1]))),
+    ])
+    def test_non_finite_output_names_the_op(self, op, shape, call):
+        a = Tensor(np.ones(shape))
+        a.data[1, 0] = np.inf   # past the construction check, as an overflow would be
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match=op):
+            call(a)
 
 
 class TestBackwardShape:

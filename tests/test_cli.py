@@ -1,4 +1,5 @@
 import json
+import struct
 
 import pytest
 
@@ -318,6 +319,28 @@ class TestErrors:
                     "--dataset", str(data)]) == 2
         err = capsys.readouterr().err
         assert "config.json" in err and expect in err
+
+    @pytest.mark.parametrize("defect", ["text-vocab", "node-vocab", "non-finite"])
+    def test_inconsistent_bundle_is_data_error(self, pretrained, capsys, defect):
+        data, ckpt = pretrained
+        if defect == "text-vocab":
+            with open(ckpt / "text_vocab.txt", "a", encoding="utf-8") as f:
+                f.writelines(f"extra{i}\n" for i in range(500))
+            expect = ("text_vocab.txt", "text_vocab_size")
+        elif defect == "node-vocab":
+            with open(ckpt / "node_vocab.txt", "a", encoding="utf-8") as f:
+                f.write("extra_op\n")
+            expect = ("node_vocab.txt", "node_vocab_size")
+        else:
+            # records are in name order, so the file ends in text.tok_emb's last weight
+            blob = bytearray((ckpt / "model.abkt").read_bytes())
+            blob[-4:] = struct.pack("<f", float("inf"))
+            (ckpt / "model.abkt").write_bytes(bytes(blob))
+            expect = ("model.abkt", "'text.tok_emb' has non-finite values")
+        assert run(["eval", "--task", "ar", "--checkpoint", str(ckpt),
+                    "--dataset", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert all(part in err for part in expect), err
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--task", "ar", "--checkpoint", "ckpt", "--dataset", "d.jsonl"],

@@ -10,7 +10,7 @@ import archtext.autodiff as ad
 import archtext.model as model_mod
 from archtext.autodiff import Tensor, finite_diff
 from archtext.datagen import ACSample, GenConfig, gen_architecture, gen_descriptions
-from archtext.graph import MASK_NODE_ID, ArchGraph, attention_mask
+from archtext.graph import MASK_NODE_ID, ArchGraph, attention_edges
 from archtext.model import (
     _FORBIDDEN_DECODE_IDS,
     Model,
@@ -112,7 +112,7 @@ class TestEmbedNodesShapes:
         expect = tiny_model.params["arch.node_emb"].data[3].copy()
         for k in range(4):
             expect = expect + tiny_model.params[f"arch.shape_emb.{k}"].data[0]
-        np.testing.assert_allclose(out.data[0, 0], expect, atol=1e-12)
+        np.testing.assert_allclose(out.data[0], expect, atol=1e-12)
 
     def test_no_shape_flag_is_pure_node_lookup(self, tiny_model_cfg, small_graph):
         import dataclasses
@@ -120,7 +120,7 @@ class TestEmbedNodesShapes:
         params = init_params(cfg, seed=2)
         out = embed_nodes_shapes([small_graph], params, cfg)
         np.testing.assert_array_equal(
-            out.data[0], params["arch.node_emb"].data[list(small_graph.nodes)])
+            out.data, params["arch.node_emb"].data[list(small_graph.nodes)])
 
     def test_node_id_out_of_vocab(self, tiny_model):
         g = ArchGraph(nodes=[99], edges=[], shapes=[(0, 0, 0, 0)])
@@ -134,38 +134,136 @@ class TestGat:
         cfg = tiny_model.cfg
         params = tiny_model.params
         x = np.random.default_rng(0).standard_normal((1, cfg.d))
-        out = gat_forward(Tensor(x[None]), np.eye(1, dtype=bool)[None], params, cfg)
+        out = gat_forward(Tensor(x), np.argwhere(np.eye(1, dtype=bool)), params, cfg)
         dh = cfg.d // cfg.gat_heads
         heads = [x @ params[f"gat.0.{h}.W"].data for h in range(cfg.gat_heads)]
         manual = x + np.concatenate(heads, axis=1) @ params["gat.0.proj"].data
-        np.testing.assert_allclose(out.data[0], manual, atol=1e-12)
+        np.testing.assert_allclose(out.data, manual, atol=1e-12)
 
     def test_identical_features_give_uniform_attention(self, tiny_model):
         cfg = tiny_model.cfg
         x = np.tile(np.random.default_rng(1).standard_normal((1, cfg.d)), (4, 1))
         full = np.ones((4, 4), dtype=bool)
-        out_full = gat_forward(Tensor(x[None]), full[None], tiny_model.params, cfg)
+        out_full = gat_forward(Tensor(x), np.argwhere(full), tiny_model.params, cfg)
         # identical rows must stay identical under uniform attention
         for row in range(1, 4):
-            np.testing.assert_allclose(out_full.data[0, row], out_full.data[0, 0], atol=1e-12)
+            np.testing.assert_allclose(out_full.data[row], out_full.data[0], atol=1e-12)
 
     def test_gradient_vs_finite_difference(self, tiny_model, small_graph):
         cfg = tiny_model.cfg
         params = tiny_model.params
         feats = embed_nodes_shapes([small_graph], params, cfg)
-        mask = attention_mask(small_graph)[None]
+        edges = attention_edges([small_graph])
         target = params["gat.0.0.W"]
 
         def build():
             return ad.sum_(gat_forward(embed_nodes_shapes([small_graph], params, cfg),
-                                       mask, params, cfg))
+                                       edges, params, cfg))
 
         for p in params.values():
             p.grad = None
         build().backward()
         numeric = finite_diff(lambda: build().item(), [target])[0]
         assert rel_err(target.grad, numeric) <= 1e-4
-        assert feats.shape == (1, 3, cfg.d)
+        assert feats.shape == (3, cfg.d)
+
+
+def _reference_mask(g, use_edges):
+    """Row i true where node i attends: itself and its neighbours either way
+    along an edge, or every node without edges."""
+    mask = np.eye(g.num_nodes, dtype=bool) | (not use_edges)
+    for u, v in g.edges:
+        mask[u, v] = mask[v, u] = True
+    return mask
+
+
+def _dense_gat_reference(x, mask, params, cfg):
+    """The GAT over a dense (heads, m, m) grid, as this package computed it
+    before the edge-list form, for one graph: x (m, d) rows, mask (m, m)
+    with row i true where node i attends."""
+    m, d = x.shape
+    heads = cfg.gat_heads
+    dh = d // heads
+    for layer in range(cfg.gat_layers):
+        w = ad.concat([params[f"gat.{layer}.{h}.W"] for h in range(heads)], axis=1)
+        a = ad.concat([params[f"gat.{layer}.{h}.a"] for h in range(heads)], axis=0)
+        wh = ad.permute(ad.reshape(x @ w, (m, heads, dh)), (1, 0, 2))
+        own, other = (ad.sum_(wh * ad.reshape(ad.slice_cols(a, lo, lo + dh), (heads, 1, dh)),
+                              axis=-1, keepdims=True) for lo in (0, dh))
+        logits = ad.leaky_relu(own + ad.permute(other, (0, 2, 1)), slope=0.2)
+        alpha = ad.softmax_masked(logits, mask[None])
+        mixed = ad.reshape(ad.permute(alpha @ wh, (1, 0, 2)), (m, d))
+        x = x + mixed @ params[f"gat.{layer}.proj"]
+    return x
+
+
+class TestEdgeListGat:
+    """The edge-list GAT against the dense reference, output and gradients."""
+
+    @pytest.fixture
+    def setup(self):
+        gcfg = GenConfig(rng_seed=0, ops=SMALL_OPS)
+        graphs = _mixed_graphs(gcfg, (5, 17, 2, 11))
+        graphs += [ArchGraph(nodes=[3], edges=[], shapes=[(8, 3, 3, 3)]),
+                   ArchGraph(nodes=[3, 4, 5, 4], edges=[], shapes=[(0, 0, 0, 0)] * 4)]
+        cfg = ModelConfig(node_vocab_size=len(gcfg.node_vocab()), text_vocab_size=8,
+                          d=16, gat_layers=2, gat_heads=2, cross_heads=4, dec_heads=2)
+        return graphs, cfg, Model.initialized(cfg, seed=6).params
+
+    def _compare(self, graphs, cfg, params, use_edges):
+        weights = np.random.default_rng(1).standard_normal((sum(g.num_nodes for g in graphs),
+                                                            cfg.d))
+        gat = {k: p for k, p in params.items() if k.startswith("gat.")}
+
+        def run(forward):
+            for p in params.values():
+                p.grad = None
+            feats = Tensor(embed_nodes_shapes(graphs, params, cfg).data, requires_grad=True)
+            out = forward(feats)
+            ad.sum_(out * Tensor(weights)).backward()
+            return out.data, feats.grad, {k: p.grad for k, p in gat.items()}
+
+        def dense(feats):
+            parts, lo = [], 0
+            for g in graphs:
+                rows = ad.take_rows(feats, np.arange(lo, lo + g.num_nodes))
+                parts.append(_dense_gat_reference(rows, _reference_mask(g, use_edges),
+                                                  params, cfg))
+                lo += g.num_nodes
+            return ad.concat(parts)
+
+        edges = attention_edges(graphs, use_edges)
+        got = run(lambda feats: gat_forward(feats, edges, params, cfg))
+        want = run(dense)
+        np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
+        for name in gat:
+            np.testing.assert_allclose(got[2][name], want[2][name], rtol=1e-12, atol=1e-12,
+                                       err_msg=name)
+
+    def test_mixed_batch_with_one_node_and_edgeless_graphs(self, setup):
+        graphs, cfg, params = setup
+        assert {g.num_nodes for g in graphs} >= {1, 2, 17} and not graphs[-1].edges
+        self._compare(graphs, cfg, params, use_edges=True)
+
+    @pytest.mark.parametrize("which", [4, 5])
+    def test_one_graph_alone(self, setup, which):
+        graphs, cfg, params = setup
+        self._compare(graphs[which:which + 1], cfg, params, use_edges=True)
+
+    def test_no_edge_ablation(self, setup):
+        graphs, cfg, params = setup
+        self._compare(graphs, cfg, params, use_edges=False)
+
+    @pytest.mark.parametrize("edges", [
+        [[0, 0], [0, 1], [1, 1]],           # (0, 1) without (1, 0)
+        [[0, 0], [2, 2]],                   # node 1 has no edge
+        [[1, 1], [0, 0], [2, 2]],           # not sorted by target
+    ])
+    def test_bad_edge_list_rejected(self, tiny_model, edges):
+        cfg = tiny_model.cfg
+        with pytest.raises(ValueError, match="symmetric|segment"):
+            gat_forward(Tensor(np.ones((3, cfg.d))), np.array(edges), tiny_model.params, cfg)
 
 
 class TestCrossEncode:
@@ -440,6 +538,19 @@ class TestBatchedCore:
             n = seq.real_length
             unpadded = encode_texts([TokenSeq(seq.ids[:n], seq.pad_mask[:n])], params, cfg)[1]
             np.testing.assert_allclose(j_t.data[row], unpadded.data[0], rtol=0, atol=1e-12)
+
+    def test_unpadded_batch_adds_no_scatter(self, tiny, monkeypatch):
+        model, cfg, seqs, graphs, *_ = tiny
+
+        def scatter(*args):
+            raise AssertionError("scatter op on a batch without padding")
+
+        monkeypatch.setattr(ad, "pad_rows", scatter)
+        monkeypatch.setattr(ad, "take_rows", scatter)
+        encode_graphs(graphs[:1], model.params, cfg)
+        encode_texts([seqs[0], seqs[0]], model.params, cfg)
+        with pytest.raises(AssertionError, match="scatter"):
+            encode_graphs(graphs, model.params, cfg)
 
     def test_longer_batch_mate_changes_nothing_else(self, tiny):
         model, cfg, seqs, graphs, plans, ys, targets = tiny
