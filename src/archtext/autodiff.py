@@ -4,8 +4,9 @@ The engine covers exactly the operation set the model needs: elementwise
 arithmetic with broadcasting, batched matmul with broadcasting, reductions,
 masked softmax, log-softmax, leaky rectifier, logistic, sqrt, clamp, row
 gather, row packing (`take_rows`/`pad_rows`), column slicing,
-concatenation, reshape, axis permutation, and the two edge-list graph
-attention ops (`segment_softmax`, `neighbour_mix`). Every op validates that
+concatenation, reshape, axis permutation, segment sums over packed rows
+(`segment_sum`), and the two edge-list graph attention ops
+(`segment_softmax`, `neighbour_mix`). Every op validates that
 its output is finite; NaN or Inf anywhere is a hard error rather than a
 silent corruption.
 
@@ -407,6 +408,19 @@ def segments(ids) -> Segments:
     if ids.ndim != 1 or len(ids) == 0 or ids[0] != 0 or ((step != 0) & (step != 1)).any():
         raise ValueError("segment ids must run 0, 1, 2, ... in order, each on a row")
     return Segments(ids, np.flatnonzero(np.concatenate(([1], step))))
+
+
+def segment_sum(a: Tensor, seg: Segments) -> Tensor:
+    """Sums along axis 0 within each segment of rows: (R, ...) gives one row
+    per segment.
+
+    Each segment is reduced on its own (`reduceat`), so its sum does not
+    depend on the segments around it.
+    """
+    if len(seg.ids) != a.data.shape[0]:
+        raise ValueError(f"{len(seg.ids)} segment ids for {a.data.shape[0]} rows")
+    return Tensor._from_op(np.add.reduceat(a.data, seg.starts, axis=0), (a,),
+                           lambda g: ((a, g[seg.ids]),), "segment_sum")
 
 
 def segment_softmax(logits: Tensor, seg: Segments) -> Tensor:

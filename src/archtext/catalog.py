@@ -9,6 +9,7 @@ recoverable. The default generator vocabulary is the first 28 entries.
 
 from __future__ import annotations
 
+import functools
 import re
 from importlib import resources
 
@@ -151,12 +152,43 @@ def mentioned_ops(text: str, ops=CATALOG) -> set[str]:
 
 ANSWER_FILE = "answers_v1.txt"
 
+# op -> the answer that says what the op does
+_DESC_TEXT = {
+    "maxpool2d": "calculating the maximum value for each patch of the feature map",
+    "avgpool2d": "calculating the average for each patch of the feature map",
+    "dil_conv2d": "creating a wider kernel by inserting spaces between the kernel elements",
+    "sep_conv2d": "dividing a single convolution into two convolutions to reduce parameters",
+    "linear": "applying a linear transformation to the incoming data",
+    "dropout": "randomly zeroing activations to reduce overfitting during training",
+    "batchnorm2d": "normalizing activations over the batch dimension",
+}
 
-def load_answer_catalog() -> list[str]:
-    """The frozen answer catalog, one answer per line; id = line number."""
-    data = resources.files("archtext").joinpath("data").joinpath(ANSWER_FILE)
-    lines = data.read_text(encoding="utf-8").splitlines()
-    answers = [ln for ln in lines if ln]
-    if len(answers) != 51:
-        raise ValueError(f"answer catalog must have 51 entries, found {len(answers)}")
-    return answers
+
+class AnswerCatalog:
+    """The frozen answer file, one answer per line (id = line number, 51
+    entries), with id lookups."""
+
+    def __init__(self):
+        data = resources.files("archtext").joinpath("data").joinpath(ANSWER_FILE)
+        self.answers = [ln for ln in data.read_text(encoding="utf-8").splitlines() if ln]
+        if len(self.answers) != 51:
+            raise ValueError(f"answer catalog must have 51 entries, found {len(self.answers)}")
+        self._idx = {a: i for i, a in enumerate(self.answers)}
+        self.name_id = {op: self._idx[op] for op in DEFAULT_OPS}
+        self.kernel_id = {f"{k}*{k}": self._idx[f"{k}*{k}"] for k in KERNEL_CHOICES}
+        self.desc_id = {op: self._idx[t] for op, t in _DESC_TEXT.items()}
+        self.dni_id = {}
+        for op in ("maxpool2d", "avgpool2d", "dil_conv2d", "sep_conv2d",
+                   "linear", "dropout", "batchnorm2d", "conv2d"):
+            self.dni_id[op] = self._idx[f"this model does not include {op}"]
+        for fam in ("pooling", "normalization", "activation"):
+            self.dni_id[fam] = self._idx[f"this model does not include any {fam} layers"]
+
+    def text_of(self, answer_id: int) -> str:
+        return self.answers[answer_id]
+
+
+@functools.cache
+def answer_catalog() -> AnswerCatalog:
+    """The answer catalog, read from its file once."""
+    return AnswerCatalog()

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import datagen, evaluate, index as index_mod, training
 from .autodiff import NonFiniteError
-from .catalog import load_answer_catalog
+from .catalog import answer_catalog
 from .checkpoint import (
     CheckpointError,
     checkpoint_fingerprint,
@@ -117,13 +117,19 @@ _ABLATION_FLAGS = ("no_mam", "no_cross_encoder", "no_shape", "no_edge",
 
 
 def _apply_ablations(cfg: ModelConfig, args) -> ModelConfig:
-    updates = {}
-    for flag in _ABLATION_FLAGS:
-        if getattr(args, flag, False):
-            updates[flag] = True
-    if getattr(args, "tau", None) is not None:
+    updates = {flag: True for flag in _ABLATION_FLAGS if getattr(args, flag)}
+    if args.tau is not None:
         updates["tau"] = args.tau
     return dataclasses.replace(cfg, **updates) if updates else cfg
+
+
+def _emit(text: str, out: str | None) -> None:
+    """Write `text` to the file `out` atomically, or to stdout without one."""
+    if out:
+        with atomic_write(out) as f:
+            f.write(text)
+    else:
+        print(text, end="")
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +216,14 @@ def load_bundle(checkpoint: str) -> tuple[Model, TextVocab, NodeVocab, str]:
     return model, text_vocab, node_vocab, ckpt_path
 
 
+def _load_model(args) -> tuple[Model, TextVocab, NodeVocab]:
+    """The bundle at --checkpoint, its model config under the run's --tau
+    and ablation switches."""
+    model, text_vocab, node_vocab, _ = load_bundle(args.checkpoint)
+    model.cfg = _apply_ablations(model.cfg, args)
+    return model, text_vocab, node_vocab
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -239,12 +253,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_stats(args) -> int:
     stats = datagen.compute_stats(args.dataset)
-    text = json.dumps(stats, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
-    else:
-        print(text)
+    _emit(json.dumps(stats, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 
@@ -266,8 +275,7 @@ def _cmd_train(args) -> int:
     tcfg = TrainConfig(**train_kwargs)
 
     if args.checkpoint:
-        model, text_vocab, node_vocab, _ = load_bundle(args.checkpoint)
-        model.cfg = _apply_ablations(model.cfg, args)
+        model, text_vocab, node_vocab = _load_model(args)
     else:
         node_vocab = gen_cfg.node_vocab()
 
@@ -299,8 +307,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if not args.checkpoint and not args.baseline:
-        raise UsageError("--checkpoint is required (or pass --baseline)")
     tau = args.tau if args.tau is not None else 0.5
     result: dict = {"task": args.task}
     if args.baseline:
@@ -322,8 +328,7 @@ def _cmd_eval(args) -> int:
             raise UsageError(f"no baseline for task {args.task!r}")
         result.update(metrics.to_dict())
     else:
-        model, text_vocab, node_vocab, _ = load_bundle(args.checkpoint)
-        model.cfg = _apply_ablations(model.cfg, args)
+        model, text_vocab, node_vocab = _load_model(args)
         result["model"] = "archtext"
         if args.task == "ar":
             metrics = evaluate.run_ar(model, datagen.load_bimodal(args.dataset, node_vocab),
@@ -346,12 +351,7 @@ def _cmd_eval(args) -> int:
             result.update(rouge.to_dict())
         else:
             raise UsageError(f"unknown eval task {args.task!r}")
-    text = json.dumps(result, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
-    else:
-        print(text)
+    _emit(json.dumps(result, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 
@@ -384,23 +384,20 @@ def _load_graph_file(path: str, node_vocab: NodeVocab):
 
 
 def _cmd_reason(args) -> int:
-    model, text_vocab, node_vocab, _ = load_bundle(args.checkpoint)
-    model.cfg = _apply_ablations(model.cfg, args)
+    model, text_vocab, node_vocab = _load_model(args)
     g = _load_graph_file(args.graph, node_vocab)
     (score,) = evaluate.pair_scores(embed_texts([args.text], model, text_vocab),
                                     embed_graphs([g], model), model.cfg.eps_cos)
-    tau = args.tau if args.tau is not None else model.cfg.tau
     print(json.dumps({"score": score,
-                      "verdict": "correct" if score > tau else "incorrect"}, indent=2))
+                      "verdict": "correct" if score > model.cfg.tau else "incorrect"},
+                     indent=2))
     return 0
 
 
 def _cmd_clone(args) -> int:
-    model, text_vocab, node_vocab, _ = load_bundle(args.checkpoint)
-    model.cfg = _apply_ablations(model.cfg, args)
+    model, text_vocab, node_vocab = _load_model(args)
     g1 = _load_graph_file(args.g1, node_vocab)
     g2 = _load_graph_file(args.g2, node_vocab)
-    tau = args.tau if args.tau is not None else model.cfg.tau
     if args.text:
         sample = datagen.BACDSample(g1=g1, g2=g2, label=0, text=args.text)
         score = evaluate.bacd_score(model, sample, text_vocab)
@@ -408,28 +405,27 @@ def _cmd_clone(args) -> int:
         j = embed_graphs([g1, g2], model)
         (score,) = evaluate.pair_scores(j[:1], j[1:], model.cfg.eps_cos)
     print(json.dumps({"score": score,
-                      "verdict": "similar" if score > tau else "dissimilar"}, indent=2))
+                      "verdict": "similar" if score > model.cfg.tau else "dissimilar"},
+                     indent=2))
     return 0
 
 
 def _cmd_qa(args) -> int:
-    model, text_vocab, node_vocab, _ = load_bundle(args.checkpoint)
-    model.cfg = _apply_ablations(model.cfg, args)
+    model, text_vocab, node_vocab = _load_model(args)
     g = _load_graph_file(args.graph, node_vocab)
     probs = evaluate.answer_probs(model, embed_texts([args.question], model, text_vocab)[0],
                                   embed_graphs([g], model)[0])
-    answers = load_answer_catalog()
-    chosen = [i for i in range(len(answers)) if probs[i] > 0.5]
+    answers = answer_catalog()
+    chosen = [i for i in range(len(answers.answers)) if probs[i] > 0.5]
     if not chosen:
         chosen = [int(np.argmax(probs))]
-    print(json.dumps({"answers": [{"id": i, "text": answers[i], "prob": float(probs[i])}
+    print(json.dumps({"answers": [{"id": i, "text": answers.text_of(i), "prob": float(probs[i])}
                                   for i in chosen]}, indent=2))
     return 0
 
 
 def _cmd_caption(args) -> int:
-    model, text_vocab, node_vocab, _ = load_bundle(args.checkpoint)
-    model.cfg = _apply_ablations(model.cfg, args)
+    model, text_vocab, node_vocab = _load_model(args)
     g = _load_graph_file(args.graph, node_vocab)
     text = evaluate.caption_graph(model, g, text_vocab, beam=args.beam)
     print(json.dumps({"caption": text}, indent=2))
@@ -440,17 +436,10 @@ def _cmd_viz(args) -> int:
     if args.kind == "dot":
         file_cfg = load_config_file(args.config)
         node_vocab = NodeVocab(list(_gen_config(args, file_cfg).ops))
-        g = _load_graph_file(args.graph, node_vocab)
-        dot = to_dot(g, node_vocab)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as f:
-                f.write(dot)
-        else:
-            print(dot, end="")
+        _emit(to_dot(_load_graph_file(args.graph, node_vocab), node_vocab), args.out)
         return 0
     # PCA of text and graph embeddings over a bi-modal dataset
-    model, text_vocab, node_vocab, _ = load_bundle(args.checkpoint)
-    model.cfg = _apply_ablations(model.cfg, args)
+    model, text_vocab, node_vocab = _load_model(args)
     samples = datagen.load_bimodal(args.dataset, node_vocab)
     j_ts = embed_texts([s.text for s in samples], model, text_vocab)
     first: dict[str, int] = {}   # graph id -> the sample that shows it first
@@ -471,12 +460,7 @@ def _cmd_viz(args) -> int:
         x = row[0]
         y = row[1] if coords.shape[1] > 1 else 0.0
         lines.append(f"{label},{x:.8f},{y:.8f}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
-        print(text, end="")
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -487,6 +471,10 @@ def _cmd_viz(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="INI config file (default: none)")
     p.add_argument("--seed", type=int, default=None, help="master RNG seed (default: config value)")
+
+
+def _add_model_switches(p: argparse.ArgumentParser) -> None:
+    """--tau and the ablation switches, for subcommands that run a model."""
     p.add_argument("--tau", type=float, default=None, help="decision threshold (default 0.5)")
     for flag in _ABLATION_FLAGS:
         p.add_argument(f"--{flag.replace('_', '-')}", action="store_true",
@@ -525,6 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=None,
                    help="masked-node loss weight (default 0.05)")
     _add_common(p)
+    _add_model_switches(p)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="run a task over a dataset")
@@ -536,6 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beam", type=int, default=10, help="beam width for captioning (default 10)")
     p.add_argument("--out", default=None, help="write metrics JSON here (default: stdout)")
     _add_common(p)
+    _add_model_switches(p)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("search", help="build or query the retrieval index")
@@ -554,6 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="graph JSON file")
     p.add_argument("--text", required=True, help="statement")
     _add_common(p)
+    _add_model_switches(p)
     p.set_defaults(func=_cmd_reason)
 
     p = sub.add_parser("clone", help="compare two graphs")
@@ -562,6 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g2", required=True, help="second graph JSON file")
     p.add_argument("--text", default=None, help="optional supporting text (default: none)")
     _add_common(p)
+    _add_model_switches(p)
     p.set_defaults(func=_cmd_clone)
 
     p = sub.add_parser("qa", help="answer one question about one graph")
@@ -569,6 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--question", required=True)
     _add_common(p)
+    _add_model_switches(p)
     p.set_defaults(func=_cmd_qa)
 
     p = sub.add_parser("caption", help="generate a caption for one graph")
@@ -576,6 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--beam", type=int, default=10, help="beam width (default 10)")
     _add_common(p)
+    _add_model_switches(p)
     p.set_defaults(func=_cmd_caption)
 
     p = sub.add_parser("viz", help="export PCA CSV or DOT text")
@@ -585,6 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", default=None, help="graph JSON file for dot (default: none)")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     _add_common(p)
+    _add_model_switches(p)
     p.set_defaults(func=_cmd_viz)
 
     return parser

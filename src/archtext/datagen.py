@@ -36,9 +36,11 @@ from .catalog import (
     NORM_OPS,
     NORM_SHAPED,
     POOL_OPS,
-    load_answer_catalog,
+    AnswerCatalog,
+    answer_catalog,
     phrase_of,
 )
+from .fileio import atomic_write
 from .graph import (
     ArchGraph,
     GraphParseError,
@@ -317,16 +319,6 @@ def gen_descriptions(g: ArchGraph, cfg: GenConfig, rng: np.random.Generator) -> 
 # ---------------------------------------------------------------------------
 # question answering
 
-_DESC_TEXT = {
-    "maxpool2d": "calculating the maximum value for each patch of the feature map",
-    "avgpool2d": "calculating the average for each patch of the feature map",
-    "dil_conv2d": "creating a wider kernel by inserting spaces between the kernel elements",
-    "sep_conv2d": "dividing a single convolution into two convolutions to reduce parameters",
-    "linear": "applying a linear transformation to the incoming data",
-    "dropout": "randomly zeroing activations to reduce overfitting during training",
-    "batchnorm2d": "normalizing activations over the batch dimension",
-}
-
 _FAMILY_MEMBERS = {
     "pooling": POOL_OPS,
     "normalization": NORM_OPS,
@@ -370,36 +362,6 @@ _QUESTIONS: tuple[tuple[str, str, str | None], ...] = (
     ("what types of convolution modules are used in this neural network?", "conv_types", None),
     ("which layers with learnable parameters are included in this model?", "parametric", None),
 )
-
-
-class AnswerCatalog:
-    """Id lookups over the frozen 51-entry answer file."""
-
-    def __init__(self):
-        self.answers = load_answer_catalog()
-        self._idx = {a: i for i, a in enumerate(self.answers)}
-        self.name_id = {op: self._idx[op] for op in DEFAULT_OPS}
-        self.kernel_id = {f"{k}*{k}": self._idx[f"{k}*{k}"] for k in KERNEL_CHOICES}
-        self.desc_id = {op: self._idx[t] for op, t in _DESC_TEXT.items()}
-        self.dni_id = {}
-        for op in ("maxpool2d", "avgpool2d", "dil_conv2d", "sep_conv2d",
-                   "linear", "dropout", "batchnorm2d", "conv2d"):
-            self.dni_id[op] = self._idx[f"this model does not include {op}"]
-        for fam in ("pooling", "normalization", "activation"):
-            self.dni_id[fam] = self._idx[f"this model does not include any {fam} layers"]
-
-    def text_of(self, answer_id: int) -> str:
-        return self.answers[answer_id]
-
-
-_CATALOG_CACHE: AnswerCatalog | None = None
-
-
-def answer_catalog() -> AnswerCatalog:
-    global _CATALOG_CACHE
-    if _CATALOG_CACHE is None:
-        _CATALOG_CACHE = AnswerCatalog()
-    return _CATALOG_CACHE
 
 
 def _node_kernels(g: ArchGraph, vocab: NodeVocab, op: str | None = None) -> list[int]:
@@ -690,7 +652,7 @@ def record_of(sample, vocab: NodeVocab) -> dict:
 
 
 def write_jsonl(samples, vocab: NodeVocab, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         for s in samples:
             f.write(json.dumps(record_of(s, vocab)) + "\n")
 

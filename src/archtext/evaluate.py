@@ -187,11 +187,6 @@ def ar_name_baseline(arch_name: str, statement: str) -> bool:
 # task runners
 
 
-def _pooled(rows: np.ndarray) -> list[Tensor]:
-    """Each row of an (N, d) embedding matrix as a (1, d) constant."""
-    return [Tensor(row[None]) for row in rows]
-
-
 def pair_scores(a: np.ndarray, b: np.ndarray, eps: float) -> list[float]:
     """Cosine of each row pair of two (N, d) embedding matrices."""
     return cosine(Tensor(a), Tensor(b), eps).data.tolist()
@@ -218,17 +213,19 @@ def run_acd(model: Model, pairs: list[ACDPair], tau: float) -> ClsMetrics:
                        [p.label == 1 for p in pairs])
 
 
-def three_way_score(j1, j2, j_t, eps: float = 1e-8) -> float:
-    """Mean of the three pairwise cosines among (J_g1, J_g2, J_t)."""
-    return (cosine(j1, j2, eps).item() + cosine(j1, j_t, eps).item()
-            + cosine(j2, j_t, eps).item()) / 3.0
+def three_way_score(j1: np.ndarray, j2: np.ndarray, j_t: np.ndarray,
+                    eps: float = 1e-8) -> np.ndarray:
+    """Mean of the three pairwise cosines among row-aligned (N, d) matrices
+    (J_g1, J_g2, J_t); shape (N,)."""
+    a, b, t = Tensor(j1), Tensor(j2), Tensor(j_t)
+    return (cosine(a, b, eps).data + cosine(a, t, eps).data + cosine(b, t, eps).data) / 3.0
 
 
 def _bacd_scores(model: Model, samples: list[BACDSample], text_vocab: TextVocab) -> list[float]:
     n = len(samples)
-    j_g = _pooled(embed_graphs([s.g1 for s in samples] + [s.g2 for s in samples], model))
-    j_t = _pooled(embed_texts([s.text for s in samples], model, text_vocab))
-    return [three_way_score(j_g[i], j_g[n + i], j_t[i], model.cfg.eps_cos) for i in range(n)]
+    j_g = embed_graphs([s.g1 for s in samples] + [s.g2 for s in samples], model)
+    j_t = embed_texts([s.text for s in samples], model, text_vocab)
+    return three_way_score(j_g[:n], j_g[n:], j_t, model.cfg.eps_cos).tolist()
 
 
 def bacd_score(model: Model, s: BACDSample, text_vocab: TextVocab) -> float:

@@ -3,7 +3,7 @@ encoder, pooling, task heads, and the autoregressive caption decoder.
 
 Both modalities are embedded to sequences of d-dimensional features, passed
 through the same cross-encoder weights independently, and mean-pooled over
-real positions into single vectors whose cosine similarity drives the
+each sequence's rows into single vectors whose cosine similarity drives the
 similarity objective. The masked-node head reads the per-position graph
 sequence; the QA head reads the elementwise product of the pooled pair; the
 decoder cross-attends over the graph sequence.
@@ -186,22 +186,23 @@ class Model:
 
 
 # ---------------------------------------------------------------------------
-# encoders: every encode runs on a batch of B sequences. Row-wise layers
-# (embeddings, GAT, layer norm, projections, FFN) see only the R real rows,
-# packed as (R, d); the cross-encoder's attention alone scatters them into
-# a padded (B, H, L, L) layout, with heads as an axis.
+# encoders: every encode runs on a batch of B sequences, carried from
+# embedding to pooling as packed rows (R, d): the real rows of every sequence
+# laid end to end, with one length per sequence. Only the cross-encoder's
+# attention spreads them into a padded (B, H, L, L) layout, with heads as an
+# axis.
 
 
 def embed_text(seqs: list[TokenSeq], params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
-    """Token plus positional embeddings of equal-length sequences; (B, L, d)."""
-    n = len(seqs[0].ids)
-    if n > cfg.max_tokens:
-        raise ValueError(f"sequence length {n} exceeds max_tokens {cfg.max_tokens}")
-    if any(len(s.ids) != n for s in seqs):
-        raise ValueError("sequences of one batch must have one length")
-    tok = ad.gather_rows(params["text.tok_emb"], [i for s in seqs for i in s.ids])
-    pos = ad.gather_rows(params["text.pos_emb"], list(range(n)))
-    return ad.reshape(tok, (len(seqs), n, tok.shape[1])) + pos
+    """Token plus positional embeddings of each sequence's real tokens; packed
+    rows (R, d), one per real token of each sequence in turn."""
+    lengths = [s.real_length for s in seqs]
+    if max(lengths) > cfg.max_tokens:
+        raise ValueError(f"sequence length {max(lengths)} exceeds max_tokens {cfg.max_tokens}")
+    tok = ad.gather_rows(params["text.tok_emb"],
+                         [i for s, n in zip(seqs, lengths) for i in s.ids[:n]])
+    pos = ad.gather_rows(params["text.pos_emb"], [p for n in lengths for p in range(n)])
+    return tok + pos
 
 
 def embed_nodes_shapes(graphs: list[ArchGraph], params: dict[str, Tensor],
@@ -318,26 +319,29 @@ def _spread(x: Tensor, rows: np.ndarray, n: int) -> Tensor:
     return x if len(rows) == n else ad.pad_rows(x, rows, n)
 
 
-def cross_encode(seq: Tensor, pad_mask, params: dict[str, Tensor],
+def cross_encode(x: Tensor, lengths, params: dict[str, Tensor],
                  cfg: ModelConfig) -> Tensor:
-    """Pre-norm transformer encoder over one modality's padded batch:
-    seq (B, L, d), pad_mask (B, L) with True on real rows.
+    """Pre-norm transformer encoder over one modality's packed batch: x (R, d)
+    holds B sequences end to end, lengths[b] rows each; the result has the
+    same layout.
 
-    The same weights serve both modalities. Only the real rows are encoded:
-    row-wise layers run on them packed, and attention spreads them into
-    the padded layout, where padding is never a key. Padded positions of the
-    result are zero. Identity when the cross-encoder ablation is active.
+    The same weights serve both modalities. Row-wise layers run on the
+    packed rows; attention spreads them into the padded (B, H, L, L) layout,
+    where padding is never a key, and takes the real rows back. Identity
+    when the cross-encoder ablation is active.
     """
     if cfg.no_cross_encoder:
-        return seq
-    b, n, d = seq.shape
+        return x
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.sum() != x.shape[0]:
+        raise ValueError(f"sequence lengths add up to {lengths.sum()}, not {x.shape[0]} rows")
+    b, n = len(lengths), int(lengths.max())
     if n > max(cfg.max_tokens, cfg.max_nodes):
         raise ValueError(f"sequence of {n} exceeds encoder limit")
-    real = np.asarray(pad_mask, dtype=bool)
+    real = np.arange(n) < lengths[:, None]
     key_mask = real[:, None, None, :]
     rows = np.flatnonzero(real)
     heads = cfg.cross_heads
-    x = _pack(ad.reshape(seq, (b * n, d)), rows)
     for layer in range(cfg.cross_layers):
         prefix = f"cross.{layer}.attn"
         y = _ln(x, params, f"cross.{layer}.ln.attn")
@@ -348,16 +352,17 @@ def cross_encode(seq: Tensor, pad_mask, params: dict[str, Tensor],
         x = x + _project(_pack(att, rows), params, prefix, "o")
         y = _ln(x, params, f"cross.{layer}.ln.ffn")
         x = x + _ffn(y, params, f"cross.{layer}.ffn")
-    return ad.reshape(_spread(x, rows, b * n), (b, n, d))
+    return x
 
 
-def pool(h: Tensor, pad_mask) -> Tensor:
-    """Mean over each sequence's real (unpadded) rows: (B, L, d) -> (B, d)."""
-    mask = np.asarray(pad_mask, dtype=np.float64)
-    count = mask.sum(axis=1, keepdims=True)
-    if (count < 1).any():
-        raise ValueError("cannot pool an all-padding sequence")
-    return ad.sum_(h * Tensor(mask[:, :, None]), axis=1) * Tensor(1.0 / count)
+def pool(h: Tensor, lengths) -> Tensor:
+    """Mean over each sequence's rows of a packed batch: h (R, d), lengths[b]
+    rows each, gives (B, d)."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.min() < 1:
+        raise ValueError("cannot pool an empty sequence")
+    seg = ad.segments(np.repeat(np.arange(len(lengths)), lengths))
+    return ad.segment_sum(h, seg) * Tensor(1.0 / lengths[:, None])
 
 
 def cosine(j_a: Tensor, j_b: Tensor, eps: float = 1e-8) -> Tensor:
@@ -371,43 +376,36 @@ def cosine(j_a: Tensor, j_b: Tensor, eps: float = 1e-8) -> Tensor:
 
 def encode_texts(seqs: list[TokenSeq], params: dict[str, Tensor],
                  cfg: ModelConfig) -> tuple[Tensor, Tensor]:
-    """Text path for a batch, cut to its longest real length: embeddings,
-    cross encoding, pooling. Returns (H_t (B, L, d), J_t (B, d))."""
-    n = max(s.real_length for s in seqs)
-    cut = [TokenSeq(s.ids[:n], s.pad_mask[:n]) for s in seqs]
-    real = np.array([s.pad_mask for s in cut])
-    h_t = cross_encode(embed_text(cut, params, cfg), real, params, cfg)
-    return h_t, pool(h_t, real)
+    """Text path for a batch: embeddings of the real tokens, cross encoding,
+    pooling. Returns (H_t (R, d), J_t (B, d)) for R the real tokens of all
+    texts."""
+    lengths = [s.real_length for s in seqs]
+    h_t = cross_encode(embed_text(seqs, params, cfg), lengths, params, cfg)
+    return h_t, pool(h_t, lengths)
 
 
 def encode_graphs(graphs: list[ArchGraph], params: dict[str, Tensor],
                   cfg: ModelConfig) -> tuple[Tensor, Tensor]:
-    """Graph path for a batch: node+shape embeddings and GAT on the packed
-    node rows, cross encoding, pooling. Returns (H_g (B, L, d), J_g (B, d))
-    for L the largest node count; padded rows of H_g are zero."""
+    """Graph path for a batch: node+shape embeddings, GAT and cross encoding
+    on the packed node rows, pooling. Returns (H_g (R, d), J_g (B, d)) for R
+    the nodes of all graphs."""
+    sizes = [g.num_nodes for g in graphs]
     m_g = gat_forward(embed_nodes_shapes(graphs, params, cfg),
                       attention_edges(graphs, not cfg.no_edge), params, cfg)
-    sizes = np.array([g.num_nodes for g in graphs])
-    real = np.arange(sizes.max()) < sizes[:, None]
-    # cross_encode takes one padded form for both modalities and packs the
-    # real rows again; the round trip is two row copies
-    padded = ad.reshape(_spread(m_g, np.flatnonzero(real), real.size), real.shape + (cfg.d,))
-    h_g = cross_encode(padded, real, params, cfg)
-    return h_g, pool(h_g, real)
+    h_g = cross_encode(m_g, sizes, params, cfg)
+    return h_g, pool(h_g, sizes)
 
 
 def encode_text(seq: TokenSeq, params: dict[str, Tensor],
                 cfg: ModelConfig) -> tuple[Tensor, Tensor]:
     """One text as a batch of one. Returns (H_t (real length, d), J_t (1, d))."""
-    h_t, j_t = encode_texts([seq], params, cfg)
-    return ad.reshape(h_t, h_t.shape[1:]), j_t
+    return encode_texts([seq], params, cfg)
 
 
 def encode_graph(g: ArchGraph, params: dict[str, Tensor],
                  cfg: ModelConfig) -> tuple[Tensor, Tensor]:
     """One graph as a batch of one. Returns (H_g (nodes, d), J_g (1, d))."""
-    h_g, j_g = encode_graphs([g], params, cfg)
-    return ad.reshape(h_g, h_g.shape[1:]), j_g
+    return encode_graphs([g], params, cfg)
 
 
 # ---------------------------------------------------------------------------

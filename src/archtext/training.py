@@ -85,22 +85,22 @@ def sim_loss(j_t: Tensor, j_g: Tensor, y, eps_cos: float = 1e-8) -> Tensor:
     return diff * diff
 
 
-def mam_terms(f_m: Tensor, plans: list[MaskPlan]) -> Tensor:
+def mam_terms(f_m: Tensor, plans: list[MaskPlan], sizes) -> Tensor:
     """Per-graph mean negative log-likelihood of the original ids at masked
-    positions: (B, L, vocab) logits of a padded batch give (B,). Rows that
-    no plan masks, padding included, do not count."""
+    positions: (R, vocab) logits of the packed node rows of B graphs,
+    sizes[b] rows each, give (B,). Rows that no plan masks do not count."""
     weights = np.zeros(f_m.shape)
-    for b, plan in enumerate(plans):
+    for start, plan in zip(np.cumsum(sizes) - sizes, plans):
         if not plan.positions:
             raise ValueError("empty mask plan")
-        weights[b, list(plan.positions), list(plan.original_ids)] = 1.0 / len(plan.positions)
-    picked = ad.sum_(ad.log_softmax(f_m) * Tensor(weights), axis=2)
-    return -ad.sum_(picked, axis=1)
+        weights[np.add(start, plan.positions), plan.original_ids] = 1.0 / len(plan.positions)
+    picked = ad.sum_(ad.log_softmax(f_m) * Tensor(weights), axis=1)
+    return -ad.segment_sum(picked, ad.segments(np.repeat(np.arange(len(sizes)), sizes)))
 
 
 def mam_loss(f_m: Tensor, plan: MaskPlan) -> Tensor:
     """`mam_terms` of one graph's (nodes, vocab) logits; shape (1,)."""
-    return mam_terms(ad.reshape(f_m, (1,) + f_m.shape), [plan])
+    return mam_terms(f_m, [plan], [f_m.shape[0]])
 
 
 def total_loss(l_sim: Tensor, l_mam: Tensor | None, alpha: float, no_mam: bool) -> Tensor:
@@ -204,7 +204,8 @@ def pretrain(samples: list[BiModalSample], model: Model, tcfg: TrainConfig,
         if not cfg.no_mam:
             masked, plans = zip(*(mask_nodes(g, tcfg.mask_ratio, rng) for g in graphs))
             h_gm, _ = encode_graphs(list(masked), view, cfg)
-            l_mam = ad.mean(mam_terms(mam_logits(h_gm, view), list(plans)))
+            sizes = [g.num_nodes for g in graphs]
+            l_mam = ad.mean(mam_terms(mam_logits(h_gm, view), list(plans), sizes))
         return total_loss(l_sim, l_mam, tcfg.alpha, cfg.no_mam), l_sim, l_mam
 
     return _train(len(samples), model, tcfg, 11, batch_loss)
@@ -238,11 +239,11 @@ def finetune_ac(samples: list[ACSample], model: Model, tcfg: TrainConfig,
     def batch_loss(batch, view, rng):
         graphs = [samples[i].graph for i in batch]
         h_g, _ = encode_graphs(graphs, view, cfg)
-        b, n, d = h_g.shape
-        rows = ad.reshape(h_g, (b * n, d))
         terms = []
-        for k, (i, g) in enumerate(zip(batch, graphs)):
-            own = ad.take_rows(rows, np.arange(k * n, k * n + g.num_nodes))
+        offset = 0
+        for i, g in zip(batch, graphs):
+            own = ad.take_rows(h_g, np.arange(offset, offset + g.num_nodes))
+            offset += g.num_nodes
             n_real = seqs[i].real_length
             logits = decoder_logits(own, np.ones(g.num_nodes, dtype=bool),
                                     seqs[i].ids[:n_real - 1], view, cfg)

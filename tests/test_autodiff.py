@@ -144,6 +144,15 @@ class TestOpGradients:
             w = Tensor(rng.standard_normal((7, 3)))
             check_grad(lambda: ad.sum_(ad.pad_rows(a, rows, 7) * w), [a])
 
+    def test_segment_sum(self):
+        rng = np.random.default_rng(15)
+        for _ in range(10):
+            n = int(rng.integers(1, 9))
+            seg = ad.segments(np.cumsum(np.r_[0, rng.random(n - 1) < 0.4]))
+            a = _param(rng, n, 3)
+            w = Tensor(rng.standard_normal((len(seg.starts), 3)))
+            check_grad(lambda: ad.sum_(ad.segment_sum(a, seg) * w), [a])
+
     def test_segment_softmax(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
@@ -262,6 +271,15 @@ class TestRowAndSegmentOps:
         np.testing.assert_allclose(ad.segment_softmax(Tensor(logits), seg).data, want,
                                    rtol=1e-14, atol=0)
 
+    def test_segment_sum_of_a_segment_equals_it_alone(self):
+        rng = np.random.default_rng(1)
+        rows = rng.standard_normal((30, 4))
+        out = ad.segment_sum(Tensor(rows), ad.segments(np.repeat([0, 1, 2], [7, 17, 6]))).data
+        alone = ad.segment_sum(Tensor(rows[7:24]), ad.segments(np.zeros(17, dtype=int))).data
+        np.testing.assert_array_equal(out[1], alone[0])
+        np.testing.assert_allclose(out, [rows[:7].sum(0), rows[7:24].sum(0), rows[24:].sum(0)],
+                                   rtol=1e-13, atol=0)
+
     @pytest.mark.parametrize("call", [
         lambda a: ad.take_rows(a, [1, 1]),
         lambda a: ad.take_rows(a, [2, 0]),
@@ -271,6 +289,8 @@ class TestRowAndSegmentOps:
         lambda a: ad.segments([0, 2, 2]),
         lambda a: ad.segments([0, 1, 0]),
         lambda a: ad.segment_softmax(a, ad.segments([0, 1])),
+        lambda a: ad.segment_sum(a, ad.segments([0, 1])),
+        lambda a: ad.segment_sum(a, ad.segments([0, 0, 1, 1])),
         lambda a: ad.neighbour_mix(a, Tensor(np.ones((2, 2, 1))), np.array([0, 1, 2]),
                                    ad.segments([0, 1, 2]), np.array([0, 1, 2])),
     ])
@@ -282,6 +302,7 @@ class TestRowAndSegmentOps:
         ("take_rows", (2, 2), lambda a: ad.take_rows(a, [0, 1])),
         ("pad_rows", (2, 2), lambda a: ad.pad_rows(a, [0, 1], 3)),
         ("segment_softmax", (2, 2), lambda a: ad.segment_softmax(a, ad.segments([0, 1]))),
+        ("segment_sum", (2, 2), lambda a: ad.segment_sum(a, ad.segments([0, 1]))),
         ("neighbour_mix", (2, 2, 1), lambda a: ad.neighbour_mix(
             Tensor(np.ones((2, 2))), a, np.array([0, 1]), ad.segments([0, 1]),
             np.array([0, 1]))),

@@ -4,7 +4,7 @@ from archtext.catalog import (
     CATALOG,
     DEFAULT_OPS,
     OP_PHRASES,
-    load_answer_catalog,
+    answer_catalog,
     mentioned_ops,
     phrase_of,
 )
@@ -39,7 +39,7 @@ def test_mentioned_ops_word_aligned():
 
 
 def test_answer_catalog_is_frozen_51():
-    answers = load_answer_catalog()
+    answers = answer_catalog().answers
     assert len(answers) == 51
     assert len(set(answers)) == 51
     # the default op names occupy the first 28 slots

@@ -351,6 +351,17 @@ class TestErrors:
         assert run([*argv, "--alpha", "7"]) == 1
         assert "--alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--task", "autonet", "--out", "d.jsonl"],
+        ["search", "build", "--checkpoint", "ckpt", "--dataset", "d.jsonl", "--out", "i.abix"],
+    ])
+    @pytest.mark.parametrize("switch", ["--tau=0.3", "--no-mam", "--no-cross-encoder",
+                                        "--no-shape", "--no-edge", "--text-only", "--arch-only"])
+    def test_model_switch_where_unread_is_usage_error(self, argv, switch, capsys):
+        # gen runs no model, and search runs the bundle's model as saved
+        assert run([*argv, switch]) == 1
+        assert switch.split("=")[0] in capsys.readouterr().err
+
     def test_invalid_graph_record_is_data_error(self, tmp_path, cfg_file, capsys):
         data = _gen(tmp_path, cfg_file, "autonet", "d.jsonl")
         lines = data.read_text().splitlines()

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from archtext.catalog import DEFAULT_OPS, mentioned_ops
+from archtext.catalog import DEFAULT_OPS, answer_catalog, mentioned_ops
 from archtext.datagen import (
     AQASample,
     BiModalSample,
     GenConfig,
-    answer_catalog,
     compute_stats,
     extract_present_ops,
     gen_acd_dataset,

@@ -5,7 +5,6 @@ import os
 import numpy as np
 import pytest
 
-from archtext.autodiff import Tensor
 from archtext.datagen import (
     ACDPair,
     AQASample,
@@ -176,20 +175,20 @@ class TestNameBaseline:
 
 class TestThreeWayScore:
     def test_hand_computed_average(self):
-        j1 = Tensor(np.array([[1.0, 0.0]]))
-        j2 = Tensor(np.array([[1.0, 0.0]]))
-        jt = Tensor(np.array([[0.0, 1.0]]))
+        j1 = np.array([[1.0, 0.0]])
+        j2 = np.array([[1.0, 0.0]])
+        jt = np.array([[0.0, 1.0]])
         # cos(j1,j2)=1, cos(j1,jt)=0, cos(j2,jt)=0
         assert three_way_score(j1, j2, jt) == pytest.approx(1 / 3)
 
     def test_collinear_everything(self):
-        v = Tensor(np.array([[2.0, 1.0]]))
+        v = np.array([[2.0, 1.0]])
         assert three_way_score(v, v, v) == pytest.approx(1.0)
 
     def test_pairwise_orthogonal(self):
-        a = Tensor(np.array([[1.0, 0.0, 0.0]]))
-        b = Tensor(np.array([[0.0, 1.0, 0.0]]))
-        c = Tensor(np.array([[0.0, 0.0, 1.0]]))
+        a = np.array([[1.0, 0.0, 0.0]])
+        b = np.array([[0.0, 1.0, 0.0]])
+        c = np.array([[0.0, 0.0, 1.0]])
         assert three_way_score(a, b, c) == pytest.approx(0.0)
 
 

@@ -1,16 +1,20 @@
-"""Checkpoint, index and bundle files are replaced whole or not at all."""
+"""Checkpoint, index, bundle, dataset and CLI output files are replaced
+whole or not at all."""
 
+import dataclasses
+import json
 import os
 import struct
 
 import numpy as np
 import pytest
 
-from archtext import checkpoint, cli, fileio, index
+from archtext import checkpoint, cli, datagen, fileio, index
 from archtext.autodiff import Tensor
-from archtext.graph import NodeVocab
+from archtext.datagen import GenConfig
+from archtext.graph import NodeVocab, graph_to_obj
 from archtext.model import Model, ModelConfig
-from archtext.text import TextVocab
+from archtext.text import TextVocab, build_vocab
 
 
 def _raise_on_call(n, real):
@@ -35,7 +39,7 @@ def _save_checkpoint(tmp_path):
         checkpoint.save_checkpoint({f"p{i}": Tensor(scale * rng.standard_normal((3, 4)))
                                     for i in range(4)}, str(path))
 
-    return path, save, (checkpoint.struct, "pack", struct.pack)
+    return path, save, (checkpoint.struct, "pack", _raise_on_call(3, struct.pack))
 
 
 def _save_index(tmp_path):
@@ -46,7 +50,7 @@ def _save_index(tmp_path):
         index.save_index(index.EmbeddingIndex(d=4, ids=["a", "b", "c", "d"], vectors=vectors,
                                               fingerprint=bytes(32)), str(path))
 
-    return path, save, (index.struct, "pack", struct.pack)
+    return path, save, (index.struct, "pack", _raise_on_call(3, struct.pack))
 
 
 def _save_bundle(tmp_path):
@@ -60,16 +64,98 @@ def _save_bundle(tmp_path):
         cli.save_bundle(str(out), Model.initialized(cfg, seed=int(scale)), tv, nv, log)
 
     # the loss log is the bundle's last file, written one json.dumps per line
-    return out / cli.LOG_FILE, save, (cli.json, "dumps", cli.json.dumps)
+    return out / cli.LOG_FILE, save, (cli.json, "dumps", _raise_on_call(3, json.dumps))
 
 
-@pytest.mark.parametrize("writer", [_save_checkpoint, _save_index, _save_bundle])
+_GEN = GenConfig(ops=("conv2d", "relu", "linear"), min_nodes=3, max_nodes=4)
+
+
+def _dataset(path, scale):
+    """A bi-modal JSONL file of one more architecture for each step of scale."""
+    samples = datagen.gen_autonet(dataclasses.replace(_GEN, rng_seed=int(scale)),
+                                  1 + int(scale), "train")
+    datagen.write_jsonl(samples, _GEN.node_vocab(), str(path))
+    return samples
+
+
+def _write_jsonl(tmp_path):
+    path = tmp_path / "d.jsonl"
+
+    def save(scale):
+        _dataset(path, scale)
+
+    # one json.dumps per record
+    return path, save, (datagen.json, "dumps", _raise_on_call(3, json.dumps))
+
+
+def _cli_writer(tmp_path, out_name, argv_of):
+    """A subcommand writing its --out file; `argv_of(tmp_path, scale)` gives
+    the rest of its arguments. Its text is whole before the write, so the
+    failure comes at the sync that follows."""
+    path = tmp_path / out_name
+    inputs = {scale: argv_of(tmp_path, scale) for scale in (1.0, 2.0)}
+
+    def save(scale):
+        args = cli.build_parser().parse_args([*inputs[scale], "--out", str(path)])
+        args.func(args)
+
+    return path, save, (fileio.os, "fsync", _raise_on_call(1, os.fsync))
+
+
+def _stats_args(tmp_path, scale):
+    data = tmp_path / f"d{scale:g}.jsonl"
+    _dataset(data, scale)
+    return ["stats", str(data)]
+
+
+def _eval_args(tmp_path, scale):
+    data = tmp_path / f"d{scale:g}.jsonl"
+    _dataset(data, scale)
+    return ["eval", "--task", "ar", "--baseline", "--dataset", str(data)]
+
+
+def _viz_dot_args(tmp_path, scale):
+    graph = tmp_path / f"g{scale:g}.json"
+    graph.write_text(json.dumps(graph_to_obj(_dataset(tmp_path / "g.jsonl", scale)[0].graph,
+                                             _GEN.node_vocab())))
+    return ["viz", "dot", "--graph", str(graph)]
+
+
+def _viz_pca_args(tmp_path, scale):
+    data = tmp_path / f"d{scale:g}.jsonl"
+    samples = _dataset(data, scale)
+    tv, nv = build_vocab([s.text for s in samples], 64), _GEN.node_vocab()
+    cfg = ModelConfig(node_vocab_size=len(nv), text_vocab_size=len(tv), d=8, gat_heads=2,
+                      cross_heads=2, dec_heads=2, max_nodes=4, max_tokens=16)
+    bundle = tmp_path / f"bundle{scale:g}"
+    cli.save_bundle(str(bundle), Model.initialized(cfg, seed=int(scale)), tv, nv, [])
+    return ["viz", "pca", "--checkpoint", str(bundle), "--dataset", str(data)]
+
+
+def _eval_out(tmp_path):
+    return _cli_writer(tmp_path, "m.json", _eval_args)
+
+
+def _stats_out(tmp_path):
+    return _cli_writer(tmp_path, "s.json", _stats_args)
+
+
+def _viz_dot_out(tmp_path):
+    return _cli_writer(tmp_path, "g.dot", _viz_dot_args)
+
+
+def _viz_pca_out(tmp_path):
+    return _cli_writer(tmp_path, "p.csv", _viz_pca_args)
+
+
+@pytest.mark.parametrize("writer", [_save_checkpoint, _save_index, _save_bundle, _write_jsonl,
+                                    _eval_out, _stats_out, _viz_dot_out, _viz_pca_out])
 def test_failed_write_leaves_old_file(tmp_path, monkeypatch, writer):
-    path, save, (owner, name, real) = writer(tmp_path)
+    path, save, (owner, name, fake) = writer(tmp_path)
     save(1.0)
     before = path.read_bytes()
     listing = sorted(os.listdir(path.parent))
-    monkeypatch.setattr(owner, name, _raise_on_call(3, real))
+    monkeypatch.setattr(owner, name, fake)
     with pytest.raises(OSError, match="disk full"):
         save(2.0)
     monkeypatch.undo()

@@ -82,19 +82,19 @@ class TestEmbedText:
         }
         seq = tokenize("alpha", tiny_text_vocab, 6)
         out = embed_text([seq], params, tiny_model_cfg)
-        np.testing.assert_array_equal(out.data[0], np.zeros((6, 8)))
+        np.testing.assert_array_equal(out.data, np.zeros((seq.real_length, 8)))
 
     def test_position_disambiguates_repeats(self, tiny_model, tiny_text_vocab):
         seq = tokenize("alpha alpha", tiny_text_vocab, 6)
         out = embed_text([seq], tiny_model.params, tiny_model.cfg)
         pos = tiny_model.params["text.pos_emb"].data
-        np.testing.assert_allclose(out.data[0, 1] - out.data[0, 2], pos[1] - pos[2], atol=1e-12)
+        np.testing.assert_allclose(out.data[1] - out.data[2], pos[1] - pos[2], atol=1e-12)
 
-    def test_shape_is_seq_len_by_d(self, tiny_model, tiny_text_vocab):
+    def test_shape_is_real_length_by_d(self, tiny_model, tiny_text_vocab):
         for max_len in (4, 6, 8):
             seq = tokenize("alpha beta", tiny_text_vocab, max_len)
             out = embed_text([seq], tiny_model.params, tiny_model.cfg)
-            assert out.shape == (1, max_len, tiny_model.cfg.d)
+            assert out.shape == (seq.real_length, tiny_model.cfg.d)
 
     def test_too_long_rejected(self, tiny_model, tiny_text_vocab):
         seq = tokenize("alpha", tiny_text_vocab, 8)
@@ -270,51 +270,49 @@ class TestCrossEncode:
     def test_no_cross_encoder_is_identity(self, tiny_model):
         import dataclasses
         cfg = dataclasses.replace(tiny_model.cfg, no_cross_encoder=True)
-        x = Tensor(np.random.default_rng(0).standard_normal((1, 4, cfg.d)))
-        out = cross_encode(x, np.ones((1, 4), dtype=bool), tiny_model.params, cfg)
+        x = Tensor(np.random.default_rng(0).standard_normal((4, cfg.d)))
+        out = cross_encode(x, [4], tiny_model.params, cfg)
         assert out is x
 
-    def test_pad_rows_never_influence_real_rows(self, tiny_model):
+    def test_other_sequence_rows_never_influence_a_sequence(self, tiny_model):
         cfg = tiny_model.cfg
         rng = np.random.default_rng(3)
         x = rng.standard_normal((5, cfg.d))
-        mask = np.array([True, True, True, False, False])
-        out1 = cross_encode(Tensor(x[None]), mask[None], tiny_model.params, cfg)
+        out1 = cross_encode(Tensor(x), [3, 2], tiny_model.params, cfg)
         x2 = x.copy()
         x2[3] += 17.0
-        out2 = cross_encode(Tensor(x2[None]), mask[None], tiny_model.params, cfg)
-        np.testing.assert_array_equal(out1.data[0, :3], out2.data[0, :3])
+        out2 = cross_encode(Tensor(x2), [3, 2], tiny_model.params, cfg)
+        np.testing.assert_array_equal(out1.data[:3], out2.data[:3])
 
-    def test_pad_row_permutation_bit_identical(self, tiny_model):
+    def test_other_sequence_row_permutation_bit_identical(self, tiny_model):
         cfg = tiny_model.cfg
         rng = np.random.default_rng(4)
-        x = rng.standard_normal((5, cfg.d))
-        mask = np.array([True, True, True, False, False])
-        out1 = cross_encode(Tensor(x[None]), mask[None], tiny_model.params, cfg)
+        x = rng.standard_normal((7, cfg.d))
+        out1 = cross_encode(Tensor(x), [2, 3, 2], tiny_model.params, cfg)
         x2 = x.copy()
-        x2[[3, 4]] = x2[[4, 3]]
-        out2 = cross_encode(Tensor(x2[None]), mask[None], tiny_model.params, cfg)
-        np.testing.assert_array_equal(out1.data[0, :3], out2.data[0, :3])
+        x2[[0, 1, 5, 6]] = x2[[6, 5, 1, 0]]
+        out2 = cross_encode(Tensor(x2), [2, 3, 2], tiny_model.params, cfg)
+        np.testing.assert_array_equal(out1.data[2:5], out2.data[2:5])
 
 
 class TestPool:
     def test_single_real_row(self):
-        h = Tensor(np.array([[[1.0, 2.0], [9.0, 9.0]]]))
-        out = pool(h, [[True, False]])
-        np.testing.assert_array_equal(out.data, [[1.0, 2.0]])
+        h = Tensor(np.array([[1.0, 2.0], [9.0, 9.0]]))
+        out = pool(h, [1, 1])
+        np.testing.assert_array_equal(out.data[0], [1.0, 2.0])
 
     def test_duplicate_rows(self):
         v = np.array([3.0, -1.0])
-        out = pool(Tensor(np.stack([v, v])[None]), [[True, True]])
+        out = pool(Tensor(np.stack([v, v])), [2])
         np.testing.assert_allclose(out.data, [v], atol=1e-15)
 
     def test_two_basis_rows(self):
-        out = pool(Tensor(np.array([[[1.0, 0.0], [0.0, 1.0]]])), [[True, True]])
+        out = pool(Tensor(np.array([[1.0, 0.0], [0.0, 1.0]])), [2])
         np.testing.assert_allclose(out.data, [[0.5, 0.5]])
 
     def test_all_pad_rejected(self):
         with pytest.raises(ValueError, match="pool"):
-            pool(Tensor(np.ones((1, 2, 2))), [[False, False]])
+            pool(Tensor(np.ones((2, 2))), [2, 0])
 
 
 class TestCosine:
@@ -450,7 +448,8 @@ def _batch_terms(model, cfg, seqs, graphs, plans, ys, targets):
     return {
         "j_t": j_t, "j_g": j_g,
         "sim": sim_loss(j_t, j_g, ys, cfg.eps_cos),
-        "mam": mam_terms(mam_logits(h_gm, model.params), plans),
+        "mam": mam_terms(mam_logits(h_gm, model.params), plans,
+                         [g.num_nodes for g in graphs]),
         "aqa": ad.mean(ad.bce_with_logits(aqa_logits(j_t, j_g, model.params), targets),
                        axis=1),
     }
