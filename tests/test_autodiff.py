@@ -147,10 +147,10 @@ class TestOpGradients:
     def test_segment_sum(self):
         rng = np.random.default_rng(15)
         for _ in range(10):
-            n = int(rng.integers(1, 9))
+            n, m = int(rng.integers(1, 9)), int(rng.integers(1, 4))
             seg = ad.segments(np.cumsum(np.r_[0, rng.random(n - 1) < 0.4]))
-            a = _param(rng, n, 3)
-            w = Tensor(rng.standard_normal((len(seg.starts), 3)))
+            a = _param(rng, n, m)
+            w = Tensor(rng.standard_normal((len(seg.starts), m)))
             check_grad(lambda: ad.sum_(ad.segment_sum(a, seg) * w), [a])
 
     def test_segment_softmax(self):
@@ -289,10 +289,10 @@ class TestRowAndSegmentOps:
         lambda a: ad.segments([0, 2, 2]),
         lambda a: ad.segments([0, 1, 0]),
         lambda a: ad.segment_softmax(a, ad.segments([0, 1])),
-        lambda a: ad.segment_sum(a, ad.segments([0, 1])),
-        lambda a: ad.segment_sum(a, ad.segments([0, 0, 1, 1])),
         lambda a: ad.neighbour_mix(a, Tensor(np.ones((2, 2, 1))), np.array([0, 1, 2]),
                                    ad.segments([0, 1, 2]), np.array([0, 1, 2])),
+        lambda a: ad.segment_sum(a, ad.segments([0, 1])),
+        lambda a: ad.segment_sum(a, ad.segments([0, 0, 1, 1])),
     ])
     def test_bad_indices_rejected(self, call):
         with pytest.raises(ValueError):
@@ -302,10 +302,10 @@ class TestRowAndSegmentOps:
         ("take_rows", (2, 2), lambda a: ad.take_rows(a, [0, 1])),
         ("pad_rows", (2, 2), lambda a: ad.pad_rows(a, [0, 1], 3)),
         ("segment_softmax", (2, 2), lambda a: ad.segment_softmax(a, ad.segments([0, 1]))),
-        ("segment_sum", (2, 2), lambda a: ad.segment_sum(a, ad.segments([0, 1]))),
         ("neighbour_mix", (2, 2, 1), lambda a: ad.neighbour_mix(
             Tensor(np.ones((2, 2))), a, np.array([0, 1]), ad.segments([0, 1]),
             np.array([0, 1]))),
+        ("segment_sum", (2, 2), lambda a: ad.segment_sum(a, ad.segments([0, 1]))),
     ])
     def test_non_finite_output_names_the_op(self, op, shape, call):
         a = Tensor(np.ones(shape))

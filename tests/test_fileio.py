@@ -102,16 +102,17 @@ def _cli_writer(tmp_path, out_name, argv_of):
     return path, save, (fileio.os, "fsync", _raise_on_call(1, os.fsync))
 
 
-def _stats_args(tmp_path, scale):
+def _data_file(tmp_path, scale):
     data = tmp_path / f"d{scale:g}.jsonl"
-    _dataset(data, scale)
-    return ["stats", str(data)]
+    return str(data), _dataset(data, scale)
+
+
+def _stats_args(tmp_path, scale):
+    return ["stats", _data_file(tmp_path, scale)[0]]
 
 
 def _eval_args(tmp_path, scale):
-    data = tmp_path / f"d{scale:g}.jsonl"
-    _dataset(data, scale)
-    return ["eval", "--task", "ar", "--baseline", "--dataset", str(data)]
+    return ["eval", "--task", "ar", "--baseline", "--dataset", _data_file(tmp_path, scale)[0]]
 
 
 def _viz_dot_args(tmp_path, scale):
@@ -122,14 +123,13 @@ def _viz_dot_args(tmp_path, scale):
 
 
 def _viz_pca_args(tmp_path, scale):
-    data = tmp_path / f"d{scale:g}.jsonl"
-    samples = _dataset(data, scale)
+    data, samples = _data_file(tmp_path, scale)
     tv, nv = build_vocab([s.text for s in samples], 64), _GEN.node_vocab()
     cfg = ModelConfig(node_vocab_size=len(nv), text_vocab_size=len(tv), d=8, gat_heads=2,
                       cross_heads=2, dec_heads=2, max_nodes=4, max_tokens=16)
     bundle = tmp_path / f"bundle{scale:g}"
     cli.save_bundle(str(bundle), Model.initialized(cfg, seed=int(scale)), tv, nv, [])
-    return ["viz", "pca", "--checkpoint", str(bundle), "--dataset", str(data)]
+    return ["viz", "pca", "--checkpoint", str(bundle), "--dataset", data]
 
 
 def _eval_out(tmp_path):

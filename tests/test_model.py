@@ -280,9 +280,12 @@ class TestCrossEncode:
         x = rng.standard_normal((5, cfg.d))
         out1 = cross_encode(Tensor(x), [3, 2], tiny_model.params, cfg)
         x2 = x.copy()
-        x2[3] += 17.0
+        x2[0] += 17.0
         out2 = cross_encode(Tensor(x2), [3, 2], tiny_model.params, cfg)
-        np.testing.assert_array_equal(out1.data[:3], out2.data[:3])
+        np.testing.assert_array_equal(out1.data[3:], out2.data[3:])
+        # the padding that attention adds to the shorter sequence is never a key
+        alone = cross_encode(Tensor(x[3:]), [2], tiny_model.params, cfg)
+        np.testing.assert_allclose(out1.data[3:], alone.data, rtol=0, atol=1e-12)
 
     def test_other_sequence_row_permutation_bit_identical(self, tiny_model):
         cfg = tiny_model.cfg
