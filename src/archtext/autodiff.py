@@ -2,13 +2,14 @@
 
 The engine covers exactly the operation set the model needs: elementwise
 arithmetic with broadcasting, batched matmul with broadcasting, reductions,
-masked softmax, log-softmax, leaky rectifier, logistic, sqrt, clamp, row
-gather, row packing (`take_rows`/`pad_rows`), column slicing,
-concatenation, reshape, axis permutation, segment sums over packed rows
-(`segment_sum`), and the two edge-list graph attention ops
-(`segment_softmax`, `neighbour_mix`). Every op validates that
-its output is finite; NaN or Inf anywhere is a hard error rather than a
-silent corruption.
+log-softmax, leaky rectifier, logistic, sqrt, clamp, row gather, row
+selection (`take_rows`), column slicing, concatenation, reshape, axis
+permutation, segment sums over packed rows (`segment_sum`), the edge-list
+graph attention ops (`edge_scores`, `segment_softmax`, `neighbour_mix`),
+and three fused layers with analytic gradients: `linear`, `layer_norm` and
+multi-head `attention` over packed rows. Every op validates that its output
+is finite; NaN or Inf anywhere is a hard error rather than a silent
+corruption.
 
 Gradients flow through a tape built implicitly by op closures; calling
 `backward` on a scalar seeds the reverse pass. `finite_diff` provides the
@@ -18,6 +19,7 @@ independent central-difference oracle used by the gradient checks, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -218,6 +220,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ), "matmul")
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for rows x (R, n), weights w (n, m) and a bias b that
+    broadcasts to (R, m)."""
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise ValueError(f"linear expects 2-D rows and weights, got "
+                         f"{x.data.shape} @ {w.data.shape}")
+    out = x.data @ w.data
+    out += b.data
+    return Tensor._from_op(out, (x, w, b), lambda g: (
+        (x, g @ w.data.T),
+        (w, x.data.T @ g),
+        (b, _unbroadcast(g, b.data.shape)),
+    ), "linear")
+
+
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ValueError("transpose expects a 2-D tensor")
@@ -278,38 +295,6 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
     ), "clamp_min")
 
 
-def _as_rows(x: np.ndarray) -> np.ndarray:
-    """At least 2-D: a single row becomes a (1, n) matrix."""
-    return x.reshape((1,) * (2 - x.ndim) + x.shape)
-
-
-def softmax_masked(logits: Tensor, mask: np.ndarray) -> Tensor:
-    """Softmax along the last axis restricted to mask-true positions.
-
-    Masked positions receive exactly zero probability; each row must keep
-    at least one unmasked entry. The work runs with the last axis outermost
-    in memory, so the normalizer is an in-order sum: masked trailing entries
-    add exact zeros, and a row's values do not depend on how far its batch
-    pads it (a pairwise sum along a contiguous row would group differently
-    for each row length). The result is a transposed view.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any(axis=-1).all():
-        raise ValueError("softmax row with every position masked")
-    bias_t = _as_rows(np.where(mask, 0.0, -np.inf)).swapaxes(-1, -2)
-    z = np.add(_as_rows(logits.data).swapaxes(-1, -2), bias_t, order="C")
-    z -= np.maximum.reduce(z, axis=-2, keepdims=True)
-    e = np.exp(z, out=z)
-    e /= np.add.reduce(e, axis=-2, keepdims=True)
-    p = e.swapaxes(-1, -2).reshape(logits.data.shape)
-
-    def backward(g):
-        inner = (g * p).sum(axis=-1, keepdims=True)
-        return ((logits, p * (g - inner)),)
-
-    return Tensor._from_op(p, (logits,), backward, "softmax_masked")
-
-
 def bce_with_logits(logits: Tensor, targets) -> Tensor:
     """Element-wise binary cross-entropy between logistic(logits) and targets,
     computed in the numerically stable log-sum-exp form."""
@@ -352,8 +337,13 @@ def gather_rows(table: Tensor, ids) -> Tensor:
     out = table.data[idx]
 
     def backward(g):
+        # the rows of each id summed by one reduceat over the ids sorted
+        # stably, in place of unbuffered scattered adds
+        order = np.argsort(idx, kind="stable")
+        ids = idx[order]
+        starts = np.flatnonzero(np.diff(ids, prepend=-1))
         gt = np.zeros_like(table.data)
-        np.add.at(gt, idx, g)
+        gt[ids[starts]] = np.add.reduceat(g[order], starts, axis=0)
         return ((table, gt),)
 
     return Tensor._from_op(out, (table,), backward, "gather_rows")
@@ -379,16 +369,6 @@ def take_rows(a: Tensor, rows) -> Tensor:
         return ((a, ga),)
 
     return Tensor._from_op(a.data[rows], (a,), backward, "take_rows")
-
-
-def pad_rows(a: Tensor, rows, n: int) -> Tensor:
-    """`n` rows, zero but for rows[i] = a[i]; the inverse of `take_rows`."""
-    rows = _check_rows(rows, n)
-    if len(rows) != a.data.shape[0]:
-        raise ValueError(f"{len(rows)} row indices for {a.data.shape[0]} rows")
-    out = np.zeros((n,) + a.data.shape[1:])
-    out[rows] = a.data
-    return Tensor._from_op(out, (a,), lambda g: ((a, g[rows]),), "pad_rows")
 
 
 class Segments(NamedTuple):
@@ -421,6 +401,22 @@ def segment_sum(a: Tensor, seg: Segments) -> Tensor:
         raise ValueError(f"{len(seg.ids)} segment ids for {a.data.shape[0]} rows")
     return Tensor._from_op(np.add.reduceat(a.data, seg.starts, axis=0), (a,),
                            lambda g: ((a, g[seg.ids]),), "segment_sum")
+
+
+def edge_scores(own: Tensor, other: Tensor, src: np.ndarray, seg: Segments,
+                reverse: np.ndarray) -> Tensor:
+    """Per-edge sums own[target] + other[source] over an edge list: own and
+    other (R, ...) hold one row per node, and the edges are grouped by target
+    as for `neighbour_mix`, with `reverse` pairing each edge with its mirror.
+    Both gradients are segment sums, `other`'s over the reversed edges."""
+    if len(seg.starts) != own.data.shape[0] or len(seg.ids) != len(src):
+        raise ValueError(f"{len(seg.starts)} segments of {len(seg.ids)} edges for "
+                         f"{own.data.shape[0]} nodes and {len(src)} edges")
+    out = own.data[seg.ids] + other.data[src]
+    return Tensor._from_op(out, (own, other), lambda g: (
+        (own, np.add.reduceat(g, seg.starts, axis=0)),
+        (other, np.add.reduceat(g[reverse], seg.starts, axis=0)),
+    ), "edge_scores")
 
 
 def segment_softmax(logits: Tensor, seg: Segments) -> Tensor:
@@ -505,12 +501,123 @@ def permute(a: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 
 def layer_norm(x: Tensor, scale: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then apply the affine pair."""
-    mu = mean(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = mean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = div(_wrap(1.0), sqrt(add(var, _wrap(eps))))
-    return add(mul(mul(centered, inv), scale), bias)
+    """Normalize over the last axis, then apply the affine pair; one op with
+    the analytic gradient (Ba et al., arXiv 1607.06450)."""
+    inv_n = 1.0 / x.data.shape[-1]
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+    inv = 1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_n + eps)
+    xhat = centered * inv
+
+    def backward(g):
+        gh = g * scale.data
+        gx = inv * (gh - gh.mean(axis=-1, keepdims=True)
+                    - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+        return ((x, gx), (scale, _unbroadcast(g * xhat, scale.data.shape)),
+                (bias, _unbroadcast(g, bias.data.shape)))
+
+    return Tensor._from_op(xhat * scale.data + bias.data, (x, scale, bias), backward,
+                           "layer_norm")
+
+
+# ---------------------------------------------------------------------------
+# attention over packed rows
+
+
+def _by_head(rows: np.ndarray, n: int, heads: int) -> np.ndarray:
+    """(n*l, heads*dh) rows of n sequences as per-head blocks (n, heads, l, dh)."""
+    return rows.reshape(n, -1, heads, rows.shape[-1] // heads).transpose(0, 2, 1, 3)
+
+
+def _by_row(blocks: np.ndarray) -> np.ndarray:
+    """(n, heads, l, dh) per-head blocks back to (n*l, heads*dh) rows."""
+    n, heads, l, dh = blocks.shape
+    return blocks.transpose(0, 2, 1, 3).reshape(n * l, heads * dh)
+
+
+def _length_groups(lengths, rows: int) -> list[tuple[slice | np.ndarray, int]]:
+    """The sequences of each length among `rows` packed rows, as (row
+    selector, sequence count) pairs: a slice when the group's rows are
+    contiguous, else the row indices in order."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.ndim != 1 or not len(lengths) or lengths.min() < 1 or lengths.sum() != rows:
+        raise ValueError(f"sequence lengths {lengths.tolist()} do not split {rows} rows")
+    starts = np.cumsum(lengths) - lengths
+    groups = []
+    for length in np.unique(lengths):
+        first = starts[lengths == length]
+        if first[-1] - first[0] == (len(first) - 1) * length:
+            rows_of = slice(int(first[0]), int(first[0] + len(first) * length))
+        else:
+            rows_of = (first[:, None] + np.arange(length)).ravel()
+        groups.append((rows_of, len(first)))
+    return groups
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None,
+              mask=None) -> Tensor:
+    """Scaled dot-product attention over packed rows, every head in one op.
+
+    q (Lq, d), k and v (Lk, d) split their d columns into `heads` heads; the
+    result has q's shape, heads merged, before any output projection.
+    - With `lengths`, q, k and v hold the same sequences end to end,
+      lengths[b] rows each, and a row attends over its own sequence only.
+      The sequences of one length run as one dense (n, heads, l, l) block,
+      so no row is padding and a sequence gets the same bits alone and in
+      any batch (Krell et al., arXiv 2107.02027).
+    - Without, every query attends over every key, or over the keys that
+      `mask` (broadcasting to (Lq, Lk)) marks true; a masked key gets
+      exactly zero weight, and each query must keep at least one key.
+
+    Only the attention weights P are kept for the backward pass, which uses
+    dS = P * (dP - rowsum(dP * P)) (FlashAttention, arXiv 2205.14135).
+    """
+    (lq, d), (lk, dk) = q.data.shape, k.data.shape
+    if dk != d or v.data.shape != (lk, d) or d % heads:
+        raise ValueError(f"attention over {heads} heads cannot take q {q.data.shape}, "
+                         f"k {k.data.shape}, v {v.data.shape}")
+    if lengths is not None:
+        if mask is not None or lk != lq:
+            raise ValueError("attention over sequence lengths takes no mask, and one "
+                             "row of q, k and v per position")
+        groups = _length_groups(lengths, lq)
+    else:
+        groups = [(slice(None), 1)]
+        if mask is not None:
+            mask = np.broadcast_to(np.asarray(mask, dtype=bool), (lq, lk))
+            if not mask.any(axis=-1).all():
+                raise ValueError("attention query with every key masked")
+    scale = 1.0 / math.sqrt(d // heads)
+
+    def blocks(rows_of, n):
+        return (_by_head(q.data[rows_of], n, heads) * scale,
+                _by_head(k.data[rows_of], n, heads), _by_head(v.data[rows_of], n, heads))
+
+    out = np.empty_like(q.data)
+    weights = []
+    for rows_of, n in groups:
+        qh, kh, vh = blocks(rows_of, n)
+        s = qh @ kh.swapaxes(-1, -2)
+        if mask is not None:
+            np.copyto(s, -np.inf, where=~mask)
+        s -= s.max(axis=-1, keepdims=True)
+        p = np.exp(s, out=s)
+        p /= p.sum(axis=-1, keepdims=True)
+        out[rows_of] = _by_row(p @ vh)
+        weights.append(p)
+
+    def backward(g):
+        gq, gk, gv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
+        for (rows_of, n), p in zip(groups, weights):
+            qh, kh, vh = blocks(rows_of, n)
+            go = _by_head(g[rows_of], n, heads)
+            dp = go @ vh.swapaxes(-1, -2)
+            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+            gq[rows_of] = _by_row(ds @ kh) * scale
+            gk[rows_of] = _by_row(ds.swapaxes(-1, -2) @ qh)
+            gv[rows_of] = _by_row(p.swapaxes(-1, -2) @ go)
+        return ((q, gq), (k, gk), (v, gv))
+
+    return Tensor._from_op(out, (q, k, v), backward, "attention")
 
 
 # ---------------------------------------------------------------------------

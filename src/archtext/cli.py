@@ -307,9 +307,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    tau = args.tau if args.tau is not None else 0.5
     result: dict = {"task": args.task}
     if args.baseline:
+        tau = args.tau if args.tau is not None else 0.5
         result["model"] = "baseline"
         node_vocab = NodeVocab(list(_gen_config(args, load_config_file(args.config)).ops))
         if args.task == "ar":
@@ -329,6 +329,7 @@ def _cmd_eval(args) -> int:
         result.update(metrics.to_dict())
     else:
         model, text_vocab, node_vocab = _load_model(args)
+        tau = model.cfg.tau   # the bundle's, or --tau as _load_model applied it
         result["model"] = "archtext"
         if args.task == "ar":
             metrics = evaluate.run_ar(model, datagen.load_bimodal(args.dataset, node_vocab),
@@ -469,13 +470,16 @@ def _cmd_viz(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
+    """--config and --seed, for the subcommands that read them."""
     p.add_argument("--config", default=None, help="INI config file (default: none)")
     p.add_argument("--seed", type=int, default=None, help="master RNG seed (default: config value)")
 
 
 def _add_model_switches(p: argparse.ArgumentParser) -> None:
     """--tau and the ablation switches, for subcommands that run a model."""
-    p.add_argument("--tau", type=float, default=None, help="decision threshold (default 0.5)")
+    p.add_argument("--tau", type=float, default=None,
+                   help="decision threshold (default: the bundle's tau; 0.5 for a fresh "
+                        "model or --baseline)")
     for flag in _ABLATION_FLAGS:
         p.add_argument(f"--{flag.replace('_', '-')}", action="store_true",
                        dest=flag, help=f"ablation switch {flag} (default off)")
@@ -536,14 +540,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="index output path for build (default: none)")
     p.add_argument("--query", default=None, help="text query (default: none)")
     p.add_argument("--k", type=int, default=5, help="results to return (default 5)")
-    _add_common(p)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("reason", help="score one statement against one graph")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--graph", required=True, help="graph JSON file")
     p.add_argument("--text", required=True, help="statement")
-    _add_common(p)
     _add_model_switches(p)
     p.set_defaults(func=_cmd_reason)
 
@@ -552,7 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g1", required=True, help="first graph JSON file")
     p.add_argument("--g2", required=True, help="second graph JSON file")
     p.add_argument("--text", default=None, help="optional supporting text (default: none)")
-    _add_common(p)
     _add_model_switches(p)
     p.set_defaults(func=_cmd_clone)
 
@@ -560,7 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--question", required=True)
-    _add_common(p)
     _add_model_switches(p)
     p.set_defaults(func=_cmd_qa)
 
@@ -568,7 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--beam", type=int, default=10, help="beam width (default 10)")
-    _add_common(p)
     _add_model_switches(p)
     p.set_defaults(func=_cmd_caption)
 

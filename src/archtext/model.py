@@ -188,9 +188,9 @@ class Model:
 # ---------------------------------------------------------------------------
 # encoders: every encode runs on a batch of B sequences, carried from
 # embedding to pooling as packed rows (R, d): the real rows of every sequence
-# laid end to end, with one length per sequence. Only the cross-encoder's
-# attention spreads them into a padded (B, H, L, L) layout, with heads as an
-# axis.
+# laid end to end, with one length per sequence. No layer pads: the
+# cross-encoder's attention runs each group of equal-length sequences as one
+# dense block.
 
 
 def embed_text(seqs: list[TokenSeq], params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
@@ -223,20 +223,6 @@ def embed_nodes_shapes(graphs: list[ArchGraph], params: dict[str, Tensor],
         for k in range(4):
             feats = feats + ad.gather_rows(params[f"arch.shape_emb.{k}"], buckets[:, k])
     return feats
-
-
-def _heads(rows: Tensor, batch: int, heads: int, keys: bool = False) -> Tensor:
-    """(batch*L, H*dh) rows as per-head blocks (batch, H, L, dh); keys come
-    transposed, (batch, H, dh, L), ready for the score product."""
-    n, d = rows.shape
-    split = ad.reshape(rows, (batch, n // batch, heads, d // heads))
-    return ad.permute(split, (0, 2, 3, 1) if keys else (0, 2, 1, 3))
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    """(B, H, L, dh) per-head blocks back to (B*L, H*dh) rows."""
-    b, h, n, dh = x.shape
-    return ad.reshape(ad.permute(x, (0, 2, 1, 3)), (b * n, h * dh))
 
 
 def _gat_edges(edges: np.ndarray, rows: int) -> tuple[np.ndarray, ad.Segments, np.ndarray]:
@@ -277,8 +263,7 @@ def gat_forward(feats: Tensor, edges: np.ndarray, params: dict[str, Tensor],
         # a row differently depending on its position in the batch
         own, other = (ad.sum_(wh * ad.reshape(ad.slice_cols(a, lo, lo + dh), (1, heads, dh)),
                               axis=-1) for lo in (0, dh))
-        logits = ad.leaky_relu(ad.gather_rows(own, seg.ids) + ad.gather_rows(other, source),
-                               slope=0.2)
+        logits = ad.leaky_relu(ad.edge_scores(own, other, source, seg, reverse), slope=0.2)
         alpha = ad.segment_softmax(logits, seg)
         mixed = ad.neighbour_mix(alpha, wh, source, seg, reverse)
         x = x + ad.reshape(mixed, (r, d)) @ params[f"gat.{layer}.proj"]
@@ -286,37 +271,16 @@ def gat_forward(feats: Tensor, edges: np.ndarray, params: dict[str, Tensor],
 
 
 def _project(x: Tensor, params: dict[str, Tensor], prefix: str, gate: str) -> Tensor:
-    return x @ params[f"{prefix}.w{gate}"] + params[f"{prefix}.b{gate}"]
-
-
-def _attend(q: Tensor, keys_t: Tensor, values: Tensor, mask: np.ndarray) -> Tensor:
-    """Scaled dot-product attention, all heads at once: q (B, H, Lq, dh),
-    keys_t (B, H, dh, Lk), values (B, H, Lk, dh); `mask` broadcasts to
-    (B, H, Lq, Lk). Returns the heads merged, (B*Lq, d), before the output
-    projection."""
-    # scaling q, not the (Lq, Lk) scores, keeps one score-sized array off the tape
-    attn = ad.softmax_masked((q * (1.0 / math.sqrt(q.shape[-1]))) @ keys_t, mask)
-    return _merge_heads(attn @ values)
+    return ad.linear(x, params[f"{prefix}.w{gate}"], params[f"{prefix}.b{gate}"])
 
 
 def _ffn(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
-    h = ad.leaky_relu(x @ params[f"{prefix}.w1"] + params[f"{prefix}.b1"], slope=0.2)
-    return h @ params[f"{prefix}.w2"] + params[f"{prefix}.b2"]
+    h = ad.leaky_relu(ad.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]), slope=0.2)
+    return ad.linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
 def _ln(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
     return ad.layer_norm(x, params[f"{prefix}.scale"], params[f"{prefix}.bias"])
-
-
-def _pack(x: Tensor, rows: np.ndarray) -> Tensor:
-    """The listed real rows of padded rows x; x itself when none is padding."""
-    return x if len(rows) == x.shape[0] else ad.take_rows(x, rows)
-
-
-def _spread(x: Tensor, rows: np.ndarray, n: int) -> Tensor:
-    """Packed rows x placed at `rows` of n padded rows, zero elsewhere; x
-    itself when none is padding."""
-    return x if len(rows) == n else ad.pad_rows(x, rows, n)
 
 
 def cross_encode(x: Tensor, lengths, params: dict[str, Tensor],
@@ -325,31 +289,22 @@ def cross_encode(x: Tensor, lengths, params: dict[str, Tensor],
     holds B sequences end to end, lengths[b] rows each; the result has the
     same layout.
 
-    The same weights serve both modalities. Row-wise layers run on the
-    packed rows; attention spreads them into the padded (B, H, L, L) layout,
-    where padding is never a key, and takes the real rows back. Identity
-    when the cross-encoder ablation is active.
+    The same weights serve both modalities. Every layer runs on the packed
+    rows; attention runs each group of equal-length sequences as one dense
+    block, so no row is ever padding. Identity when the cross-encoder
+    ablation is active.
     """
     if cfg.no_cross_encoder:
         return x
     lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.sum() != x.shape[0]:
-        raise ValueError(f"sequence lengths add up to {lengths.sum()}, not {x.shape[0]} rows")
-    b, n = len(lengths), int(lengths.max())
-    if n > max(cfg.max_tokens, cfg.max_nodes):
-        raise ValueError(f"sequence of {n} exceeds encoder limit")
-    real = np.arange(n) < lengths[:, None]
-    key_mask = real[:, None, None, :]
-    rows = np.flatnonzero(real)
-    heads = cfg.cross_heads
+    if lengths.max() > max(cfg.max_tokens, cfg.max_nodes):
+        raise ValueError(f"sequence of {lengths.max()} exceeds encoder limit")
     for layer in range(cfg.cross_layers):
         prefix = f"cross.{layer}.attn"
         y = _ln(x, params, f"cross.{layer}.ln.attn")
-        q, k, v = (_spread(_project(y, params, prefix, gate), rows, b * n)
-                   for gate in ("q", "k", "v"))
-        att = _attend(_heads(q, b, heads), _heads(k, b, heads, keys=True), _heads(v, b, heads),
-                      key_mask)
-        x = x + _project(_pack(att, rows), params, prefix, "o")
+        q, k, v = (_project(y, params, prefix, gate) for gate in ("q", "k", "v"))
+        att = ad.attention(q, k, v, cfg.cross_heads, lengths=lengths)
+        x = x + _project(att, params, prefix, "o")
         y = _ln(x, params, f"cross.{layer}.ln.ffn")
         x = x + _ffn(y, params, f"cross.{layer}.ffn")
     return x
@@ -411,8 +366,8 @@ def encode_graph(g: ArchGraph, params: dict[str, Tensor],
 # ---------------------------------------------------------------------------
 # frozen encode core: every task that scores pooled embeddings reads them here
 
-# Items per frozen encode: batching pays for the padding, and a fixed chunk
-# keeps peak memory flat however many items there are.
+# Items per frozen encode: batching spreads each op's fixed cost over the
+# chunk, and a fixed chunk keeps peak memory flat however many items there are.
 _EMBED_CHUNK = 8
 
 
@@ -448,14 +403,14 @@ def caption_ids(g: ArchGraph, model: Model, beam: int, max_len: int) -> list[int
 
 def mam_logits(h_g: Tensor, params: dict[str, Tensor]) -> Tensor:
     """Per-node logits over the node vocabulary; shape (m, node_vocab_size)."""
-    return h_g @ params["head.mam.proj.w"] + params["head.mam.proj.b"]
+    return ad.linear(h_g, params["head.mam.proj.w"], params["head.mam.proj.b"])
 
 
 def aqa_logits(j_t: Tensor, j_g: Tensor, params: dict[str, Tensor]) -> Tensor:
     """Answer logits from the elementwise product of the pooled pair."""
-    h = ad.leaky_relu((j_t * j_g) @ params["head.aqa.fc1.w"] + params["head.aqa.fc1.b"],
+    h = ad.leaky_relu(ad.linear(j_t * j_g, params["head.aqa.fc1.w"], params["head.aqa.fc1.b"]),
                       slope=0.2)
-    return h @ params["head.aqa.fc2.w"] + params["head.aqa.fc2.b"]
+    return ad.linear(h, params["head.aqa.fc2.w"], params["head.aqa.fc2.b"])
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +419,10 @@ def aqa_logits(j_t: Tensor, j_g: Tensor, params: dict[str, Tensor]) -> Tensor:
 
 def _decoder_cross(h_g: Tensor, g_pad_mask, params: dict[str, Tensor],
                    cfg: ModelConfig) -> tuple[Tensor, Tensor, np.ndarray]:
-    """The graph side of cross-attention: per-head keys and values over H_g,
-    plus its key mask. It does not depend on the tokens, so a caption
-    computes it once."""
-    k = _project(h_g, params, "dec.xattn", "k")
-    v = _project(h_g, params, "dec.xattn", "v")
-    return (_heads(k, 1, cfg.dec_heads, keys=True), _heads(v, 1, cfg.dec_heads),
+    """The graph side of cross-attention: key and value rows over H_g, plus
+    its key mask. It does not depend on the tokens, so a caption computes it
+    once."""
+    return (_project(h_g, params, "dec.xattn", "k"), _project(h_g, params, "dec.xattn", "v"),
             np.asarray(g_pad_mask, dtype=bool))
 
 
@@ -480,26 +433,28 @@ def _decoder_layer(x: Tensor, past: tuple[Tensor, Tensor] | None, self_mask: np.
     cached in `past` followed by `x`'s own, cross-attention over the graph,
     then the feed-forward net. All rows form one attention batch.
     Returns the block output and the extended self-attention (K, V) rows;
-    `self_mask` is (rows of x, rows of K)."""
+    `self_mask` is (rows of x, rows of K), `cross` what `_decoder_cross`
+    gives."""
     heads = cfg.dec_heads
     y = _ln(x, params, "dec.ln.self")
     k = _project(y, params, "dec.attn", "k")
     v = _project(y, params, "dec.attn", "v")
     if past is not None:
         k, v = ad.concat([past[0], k]), ad.concat([past[1], v])
-    q = _heads(_project(y, params, "dec.attn", "q"), 1, heads)
-    x = x + _project(_attend(q, _heads(k, 1, heads, keys=True), _heads(v, 1, heads),
-                             self_mask), params, "dec.attn", "o")
+    att = ad.attention(_project(y, params, "dec.attn", "q"), k, v, heads, mask=self_mask)
+    x = x + _project(att, params, "dec.attn", "o")
     y = _ln(x, params, "dec.ln.xattn")
-    q = _heads(_project(y, params, "dec.xattn", "q"), 1, heads)
-    x = x + _project(_attend(q, *cross), params, "dec.xattn", "o")
+    cross_k, cross_v, cross_mask = cross
+    att = ad.attention(_project(y, params, "dec.xattn", "q"), cross_k, cross_v, heads,
+                       mask=cross_mask)
+    x = x + _project(att, params, "dec.xattn", "o")
     y = _ln(x, params, "dec.ln.ffn")
     return x + _ffn(y, params, "dec.ffn"), (k, v)
 
 
 def _decoder_out(x: Tensor, params: dict[str, Tensor]) -> Tensor:
-    h = ad.leaky_relu(x @ params["dec.out.fc1.w"] + params["dec.out.fc1.b"], slope=0.2)
-    return h @ params["dec.out.fc2.w"] + params["dec.out.fc2.b"]
+    h = ad.leaky_relu(ad.linear(x, params["dec.out.fc1.w"], params["dec.out.fc1.b"]), slope=0.2)
+    return ad.linear(h, params["dec.out.fc2.w"], params["dec.out.fc2.b"])
 
 
 def decoder_logits(h_g: Tensor, g_pad_mask, input_ids, params: dict[str, Tensor],

@@ -35,6 +35,18 @@ def _param(rng, *shape) -> Tensor:
     return Tensor(rng.standard_normal(shape), requires_grad=True)
 
 
+def _weights(scores, mask=None) -> np.ndarray:
+    """The weights one-head `attention` gives keys with these (Lq, Lk)
+    scores, Lk <= 16, read off its output: with 16 columns, keys 4·I and
+    values I, the scaled scores and the mix are exact."""
+    scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    lq, lk = scores.shape
+    eye = np.eye(lk, 16)
+    q = np.zeros((lq, 16))
+    q[:, :lk] = scores
+    return ad.attention(Tensor(q), Tensor(4.0 * eye), Tensor(eye), 1, mask=mask).data[:, :lk]
+
+
 class TestClosedForms:
     def test_square(self):
         x = Tensor(3.0, requires_grad=True)
@@ -106,13 +118,32 @@ class TestOpGradients:
         np.testing.assert_array_equal(below.grad, np.zeros(3))
 
     def test_masked_softmax(self):
+        # attention's masked form, with more keys than queries
         for rng, n, m in self._shapes():
-            cols = m + 1  # at least two columns so a mask can vary
-            a = _param(rng, n, cols)
-            mask = rng.random((n, cols)) > 0.3
+            keys = n + m
+            q = _param(rng, n, 4)
+            k, v = _param(rng, keys, 4), _param(rng, keys, 4)
+            mask = rng.random((n, keys)) > 0.3
             mask[:, 0] = True
-            w = Tensor(rng.standard_normal((n, cols)))
-            check_grad(lambda: ad.sum_(ad.softmax_masked(a, mask) * w), [a])
+            w = Tensor(rng.standard_normal((n, 4)))
+            check_grad(lambda: ad.sum_(ad.attention(q, k, v, 2, mask=mask) * w), [q, k, v])
+
+    def test_attention_over_lengths(self):
+        # one-row sequences, repeated lengths, and groups whose rows are
+        # contiguous or interleaved with other lengths
+        rng = np.random.default_rng(16)
+        for lengths in ([1], [3], [2, 1, 2], [1, 3, 1, 3, 2], [4, 4, 1]):
+            rows = sum(lengths)
+            q, k, v = (_param(rng, rows, 4) for _ in range(3))
+            w = Tensor(rng.standard_normal((rows, 4)))
+            check_grad(lambda: ad.sum_(ad.attention(q, k, v, 2, lengths=lengths) * w),
+                       [q, k, v])
+
+    def test_linear(self):
+        for rng, n, m in self._shapes():
+            x, w, b = _param(rng, n, m), _param(rng, m, m + 1), _param(rng, 1, m + 1)
+            out_w = Tensor(rng.standard_normal((n, m + 1)))
+            check_grad(lambda: ad.sum_(ad.linear(x, w, b) * out_w), [x, w, b])
 
     def test_log_softmax(self):
         for rng, n, m in self._shapes():
@@ -127,6 +158,12 @@ class TestOpGradients:
             ids = rng.integers(0, 6, size=5)
             w = Tensor(rng.standard_normal((5, 4)))
             check_grad(lambda: ad.sum_(ad.gather_rows(table, ids) * w), [table])
+            # against unbuffered scattered adds, up to the rounding of a sum
+            # taken in another order
+            want, bound = np.zeros_like(table.data), np.zeros_like(table.data)
+            np.add.at(want, ids, w.data)
+            np.add.at(bound, ids, np.abs(w.data))
+            assert (np.abs(table.grad - want) <= 4 * np.finfo(float).eps * bound).all()
 
     def test_take_rows(self):
         rng = np.random.default_rng(11)
@@ -135,14 +172,6 @@ class TestOpGradients:
             rows = np.flatnonzero(rng.random(6) < 0.6)
             w = Tensor(rng.standard_normal((len(rows), 3)))
             check_grad(lambda: ad.sum_(ad.take_rows(a, rows) * w), [a])
-
-    def test_pad_rows(self):
-        rng = np.random.default_rng(12)
-        for _ in range(10):
-            rows = np.flatnonzero(rng.random(7) < 0.6)
-            a = _param(rng, len(rows), 3)
-            w = Tensor(rng.standard_normal((7, 3)))
-            check_grad(lambda: ad.sum_(ad.pad_rows(a, rows, 7) * w), [a])
 
     def test_segment_sum(self):
         rng = np.random.default_rng(15)
@@ -176,6 +205,19 @@ class TestOpGradients:
             check_grad(lambda: ad.sum_(ad.neighbour_mix(alpha, values, source, seg, reverse)
                                        * w), [alpha, values])
 
+    def test_edge_scores(self):
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            r = int(rng.integers(1, 6))
+            adj = rng.random((r, r)) < 0.4
+            target, source = np.argwhere(adj | adj.T | np.eye(r, dtype=bool)).T
+            seg = ad.segments(target)
+            reverse = np.lexsort((target, source))
+            own, other = _param(rng, r, 2), _param(rng, r, 2)
+            w = Tensor(rng.standard_normal((len(target), 2)))
+            check_grad(lambda: ad.sum_(ad.edge_scores(own, other, source, seg, reverse) * w),
+                       [own, other])
+
     def test_slice_concat(self):
         for rng, n, m in self._shapes():
             a = _param(rng, n, 2 * m)
@@ -200,33 +242,74 @@ class TestOpGradients:
 
 
 class TestMaskedSoftmaxSemantics:
+    """The softmax inside attention's masked form, read off through `_weights`."""
+
     def test_symmetric_pair(self):
-        p = ad.softmax_masked(Tensor([[1.7, 1.7]]), np.array([[True, True]]))
-        np.testing.assert_allclose(p.data, [[0.5, 0.5]])
+        np.testing.assert_allclose(_weights([[1.7, 1.7]]), [[0.5, 0.5]])
+        np.testing.assert_allclose(_weights(np.full((3, 4), -2.5)), 0.25)
 
     def test_single_unmasked_entry(self):
-        p = ad.softmax_masked(Tensor([[5.0, -2.0, 0.1]]),
-                              np.array([[False, True, False]]))
-        np.testing.assert_allclose(p.data, [[0.0, 1.0, 0.0]])
+        p = _weights([[5.0, -2.0, 0.1]], np.array([[False, True, False]]))
+        np.testing.assert_allclose(p, [[0.0, 1.0, 0.0]])
 
     def test_masked_positions_exactly_zero(self):
         rng = np.random.default_rng(0)
-        logits = Tensor(rng.standard_normal((4, 6)) * 30)
         mask = rng.random((4, 6)) > 0.4
         mask[:, 2] = True
-        p = ad.softmax_masked(logits, mask)
-        assert (p.data[~mask] == 0.0).all()
-        np.testing.assert_allclose(p.data.sum(axis=-1), 1.0)
+        p = _weights(rng.standard_normal((4, 6)) * 30, mask)
+        assert (p[~mask] == 0.0).all()
+        np.testing.assert_allclose(p.sum(axis=-1), 1.0)
+        # and a masked key's value never reaches the output
+        q, k, v = (rng.standard_normal((6, 4)) for _ in range(3))
+        out = ad.attention(Tensor(q[:4]), Tensor(k), Tensor(v), 2, mask=mask).data
+        v[~mask.any(axis=0)] = 1e6
+        again = ad.attention(Tensor(q[:4]), Tensor(k), Tensor(v), 2, mask=mask).data
+        np.testing.assert_array_equal(out, again)
 
     def test_single_row_keeps_its_shape(self):
-        p = ad.softmax_masked(Tensor([math.log(1.0), math.log(3.0), 7.0]),
-                              np.array([True, True, False]))
-        assert p.shape == (3,)
-        np.testing.assert_allclose(p.data, [0.25, 0.75, 0.0])
+        # one query row against a key mask of one dimension
+        p = _weights([math.log(1.0), math.log(3.0), 7.0], np.array([True, True, False]))
+        assert p.shape == (1, 3)
+        np.testing.assert_allclose(p, [[0.25, 0.75, 0.0]])
 
     def test_all_masked_row_rejected(self):
         with pytest.raises(ValueError, match="masked"):
-            ad.softmax_masked(Tensor([[1.0, 2.0]]), np.array([[False, False]]))
+            _weights([[1.0, 2.0]], np.array([[False, False]]))
+
+
+class TestAttention:
+    def test_matches_per_sequence_reference(self):
+        rng = np.random.default_rng(2)
+        lengths = [3, 1, 5, 3, 2, 5]
+        q, k, v = (rng.standard_normal((sum(lengths), 8)) for _ in range(3))
+        out = ad.attention(Tensor(q), Tensor(k), Tensor(v), 2, lengths=lengths).data
+        start = 0
+        for n in lengths:
+            rows = slice(start, start + n)
+            for cols in (slice(0, 4), slice(4, 8)):
+                s = q[rows, cols] @ k[rows, cols].T / 2.0
+                p = np.exp(s - s.max(axis=1, keepdims=True))
+                want = (p / p.sum(axis=1, keepdims=True)) @ v[rows, cols]
+                np.testing.assert_allclose(out[rows, cols], want, rtol=1e-13, atol=1e-15)
+            start += n
+
+    def test_sequence_bits_alone_equal_in_a_mixed_batch(self):
+        rng = np.random.default_rng(3)
+        lengths = [3, 1, 5, 3, 2, 5, 3]
+        q, k, v = (rng.standard_normal((sum(lengths), 8)) for _ in range(3))
+        batch = ad.attention(Tensor(q), Tensor(k), Tensor(v), 4, lengths=lengths).data
+        start = 0
+        for n in lengths:
+            rows = slice(start, start + n)
+            alone = ad.attention(Tensor(q[rows]), Tensor(k[rows]), Tensor(v[rows]), 4,
+                                 lengths=[n]).data
+            assert np.array_equal(batch[rows], alone)
+            start += n
+
+    def test_mask_and_lengths_are_exclusive(self):
+        a = Tensor(np.ones((2, 2)))
+        with pytest.raises(ValueError, match="mask"):
+            ad.attention(a, a, a, 1, lengths=[2], mask=np.ones((2, 2), dtype=bool))
 
 
 class TestLayerNormSemantics:
@@ -250,12 +333,6 @@ class TestFiniteness:
 
 
 class TestRowAndSegmentOps:
-    def test_pad_then_take_is_identity(self):
-        a = Tensor(np.arange(6.0).reshape(3, 2))
-        padded = ad.pad_rows(a, [0, 2, 3], 5)
-        np.testing.assert_array_equal(padded.data[[1, 4]], 0.0)
-        np.testing.assert_array_equal(ad.take_rows(padded, [0, 2, 3]).data, a.data)
-
     def test_segment_softmax_matches_masked_softmax(self):
         # each segment is one row of a masked softmax over its entries
         rng = np.random.default_rng(0)
@@ -267,7 +344,7 @@ class TestRowAndSegmentOps:
         for i, (lo, hi) in enumerate(zip(seg.starts, [1, 4, 9])):
             dense[i, lo:hi] = logits[lo:hi]
             mask[i, lo:hi] = True
-        want = ad.softmax_masked(Tensor(dense), mask).data[mask]
+        want = _weights(dense, mask)[mask]
         np.testing.assert_allclose(ad.segment_softmax(Tensor(logits), seg).data, want,
                                    rtol=1e-14, atol=0)
 
@@ -283,8 +360,8 @@ class TestRowAndSegmentOps:
     @pytest.mark.parametrize("call", [
         lambda a: ad.take_rows(a, [1, 1]),
         lambda a: ad.take_rows(a, [2, 0]),
-        lambda a: ad.pad_rows(a, [0, 4, 5], 5),
-        lambda a: ad.pad_rows(a, [0, 1], 5),
+        lambda a: ad.attention(a, a, a, 1, lengths=[1, 1]),
+        lambda a: ad.attention(a, a, a, 1, lengths=[3, 0]),
         lambda a: ad.segments([1, 1, 2]),
         lambda a: ad.segments([0, 2, 2]),
         lambda a: ad.segments([0, 1, 0]),
@@ -300,12 +377,21 @@ class TestRowAndSegmentOps:
 
     @pytest.mark.parametrize("op, shape, call", [
         ("take_rows", (2, 2), lambda a: ad.take_rows(a, [0, 1])),
-        ("pad_rows", (2, 2), lambda a: ad.pad_rows(a, [0, 1], 3)),
+        ("attention", (2, 2), lambda a: ad.attention(a, a, a, 1, lengths=[2])),
         ("segment_softmax", (2, 2), lambda a: ad.segment_softmax(a, ad.segments([0, 1]))),
         ("neighbour_mix", (2, 2, 1), lambda a: ad.neighbour_mix(
             Tensor(np.ones((2, 2))), a, np.array([0, 1]), ad.segments([0, 1]),
             np.array([0, 1]))),
         ("segment_sum", (2, 2), lambda a: ad.segment_sum(a, ad.segments([0, 1]))),
+        ("attention", (2, 2), lambda a: ad.attention(Tensor(np.ones((3, 2))), a, a, 2,
+                                                     mask=np.ones(2, dtype=bool))),
+        ("layer_norm", (2, 2), lambda a: ad.layer_norm(a, Tensor(np.ones((1, 2))),
+                                                       Tensor(np.zeros((1, 2))))),
+        ("linear", (2, 2), lambda a: ad.linear(a, Tensor(np.ones((2, 3))),
+                                               Tensor(np.zeros((1, 3))))),
+        ("edge_scores", (2, 2), lambda a: ad.edge_scores(
+            a, Tensor(np.ones((2, 2))), np.array([0, 1]), ad.segments([0, 1]),
+            np.array([0, 1]))),
     ])
     def test_non_finite_output_names_the_op(self, op, shape, call):
         a = Tensor(np.ones(shape))
@@ -389,6 +475,5 @@ def test_sigmoid_extreme_values_stable():
 
 
 def test_repeated_softmax_rows_match_math():
-    logits = Tensor([[math.log(1.0), math.log(3.0)]])
-    p = ad.softmax_masked(logits, np.array([[True, True]]))
-    np.testing.assert_allclose(p.data, [[0.25, 0.75]])
+    p = _weights([[math.log(1.0), math.log(3.0)]] * 2, np.array([[True, True]]))
+    np.testing.assert_allclose(p, [[0.25, 0.75]] * 2)

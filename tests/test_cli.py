@@ -172,6 +172,22 @@ class TestEval:
                         "--checkpoint", str(ckpt), "--out", str(o)]) == 0
         assert o1.read_bytes() == o2.read_bytes()
 
+    def test_model_decides_at_the_bundle_tau(self, tmp_path, pretrained, capsys):
+        data, ckpt = pretrained
+        config = json.loads((ckpt / "config.json").read_text())
+        config["tau"] = 0.3
+        (ckpt / "config.json").write_text(json.dumps(config))
+
+        def metrics(*tau):
+            capsys.readouterr()
+            assert run(["eval", "--task", "ar", "--dataset", str(data),
+                        "--checkpoint", str(ckpt), *tau]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        assert metrics() == metrics("--tau", "0.3")
+        # the two thresholds decide differently on this data
+        assert metrics() != metrics("--tau", "0.5")
+
     def test_baseline_acd_jaccard(self, tmp_path, cfg_file, capsys):
         data = _gen(tmp_path, cfg_file, "acd", "acd.jsonl")
         capsys.readouterr()
@@ -361,6 +377,19 @@ class TestErrors:
         # gen runs no model, and search runs the bundle's model as saved
         assert run([*argv, switch]) == 1
         assert switch.split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "build", "--checkpoint", "ckpt", "--dataset", "d.jsonl", "--out", "i.abix"],
+        ["reason", "--checkpoint", "ckpt", "--graph", "g.json", "--text", "conv"],
+        ["clone", "--checkpoint", "ckpt", "--g1", "g.json", "--g2", "g.json"],
+        ["qa", "--checkpoint", "ckpt", "--graph", "g.json", "--question", "which ops"],
+        ["caption", "--checkpoint", "ckpt", "--graph", "g.json"],
+    ])
+    @pytest.mark.parametrize("flag", ["--config=c.ini", "--seed=5"])
+    def test_config_or_seed_where_unread_is_usage_error(self, argv, flag, capsys):
+        # these run a saved bundle, whose config and seed are fixed
+        assert run([*argv, flag]) == 1
+        assert flag.split("=")[0] in capsys.readouterr().err
 
     def test_invalid_graph_record_is_data_error(self, tmp_path, cfg_file, capsys):
         data = _gen(tmp_path, cfg_file, "autonet", "d.jsonl")

@@ -177,6 +177,16 @@ def _reference_mask(g, use_edges):
     return mask
 
 
+def _dense_masked_softmax(logits, mask):
+    """Softmax along the last axis over the mask-true entries of a dense
+    grid, with its gradient; masked entries get exactly zero."""
+    z = np.where(mask, logits.data, -np.inf)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    return Tensor._from_op(p, (logits,), lambda g: (
+        (logits, p * (g - (g * p).sum(axis=-1, keepdims=True))),), "dense_masked_softmax")
+
+
 def _dense_gat_reference(x, mask, params, cfg):
     """The GAT over a dense (heads, m, m) grid, as this package computed it
     before the edge-list form, for one graph: x (m, d) rows, mask (m, m)
@@ -191,7 +201,7 @@ def _dense_gat_reference(x, mask, params, cfg):
         own, other = (ad.sum_(wh * ad.reshape(ad.slice_cols(a, lo, lo + dh), (heads, 1, dh)),
                               axis=-1, keepdims=True) for lo in (0, dh))
         logits = ad.leaky_relu(own + ad.permute(other, (0, 2, 1)), slope=0.2)
-        alpha = ad.softmax_masked(logits, mask[None])
+        alpha = _dense_masked_softmax(logits, mask[None])
         mixed = ad.reshape(ad.permute(alpha @ wh, (1, 0, 2)), (m, d))
         x = x + mixed @ params[f"gat.{layer}.proj"]
     return x
@@ -283,7 +293,7 @@ class TestCrossEncode:
         x2[0] += 17.0
         out2 = cross_encode(Tensor(x2), [3, 2], tiny_model.params, cfg)
         np.testing.assert_array_equal(out1.data[3:], out2.data[3:])
-        # the padding that attention adds to the shorter sequence is never a key
+        # and they are what the sequence gets alone
         alone = cross_encode(Tensor(x[3:]), [2], tiny_model.params, cfg)
         np.testing.assert_allclose(out1.data[3:], alone.data, rtol=0, atol=1e-12)
 
@@ -424,8 +434,8 @@ class TestEndToEnd:
 
 
 # ---------------------------------------------------------------------------
-# the batched encode core: padded batches must give every sample what it
-# gets alone
+# the batched encode core: mixed-length batches must give every sample what
+# it gets alone
 
 
 SMALL_OPS = ("conv2d", "relu", "maxpool2d", "linear", "gelu", "avgpool2d", "batchnorm2d")
@@ -441,7 +451,7 @@ def _mixed_graphs(gcfg, sizes):
 
 
 def _batch_terms(model, cfg, seqs, graphs, plans, ys, targets):
-    """Per-sample pooled vectors and loss terms of one padded batch."""
+    """Per-sample pooled vectors and loss terms of one batch."""
     _, j_t = encode_texts(seqs, model.params, cfg)
     _, j_g = encode_graphs(graphs, model.params, cfg)
     masked = [ArchGraph(nodes=[MASK_NODE_ID if i in p.positions else n
@@ -461,8 +471,8 @@ def _batch_terms(model, cfg, seqs, graphs, plans, ys, targets):
 class TestBatchedCore:
     @pytest.fixture
     def tiny(self):
-        """The configuration of acceptance criterion 1, and a padded batch of
-        3 samples with different node counts and text lengths."""
+        """The configuration of acceptance criterion 1, and a batch of 3
+        samples with different node counts and text lengths."""
         gcfg = GenConfig(rng_seed=1, ops=SMALL_OPS, min_nodes=2, max_nodes=4)
         vocab = TextVocab(["tiny", "net", "words"])
         cfg = ModelConfig(node_vocab_size=len(gcfg.node_vocab()), text_vocab_size=len(vocab),
@@ -508,7 +518,7 @@ class TestBatchedCore:
             numeric = finite_diff(lambda: build().item(), [model.params[name]])[0]
             assert rel_err(analytic[name], numeric) <= 1e-4, name
 
-        # every parameter: the padded batch's gradient is the mean of the
+        # every parameter: the batch's gradient is the mean of the
         # samples' gradients, each encoded alone
         def one_by_one():
             terms = [_batch_terms(model, cfg, seqs[i:i + 1], graphs[i:i + 1], plans[i:i + 1],
@@ -541,18 +551,16 @@ class TestBatchedCore:
             unpadded = encode_texts([TokenSeq(seq.ids[:n], seq.pad_mask[:n])], params, cfg)[1]
             np.testing.assert_allclose(j_t.data[row], unpadded.data[0], rtol=0, atol=1e-12)
 
-    def test_unpadded_batch_adds_no_scatter(self, tiny, monkeypatch):
+    def test_mixed_length_batch_takes_no_rows(self, tiny, monkeypatch):
+        # no layer pads, so no encode has padding rows to select away
         model, cfg, seqs, graphs, *_ = tiny
 
-        def scatter(*args):
-            raise AssertionError("scatter op on a batch without padding")
+        def take_rows(*args):
+            raise AssertionError("an encode selected rows")
 
-        monkeypatch.setattr(ad, "pad_rows", scatter)
-        monkeypatch.setattr(ad, "take_rows", scatter)
-        encode_graphs(graphs[:1], model.params, cfg)
-        encode_texts([seqs[0], seqs[0]], model.params, cfg)
-        with pytest.raises(AssertionError, match="scatter"):
-            encode_graphs(graphs, model.params, cfg)
+        monkeypatch.setattr(ad, "take_rows", take_rows)
+        encode_texts(seqs, model.params, cfg)
+        encode_graphs(graphs, model.params, cfg)
 
     def test_longer_batch_mate_changes_nothing_else(self, tiny):
         model, cfg, seqs, graphs, plans, ys, targets = tiny
