@@ -235,12 +235,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     ), "linear")
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ValueError("transpose expects a 2-D tensor")
-    return permute(a, (1, 0))
-
-
 # ---------------------------------------------------------------------------
 # reductions
 

@@ -299,11 +299,6 @@ def parse_graph(text: str, vocab: NodeVocab) -> ArchGraph:
     return graph_from_obj(doc, vocab)
 
 
-def serialize_graph(g: ArchGraph, vocab: NodeVocab) -> str:
-    """Canonical JSON form: nodes in stored order, edges sorted lexicographically."""
-    return json.dumps(graph_to_obj(g, vocab), indent=1) + "\n"
-
-
 def to_dot(g: ArchGraph, vocab: NodeVocab) -> str:
     """DOT digraph text for external rendering tools."""
     lines = ["digraph arch {"]

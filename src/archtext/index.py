@@ -20,6 +20,8 @@ from .text import TextVocab
 
 MAGIC = b"ABIX"
 VERSION = 1
+# magic, version, d, count, then the 32-byte checkpoint fingerprint
+_HEADER_BYTES = 48
 
 
 class IndexError_(ValueError):
@@ -107,14 +109,16 @@ def load_index(path: str) -> EmbeddingIndex:
         blob = f.read()
     if blob[:4] != MAGIC:
         raise IndexError_(f"{path}: bad magic {blob[:4]!r}, expected {MAGIC!r}")
+    if len(blob) < _HEADER_BYTES:
+        raise IndexError_(f"{path}: truncated header of {len(blob)} bytes")
     try:
         (version,) = struct.unpack_from("<I", blob, 4)
         if version != VERSION:
             raise IndexError_(f"{path}: unsupported version {version}")
         (d,) = struct.unpack_from("<I", blob, 8)
         (count,) = struct.unpack_from("<I", blob, 12)
-        fingerprint = blob[16:48]
-        offset = 48
+        fingerprint = blob[16:_HEADER_BYTES]
+        offset = _HEADER_BYTES
         ids, rows = [], []
         for _ in range(count):
             (id_len,) = struct.unpack_from("<I", blob, offset)

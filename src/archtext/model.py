@@ -194,13 +194,12 @@ class Model:
 
 
 def embed_text(seqs: list[TokenSeq], params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
-    """Token plus positional embeddings of each sequence's real tokens; packed
-    rows (R, d), one per real token of each sequence in turn."""
-    lengths = [s.real_length for s in seqs]
+    """Token plus positional embeddings of each sequence's tokens; packed rows
+    (R, d), one per token of each sequence in turn."""
+    lengths = [len(s.ids) for s in seqs]
     if max(lengths) > cfg.max_tokens:
         raise ValueError(f"sequence length {max(lengths)} exceeds max_tokens {cfg.max_tokens}")
-    tok = ad.gather_rows(params["text.tok_emb"],
-                         [i for s, n in zip(seqs, lengths) for i in s.ids[:n]])
+    tok = ad.gather_rows(params["text.tok_emb"], [i for s in seqs for i in s.ids])
     pos = ad.gather_rows(params["text.pos_emb"], [p for n in lengths for p in range(n)])
     return tok + pos
 
@@ -331,10 +330,9 @@ def cosine(j_a: Tensor, j_b: Tensor, eps: float = 1e-8) -> Tensor:
 
 def encode_texts(seqs: list[TokenSeq], params: dict[str, Tensor],
                  cfg: ModelConfig) -> tuple[Tensor, Tensor]:
-    """Text path for a batch: embeddings of the real tokens, cross encoding,
-    pooling. Returns (H_t (R, d), J_t (B, d)) for R the real tokens of all
-    texts."""
-    lengths = [s.real_length for s in seqs]
+    """Text path for a batch: token embeddings, cross encoding, pooling.
+    Returns (H_t (R, d), J_t (B, d)) for R the tokens of all texts."""
+    lengths = [len(s.ids) for s in seqs]
     h_t = cross_encode(embed_text(seqs, params, cfg), lengths, params, cfg)
     return h_t, pool(h_t, lengths)
 
@@ -353,7 +351,7 @@ def encode_graphs(graphs: list[ArchGraph], params: dict[str, Tensor],
 
 def encode_text(seq: TokenSeq, params: dict[str, Tensor],
                 cfg: ModelConfig) -> tuple[Tensor, Tensor]:
-    """One text as a batch of one. Returns (H_t (real length, d), J_t (1, d))."""
+    """One text as a batch of one. Returns (H_t (tokens, d), J_t (1, d))."""
     return encode_texts([seq], params, cfg)
 
 
@@ -393,8 +391,7 @@ def caption_ids(g: ArchGraph, model: Model, beam: int, max_len: int) -> list[int
     """Beam-decode one graph's caption token ids under constant parameters."""
     params = detach_params(model.params)
     h_g, _ = encode_graph(g, params, model.cfg)
-    return decode_beam(h_g, np.ones(g.num_nodes, dtype=bool), params, model.cfg,
-                       beam=beam, max_len=max_len)
+    return decode_beam(h_g, params, model.cfg, beam=beam, max_len=max_len)
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +414,10 @@ def aqa_logits(j_t: Tensor, j_g: Tensor, params: dict[str, Tensor]) -> Tensor:
 # decoder
 
 
-def _decoder_cross(h_g: Tensor, g_pad_mask, params: dict[str, Tensor],
-                   cfg: ModelConfig) -> tuple[Tensor, Tensor, np.ndarray]:
-    """The graph side of cross-attention: key and value rows over H_g, plus
-    its key mask. It does not depend on the tokens, so a caption computes it
-    once."""
-    return (_project(h_g, params, "dec.xattn", "k"), _project(h_g, params, "dec.xattn", "v"),
-            np.asarray(g_pad_mask, dtype=bool))
+def _decoder_cross(h_g: Tensor, params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
+    """The graph side of cross-attention: key and value rows over H_g. It
+    does not depend on the tokens, so a caption computes it once."""
+    return _project(h_g, params, "dec.xattn", "k"), _project(h_g, params, "dec.xattn", "v")
 
 
 def _decoder_layer(x: Tensor, past: tuple[Tensor, Tensor] | None, self_mask: np.ndarray,
@@ -444,9 +438,7 @@ def _decoder_layer(x: Tensor, past: tuple[Tensor, Tensor] | None, self_mask: np.
     att = ad.attention(_project(y, params, "dec.attn", "q"), k, v, heads, mask=self_mask)
     x = x + _project(att, params, "dec.attn", "o")
     y = _ln(x, params, "dec.ln.xattn")
-    cross_k, cross_v, cross_mask = cross
-    att = ad.attention(_project(y, params, "dec.xattn", "q"), cross_k, cross_v, heads,
-                       mask=cross_mask)
+    att = ad.attention(_project(y, params, "dec.xattn", "q"), *cross, heads)
     x = x + _project(att, params, "dec.xattn", "o")
     y = _ln(x, params, "dec.ln.ffn")
     return x + _ffn(y, params, "dec.ffn"), (k, v)
@@ -457,18 +449,18 @@ def _decoder_out(x: Tensor, params: dict[str, Tensor]) -> Tensor:
     return ad.linear(h, params["dec.out.fc2.w"], params["dec.out.fc2.b"])
 
 
-def decoder_logits(h_g: Tensor, g_pad_mask, input_ids, params: dict[str, Tensor],
+def decoder_logits(h_g: Tensor, input_ids, params: dict[str, Tensor],
                    cfg: ModelConfig) -> Tensor:
     """Teacher-forced decoder pass: causal self-attention over the token
-    prefix, cross-attention over the graph sequence, token logits out."""
+    prefix, cross-attention over every row of the graph sequence, token
+    logits out."""
     t = len(input_ids)
     if t > cfg.max_tokens:
         raise ValueError(f"decoder input of {t} exceeds max_tokens {cfg.max_tokens}")
     x = ad.gather_rows(params["dec.emb.tok"], list(input_ids))
     x = x + ad.gather_rows(params["dec.emb.pos"], list(range(t)))
     causal = np.tril(np.ones((t, t), dtype=bool))
-    x, _ = _decoder_layer(x, None, causal, _decoder_cross(h_g, g_pad_mask, params, cfg),
-                          params, cfg)
+    x, _ = _decoder_layer(x, None, causal, _decoder_cross(h_g, params), params, cfg)
     return _decoder_out(x, params)
 
 
@@ -504,7 +496,7 @@ def _reorder_cache(cache: tuple[Tensor, Tensor], parents: np.ndarray,
 _FORBIDDEN_DECODE_IDS = (PAD_ID, BOS_ID, MASK_ID)
 
 
-def decode_beam(h_g: Tensor, g_pad_mask, params: dict[str, Tensor], cfg: ModelConfig,
+def decode_beam(h_g: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
                 beam: int = 10, max_len: int = 16) -> list[int]:
     """Length-normalized beam search; returns the best token sequence
     (without the leading start token, ending in the end token).
@@ -521,7 +513,7 @@ def decode_beam(h_g: Tensor, g_pad_mask, params: dict[str, Tensor], cfg: ModelCo
         raise ValueError("max_len must be >= 1")
     max_len = min(max_len, cfg.max_tokens - 1)
     params = detach_params(params)
-    cross = _decoder_cross(Tensor(h_g.data), g_pad_mask, params, cfg)
+    cross = _decoder_cross(Tensor(h_g.data), params)
     allowed = np.array([i for i in range(cfg.text_vocab_size)
                         if i not in _FORBIDDEN_DECODE_IDS], dtype=np.int64)
     eos_only = np.array([EOS_ID], dtype=np.int64)

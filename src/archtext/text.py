@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .fileio import atomic_write
 
+# [PAD] is never emitted; it keeps id 0 so vocabulary files keep their layout
 PAD, UNK, BOS, EOS, MASK = "[PAD]", "[UNK]", "[BOS]", "[EOS]", "[MASK]"
 RESERVED_TOKENS = (PAD, UNK, BOS, EOS, MASK)
 PAD_ID, UNK_ID, BOS_ID, EOS_ID, MASK_ID = range(5)
@@ -69,23 +70,17 @@ class TextVocab:
 
 @dataclass(frozen=True)
 class TokenSeq:
-    """Fixed-length id sequence with a padding mask (True = real token)."""
+    """The ids of one text's tokens, [BOS] first and [EOS] last; no padding."""
 
     ids: tuple[int, ...]
-    pad_mask: tuple[bool, ...]
 
     def __post_init__(self):
-        if len(self.ids) != len(self.pad_mask):
-            raise ValueError("ids and pad_mask lengths differ")
-        n_real = sum(self.pad_mask)
-        if n_real < 1:
-            raise ValueError("sequence must contain at least one real token")
-        if any(self.pad_mask[i] for i in range(n_real, len(self.pad_mask))):
-            raise ValueError("padding must be a suffix")
+        if not self.ids:
+            raise ValueError("sequence must contain at least one token")
 
     @property
     def real_length(self) -> int:
-        return sum(self.pad_mask)
+        return len(self.ids)
 
 
 def build_vocab(corpus: list[str], max_size: int) -> TextVocab:
@@ -104,18 +99,11 @@ def build_vocab(corpus: list[str], max_size: int) -> TextVocab:
 
 
 def tokenize(text: str, vocab: TextVocab, max_len: int) -> TokenSeq:
-    """[BOS] words [EOS], truncated so [EOS] stays the final real token,
-    padded out to exactly max_len."""
+    """[BOS] words [EOS], truncated to max_len ids so [EOS] stays last."""
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
-    words = normalize(text)
-    ids = [BOS_ID] + [vocab.id_of(w) for w in words] + [EOS_ID]
-    if len(ids) > max_len:
-        ids = ids[: max_len - 1] + [EOS_ID]
-    n_real = len(ids)
-    ids = ids + [PAD_ID] * (max_len - n_real)
-    mask = [True] * n_real + [False] * (max_len - n_real)
-    return TokenSeq(ids=tuple(ids), pad_mask=tuple(mask))
+    ids = [BOS_ID] + [vocab.id_of(w) for w in normalize(text)]
+    return TokenSeq(ids=tuple(ids[:max_len - 1]) + (EOS_ID,))
 
 
 def detokenize(ids, vocab: TextVocab) -> str:

@@ -103,9 +103,8 @@ def test_criterion_1_gradient_suite():
 
     def loss_dec():
         h_g, _ = encode_graph(g, model.params, cfg)
-        logits = decoder_logits(h_g, np.ones(g.num_nodes, dtype=bool),
-                                cap.ids[:n_real - 1], model.params, cfg)
-        return decoder_loss(logits, cap.ids[1:n_real], [True] * (n_real - 1))
+        logits = decoder_logits(h_g, cap.ids[:n_real - 1], model.params, cfg)
+        return decoder_loss(logits, cap.ids[1:n_real])
 
     losses = [("similarity", loss_sim), ("masked-node", loss_mam),
               ("weighted-total", loss_total), ("answer-bce", loss_aqa),

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,8 @@ from archtext.graph import (
     PAD_NODE_ID,
     UNK_NODE_ID,
     attention_mask,
+    graph_to_obj,
     parse_graph,
-    serialize_graph,
     to_dot,
     topo_order,
     validate_graph,
@@ -182,17 +184,18 @@ class TestParseSerialize:
     def test_edge_order_canonicalized(self, vocab):
         a = '{"nodes": ["conv2d","relu","linear"], "edges": [[1,2],[0,1]], "shapes": [[0,0,0,0],[0,0,0,0],[0,0,0,0]]}'
         b = '{"nodes": ["conv2d","relu","linear"], "edges": [[0,1],[1,2]], "shapes": [[0,0,0,0],[0,0,0,0],[0,0,0,0]]}'
-        assert serialize_graph(parse_graph(a, vocab), vocab) == serialize_graph(parse_graph(b, vocab), vocab)
+        assert (json.dumps(graph_to_obj(parse_graph(a, vocab), vocab))
+                == json.dumps(graph_to_obj(parse_graph(b, vocab), vocab)))
 
     def test_round_trip_identity_on_generated_graphs(self, vocab):
         cfg = GenConfig(rng_seed=0, min_nodes=1, max_nodes=30)
         for i in range(200):
             rng = np.random.default_rng([31, i])
             g = gen_architecture(cfg, rng, name=f"g{i}")
-            text = serialize_graph(g, vocab)
+            text = json.dumps(graph_to_obj(g, vocab))
             assert parse_graph(text, vocab) == g
-            # serialize(parse(x)) is canonical and stable
-            assert serialize_graph(parse_graph(text, vocab), vocab) == text
+            # the document of parse(x) is canonical and stable
+            assert json.dumps(graph_to_obj(parse_graph(text, vocab), vocab)) == text
 
 
 def test_dot_export_mentions_every_node(vocab, chain_graph):

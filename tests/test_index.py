@@ -89,6 +89,16 @@ class TestFileFormat:
         with pytest.raises(IndexError_, match="trailing"):
             load_index(str(path))
 
+    @pytest.mark.parametrize("size", [4, 16, 21, 47])
+    def test_truncated_header_rejected(self, tmp_path, size):
+        # an empty index is its 48-byte header alone; any prefix of it is short
+        path = tmp_path / "short.abix"
+        save_index(EmbeddingIndex(d=8, ids=[], vectors=np.zeros((0, 8)), fingerprint=FP),
+                   str(path))
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(IndexError_, match=f"short.abix: truncated header of {size} bytes"):
+            load_index(str(path))
+
 
 class TestSearch:
     def test_fingerprint_mismatch_refused(self, setup):

@@ -34,7 +34,7 @@ from archtext.model import (
     set_params,
     shape_bucket,
 )
-from archtext.text import BOS_ID, EOS_ID, TextVocab, TokenSeq, build_vocab, tokenize
+from archtext.text import BOS_ID, EOS_ID, TextVocab, build_vocab, tokenize
 from archtext.training import (
     MaskPlan,
     TrainConfig,
@@ -547,9 +547,8 @@ class TestBatchedCore:
         seqs = [tokenize(t, vocab, cfg.max_tokens) for t in texts]
         _, j_t = encode_texts(seqs, params, cfg)
         for row, seq in enumerate(seqs):
-            n = seq.real_length
-            unpadded = encode_texts([TokenSeq(seq.ids[:n], seq.pad_mask[:n])], params, cfg)[1]
-            np.testing.assert_allclose(j_t.data[row], unpadded.data[0], rtol=0, atol=1e-12)
+            alone = encode_texts([seq], params, cfg)[1]
+            np.testing.assert_allclose(j_t.data[row], alone.data[0], rtol=0, atol=1e-12)
 
     def test_mixed_length_batch_takes_no_rows(self, tiny, monkeypatch):
         # no layer pads, so no encode has padding rows to select away
@@ -579,13 +578,13 @@ class TestBatchedCore:
                                            rtol=0, atol=1e-12, err_msg=key)
 
 
-def _greedy_reference(h_g, mask, params, cfg, max_len):
+def _greedy_reference(h_g, params, cfg, max_len):
     """Independent greedy decoder: argmax with smaller-id tie break."""
     forbidden = {0, BOS_ID, 4}
     ids = []
     const = detach_params(params)
     while True:
-        logits = decoder_logits(Tensor(h_g.data), mask, [BOS_ID] + ids, const, cfg)
+        logits = decoder_logits(Tensor(h_g.data), [BOS_ID] + ids, const, cfg)
         logp = ad.log_softmax(logits).data[-1]
         if len(ids) == max_len - 1:
             ids.append(EOS_ID)
@@ -602,7 +601,7 @@ def _greedy_reference(h_g, mask, params, cfg, max_len):
     return ids
 
 
-def _exhaustive_reference(h_g, mask, params, cfg, max_len):
+def _exhaustive_reference(h_g, params, cfg, max_len):
     """Score every possible sequence ending in EOS; argmax by
     (normalized log-probability, lexicographic ids)."""
     const = detach_params(params)
@@ -613,7 +612,7 @@ def _exhaustive_reference(h_g, mask, params, cfg, max_len):
         for body in itertools.product(nonterm, repeat=length - 1):
             seq = tuple(body) + (EOS_ID,)
             prefix = [BOS_ID] + list(seq[:-1])
-            logits = decoder_logits(Tensor(h_g.data), mask, prefix, const, cfg)
+            logits = decoder_logits(Tensor(h_g.data), prefix, const, cfg)
             logp = ad.log_softmax(logits).data
             total = sum(float(logp[i, seq[i]]) for i in range(len(seq)))
             score = total / len(seq)
@@ -622,7 +621,7 @@ def _exhaustive_reference(h_g, mask, params, cfg, max_len):
     return list(best[0])
 
 
-def _full_prefix_beam_reference(h_g, mask, params, cfg, beam, max_len):
+def _full_prefix_beam_reference(h_g, params, cfg, beam, max_len):
     """The beam search decode_beam replaced: every step re-runs the
     teacher-forced decoder over each live hypothesis's whole prefix and
     sorts Python tuples."""
@@ -635,7 +634,7 @@ def _full_prefix_beam_reference(h_g, mask, params, cfg, beam, max_len):
     while live:
         expansions = []
         for ids, logp_sum in live:
-            logits = decoder_logits(h_g_const, mask, [BOS_ID] + list(ids), const, cfg)
+            logits = decoder_logits(h_g_const, [BOS_ID] + list(ids), const, cfg)
             logp = ad.log_softmax(logits).data[-1]
             candidates = [EOS_ID] if len(ids) == max_len - 1 else allowed
             for tok in candidates:
@@ -675,8 +674,7 @@ def tuned_decoder():
     finetune_ac(samples, model, TrainConfig(task="ac", lr=3e-2, batch_size=3, epochs=6,
                                             seed=0), vocab)
     const = detach_params(model.params)
-    encoded = [(encode_graph(s.graph, const, cfg)[0], np.ones(s.graph.num_nodes, dtype=bool))
-               for s in samples]
+    encoded = [encode_graph(s.graph, const, cfg)[0] for s in samples]
     return model, cfg, encoded
 
 
@@ -685,9 +683,9 @@ class TestIncrementalDecoder:
     def test_matches_full_prefix_reference(self, tuned_decoder, beam):
         model, cfg, encoded = tuned_decoder
         captions = set()
-        for h_g, mask in encoded:
-            got = decode_beam(h_g, mask, model.params, cfg, beam=beam, max_len=8)
-            want = _full_prefix_beam_reference(h_g, mask, model.params, cfg, beam, 8)
+        for h_g in encoded:
+            got = decode_beam(h_g, model.params, cfg, beam=beam, max_len=8)
+            want = _full_prefix_beam_reference(h_g, model.params, cfg, beam, 8)
             assert got == want
             captions.add(tuple(got))
         # the fine-tuned decoder tells the graphs apart
@@ -696,8 +694,8 @@ class TestIncrementalDecoder:
     def test_step_log_probs_equal_full_prefix_last_row(self, tuned_decoder):
         model, cfg, encoded = tuned_decoder
         params = detach_params(model.params)
-        h_g, mask = encoded[0]
-        cross = model_mod._decoder_cross(h_g, mask, params, cfg)
+        h_g = encoded[0]
+        cross = model_mod._decoder_cross(h_g, params)
         rng = np.random.default_rng(0)
         prefixes = [[BOS_ID]]
         cache = None
@@ -706,7 +704,7 @@ class TestIncrementalDecoder:
             logp, cache = model_mod._decoder_step(tokens, cache, cross, params, cfg)
             assert logp.shape == (len(prefixes), cfg.text_vocab_size)
             for row, prefix in zip(logp, prefixes):
-                full = ad.log_softmax(decoder_logits(h_g, mask, prefix, params, cfg)).data[-1]
+                full = ad.log_softmax(decoder_logits(h_g, prefix, params, cfg)).data[-1]
                 np.testing.assert_allclose(row, full, rtol=0, atol=1e-12)
             # regroup: hypotheses fork, die and swap places, with distinct histories
             width = len(prefixes)
@@ -717,14 +715,14 @@ class TestIncrementalDecoder:
 
     def test_decoding_never_runs_the_full_prefix(self, tuned_decoder, monkeypatch):
         model, cfg, encoded = tuned_decoder
-        h_g, mask = encoded[1]
-        want = decode_beam(h_g, mask, model.params, cfg, beam=3, max_len=6)
+        h_g = encoded[1]
+        want = decode_beam(h_g, model.params, cfg, beam=3, max_len=6)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("decode_beam ran the teacher-forced decoder")
 
         monkeypatch.setattr(model_mod, "decoder_logits", forbidden)
-        assert decode_beam(h_g, mask, model.params, cfg, beam=3, max_len=6) == want
+        assert decode_beam(h_g, model.params, cfg, beam=3, max_len=6) == want
 
 
 class TestBeamSearch:
@@ -738,38 +736,37 @@ class TestBeamSearch:
         model = Model.initialized(cfg, seed=9)
         g = ArchGraph(nodes=[3, 4], edges=[(0, 1)], shapes=[(4, 2, 3, 3), (0, 0, 0, 0)])
         h_g, _ = encode_graph(g, model.params, cfg)
-        mask = np.ones(2, dtype=bool)
-        return h_g, mask, model, cfg
+        return h_g, model, cfg
 
     def test_beam_one_equals_greedy(self, decode_setup):
-        h_g, mask, model, cfg = decode_setup
+        h_g, model, cfg = decode_setup
         for max_len in (2, 3, 5):
-            got = decode_beam(h_g, mask, model.params, cfg, beam=1, max_len=max_len)
-            want = _greedy_reference(h_g, mask, model.params, cfg, max_len)
+            got = decode_beam(h_g, model.params, cfg, beam=1, max_len=max_len)
+            want = _greedy_reference(h_g, model.params, cfg, max_len)
             assert got == want
 
     def test_wide_beam_equals_exhaustive_search(self, decode_setup):
-        h_g, mask, model, cfg = decode_setup
+        h_g, model, cfg = decode_setup
         max_len = 3
         # 5 allowed tokens, so 1 + 4 + 16 sequences; beam 100 covers them all
-        got = decode_beam(h_g, mask, model.params, cfg, beam=100, max_len=max_len)
-        want = _exhaustive_reference(h_g, mask, model.params, cfg, max_len)
+        got = decode_beam(h_g, model.params, cfg, beam=100, max_len=max_len)
+        want = _exhaustive_reference(h_g, model.params, cfg, max_len)
         assert got == want
 
     def test_uniform_logits_tie_break(self, decode_setup):
-        h_g, mask, model, cfg = decode_setup
+        h_g, model, cfg = decode_setup
         model.params["dec.out.fc2.w"].data = np.zeros_like(
             model.params["dec.out.fc2.w"].data)
         model.params["dec.out.fc2.b"].data = np.zeros_like(
             model.params["dec.out.fc2.b"].data)
-        out = decode_beam(h_g, mask, model.params, cfg, beam=10, max_len=4)
+        out = decode_beam(h_g, model.params, cfg, beam=10, max_len=4)
         # every candidate ties; the smallest allowed id (UNK=1) repeats, then EOS
         assert out == [1, 1, 1, EOS_ID]
 
     def test_equal_scores_prefer_smaller_parent(self, decode_setup, monkeypatch):
         """Expansions of two parents tie exactly; the lexicographically smaller
         sequence takes the last beam slot although its parent ranked second."""
-        h_g, mask, model, cfg = decode_setup
+        h_g, model, cfg = decode_setup
         scores = {(BOS_ID,): {7: -1.0, 6: -2.0},
                   (BOS_ID, 7): {5: -0.5, 1: -3.0},
                   (BOS_ID, 6): {1: -2.0},
@@ -787,14 +784,14 @@ class TestBeamSearch:
             return logp, (cache, cache)
 
         monkeypatch.setattr(model_mod, "_decoder_step", scripted_step)
-        assert decode_beam(h_g, mask, model.params, cfg, beam=2, max_len=3) == [6, 1, EOS_ID]
+        assert decode_beam(h_g, model.params, cfg, beam=2, max_len=3) == [6, 1, EOS_ID]
 
     def test_beam_must_be_positive(self, decode_setup):
-        h_g, mask, model, cfg = decode_setup
+        h_g, model, cfg = decode_setup
         with pytest.raises(ValueError):
-            decode_beam(h_g, mask, model.params, cfg, beam=0, max_len=3)
+            decode_beam(h_g, model.params, cfg, beam=0, max_len=3)
 
     def test_max_len_must_be_positive(self, decode_setup):
-        h_g, mask, model, cfg = decode_setup
+        h_g, model, cfg = decode_setup
         with pytest.raises(ValueError):
-            decode_beam(h_g, mask, model.params, cfg, beam=2, max_len=0)
+            decode_beam(h_g, model.params, cfg, beam=2, max_len=0)

@@ -60,8 +60,8 @@ class TestTokenize:
     def test_basic_framing(self):
         v = TextVocab(["a", "b"])
         seq = tokenize("a b", v, 6)
-        assert seq.ids == (BOS_ID, v.id_of("a"), v.id_of("b"), EOS_ID, PAD_ID, PAD_ID)
-        assert seq.pad_mask == (True, True, True, True, False, False)
+        assert seq.ids == (BOS_ID, v.id_of("a"), v.id_of("b"), EOS_ID)
+        assert seq.real_length == 4
 
     def test_oov_maps_to_unk(self):
         v = TextVocab(["a"])
@@ -71,21 +71,20 @@ class TestTokenize:
     def test_empty_text_is_bos_eos(self):
         v = TextVocab(["a"])
         seq = tokenize("", v, 4)
-        assert seq.ids[:2] == (BOS_ID, EOS_ID)
+        assert seq.ids == (BOS_ID, EOS_ID)
         assert seq.real_length == 2
 
     def test_truncation_keeps_final_eos(self):
         v = TextVocab(["a", "b", "c", "d"])
         seq = tokenize("a b c d", v, 4)
-        assert len(seq.ids) == 4
-        assert seq.ids[-1] == EOS_ID
-        assert all(seq.pad_mask)
+        assert seq.ids == (BOS_ID, v.id_of("a"), v.id_of("b"), EOS_ID)
 
-    def test_output_length_always_max_len(self):
+    def test_output_holds_real_tokens_only(self):
         v = TextVocab(["a"])
-        for text in ("", "a", "a a a a a a a a a a"):
+        for text, length in (("", 2), ("a", 3), ("a a a a a", 7), ("a a a a a a a a a a", 7)):
             seq = tokenize(text, v, 7)
-            assert len(seq.ids) == len(seq.pad_mask) == 7
+            assert len(seq.ids) == seq.real_length == length
+            assert PAD_ID not in seq.ids
 
     def test_max_len_too_small(self):
         v = TextVocab(["a"])
@@ -94,13 +93,9 @@ class TestTokenize:
 
 
 class TestTokenSeqInvariants:
-    def test_padding_must_be_suffix(self):
-        with pytest.raises(ValueError, match="suffix"):
-            TokenSeq(ids=(BOS_ID, PAD_ID, EOS_ID), pad_mask=(True, False, True))
-
     def test_needs_one_real_token(self):
-        with pytest.raises(ValueError, match="real token"):
-            TokenSeq(ids=(PAD_ID,), pad_mask=(False,))
+        with pytest.raises(ValueError, match="one token"):
+            TokenSeq(ids=())
 
 
 class TestDetokenize:
