@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -356,19 +357,30 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _first_samples(samples) -> dict[str, int]:
+    """Each graph id of a bi-modal dataset and the first sample that shows it.
+
+    A named graph goes by its name. Equal unnamed graphs share one id,
+    `arch{n:05d}` numbered in order of first appearance, skipping every name
+    the dataset uses, so a generated id never shadows a named graph.
+    """
+    names = {s.graph.name for s in samples if s.graph.name}
+    fresh = (f"arch{n:05d}" for n in itertools.count() if f"arch{n:05d}" not in names)
+    generated: dict = {}   # unnamed graph -> its id
+    first: dict[str, int] = {}
+    for i, s in enumerate(samples):
+        if not s.graph.name and s.graph not in generated:
+            generated[s.graph] = next(fresh)
+        first.setdefault(s.graph.name or generated[s.graph], i)
+    return first
+
+
 def _cmd_search(args) -> int:
     model, text_vocab, node_vocab, ckpt_path = load_bundle(args.checkpoint)
     fingerprint = checkpoint_fingerprint(ckpt_path)
     if args.action == "build":
         samples = datagen.load_bimodal(args.dataset, node_vocab)
-        graphs: list = []
-        seen = set()
-        for s in samples:
-            gid = s.graph.name or f"arch{len(graphs):05d}"
-            if gid in seen:
-                continue
-            seen.add(gid)
-            graphs.append((gid, s.graph))
+        graphs = [(gid, samples[i].graph) for gid, i in _first_samples(samples).items()]
         idx = index_mod.build_index(model, graphs, fingerprint)
         index_mod.save_index(idx, args.out)
         print(f"indexed {len(idx.ids)} architectures into {args.out}")
@@ -414,8 +426,8 @@ def _cmd_clone(args) -> int:
 def _cmd_qa(args) -> int:
     model, text_vocab, node_vocab = _load_model(args)
     g = _load_graph_file(args.graph, node_vocab)
-    probs = evaluate.answer_probs(model, embed_texts([args.question], model, text_vocab)[0],
-                                  embed_graphs([g], model)[0])
+    probs = evaluate.answer_probs(model, embed_texts([args.question], model, text_vocab),
+                                  embed_graphs([g], model))[0]
     answers = answer_catalog()
     chosen = [i for i in range(len(answers.answers)) if probs[i] > 0.5]
     if not chosen:
@@ -443,9 +455,7 @@ def _cmd_viz(args) -> int:
     model, text_vocab, node_vocab = _load_model(args)
     samples = datagen.load_bimodal(args.dataset, node_vocab)
     j_ts = embed_texts([s.text for s in samples], model, text_vocab)
-    first: dict[str, int] = {}   # graph id -> the sample that shows it first
-    for i, s in enumerate(samples):
-        first.setdefault(s.graph.name or f"arch{i}", i)
+    first = _first_samples(samples)
     j_gs = embed_graphs([samples[i].graph for i in first.values()], model)
     arch_at = {i: (gid, j_g) for (gid, i), j_g in zip(first.items(), j_gs)}
     labels, vectors = [], []

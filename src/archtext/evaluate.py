@@ -53,8 +53,9 @@ def _f1(p: float, r: float) -> float:
     return 2 * p * r / (p + r) if p + r > 0 else 0.0
 
 
-def threshold_decision(score: float, tau: float) -> bool:
-    """Positive only for scores strictly greater than the threshold."""
+def threshold_decision(score, tau: float):
+    """Positive only for scores strictly greater than the threshold;
+    elementwise on an array of scores."""
     return score > tau
 
 
@@ -243,8 +244,9 @@ def run_bacd(model: Model, samples: list[BACDSample], tau: float,
 
 
 def answer_probs(model: Model, j_t: np.ndarray, j_g: np.ndarray) -> np.ndarray:
-    """Per-answer probabilities of the QA head for one pooled (J_t, J_g) pair."""
-    logits = aqa_logits(Tensor(j_t[None]), Tensor(j_g[None]), model.params).data[0]
+    """Per-answer probabilities of the QA head for row-aligned pooled (N, d)
+    matrices (J_t, J_g); shape (N, n_answers)."""
+    logits = aqa_logits(Tensor(j_t), Tensor(j_g), model.params).data
     return 1.0 / (1.0 + np.exp(-logits))
 
 
@@ -253,23 +255,14 @@ def run_aqa(model: Model, samples: list[AQASample],
     """Multi-label QA, micro-averaged over every answer slot of every sample."""
     if not samples:
         raise ValueError("empty dataset")
-    j_ts = embed_texts([s.question for s in samples], model, text_vocab)
-    j_gs = embed_graphs([s.graph for s in samples], model)
-    tp = fp = tn = fn = 0
-    for s, j_t, j_g in zip(samples, j_ts, j_gs):
-        probs = answer_probs(model, j_t, j_g)
-        for slot in range(model.cfg.n_answers):
-            pred = threshold_decision(float(probs[slot]), 0.5)
-            gold = slot in s.answers
-            if pred and gold:
-                tp += 1
-            elif pred and not gold:
-                fp += 1
-            elif not pred and gold:
-                fn += 1
-            else:
-                tn += 1
-    return metrics_from_counts(tp, fp, tn, fn)
+    probs = answer_probs(model, embed_texts([s.question for s in samples], model, text_vocab),
+                         embed_graphs([s.graph for s in samples], model))
+    pred = threshold_decision(probs, 0.5)
+    gold = np.zeros_like(pred)   # an answer beyond the head's slots is not scored
+    for row, s in zip(gold, samples):
+        row[[a for a in s.answers if a < len(row)]] = True
+    return metrics_from_counts(int(np.sum(pred & gold)), int(np.sum(pred & ~gold)),
+                               int(np.sum(~pred & ~gold)), int(np.sum(~pred & gold)))
 
 
 def caption_graph(model: Model, g: ArchGraph, text_vocab: TextVocab,
@@ -281,13 +274,15 @@ def caption_graph(model: Model, g: ArchGraph, text_vocab: TextVocab,
 
 def run_ac(model: Model, samples: list[ACSample], text_vocab: TextVocab,
            beam: int = 10) -> RougeScores:
-    """Captioning: decode, detokenize, average the three overlap scores."""
+    """Captioning: decode each distinct graph once, detokenize, average the
+    three overlap scores over the samples."""
     if not samples:
         raise ValueError("empty dataset")
+    captions = {g: caption_graph(model, g, text_vocab, beam=beam)
+                for g in dict.fromkeys(s.graph for s in samples)}
     r1s, r2s, rls = [], [], []
     for s in samples:
-        generated = caption_graph(model, s.graph, text_vocab, beam=beam)
-        sc = rouge_scores(generated, s.text)
+        sc = rouge_scores(captions[s.graph], s.text)
         r1s.append(sc.r1)
         r2s.append(sc.r2)
         rls.append(sc.rlsum)

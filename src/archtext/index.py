@@ -2,8 +2,8 @@
 
 Entries are unit-normalized graph embeddings keyed by architecture id, plus
 a fingerprint of the checkpoint that produced them; querying with a model
-whose checkpoint hash differs is refused outright. Search is an exhaustive
-scan: desk-scale indexes stay small and exactness beats speed here.
+whose checkpoint hash differs is refused outright. Search is exact: it
+scores every entry, then sorts only the top-k candidates.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ class EmbeddingIndex:
         if self.vectors.shape != (len(self.ids), self.d):
             raise IndexError_(f"vectors have shape {self.vectors.shape}, want "
                               f"({len(self.ids)}, {self.d})")
+        if not np.isfinite(self.vectors).all():
+            raise IndexError_("vectors hold non-finite values")
         seen = set()
         for arch_id in self.ids:
             if arch_id in seen:
@@ -71,7 +73,8 @@ def build_index(model: Model, graphs: list[tuple[str, ArchGraph]],
 
 def search(index: EmbeddingIndex, query: str, model: Model, k: int,
            text_vocab: TextVocab, fingerprint: bytes) -> list[tuple[str, float]]:
-    """Embed the query through the text path and rank all entries by cosine.
+    """Embed the query through the text path, score every entry by cosine and
+    rank the best k.
 
     Ties break toward the lexicographically smaller id. k=0 returns nothing;
     k beyond the entry count returns everything.
@@ -86,7 +89,14 @@ def search(index: EmbeddingIndex, query: str, model: Model, k: int,
     # not `vectors @ q`: BLAS mat-vec rounds a row differently depending on its
     # position, so an entry's score would depend on the order of the index
     scores = np.einsum("ij,j->i", index.vectors, q)
-    scored = sorted(zip(index.ids, scores.tolist()), key=lambda e: (-e[1], e[0]))
+    rows = np.arange(len(scores))
+    if k < len(scores):
+        # every entry tied with the k-th best score stays a candidate, so the
+        # id tie-break below decides among all of them
+        kth = np.partition(scores, len(scores) - k)[len(scores) - k]
+        rows = np.flatnonzero(scores >= kth)
+    scored = sorted(zip([index.ids[i] for i in rows.tolist()], scores[rows].tolist()),
+                    key=lambda e: (-e[1], e[0]))
     return scored[:k]
 
 

@@ -370,8 +370,20 @@ _EMBED_CHUNK = 8
 
 
 def _pooled_chunks(items: list, encode, d: int) -> np.ndarray:
-    rows = [encode(items[i:i + _EMBED_CHUNK]).data for i in range(0, len(items), _EMBED_CHUNK)]
-    return np.concatenate(rows) if rows else np.zeros((0, d))
+    """Pooled rows of hashable items, each distinct item encoded once; a
+    repeat gets the row of its first occurrence. This is exact because a
+    pooled vector has the same bits whatever batch it is encoded in."""
+    first: dict = {}
+    where = [first.setdefault(item, len(first)) for item in items]
+    distinct = list(first)
+    rows = [encode(distinct[i:i + _EMBED_CHUNK]).data
+            for i in range(0, len(distinct), _EMBED_CHUNK)]
+    if not rows:
+        return np.zeros((0, d))
+    pooled = np.concatenate(rows)
+    # spread to the input order only when something repeats: the copy adds an
+    # (N, d) array to the peak memory of a large call, such as an index build
+    return pooled[where] if len(distinct) < len(items) else pooled
 
 
 def embed_texts(texts: list[str], model: Model, text_vocab: TextVocab) -> np.ndarray:

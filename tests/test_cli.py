@@ -1,9 +1,11 @@
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from archtext.cli import run
+from archtext.index import load_index
 
 TINY_CONFIG = """\
 [gen]
@@ -235,6 +237,23 @@ class TestSearchCli:
             assert run(["search", "build", "--checkpoint", str(ckpt),
                         "--dataset", str(data), "--out", str(i)]) == 0
         assert i1.read_bytes() == i2.read_bytes()
+
+    def test_generated_ids_never_shadow_a_name(self, tmp_path, pretrained):
+        data, ckpt = pretrained
+        records = [json.loads(line) for line in data.read_text().splitlines()]
+        a = records[0]
+        b = next(r for r in records if r["graph"]["name"] != a["graph"]["name"])
+        del a["graph"]["name"]
+        b["graph"]["name"] = "arch00000"
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_text("".join(json.dumps(r) + "\n" for r in (a, b, a)))
+        idx_path = tmp_path / "i.abix"
+        assert run(["search", "build", "--checkpoint", str(ckpt),
+                    "--dataset", str(mixed), "--out", str(idx_path)]) == 0
+        idx = load_index(str(idx_path))
+        # unnamed A once, under an id no name uses; named B kept
+        assert idx.ids == ["arch00001", "arch00000"]
+        assert not np.array_equal(idx.vectors[0], idx.vectors[1])
 
     def test_query_missing_index_is_usage_error(self, pretrained):
         _, ckpt = pretrained

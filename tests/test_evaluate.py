@@ -1,12 +1,15 @@
 import itertools
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from archtext import evaluate
 from archtext.datagen import (
     ACDPair,
+    ACSample,
     AQASample,
     BACDSample,
     BiModalSample,
@@ -15,11 +18,16 @@ from archtext.datagen import (
 )
 from archtext.graph import ArchGraph, NodeVocab
 from archtext.evaluate import (
+    RougeScores,
     accuracy_f1,
+    answer_probs,
+    caption_graph,
     ar_name_baseline,
     jaccard_similarity,
+    metrics_from_counts,
     pca_project,
     rouge_scores,
+    run_ac,
     run_acd,
     run_aqa,
     run_ar,
@@ -27,7 +35,7 @@ from archtext.evaluate import (
     three_way_score,
     threshold_decision,
 )
-from archtext.model import Model, ModelConfig
+from archtext.model import Model, ModelConfig, embed_graphs, embed_texts
 from archtext.text import build_vocab
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "metrics_golden.json")
@@ -307,6 +315,43 @@ class TestRunners:
         assert (m.tp, m.fp, m.tn, m.fn) == (2, 2, 1, 1)
         assert m.accuracy == pytest.approx(0.5)
         assert m.f1 == pytest.approx(4 / 7)
+
+    def test_run_aqa_matches_per_sample_loop(self, runner_setup):
+        _, graphs, texts, vocab, model = runner_setup
+        rng = np.random.default_rng(11)
+        for name in ("head.aqa.fc1.w", "head.aqa.fc1.b", "head.aqa.fc2.w", "head.aqa.fc2.b"):
+            model.params[name].data = rng.normal(0.0, 3.0, model.params[name].data.shape)
+        samples = [AQASample(graph=graphs[i % 3], question=q, answers=frozenset(a))
+                   for i, (q, a) in enumerate(itertools.product(
+                       texts + ["does it work"], ({0}, {1, 2}, {0, 1, 2}, {2, 50})))]
+        counts = Counter()
+        for s in samples:
+            probs = answer_probs(model, embed_texts([s.question], model, vocab),
+                                 embed_graphs([s.graph], model))[0]
+            for slot in range(model.cfg.n_answers):
+                counts[(bool(probs[slot] > 0.5), slot in s.answers)] += 1
+        want = (counts[True, True], counts[True, False], counts[False, False],
+                counts[False, True])
+        assert min(want) > 0
+        assert run_aqa(model, samples, vocab) == metrics_from_counts(*want)
+
+    def test_run_ac_decodes_each_graph_once(self, runner_setup, monkeypatch):
+        _, graphs, texts, vocab, model = runner_setup
+        samples = [ACSample(graph=graphs[i % 2], text=texts[i % 3]) for i in range(6)]
+        captions = {g: caption_graph(model, g, vocab, beam=2) for g in graphs[:2]}
+        want = [rouge_scores(captions[s.graph], s.text) for s in samples]
+        decoded = []
+
+        def counting(model, g, text_vocab, beam):
+            decoded.append(g)
+            return caption_graph(model, g, text_vocab, beam=beam)
+
+        monkeypatch.setattr(evaluate, "caption_graph", counting)
+        scores = run_ac(model, samples, vocab, beam=2)
+        assert decoded == graphs[:2]
+        assert scores == RougeScores(r1=float(np.mean([w.r1 for w in want])),
+                                     r2=float(np.mean([w.r2 for w in want])),
+                                     rlsum=float(np.mean([w.rlsum for w in want])))
 
     def test_empty_dataset_rejected(self, runner_setup):
         _, _, _, vocab, model = runner_setup

@@ -10,7 +10,7 @@ from archtext.index import (
     save_index,
     search,
 )
-from archtext.model import Model, ModelConfig
+from archtext.model import Model, ModelConfig, embed_texts
 from archtext.text import build_vocab
 
 FP = bytes(range(32))
@@ -151,8 +151,58 @@ class TestSearch:
             assert scored[0][1] == arch_id
 
 
+class TestTopK:
+    """search against a full sort of every entry, with ties at the cut."""
+
+    # cosines to the query by id: one top entry, a tie of three across the
+    # k=3 cut, a tied pair inside the ranking, and a tie of three across
+    # the k=N-1 cut; repeated cosines come from one vector under several ids
+    COSINES = {"e": 0.9, "h": 0.8, "a": 0.8, "c": 0.8, "j": 0.5, "g": 0.5,
+               "b": 0.3, "i": 0.2, "d": 0.2, "f": 0.2}
+
+    @pytest.fixture
+    def scored(self, setup):
+        _, vocab, model = setup
+        query = "some text about networks"
+        q = embed_texts([query], model, vocab)[0]
+        q /= np.linalg.norm(q)
+        u = np.roll(q, 1) - (np.roll(q, 1) @ q) * q
+        u /= np.linalg.norm(u)
+        vector_of = {c: c * q + np.sqrt(1 - c * c) * u for c in set(self.COSINES.values())}
+        ids = list(self.COSINES)
+        vectors = np.array([vector_of[self.COSINES[i]] for i in ids])
+        return model, vocab, query, q, ids, vectors
+
+    @staticmethod
+    def full_sort(ids, vectors, q):
+        scores = np.einsum("ij,j->i", vectors, q).tolist()
+        return sorted(zip(ids, scores), key=lambda e: (-e[1], e[0]))
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 4, 9, 10, 15])
+    def test_matches_full_sort_in_any_entry_order(self, scored, k):
+        model, vocab, query, q, ids, vectors = scored
+        want = self.full_sort(ids, vectors, q)[:k]
+        for order in (range(len(ids)), reversed(range(len(ids))), [3, 7, 0, 9, 2, 5, 8, 1, 6, 4]):
+            order = list(order)
+            idx = EmbeddingIndex(d=vectors.shape[1], ids=[ids[i] for i in order],
+                                 vectors=vectors[order], fingerprint=FP)
+            assert search(idx, query, model, k, vocab, FP) == want
+
+    def test_ties_straddle_the_cuts(self, scored):
+        model, vocab, query, _, ids, vectors = scored
+        idx = EmbeddingIndex(d=vectors.shape[1], ids=ids, vectors=vectors, fingerprint=FP)
+        hits = search(idx, query, model, len(ids), vocab, FP)
+        assert [i for i, _ in hits] == ["e", "a", "c", "h", "g", "j", "b", "d", "f", "i"]
+        assert hits[1][1] == hits[2][1] == hits[3][1]
+        assert hits[7][1] == hits[8][1] == hits[9][1]
+
+
 def test_index_invariants_checked():
     with pytest.raises(IndexError_):
         EmbeddingIndex(d=4, ids=[], vectors=np.zeros((0, 4)), fingerprint=b"short")
     with pytest.raises(IndexError_):
         EmbeddingIndex(d=4, ids=["a"], vectors=np.zeros((1, 3)), fingerprint=bytes(32))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(IndexError_, match="non-finite"):
+            EmbeddingIndex(d=2, ids=["a", "b"], vectors=np.array([[1.0, 0.0], [bad, 0.0]]),
+                           fingerprint=bytes(32))

@@ -21,8 +21,10 @@ from archtext.model import (
     decode_beam,
     decoder_logits,
     detach_params,
+    embed_graphs,
     embed_nodes_shapes,
     embed_text,
+    embed_texts,
     encode_graph,
     encode_graphs,
     encode_text,
@@ -548,7 +550,7 @@ class TestBatchedCore:
         _, j_t = encode_texts(seqs, params, cfg)
         for row, seq in enumerate(seqs):
             alone = encode_texts([seq], params, cfg)[1]
-            np.testing.assert_allclose(j_t.data[row], alone.data[0], rtol=0, atol=1e-12)
+            assert np.array_equal(j_t.data[row], alone.data[0])
 
     def test_mixed_length_batch_takes_no_rows(self, tiny, monkeypatch):
         # no layer pads, so no encode has padding rows to select away
@@ -576,6 +578,45 @@ class TestBatchedCore:
             for row in (0, 2):
                 np.testing.assert_allclose(after[key].data[row], before[key].data[row],
                                            rtol=0, atol=1e-12, err_msg=key)
+
+
+class TestFrozenEncodeCore:
+    @pytest.fixture
+    def frozen(self):
+        gcfg = GenConfig(rng_seed=0, ops=SMALL_OPS)
+        texts = ["relu", "a small conv net with relu and linear layers", "gelu"]
+        vocab = build_vocab(texts, 64)
+        cfg = ModelConfig(node_vocab_size=len(gcfg.node_vocab()), text_vocab_size=len(vocab),
+                          d=16, gat_heads=2, cross_heads=4, dec_heads=2)
+        return Model.initialized(cfg, seed=4), vocab, _mixed_graphs(gcfg, (5, 17, 2)), texts
+
+    @staticmethod
+    def _counting(monkeypatch, name):
+        """Replace model.<name> by a wrapper that records every item encoded."""
+        seen, real = [], getattr(model_mod, name)
+
+        def encode(items, params, cfg):
+            seen.extend(items)
+            return real(items, params, cfg)
+
+        monkeypatch.setattr(model_mod, name, encode)
+        return seen
+
+    def test_repeated_graphs_encoded_once(self, frozen, monkeypatch):
+        model, _, (a, b, c), _ = frozen
+        distinct = embed_graphs([a, b, c], model)
+        seen = self._counting(monkeypatch, "encode_graphs")
+        repeated = embed_graphs([a, b, a, c, b], model)
+        assert seen == [a, b, c]
+        assert np.array_equal(repeated, distinct[[0, 1, 0, 2, 1]])
+
+    def test_repeated_texts_encoded_once(self, frozen, monkeypatch):
+        model, vocab, _, (a, b, c) = frozen
+        distinct = embed_texts([a, b, c], model, vocab)
+        seen = self._counting(monkeypatch, "encode_texts")
+        repeated = embed_texts([a, b, a, c, b], model, vocab)
+        assert seen == [tokenize(t, vocab, model.cfg.max_tokens) for t in (a, b, c)]
+        assert np.array_equal(repeated, distinct[[0, 1, 0, 2, 1]])
 
 
 def _greedy_reference(h_g, params, cfg, max_len):
