@@ -208,12 +208,22 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 # linear algebra
 
 
+def _rows_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w, where a lone row of a 2-D x runs as two rows: BLAS takes one
+    row through its matrix-vector product, which rounds it differently from
+    the matrix-matrix product of two or more, so a row's bits would depend
+    on how many rows share the call."""
+    if x.ndim == 2 and w.ndim == 2 and x.shape[0] == 1:
+        return (np.concatenate((x, x)) @ w)[:1]
+    return x @ w
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes; leading axes broadcast."""
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError(f"matmul expects operands of 2 or more axes, got "
                          f"{a.data.shape} @ {b.data.shape}")
-    out = a.data @ b.data
+    out = _rows_matmul(a.data, b.data)
     return Tensor._from_op(out, (a, b), lambda g: (
         (a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)),
         (b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)),
@@ -226,7 +236,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if x.data.ndim != 2 or w.data.ndim != 2:
         raise ValueError(f"linear expects 2-D rows and weights, got "
                          f"{x.data.shape} @ {w.data.shape}")
-    out = x.data @ w.data
+    out = _rows_matmul(x.data, w.data)
     out += b.data
     return Tensor._from_op(out, (x, w, b), lambda g: (
         (x, g @ w.data.T),
@@ -533,6 +543,9 @@ def _length_groups(lengths, rows: int) -> list[tuple[slice | np.ndarray, int]]:
     selector, sequence count) pairs: a slice when the group's rows are
     contiguous, else the row indices in order."""
     lengths = np.asarray(lengths, dtype=np.int64)
+    if (lengths.ndim == 1 and len(lengths) and lengths[0] >= 1
+            and lengths[0] * len(lengths) == rows and (lengths == lengths[0]).all()):
+        return [(slice(0, rows), len(lengths))]   # one length: every row in one block
     if lengths.ndim != 1 or not len(lengths) or lengths.min() < 1 or lengths.sum() != rows:
         raise ValueError(f"sequence lengths {lengths.tolist()} do not split {rows} rows")
     starts = np.cumsum(lengths) - lengths

@@ -246,7 +246,7 @@ def run_bacd(model: Model, samples: list[BACDSample], tau: float,
 def answer_probs(model: Model, j_t: np.ndarray, j_g: np.ndarray) -> np.ndarray:
     """Per-answer probabilities of the QA head for row-aligned pooled (N, d)
     matrices (J_t, J_g); shape (N, n_answers)."""
-    logits = aqa_logits(Tensor(j_t), Tensor(j_g), model.params).data
+    logits = aqa_logits(Tensor(j_t), Tensor(j_g), model.constants()).data
     return 1.0 / (1.0 + np.exp(-logits))
 
 

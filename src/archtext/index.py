@@ -53,13 +53,11 @@ class EmbeddingIndex:
 
 
 def _unit_rows(m: np.ndarray) -> np.ndarray:
-    """Each row scaled to unit length; rows of near-zero norm become zero."""
-    out = np.zeros_like(m)
-    for i, row in enumerate(m):
-        norm = float(np.linalg.norm(row))
-        if norm >= 1e-12:
-            out[i] = row / norm
-    return out
+    """Each row scaled to unit length; rows of near-zero norm become zero.
+    The stacked (1, d) @ (d, 1) products are BLAS dot products, the one
+    `np.linalg.norm` of a single row takes, so the norms keep its bits."""
+    norms = np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0]
+    return np.divide(m, norms, out=np.zeros_like(m), where=norms >= 1e-12)
 
 
 def build_index(model: Model, graphs: list[tuple[str, ArchGraph]],

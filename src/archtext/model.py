@@ -162,27 +162,46 @@ def detach_params(params: dict[str, Tensor]) -> dict[str, Tensor]:
     return {name: Tensor(p.data) if p.requires_grad else p for name, p in params.items()}
 
 
-def freeze_groups(params: dict[str, Tensor], frozen_prefixes: tuple[str, ...]) -> dict[str, Tensor]:
-    """View where parameters under the given prefixes become constants."""
-    out = {}
-    for name, p in params.items():
-        if any(name.startswith(pref) for pref in frozen_prefixes):
-            out[name] = Tensor(p.data)
-        else:
-            out[name] = p
-    return out
-
-
 @dataclass
 class Model:
     """Config plus named parameters; the unit everything downstream consumes."""
 
     cfg: ModelConfig
     params: dict[str, Tensor] = field(default_factory=dict)
+    # each parameter's constant twin; it holds the array it wraps alive, so an
+    # `is` test can tell a new array from it
+    _consts: dict[str, Tensor] = field(default_factory=dict, init=False, repr=False,
+                                       compare=False)
 
     @classmethod
     def initialized(cls, cfg: ModelConfig, seed: int) -> "Model":
         return cls(cfg=cfg, params=init_params(cfg, seed))
+
+    def constant(self, name: str) -> Tensor:
+        """Parameter `name` as a constant sharing its storage, so in-place
+        edits show through. It is made, and its array scanned for non-finite
+        values, only when the parameter holds an array it has not seen: every
+        update (`adam_step`, `set_params`) assigns a new one."""
+        p, c = self.params[name], self._consts.get(name)
+        if c is None or c.data is not p.data:
+            c = self._consts[name] = Tensor(p.data)
+        return c
+
+    def constants(self) -> dict[str, Tensor]:
+        """Every parameter as its `constant`: the weights of forward-only
+        calls. The dict is the model's own; read it, do not change it."""
+        for name in self.params:
+            self.constant(name)
+        if len(self._consts) != len(self.params):   # a parameter was removed
+            self._consts = {name: self._consts[name] for name in self.params}
+        return self._consts
+
+
+def freeze_groups(model: Model, frozen_prefixes: tuple[str, ...]) -> dict[str, Tensor]:
+    """The model's parameters, with those under the given prefixes as their
+    constants."""
+    return {name: model.constant(name) if name.startswith(frozen_prefixes) else p
+            for name, p in model.params.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +334,8 @@ def pool(h: Tensor, lengths) -> Tensor:
     lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.min() < 1:
         raise ValueError("cannot pool an empty sequence")
-    seg = ad.segments(np.repeat(np.arange(len(lengths)), lengths))
+    # lengths of at least 1 make these valid segments, so they skip `segments`'s checks
+    seg = ad.Segments(np.repeat(np.arange(len(lengths)), lengths), np.cumsum(lengths) - lengths)
     return ad.segment_sum(h, seg) * Tensor(1.0 / lengths[:, None])
 
 
@@ -364,44 +384,58 @@ def encode_graph(g: ArchGraph, params: dict[str, Tensor],
 # ---------------------------------------------------------------------------
 # frozen encode core: every task that scores pooled embeddings reads them here
 
-# Items per frozen encode: batching spreads each op's fixed cost over the
-# chunk, and a fixed chunk keeps peak memory flat however many items there are.
-_EMBED_CHUNK = 8
+# Rows per frozen encode: batching spreads each op's fixed cost over the
+# chunk, and a fixed budget keeps peak memory flat however many items there
+# are. Rows, not items: small items need many to a chunk to share that cost,
+# and large ones few to keep the chunk's working set small. Encoding graphs
+# of 8-16 and of 8-64 nodes, 384 rows beat 96, 288, 512 and 768.
+_EMBED_ROWS = 384
 
 
-def _pooled_chunks(items: list, encode, d: int) -> np.ndarray:
+def _pooled_chunks(items: list, encode, rows_of, d: int) -> np.ndarray:
     """Pooled rows of hashable items, each distinct item encoded once; a
     repeat gets the row of its first occurrence. This is exact because a
-    pooled vector has the same bits whatever batch it is encoded in."""
+    pooled vector has the same bits whatever batch it is encoded in. An
+    encode takes items in order while their rows (`rows_of(item)` each) fit
+    the row budget, and always at least one."""
     first: dict = {}
     where = [first.setdefault(item, len(first)) for item in items]
-    distinct = list(first)
-    rows = [encode(distinct[i:i + _EMBED_CHUNK]).data
-            for i in range(0, len(distinct), _EMBED_CHUNK)]
-    if not rows:
+    parts, chunk, used = [], [], 0
+    for item in first:
+        n = rows_of(item)
+        if chunk and used + n > _EMBED_ROWS:
+            parts.append(encode(chunk).data)
+            chunk, used = [], 0
+        chunk.append(item)
+        used += n
+    if chunk:
+        parts.append(encode(chunk).data)
+    if not parts:
         return np.zeros((0, d))
-    pooled = np.concatenate(rows)
+    pooled = np.concatenate(parts)
     # spread to the input order only when something repeats: the copy adds an
     # (N, d) array to the peak memory of a large call, such as an index build
-    return pooled[where] if len(distinct) < len(items) else pooled
+    return pooled[where] if len(first) < len(items) else pooled
 
 
 def embed_texts(texts: list[str], model: Model, text_vocab: TextVocab) -> np.ndarray:
     """Pooled text embeddings J_t under constant parameters; shape (N, d)."""
-    params, cfg = detach_params(model.params), model.cfg
+    params, cfg = model.constants(), model.cfg
     seqs = [tokenize(t, text_vocab, cfg.max_tokens) for t in texts]
-    return _pooled_chunks(seqs, lambda chunk: encode_texts(chunk, params, cfg)[1], cfg.d)
+    return _pooled_chunks(seqs, lambda chunk: encode_texts(chunk, params, cfg)[1],
+                          lambda s: len(s.ids), cfg.d)
 
 
 def embed_graphs(graphs: list[ArchGraph], model: Model) -> np.ndarray:
     """Pooled graph embeddings J_g under constant parameters; shape (N, d)."""
-    params, cfg = detach_params(model.params), model.cfg
-    return _pooled_chunks(graphs, lambda chunk: encode_graphs(chunk, params, cfg)[1], cfg.d)
+    params, cfg = model.constants(), model.cfg
+    return _pooled_chunks(graphs, lambda chunk: encode_graphs(chunk, params, cfg)[1],
+                          lambda g: g.num_nodes, cfg.d)
 
 
 def caption_ids(g: ArchGraph, model: Model, beam: int, max_len: int) -> list[int]:
     """Beam-decode one graph's caption token ids under constant parameters."""
-    params = detach_params(model.params)
+    params = model.constants()
     h_g, _ = encode_graph(g, params, model.cfg)
     return decode_beam(h_g, params, model.cfg, beam=beam, max_len=max_len)
 

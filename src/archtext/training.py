@@ -139,9 +139,9 @@ def _frozen_view(model: Model) -> dict[str, Tensor]:
     if cfg.text_only and cfg.arch_only:
         raise ValueError("text_only and arch_only are mutually exclusive")
     if cfg.text_only:
-        return freeze_groups(model.params, ("arch.", "gat."))
+        return freeze_groups(model, ("arch.", "gat."))
     if cfg.arch_only:
-        return freeze_groups(model.params, ("text.",))
+        return freeze_groups(model, ("text.",))
     return model.params
 
 

@@ -293,6 +293,20 @@ class TestAttention:
                 np.testing.assert_allclose(out[rows, cols], want, rtol=1e-13, atol=1e-15)
             start += n
 
+    def test_equal_lengths_attend_within_each_sequence(self):
+        # every sequence of one length: the single-block path
+        rng = np.random.default_rng(4)
+        for lengths in ([5], [3, 3, 3], [1, 1]):
+            q, k, v = (rng.standard_normal((sum(lengths), 8)) for _ in range(3))
+            out = ad.attention(Tensor(q), Tensor(k), Tensor(v), 2, lengths=lengths).data
+            for start in range(0, sum(lengths), lengths[0]):
+                rows = slice(start, start + lengths[0])
+                for cols in (slice(0, 4), slice(4, 8)):
+                    s = q[rows, cols] @ k[rows, cols].T / 2.0
+                    p = np.exp(s - s.max(axis=1, keepdims=True))
+                    want = (p / p.sum(axis=1, keepdims=True)) @ v[rows, cols]
+                    np.testing.assert_allclose(out[rows, cols], want, rtol=1e-13, atol=1e-15)
+
     def test_sequence_bits_alone_equal_in_a_mixed_batch(self):
         rng = np.random.default_rng(3)
         lengths = [3, 1, 5, 3, 2, 5, 3]
@@ -310,6 +324,19 @@ class TestAttention:
         a = Tensor(np.ones((2, 2)))
         with pytest.raises(ValueError, match="mask"):
             ad.attention(a, a, a, 1, lengths=[2], mask=np.ones((2, 2), dtype=bool))
+
+
+def test_lone_row_product_equals_its_row_in_a_batch():
+    # BLAS's matrix-vector product would round a lone row differently
+    rng = np.random.default_rng(5)
+    x, w = rng.standard_normal((9, 64)), rng.standard_normal((64, 128))
+    b = rng.standard_normal((1, 128))
+    batch_lin = ad.linear(Tensor(x), Tensor(w), Tensor(b)).data
+    batch_mm = ad.matmul(Tensor(x), Tensor(w)).data
+    for i in range(len(x)):
+        assert np.array_equal(ad.linear(Tensor(x[i:i + 1]), Tensor(w), Tensor(b)).data,
+                              batch_lin[i:i + 1])
+        assert np.array_equal(ad.matmul(Tensor(x[i:i + 1]), Tensor(w)).data, batch_mm[i:i + 1])
 
 
 class TestLayerNormSemantics:

@@ -5,6 +5,7 @@ from archtext.datagen import GenConfig, gen_architecture
 from archtext.index import (
     EmbeddingIndex,
     IndexError_,
+    _unit_rows,
     build_index,
     load_index,
     save_index,
@@ -195,6 +196,28 @@ class TestTopK:
         assert [i for i, _ in hits] == ["e", "a", "c", "h", "g", "j", "b", "d", "f", "i"]
         assert hits[1][1] == hits[2][1] == hits[3][1]
         assert hits[7][1] == hits[8][1] == hits[9][1]
+
+
+def test_unit_rows_match_the_per_row_norm_loop():
+    def per_row(m):
+        out = np.zeros_like(m)
+        for i, row in enumerate(m):
+            norm = float(np.linalg.norm(row))
+            if norm >= 1e-12:
+                out[i] = row / norm
+        return out
+
+    rng = np.random.default_rng(9)
+    for d in (1, 3, 8, 64, 65):
+        m = rng.standard_normal((300, d)) * 10.0 ** rng.uniform(-8, 8, (300, 1))
+        unit = np.ones(d) / np.sqrt(d)
+        under, over = unit * (1e-12 * (1 - 1e-9)), unit * (1e-12 * (1 + 1e-9))
+        assert np.linalg.norm(under) < 1e-12 <= np.linalg.norm(over)
+        m[7], m[8], m[9] = 0.0, under, over
+        got = _unit_rows(m)
+        assert got.tobytes() == per_row(m).tobytes()
+        assert not got[[7, 8]].any() and got[9].any()
+    assert _unit_rows(np.zeros((0, 4))).shape == (0, 4)
 
 
 def test_index_invariants_checked():

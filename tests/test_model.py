@@ -580,16 +580,17 @@ class TestBatchedCore:
                                            rtol=0, atol=1e-12, err_msg=key)
 
 
-class TestFrozenEncodeCore:
-    @pytest.fixture
-    def frozen(self):
-        gcfg = GenConfig(rng_seed=0, ops=SMALL_OPS)
-        texts = ["relu", "a small conv net with relu and linear layers", "gelu"]
-        vocab = build_vocab(texts, 64)
-        cfg = ModelConfig(node_vocab_size=len(gcfg.node_vocab()), text_vocab_size=len(vocab),
-                          d=16, gat_heads=2, cross_heads=4, dec_heads=2)
-        return Model.initialized(cfg, seed=4), vocab, _mixed_graphs(gcfg, (5, 17, 2)), texts
+@pytest.fixture
+def frozen():
+    gcfg = GenConfig(rng_seed=0, ops=SMALL_OPS)
+    texts = ["relu", "a small conv net with relu and linear layers", "gelu"]
+    vocab = build_vocab(texts, 64)
+    cfg = ModelConfig(node_vocab_size=len(gcfg.node_vocab()), text_vocab_size=len(vocab),
+                      d=16, gat_heads=2, cross_heads=4, dec_heads=2)
+    return Model.initialized(cfg, seed=4), vocab, _mixed_graphs(gcfg, (5, 17, 2)), texts
 
+
+class TestFrozenEncodeCore:
     @staticmethod
     def _counting(monkeypatch, name):
         """Replace model.<name> by a wrapper that records every item encoded."""
@@ -617,6 +618,115 @@ class TestFrozenEncodeCore:
         repeated = embed_texts([a, b, a, c, b], model, vocab)
         assert seen == [tokenize(t, vocab, model.cfg.max_tokens) for t in (a, b, c)]
         assert np.array_equal(repeated, distinct[[0, 1, 0, 2, 1]])
+
+    def test_row_budget_changes_no_bits(self, frozen, monkeypatch):
+        model, vocab, graphs, texts = frozen
+        graphs = graphs + _mixed_graphs(GenConfig(rng_seed=1, ops=SMALL_OPS),
+                                        (60, 9, 64, 33, 1, 48, 62, 20, 57, 41, 50, 63, 35))
+        words = "a small conv net with relu and linear layers then a pool".split()
+        texts = texts + [" ".join(w * 5) for n in range(1, 12)
+                         for w in (words[:n], words[n:])]
+        seqs = [tokenize(t, vocab, model.cfg.max_tokens) for t in texts]
+        assert len(set(graphs)) == len(graphs) and len(set(seqs)) == len(seqs)
+        for rows in (sum(g.num_nodes for g in graphs), sum(len(s.ids) for s in seqs)):
+            assert rows > model_mod._EMBED_ROWS
+        calls = []
+        for name in ("encode_graphs", "encode_texts"):
+            def encode(items, params, cfg, real=getattr(model_mod, name)):
+                calls.append(len(items))
+                return real(items, params, cfg)
+
+            monkeypatch.setattr(model_mod, name, encode)
+        out, chunks = [], []
+        for budget in (1, model_mod._EMBED_ROWS, 10 ** 6):
+            monkeypatch.setattr(model_mod, "_EMBED_ROWS", budget)
+            calls.clear()
+            out.append((embed_graphs(graphs, model), embed_texts(texts, model, vocab)))
+            chunks.append(len(calls))
+        assert chunks[0] == len(graphs) + len(texts) > chunks[1] > chunks[2] == 2
+        for j_g, j_t in out[1:]:
+            assert np.array_equal(j_g, out[0][0]) and np.array_equal(j_t, out[0][1])
+
+
+class TestConstantView:
+    """Forward-only calls read the model's constant view of its weights."""
+
+    @staticmethod
+    def embed(model, vocab, graphs, texts):
+        return embed_graphs(graphs, model), embed_texts(texts, model, vocab)
+
+    def assert_fresh(self, model, vocab, graphs, texts, before):
+        """The model's embeddings changed, and equal a newly loaded copy's."""
+        fresh = Model.initialized(model.cfg, seed=0)
+        set_params(fresh.params, {name: p.data.copy() for name, p in model.params.items()})
+        got = self.embed(model, vocab, graphs, texts)
+        for g, w, b in zip(got, self.embed(fresh, vocab, graphs, texts), before):
+            assert np.array_equal(g, w) and not np.array_equal(g, b)
+
+    def test_updates_reach_the_next_call(self, frozen):
+        model, vocab, graphs, texts = frozen
+        rng = np.random.default_rng(0)
+        before = self.embed(model, *frozen[1:])
+        grads = {name: rng.standard_normal(p.data.shape) for name, p in model.params.items()}
+        ad.adam_step(model.params, grads, ad.AdamState(lr=1e-2))
+        self.assert_fresh(model, *frozen[1:], before)
+
+        before = self.embed(model, *frozen[1:])
+        set_params(model.params, {name: p.data * 1.1 for name, p in model.params.items()})
+        self.assert_fresh(model, *frozen[1:], before)
+
+        before = self.embed(model, *frozen[1:])
+        for name in ("text.tok_emb", "arch.node_emb", "cross.0.ffn.w1"):
+            model.params[name].data = model.params[name].data + 0.5
+        self.assert_fresh(model, *frozen[1:], before)
+
+    def test_in_place_edit_shows_up(self, frozen):
+        model, vocab, graphs, texts = frozen
+        before = self.embed(model, *frozen[1:])
+        model.params["cross.0.attn.wq"].data *= 3.0
+        model.params["arch.node_emb"].data[:] += 0.25
+        model.params["text.tok_emb"].data[:] += 0.25
+        self.assert_fresh(model, *frozen[1:], before)
+
+    @pytest.mark.parametrize("name", ["cross.1.ffn.w2", "dec.out.fc2.w"])
+    def test_non_finite_weight_rejected(self, frozen, name):
+        # the decoder's weights take no part in an embedding: only the scan
+        # that makes them constants can see them
+        model, vocab, graphs, texts = frozen
+        self.embed(model, *frozen[1:])
+        bad = model.params[name].data.copy()
+        bad[0, 1] = np.nan
+        model.params[name].data = bad
+        with pytest.raises(ad.NonFiniteError):
+            embed_graphs(graphs, model)
+        with pytest.raises(ad.NonFiniteError):
+            embed_texts(texts, model, vocab)
+
+    def test_unchanged_weights_wrap_no_parameter(self, frozen, monkeypatch):
+        model, vocab, graphs, texts = frozen
+        wrapped, real = [], Tensor.__init__
+
+        def init(self, data, *args, **kwargs):
+            wrapped.extend(name for name, p in model.params.items() if data is p.data)
+            real(self, data, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", init)
+        embed_texts(texts, model, vocab)
+        assert len(wrapped) == len(model.params)
+        wrapped.clear()
+        embed_texts(texts, model, vocab)
+        embed_graphs(graphs, model)
+        assert wrapped == []
+        model.params["cross.0.attn.wq"].data = model.params["cross.0.attn.wq"].data + 1.0
+        embed_texts(texts, model, vocab)
+        assert wrapped == ["cross.0.attn.wq"]
+
+    def test_model_fields_unchanged(self, frozen):
+        model = frozen[0]
+        model.constants()
+        twin = Model(model.cfg, model.params)
+        assert twin == model and repr(twin) == repr(model)
+        assert [f.name for f in dataclasses.fields(Model) if f.init] == ["cfg", "params"]
 
 
 def _greedy_reference(h_g, params, cfg, max_len):
