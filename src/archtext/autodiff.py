@@ -2,14 +2,19 @@
 
 The engine covers exactly the operation set the model needs: elementwise
 arithmetic with broadcasting, batched matmul with broadcasting, reductions,
-log-softmax, leaky rectifier, logistic, sqrt, clamp, row gather, row
-selection (`take_rows`), column slicing, concatenation, reshape, axis
-permutation, segment sums over packed rows (`segment_sum`), the edge-list
-graph attention ops (`edge_scores`, `segment_softmax`, `neighbour_mix`),
-and three fused layers with analytic gradients: `linear`, `layer_norm` and
-multi-head `attention` over packed rows. Every op validates that its output
-is finite; NaN or Inf anywhere is a hard error rather than a silent
-corruption.
+log-softmax, leaky rectifier, sqrt, clamp, row gather, row selection
+(`take_rows`), column slicing, concatenation, reshape, segment sums over
+packed rows (`segment_sum`), the edge-list graph attention ops
+(`edge_scores`, `segment_softmax`, `neighbour_mix`), and fused layers with
+analytic gradients: `linear`, `layer_norm` and multi-head `attention` over
+packed rows, plus four ops that each stand for a whole model stage:
+`embed` (a sum of rows gathered from several tables), `attention_block`
+and `ffn_block` (the two pre-norm residual sublayers of a transformer
+layer) and `segment_mean` (mean pooling over packed rows). The layers and
+the fused ops share their numpy kernels, so each formula is written once.
+Every op validates that its output is finite, and a fused op names the
+stage of its computation where NaN or Inf first appeared; NaN or Inf
+anywhere is a hard error rather than a silent corruption.
 
 Gradients flow through a tape built implicitly by op closures; calling
 `backward` on a scalar seeds the reverse pass. `finite_diff` provides the
@@ -30,12 +35,25 @@ class NonFiniteError(ArithmeticError):
     """A computation produced NaN or Inf."""
 
 
-def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
+def _finite(arr: np.ndarray) -> bool:
     # the ufunc reduce, not np.all: on the small arrays of a batch of one,
     # np.all's Python-level wrapper costs more than the check itself
-    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
+    return np.logical_and.reduce(np.isfinite(arr), axis=None)
+
+
+def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
+    if not _finite(arr):
         raise NonFiniteError(f"non-finite values produced by {op}")
     return arr
+
+
+def _stage_error(op: str, stages) -> NonFiniteError:
+    """The error of a fused op whose values went non-finite: it names the
+    first of the (name, array) stages that is not finite, or no stage when
+    only the result is."""
+    bad = next((name for name, arr in stages if not _finite(arr)), None)
+    return NonFiniteError(f"non-finite values produced by {op}"
+                          + (f" ({bad})" if bad else ""))
 
 
 class Tensor:
@@ -230,19 +248,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ), "matmul")
 
 
+def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = _rows_matmul(x, w)
+    out += b
+    return out
+
+
+def _linear_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """The gradients of x @ w + b for x, w and b, given the output's."""
+    return g @ w.T, x.T @ g, _unbroadcast(g, b.shape)
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for rows x (R, n), weights w (n, m) and a bias b that
     broadcasts to (R, m)."""
     if x.data.ndim != 2 or w.data.ndim != 2:
         raise ValueError(f"linear expects 2-D rows and weights, got "
                          f"{x.data.shape} @ {w.data.shape}")
-    out = _rows_matmul(x.data, w.data)
-    out += b.data
-    return Tensor._from_op(out, (x, w, b), lambda g: (
-        (x, g @ w.data.T),
-        (w, x.data.T @ g),
-        (b, _unbroadcast(g, b.data.shape)),
-    ), "linear")
+    return Tensor._from_op(_linear(x.data, w.data, b.data), (x, w, b), lambda g: zip(
+        (x, w, b), _linear_grads(g, x.data, w.data, b.data)), "linear")
 
 
 # ---------------------------------------------------------------------------
@@ -270,19 +294,18 @@ def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 # nonlinearities
 
 
+def _leaky_relu(a: np.ndarray, slope: float) -> np.ndarray:
+    return np.where(a > 0, a, slope * a)
+
+
+def _leaky_relu_grad(g: np.ndarray, a: np.ndarray, slope: float) -> np.ndarray:
+    return g * np.where(a > 0, 1.0, slope)
+
+
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    out = np.where(a.data > 0, a.data, slope * a.data)
-    return Tensor._from_op(out, (a,), lambda g: (
-        (a, g * np.where(a.data > 0, 1.0, slope)),
+    return Tensor._from_op(_leaky_relu(a.data, slope), (a,), lambda g: (
+        (a, _leaky_relu_grad(g, a.data, slope)),
     ), "leaky_relu")
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out = np.where(a.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(a.data))),
-                   np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
-    return Tensor._from_op(out, (a,), lambda g: (
-        (a, g * out * (1.0 - out)),
-    ), "sigmoid")
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -331,26 +354,48 @@ def log_softmax(logits: Tensor) -> Tensor:
 # structure ops
 
 
-def gather_rows(table: Tensor, ids) -> Tensor:
-    """Embedding lookup: rows of `table` selected by integer ids."""
+def _gather_ids(table: Tensor, ids, op: str) -> np.ndarray:
     idx = np.asarray(ids, dtype=np.int64)
     if idx.ndim != 1:
-        raise ValueError("gather_rows expects a flat id list")
+        raise ValueError(f"{op} expects a flat id list")
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
         raise IndexError(f"gather id out of range [0, {table.data.shape[0]})")
-    out = table.data[idx]
+    return idx
 
-    def backward(g):
-        # the rows of each id summed by one reduceat over the ids sorted
-        # stably, in place of unbuffered scattered adds
-        order = np.argsort(idx, kind="stable")
-        ids = idx[order]
-        starts = np.flatnonzero(np.diff(ids, prepend=-1))
-        gt = np.zeros_like(table.data)
-        gt[ids[starts]] = np.add.reduceat(g[order], starts, axis=0)
-        return ((table, gt),)
 
-    return Tensor._from_op(out, (table,), backward, "gather_rows")
+def _gather_grad(g: np.ndarray, idx: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The gradient of table[idx]: the rows of each id summed by one reduceat
+    over the ids sorted stably, in place of unbuffered scattered adds."""
+    order = np.argsort(idx, kind="stable")
+    ids = idx[order]
+    starts = np.flatnonzero(np.diff(ids, prepend=-1))
+    gt = np.zeros_like(table)
+    gt[ids[starts]] = np.add.reduceat(g[order], starts, axis=0)
+    return gt
+
+
+def gather_rows(table: Tensor, ids) -> Tensor:
+    """Embedding lookup: rows of `table` selected by integer ids."""
+    idx = _gather_ids(table, ids, "gather_rows")
+    return Tensor._from_op(table.data[idx], (table,), lambda g: (
+        (table, _gather_grad(g, idx, table.data)),
+    ), "gather_rows")
+
+
+def embed(tables: list[Tensor], id_columns) -> Tensor:
+    """Sums of rows gathered from several tables: row r is tables[0][ids_0[r]]
+    + tables[1][ids_1[r]] + ..., added left to right, for one id column per
+    table. One op, where a gather per table and an add per extra table
+    would be 2n - 1."""
+    idx = [_gather_ids(t, ids, "embed") for t, ids in zip(tables, id_columns, strict=True)]
+    if not idx or any(len(i) != len(idx[0]) for i in idx):
+        raise ValueError(f"embed needs one or more id columns of one length, got "
+                         f"{[len(i) for i in idx]}")
+    out = tables[0].data[idx[0]]
+    for t, i in zip(tables[1:], idx[1:]):
+        out += t.data[i]
+    return Tensor._from_op(out, tuple(tables), lambda g: tuple(
+        (t, _gather_grad(g, i, t.data)) for t, i in zip(tables, idx)), "embed")
 
 
 def _check_rows(rows: np.ndarray, n: int) -> np.ndarray:
@@ -405,6 +450,23 @@ def segment_sum(a: Tensor, seg: Segments) -> Tensor:
         raise ValueError(f"{len(seg.ids)} segment ids for {a.data.shape[0]} rows")
     return Tensor._from_op(np.add.reduceat(a.data, seg.starts, axis=0), (a,),
                            lambda g: ((a, g[seg.ids]),), "segment_sum")
+
+
+def segment_mean(a: Tensor, lengths) -> Tensor:
+    """Means over consecutive runs of rows, lengths[i] rows for run i: (R, d)
+    rows give (len(lengths), d). Each run is summed on its own (`reduceat`)
+    and then scaled by 1 / its length."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if (lengths.ndim != 1 or not len(lengths) or lengths.min() < 1
+            or lengths.sum() != a.data.shape[0]):
+        raise ValueError(f"segment lengths {lengths.tolist()} do not split "
+                         f"{a.data.shape[0]} rows")
+    inv = 1.0 / lengths[:, None]
+    out = np.add.reduceat(a.data, np.cumsum(lengths) - lengths, axis=0)
+    out *= inv
+    return Tensor._from_op(out, (a,), lambda g: (
+        (a, np.repeat(g * inv, lengths, axis=0)),
+    ), "segment_mean")
 
 
 def edge_scores(own: Tensor, other: Tensor, src: np.ndarray, seg: Segments,
@@ -498,29 +560,36 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
                            lambda g: ((a, g.reshape(a.data.shape)),), "reshape")
 
 
-def permute(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    """Reorder the axes: output axis i is input axis axes[i]."""
-    return Tensor._from_op(a.data.transpose(axes), (a,),
-                           lambda g: ((a, g.transpose(np.argsort(axes))),), "permute")
-
-
-def layer_norm(x: Tensor, scale: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then apply the affine pair; one op with
-    the analytic gradient (Ba et al., arXiv 1607.06450)."""
-    inv_n = 1.0 / x.data.shape[-1]
-    centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+def _layer_norm(x: np.ndarray, scale: np.ndarray, bias: np.ndarray, eps: float):
+    """The normalized, scaled and shifted rows, and the normalized rows and
+    inverse deviations the gradient reads."""
+    inv_n = 1.0 / x.shape[-1]
+    centered = x - x.sum(axis=-1, keepdims=True) * inv_n
     inv = 1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_n + eps)
     xhat = centered * inv
+    return xhat * scale + bias, xhat, inv
 
-    def backward(g):
-        gh = g * scale.data
-        gx = inv * (gh - gh.mean(axis=-1, keepdims=True)
-                    - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
-        return ((x, gx), (scale, _unbroadcast(g * xhat, scale.data.shape)),
-                (bias, _unbroadcast(g, bias.data.shape)))
 
-    return Tensor._from_op(xhat * scale.data + bias.data, (x, scale, bias), backward,
-                           "layer_norm")
+def _layer_norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, scale: np.ndarray,
+                      bias: np.ndarray):
+    """The gradients of `_layer_norm` for x, scale and bias, given the
+    output's."""
+    gh = g * scale
+    gx = inv * (gh - gh.mean(axis=-1, keepdims=True)
+                - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+    return gx, _unbroadcast(g * xhat, scale.shape), _unbroadcast(g, bias.shape)
+
+
+_LN_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, scale: Tensor, bias: Tensor, eps: float = _LN_EPS) -> Tensor:
+    """Normalize over the last axis, then apply the affine pair; one op with
+    the analytic gradient (Ba et al., arXiv 1607.06450)."""
+    out, xhat, inv = _layer_norm(x.data, scale.data, bias.data, eps)
+    return Tensor._from_op(out, (x, scale, bias), lambda g: zip(
+        (x, scale, bias), _layer_norm_grads(g, xhat, inv, scale.data, bias.data)),
+        "layer_norm")
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +629,54 @@ def _length_groups(lengths, rows: int) -> list[tuple[slice | np.ndarray, int]]:
     return groups
 
 
+def _head_blocks(q, k, v, rows_of, n: int, heads: int, scale: float):
+    return (_by_head(q[rows_of], n, heads) * scale, _by_head(k[rows_of], n, heads),
+            _by_head(v[rows_of], n, heads))
+
+
+def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, groups, mask):
+    """The attention output over `groups` (as `_length_groups` gives them),
+    and the attention weights of each group, which the gradient reads."""
+    scale = 1.0 / math.sqrt(q.shape[1] // heads)
+    out = np.empty_like(q)
+    weights = []
+    for rows_of, n in groups:
+        qh, kh, vh = _head_blocks(q, k, v, rows_of, n, heads, scale)
+        s = qh @ kh.swapaxes(-1, -2)
+        if mask is not None:
+            np.copyto(s, -np.inf, where=~mask)
+        s -= s.max(axis=-1, keepdims=True)
+        p = np.exp(s, out=s)
+        p /= p.sum(axis=-1, keepdims=True)
+        out[rows_of] = _by_row(p @ vh)
+        weights.append(p)
+    return out, weights
+
+
+def _attention_grads(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                     heads: int, groups, weights):
+    """The gradients of `_attention` for q, k and v, given the output's:
+    dS = P * (dP - rowsum(dP * P)) (FlashAttention, arXiv 2205.14135)."""
+    scale = 1.0 / math.sqrt(q.shape[1] // heads)
+    gq, gk, gv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
+    for (rows_of, n), p in zip(groups, weights):
+        qh, kh, vh = _head_blocks(q, k, v, rows_of, n, heads, scale)
+        go = _by_head(g[rows_of], n, heads)
+        dp = go @ vh.swapaxes(-1, -2)
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+        gq[rows_of] = _by_row(ds @ kh) * scale
+        gk[rows_of] = _by_row(ds.swapaxes(-1, -2) @ qh)
+        gv[rows_of] = _by_row(p.swapaxes(-1, -2) @ go)
+    return gq, gk, gv
+
+
+def _check_heads(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> None:
+    (lq, d), (lk, dk) = q.shape, k.shape
+    if dk != d or v.shape != (lk, d) or d % heads:
+        raise ValueError(f"attention over {heads} heads cannot take q {q.shape}, "
+                         f"k {k.shape}, v {v.shape}")
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None,
               mask=None) -> Tensor:
     """Scaled dot-product attention over packed rows, every head in one op.
@@ -575,13 +692,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None,
       `mask` (broadcasting to (Lq, Lk)) marks true; a masked key gets
       exactly zero weight, and each query must keep at least one key.
 
-    Only the attention weights P are kept for the backward pass, which uses
-    dS = P * (dP - rowsum(dP * P)) (FlashAttention, arXiv 2205.14135).
+    Only the attention weights P are kept for the backward pass.
     """
-    (lq, d), (lk, dk) = q.data.shape, k.data.shape
-    if dk != d or v.data.shape != (lk, d) or d % heads:
-        raise ValueError(f"attention over {heads} heads cannot take q {q.data.shape}, "
-                         f"k {k.data.shape}, v {v.data.shape}")
+    _check_heads(q.data, k.data, v.data, heads)
+    lq, lk = q.data.shape[0], k.data.shape[0]
     if lengths is not None:
         if mask is not None or lk != lq:
             raise ValueError("attention over sequence lengths takes no mask, and one "
@@ -593,38 +707,96 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None,
             mask = np.broadcast_to(np.asarray(mask, dtype=bool), (lq, lk))
             if not mask.any(axis=-1).all():
                 raise ValueError("attention query with every key masked")
-    scale = 1.0 / math.sqrt(d // heads)
+    out, weights = _attention(q.data, k.data, v.data, heads, groups, mask)
+    return Tensor._from_op(out, (q, k, v), lambda g: zip(
+        (q, k, v), _attention_grads(g, q.data, k.data, v.data, heads, groups, weights)),
+        "attention")
 
-    def blocks(rows_of, n):
-        return (_by_head(q.data[rows_of], n, heads) * scale,
-                _by_head(k.data[rows_of], n, heads), _by_head(v.data[rows_of], n, heads))
 
-    out = np.empty_like(q.data)
-    weights = []
-    for rows_of, n in groups:
-        qh, kh, vh = blocks(rows_of, n)
-        s = qh @ kh.swapaxes(-1, -2)
-        if mask is not None:
-            np.copyto(s, -np.inf, where=~mask)
-        s -= s.max(axis=-1, keepdims=True)
-        p = np.exp(s, out=s)
-        p /= p.sum(axis=-1, keepdims=True)
-        out[rows_of] = _by_row(p @ vh)
-        weights.append(p)
+# ---------------------------------------------------------------------------
+# transformer sublayers: each pre-norm residual sublayer is one op
+
+
+def attention_block(x: Tensor, norm: tuple[Tensor, Tensor],
+                    proj: tuple[tuple[Tensor, Tensor], ...], heads: int, lengths) -> Tensor:
+    """The pre-norm self-attention sublayer over packed rows, as one op:
+    x + linear_o(attention(linear_q(y), linear_k(y), linear_v(y))) for
+    y = layer_norm(x), with `norm` the layer norm's (scale, bias) and `proj`
+    the (w, b) pairs of the q, k, v and output projections. x (R, d) holds
+    sequences end to end, lengths[b] rows each, as for `attention`.
+
+    The forward pass has the bits of those five ops in turn, and the
+    gradients are theirs, summed in the order the tape sums them. A
+    non-finite value at any stage raises `NonFiniteError` naming the first
+    stage that had one. Most stages are not checked one by one: a NaN or
+    Inf in the normalized rows, q, v, the attention output or the output
+    projection reaches every later stage and the result, which is checked,
+    and only then are the stages searched for the first bad one. k is
+    checked at once, because a key that overflowed to -inf takes zero
+    attention weight and would leave no trace in the result.
+    """
+    (scale, bias), ((wq, bq), (wk, bk), (wv, bv), (wo, bo)) = norm, proj
+    groups = _length_groups(lengths, x.data.shape[0])
+    y, xhat, inv = _layer_norm(x.data, scale.data, bias.data, _LN_EPS)
+    q, k, v = (_linear(y, w.data, b.data) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    stages = [("layer norm", y), ("q projection", q), ("k projection", k), ("v projection", v)]
+    if not _finite(k):
+        raise _stage_error("attention_block", stages)
+    _check_heads(q, k, v, heads)
+    att, weights = _attention(q, k, v, heads, groups, None)
+    o = _linear(att, wo.data, bo.data)
+    stages += [("attention", att), ("output projection", o)]
 
     def backward(g):
-        gq, gk, gv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
-        for (rows_of, n), p in zip(groups, weights):
-            qh, kh, vh = blocks(rows_of, n)
-            go = _by_head(g[rows_of], n, heads)
-            dp = go @ vh.swapaxes(-1, -2)
-            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
-            gq[rows_of] = _by_row(ds @ kh) * scale
-            gk[rows_of] = _by_row(ds.swapaxes(-1, -2) @ qh)
-            gv[rows_of] = _by_row(p.swapaxes(-1, -2) @ go)
-        return ((q, gq), (k, gk), (v, gv))
+        gatt, gwo, gbo = _linear_grads(g, att, wo.data, bo.data)
+        gq, gk, gv = _attention_grads(gatt, q, k, v, heads, groups, weights)
+        # y's three gradients in the order the tape met them: q, k, v
+        gy, gwq, gbq = _linear_grads(gq, y, wq.data, bq.data)
+        gyk, gwk, gbk = _linear_grads(gk, y, wk.data, bk.data)
+        gy += gyk
+        gyv, gwv, gbv = _linear_grads(gv, y, wv.data, bv.data)
+        gy += gyv
+        gx, gscale, gbias = _layer_norm_grads(gy, xhat, inv, scale.data, bias.data)
+        gx += g
+        return ((x, gx), (scale, gscale), (bias, gbias), (wq, gwq), (bq, gbq),
+                (wk, gwk), (bk, gbk), (wv, gwv), (bv, gbv), (wo, gwo), (bo, gbo))
 
-    return Tensor._from_op(out, (q, k, v), backward, "attention")
+    try:
+        return Tensor._from_op(o + x.data, (x, scale, bias, wq, bq, wk, bk, wv, bv, wo, bo),
+                               backward, "attention_block")
+    except NonFiniteError:
+        raise _stage_error("attention_block", stages) from None
+
+
+def ffn_block(x: Tensor, norm: tuple[Tensor, Tensor],
+              proj: tuple[tuple[Tensor, Tensor], tuple[Tensor, Tensor]]) -> Tensor:
+    """The pre-norm feed-forward sublayer, as one op:
+    x + linear_2(leaky_relu(linear_1(layer_norm(x)), 0.2)), with `norm` the layer
+    norm's (scale, bias) and `proj` the (w, b) pairs of the two linear
+    layers. Bits and gradients as for `attention_block`. A NaN or Inf in
+    the normalized rows, the hidden layer (the rectifier keeps it) or the
+    output projection reaches the result, so the result's check covers
+    them, and the error names the first stage that had one."""
+    (scale, bias), ((w1, b1), (w2, b2)) = norm, proj
+    y, xhat, inv = _layer_norm(x.data, scale.data, bias.data, _LN_EPS)
+    pre = _linear(y, w1.data, b1.data)
+    h = _leaky_relu(pre, 0.2)
+    f = _linear(h, w2.data, b2.data)
+
+    def backward(g):
+        gh, gw2, gb2 = _linear_grads(g, h, w2.data, b2.data)
+        gy, gw1, gb1 = _linear_grads(_leaky_relu_grad(gh, pre, 0.2), y, w1.data, b1.data)
+        gx, gscale, gbias = _layer_norm_grads(gy, xhat, inv, scale.data, bias.data)
+        gx += g
+        return ((x, gx), (scale, gscale), (bias, gbias), (w1, gw1), (b1, gb1),
+                (w2, gw2), (b2, gb2))
+
+    try:
+        return Tensor._from_op(f + x.data, (x, scale, bias, w1, b1, w2, b2), backward,
+                               "ffn_block")
+    except NonFiniteError:
+        raise _stage_error("ffn_block", [("layer norm", y), ("hidden layer", pre),
+                                         ("output projection", f)]) from None
 
 
 # ---------------------------------------------------------------------------

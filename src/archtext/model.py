@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -218,9 +219,8 @@ def embed_text(seqs: list[TokenSeq], params: dict[str, Tensor], cfg: ModelConfig
     lengths = [len(s.ids) for s in seqs]
     if max(lengths) > cfg.max_tokens:
         raise ValueError(f"sequence length {max(lengths)} exceeds max_tokens {cfg.max_tokens}")
-    tok = ad.gather_rows(params["text.tok_emb"], [i for s in seqs for i in s.ids])
-    pos = ad.gather_rows(params["text.pos_emb"], [p for n in lengths for p in range(n)])
-    return tok + pos
+    return ad.embed([params["text.tok_emb"], params["text.pos_emb"]],
+                    [[i for s in seqs for i in s.ids], [p for n in lengths for p in range(n)]])
 
 
 def embed_nodes_shapes(graphs: list[ArchGraph], params: dict[str, Tensor],
@@ -234,13 +234,12 @@ def embed_nodes_shapes(graphs: list[ArchGraph], params: dict[str, Tensor],
     nodes = np.fromiter(chain.from_iterable(g.nodes for g in graphs), dtype=np.int64)
     if nodes.max() >= cfg.node_vocab_size:
         raise ValueError(f"node id {nodes.max()} outside vocabulary of {cfg.node_vocab_size}")
-    feats = ad.gather_rows(params["arch.node_emb"], nodes)
-    if not cfg.no_shape:
-        shapes = np.array([s for g in graphs for s in g.shapes], dtype=np.float64)
-        buckets = shape_bucket(shapes, cfg.shape_buckets)
-        for k in range(4):
-            feats = feats + ad.gather_rows(params[f"arch.shape_emb.{k}"], buckets[:, k])
-    return feats
+    if cfg.no_shape:
+        return ad.embed([params["arch.node_emb"]], [nodes])
+    shapes = np.array([s for g in graphs for s in g.shapes], dtype=np.float64)
+    buckets = shape_bucket(shapes, cfg.shape_buckets)
+    return ad.embed([params["arch.node_emb"]] + [params[f"arch.shape_emb.{k}"] for k in range(4)],
+                    [nodes, *buckets.T])
 
 
 def _gat_edges(edges: np.ndarray, rows: int) -> tuple[np.ndarray, ad.Segments, np.ndarray]:
@@ -292,13 +291,24 @@ def _project(x: Tensor, params: dict[str, Tensor], prefix: str, gate: str) -> Te
     return ad.linear(x, params[f"{prefix}.w{gate}"], params[f"{prefix}.b{gate}"])
 
 
-def _ffn(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
-    h = ad.leaky_relu(ad.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]), slope=0.2)
-    return ad.linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+def _norm(params: dict[str, Tensor], prefix: str) -> tuple[Tensor, Tensor]:
+    return params[f"{prefix}.scale"], params[f"{prefix}.bias"]
 
 
 def _ln(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
-    return ad.layer_norm(x, params[f"{prefix}.scale"], params[f"{prefix}.bias"])
+    return ad.layer_norm(x, *_norm(params, prefix))
+
+
+def _pairs(params: dict[str, Tensor], prefix: str,
+           gates: str) -> tuple[tuple[Tensor, Tensor], ...]:
+    """The (w, b) pairs of the named linear layers under `prefix`."""
+    return tuple((params[f"{prefix}.w{g}"], params[f"{prefix}.b{g}"]) for g in gates)
+
+
+def _ffn_block(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
+    """x plus the feed-forward net of the normalized x, for the layer whose
+    weights are `prefix`.ffn.* and `prefix`.ln.ffn.*."""
+    return ad.ffn_block(x, _norm(params, f"{prefix}.ln.ffn"), _pairs(params, f"{prefix}.ffn", "12"))
 
 
 def cross_encode(x: Tensor, lengths, params: dict[str, Tensor],
@@ -308,9 +318,9 @@ def cross_encode(x: Tensor, lengths, params: dict[str, Tensor],
     same layout.
 
     The same weights serve both modalities. Every layer runs on the packed
-    rows; attention runs each group of equal-length sequences as one dense
-    block, so no row is ever padding. Identity when the cross-encoder
-    ablation is active.
+    rows as two ops, its attention and feed-forward sublayers; attention
+    runs each group of equal-length sequences as one dense block, so no row
+    is ever padding. Identity when the cross-encoder ablation is active.
     """
     if cfg.no_cross_encoder:
         return x
@@ -318,13 +328,10 @@ def cross_encode(x: Tensor, lengths, params: dict[str, Tensor],
     if lengths.max() > max(cfg.max_tokens, cfg.max_nodes):
         raise ValueError(f"sequence of {lengths.max()} exceeds encoder limit")
     for layer in range(cfg.cross_layers):
-        prefix = f"cross.{layer}.attn"
-        y = _ln(x, params, f"cross.{layer}.ln.attn")
-        q, k, v = (_project(y, params, prefix, gate) for gate in ("q", "k", "v"))
-        att = ad.attention(q, k, v, cfg.cross_heads, lengths=lengths)
-        x = x + _project(att, params, prefix, "o")
-        y = _ln(x, params, f"cross.{layer}.ln.ffn")
-        x = x + _ffn(y, params, f"cross.{layer}.ffn")
+        x = ad.attention_block(x, _norm(params, f"cross.{layer}.ln.attn"),
+                               _pairs(params, f"cross.{layer}.attn", "qkvo"), cfg.cross_heads,
+                               lengths)
+        x = _ffn_block(x, params, f"cross.{layer}")
     return x
 
 
@@ -334,9 +341,7 @@ def pool(h: Tensor, lengths) -> Tensor:
     lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.min() < 1:
         raise ValueError("cannot pool an empty sequence")
-    # lengths of at least 1 make these valid segments, so they skip `segments`'s checks
-    seg = ad.Segments(np.repeat(np.arange(len(lengths)), lengths), np.cumsum(lengths) - lengths)
-    return ad.segment_sum(h, seg) * Tensor(1.0 / lengths[:, None])
+    return ad.segment_mean(h, lengths)
 
 
 def cosine(j_a: Tensor, j_b: Tensor, eps: float = 1e-8) -> Tensor:
@@ -486,8 +491,7 @@ def _decoder_layer(x: Tensor, past: tuple[Tensor, Tensor] | None, self_mask: np.
     y = _ln(x, params, "dec.ln.xattn")
     att = ad.attention(_project(y, params, "dec.xattn", "q"), *cross, heads)
     x = x + _project(att, params, "dec.xattn", "o")
-    y = _ln(x, params, "dec.ln.ffn")
-    return x + _ffn(y, params, "dec.ffn"), (k, v)
+    return _ffn_block(x, params, "dec"), (k, v)
 
 
 def _decoder_out(x: Tensor, params: dict[str, Tensor]) -> Tensor:
@@ -503,8 +507,7 @@ def decoder_logits(h_g: Tensor, input_ids, params: dict[str, Tensor],
     t = len(input_ids)
     if t > cfg.max_tokens:
         raise ValueError(f"decoder input of {t} exceeds max_tokens {cfg.max_tokens}")
-    x = ad.gather_rows(params["dec.emb.tok"], list(input_ids))
-    x = x + ad.gather_rows(params["dec.emb.pos"], list(range(t)))
+    x = ad.embed([params["dec.emb.tok"], params["dec.emb.pos"]], [list(input_ids), np.arange(t)])
     causal = np.tril(np.ones((t, t), dtype=bool))
     x, _ = _decoder_layer(x, None, causal, _decoder_cross(h_g, params), params, cfg)
     return _decoder_out(x, params)
@@ -523,8 +526,7 @@ def _decoder_step(tokens: np.ndarray, past: tuple[Tensor, Tensor] | None, cross,
     """
     b = len(tokens)
     pos = 0 if past is None else past[0].shape[0] // b
-    x = ad.gather_rows(params["dec.emb.tok"], tokens)
-    x = x + ad.gather_rows(params["dec.emb.pos"], [pos] * b)
+    x = ad.embed([params["dec.emb.tok"], params["dec.emb.pos"]], [tokens, np.full(b, pos)])
     own = np.arange((pos + 1) * b)[None, :] % b == np.arange(b)[:, None]
     x, cache = _decoder_layer(x, past, own, cross, params, cfg)
     return ad.log_softmax(_decoder_out(x, params)).data, cache
@@ -540,6 +542,15 @@ def _reorder_cache(cache: tuple[Tensor, Tensor], parents: np.ndarray,
 
 
 _FORBIDDEN_DECODE_IDS = (PAD_ID, BOS_ID, MASK_ID)
+
+
+@lru_cache(maxsize=8)
+def _allowed_ids(vocab_size: int) -> np.ndarray:
+    """The token ids a caption may emit, ascending; built once per vocabulary
+    size and shared, so it is read-only."""
+    ids = np.setdiff1d(np.arange(vocab_size), _FORBIDDEN_DECODE_IDS)
+    ids.flags.writeable = False
+    return ids
 
 
 def decode_beam(h_g: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
@@ -560,8 +571,7 @@ def decode_beam(h_g: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
     max_len = min(max_len, cfg.max_tokens - 1)
     params = detach_params(params)
     cross = _decoder_cross(Tensor(h_g.data), params)
-    allowed = np.array([i for i in range(cfg.text_vocab_size)
-                        if i not in _FORBIDDEN_DECODE_IDS], dtype=np.int64)
+    allowed = _allowed_ids(cfg.text_vocab_size)
     eos_only = np.array([EOS_ID], dtype=np.int64)
 
     seqs = np.full((1, 1), BOS_ID, dtype=np.int64)   # live prefixes, start token first

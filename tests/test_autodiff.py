@@ -1,4 +1,5 @@
 import math
+import re
 import weakref
 
 import numpy as np
@@ -90,10 +91,13 @@ class TestOpGradients:
             check_grad(lambda: ad.sum_((a + b) * a - b / c), [a, b, c])
 
     def test_matmul_transpose(self):
+        # each operand's gradient is a product with the other one transposed;
+        # a batched left operand broadcasts over the right one
         for rng, n, m in self._shapes():
             a = _param(rng, n, m)
             b = _param(rng, m, n)
-            check_grad(lambda: ad.sum_(a @ b @ ad.permute(a @ b, (1, 0))), [a, b])
+            c = _param(rng, 2, n, m)
+            check_grad(lambda: ad.sum_(a @ b @ (a @ b)) + ad.sum_(c @ b), [a, b, c])
 
     def test_reductions(self):
         for rng, n, m in self._shapes():
@@ -101,11 +105,11 @@ class TestOpGradients:
             check_grad(lambda: ad.sum_(ad.mean(a, axis=0, keepdims=True) * a)
                        + ad.mean(a), [a])
 
-    def test_leaky_relu_sigmoid_sqrt(self):
+    def test_leaky_relu_sqrt(self):
         for rng, n, m in self._shapes():
             a = _param(rng, n, m)
             pos = Tensor(np.abs(rng.standard_normal((n, m))) + 0.5, requires_grad=True)
-            check_grad(lambda: ad.sum_(ad.leaky_relu(a, 0.2) * ad.sigmoid(a))
+            check_grad(lambda: ad.sum_(ad.leaky_relu(a, 0.2) * a)
                        + ad.sum_(ad.sqrt(pos)), [a, pos])
 
     def test_clamp_min(self):
@@ -239,6 +243,90 @@ class TestOpGradients:
         logits = _param(rng, 2, 5)
         targets = rng.random((2, 5))
         check_grad(lambda: ad.sum_(ad.bce_with_logits(logits, targets)), [logits])
+
+
+# packed rows with a length-1 sequence and two repeated lengths whose rows
+# are not contiguous, as the fused ops meet them in a mixed batch
+MIXED_LENGTHS = ([1], [2, 1, 3, 2], [3, 1, 3, 2, 2])
+
+
+def _norm_proj(rng, d, shapes, requires_grad=True):
+    """A random layer-norm pair and (w, b) pairs of the given (in, out) shapes."""
+    def t(*shape):
+        return Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
+
+    return (t(1, d), t(1, d)), tuple((t(n, m), t(1, m)) for n, m in shapes)
+
+
+def _flat(norm, proj) -> list[Tensor]:
+    return [*norm, *(t for pair in proj for t in pair)]
+
+
+class TestFusedOpGradients:
+    """Finite-difference checks of the fused ops over packed rows."""
+
+    def test_attention_block(self):
+        rng = np.random.default_rng(21)
+        for lengths in MIXED_LENGTHS:
+            rows, d = sum(lengths), 4
+            x = _param(rng, rows, d)
+            norm, proj = _norm_proj(rng, d, [(d, d)] * 4)
+            w = Tensor(rng.standard_normal((rows, d)))
+            check_grad(lambda: ad.sum_(ad.attention_block(x, norm, proj, 2, lengths) * w),
+                       [x, *_flat(norm, proj)])
+
+    def test_ffn_block(self):
+        rng = np.random.default_rng(22)
+        for rows in (1, 4, 8):
+            d = 3
+            x = _param(rng, rows, d)
+            norm, proj = _norm_proj(rng, d, [(d, 2 * d), (2 * d, d)])
+            w = Tensor(rng.standard_normal((rows, d)))
+            check_grad(lambda: ad.sum_(ad.ffn_block(x, norm, proj) * w),
+                       [x, *_flat(norm, proj)])
+
+    def test_embed(self):
+        # more rows than ids, so ids repeat within and across columns
+        rng = np.random.default_rng(23)
+        for n_tables in range(1, 6):
+            tables = [_param(rng, 4, 3) for _ in range(n_tables)]
+            columns = [rng.integers(0, 4, size=7) for _ in tables]
+            w = Tensor(rng.standard_normal((7, 3)))
+            check_grad(lambda: ad.sum_(ad.embed(tables, columns) * w), tables)
+
+    def test_segment_mean(self):
+        rng = np.random.default_rng(24)
+        for lengths in MIXED_LENGTHS:
+            a = _param(rng, sum(lengths), 3)
+            w = Tensor(rng.standard_normal((len(lengths), 3)))
+            check_grad(lambda: ad.sum_(ad.segment_mean(a, lengths) * w), [a])
+
+    def test_key_overflowing_to_minus_inf_is_named(self):
+        # the key of row 1 overflows to -inf, so it takes zero attention
+        # weight and the block's result stays finite; the error still comes
+        big = np.finfo(np.float64).max
+        x = Tensor([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        norm = (Tensor([[2.0, 2.0]]), Tensor([[0.0, 0.0]]))
+        eye, zero = Tensor(np.eye(2)), Tensor(np.zeros((1, 2)))
+        proj = ((Tensor(np.zeros((2, 2))), Tensor([[1.0, 0.0]])),
+                (Tensor([[big / 2, 0.0], [0.0, 0.0]]), Tensor([[-big, 0.0]])),
+                (eye, zero), (eye, zero))
+        with np.errstate(over="ignore"), pytest.raises(
+                NonFiniteError, match=re.escape("attention_block (k projection)")):
+            ad.attention_block(x, norm, proj, 1, [3])
+
+    def test_constant_inputs_keep_no_backward(self):
+        # a forward-only call keeps neither its inputs nor the arrays its
+        # gradient would read
+        rng = np.random.default_rng(25)
+        lengths, d = [2, 1, 2], 4
+        x = Tensor(rng.standard_normal((5, d)))
+        attn = _norm_proj(rng, d, [(d, d)] * 4, requires_grad=False)
+        ffn = _norm_proj(rng, d, [(d, 2 * d), (2 * d, d)], requires_grad=False)
+        for out in (ad.attention_block(x, *attn, 2, lengths), ad.ffn_block(x, *ffn),
+                    ad.embed([x, x], [[0, 4], [1, 1]]),
+                    ad.segment_mean(x, lengths)):
+            assert out._backward is None and out._parents == () and not out.requires_grad
 
 
 class TestMaskedSoftmaxSemantics:
@@ -397,6 +485,10 @@ class TestRowAndSegmentOps:
                                    ad.segments([0, 1, 2]), np.array([0, 1, 2])),
         lambda a: ad.segment_sum(a, ad.segments([0, 1])),
         lambda a: ad.segment_sum(a, ad.segments([0, 0, 1, 1])),
+        lambda a: ad.segment_mean(a, [2, 2]),
+        lambda a: ad.segment_mean(a, [3, 0]),
+        lambda a: ad.embed([a, a], [[0, 1], [0]]),
+        lambda a: ad.embed([], []),
     ])
     def test_bad_indices_rejected(self, call):
         with pytest.raises(ValueError):
@@ -419,6 +511,8 @@ class TestRowAndSegmentOps:
         ("edge_scores", (2, 2), lambda a: ad.edge_scores(
             a, Tensor(np.ones((2, 2))), np.array([0, 1]), ad.segments([0, 1]),
             np.array([0, 1]))),
+        ("embed", (2, 2), lambda a: ad.embed([Tensor(np.ones((2, 2))), a], [[0, 0], [1, 0]])),
+        ("segment_mean", (2, 2), lambda a: ad.segment_mean(a, [1, 1])),
     ])
     def test_non_finite_output_names_the_op(self, op, shape, call):
         a = Tensor(np.ones(shape))
@@ -494,11 +588,6 @@ class TestFiniteDiffOracle:
         before = x.data.copy()
         finite_diff(lambda: float(x.data.sum() ** 2), [x])
         np.testing.assert_array_equal(x.data, before)
-
-
-def test_sigmoid_extreme_values_stable():
-    out = ad.sigmoid(Tensor([-800.0, 0.0, 800.0]))
-    np.testing.assert_allclose(out.data, [0.0, 0.5, 1.0], atol=1e-12)
 
 
 def test_repeated_softmax_rows_match_math():

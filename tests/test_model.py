@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -179,34 +180,48 @@ def _reference_mask(g, use_edges):
     return mask
 
 
-def _dense_masked_softmax(logits, mask):
-    """Softmax along the last axis over the mask-true entries of a dense
-    grid, with its gradient; masked entries get exactly zero."""
-    z = np.where(mask, logits.data, -np.inf)
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
-    return Tensor._from_op(p, (logits,), lambda g: (
-        (logits, p * (g - (g * p).sum(axis=-1, keepdims=True))),), "dense_masked_softmax")
-
-
-def _dense_gat_reference(x, mask, params, cfg):
-    """The GAT over a dense (heads, m, m) grid, as this package computed it
-    before the edge-list form, for one graph: x (m, d) rows, mask (m, m)
-    with row i true where node i attends."""
+def _dense_gat_reference(x, mask, params, cfg, g_out):
+    """The GAT over a dense (heads, m, m) grid in plain numpy, as this
+    package computed it before the edge-list form, for one graph: x (m, d)
+    rows, mask (m, m) with row i true where node i attends. Returns the
+    output rows and, for the output gradient g_out, the gradients of x and
+    of every GAT parameter, derived by hand."""
     m, d = x.shape
     heads = cfg.gat_heads
     dh = d // heads
+    saved = []
     for layer in range(cfg.gat_layers):
-        w = ad.concat([params[f"gat.{layer}.{h}.W"] for h in range(heads)], axis=1)
-        a = ad.concat([params[f"gat.{layer}.{h}.a"] for h in range(heads)], axis=0)
-        wh = ad.permute(ad.reshape(x @ w, (m, heads, dh)), (1, 0, 2))
-        own, other = (ad.sum_(wh * ad.reshape(ad.slice_cols(a, lo, lo + dh), (heads, 1, dh)),
-                              axis=-1, keepdims=True) for lo in (0, dh))
-        logits = ad.leaky_relu(own + ad.permute(other, (0, 2, 1)), slope=0.2)
-        alpha = _dense_masked_softmax(logits, mask[None])
-        mixed = ad.reshape(ad.permute(alpha @ wh, (1, 0, 2)), (m, d))
-        x = x + mixed @ params[f"gat.{layer}.proj"]
-    return x
+        w = np.concatenate([params[f"gat.{layer}.{h}.W"].data for h in range(heads)], axis=1)
+        a = np.concatenate([params[f"gat.{layer}.{h}.a"].data for h in range(heads)])
+        wh = (x @ w).reshape(m, heads, dh).transpose(1, 0, 2)          # (heads, m, dh)
+        own, other = (wh * a[:, None, :dh]).sum(-1), (wh * a[:, None, dh:]).sum(-1)
+        pre = own[:, :, None] + other[:, None, :]                       # (heads, m, m)
+        z = np.where(mask, np.where(pre > 0, pre, 0.2 * pre), -np.inf)
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        alpha = e / e.sum(axis=-1, keepdims=True)
+        mixed = (alpha @ wh).transpose(1, 0, 2).reshape(m, d)
+        saved.append((x, w, a, wh, pre, alpha, mixed))
+        x = x + mixed @ params[f"gat.{layer}.proj"].data
+    out, g, grads = x, g_out, {}
+    for layer in reversed(range(cfg.gat_layers)):
+        x, w, a, wh, pre, alpha, mixed = saved[layer]
+        grads[f"gat.{layer}.proj"] = mixed.T @ g
+        gm = (g @ params[f"gat.{layer}.proj"].data.T).reshape(m, heads, dh).transpose(1, 0, 2)
+        galpha = gm @ wh.transpose(0, 2, 1)
+        gpre = (alpha * (galpha - (galpha * alpha).sum(axis=-1, keepdims=True))
+                * np.where(pre > 0, 1.0, 0.2))
+        gown, gother = gpre.sum(axis=2), gpre.sum(axis=1)               # (heads, m)
+        gwh = (alpha.transpose(0, 2, 1) @ gm + gown[:, :, None] * a[:, None, :dh]
+               + gother[:, :, None] * a[:, None, dh:])
+        ga = np.concatenate([(gown[:, :, None] * wh).sum(axis=1),
+                             (gother[:, :, None] * wh).sum(axis=1)], axis=1)
+        gflat = gwh.transpose(1, 0, 2).reshape(m, d)
+        gw = x.T @ gflat
+        for h in range(heads):
+            grads[f"gat.{layer}.{h}.W"] = gw[:, h * dh:(h + 1) * dh]
+            grads[f"gat.{layer}.{h}.a"] = ga[h:h + 1]
+        g = g + gflat @ w.T
+    return out, g, grads
 
 
 class TestEdgeListGat:
@@ -225,32 +240,25 @@ class TestEdgeListGat:
     def _compare(self, graphs, cfg, params, use_edges):
         weights = np.random.default_rng(1).standard_normal((sum(g.num_nodes for g in graphs),
                                                             cfg.d))
-        gat = {k: p for k, p in params.items() if k.startswith("gat.")}
-
-        def run(forward):
-            for p in params.values():
-                p.grad = None
-            feats = Tensor(embed_nodes_shapes(graphs, params, cfg).data, requires_grad=True)
-            out = forward(feats)
-            ad.sum_(out * Tensor(weights)).backward()
-            return out.data, feats.grad, {k: p.grad for k, p in gat.items()}
-
-        def dense(feats):
-            parts, lo = [], 0
-            for g in graphs:
-                rows = ad.take_rows(feats, np.arange(lo, lo + g.num_nodes))
-                parts.append(_dense_gat_reference(rows, _reference_mask(g, use_edges),
-                                                  params, cfg))
-                lo += g.num_nodes
-            return ad.concat(parts)
-
-        edges = attention_edges(graphs, use_edges)
-        got = run(lambda feats: gat_forward(feats, edges, params, cfg))
-        want = run(dense)
-        np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
+        gat = [k for k in params if k.startswith("gat.")]
+        for p in params.values():
+            p.grad = None
+        feats = Tensor(embed_nodes_shapes(graphs, params, cfg).data, requires_grad=True)
+        out = gat_forward(feats, attention_edges(graphs, use_edges), params, cfg)
+        ad.sum_(out * Tensor(weights)).backward()
+        want = {k: np.zeros_like(params[k].data) for k in gat}
+        lo = 0
+        for g in graphs:
+            rows = slice(lo, lo + g.num_nodes)
+            lo += g.num_nodes
+            dense, g_feats, g_params = _dense_gat_reference(
+                feats.data[rows], _reference_mask(g, use_edges), params, cfg, weights[rows])
+            np.testing.assert_allclose(out.data[rows], dense, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(feats.grad[rows], g_feats, rtol=0, atol=1e-12)
+            for name in gat:
+                want[name] += g_params[name]
         for name in gat:
-            np.testing.assert_allclose(got[2][name], want[2][name], rtol=1e-12, atol=1e-12,
+            np.testing.assert_allclose(params[name].grad, want[name], rtol=1e-12, atol=1e-12,
                                        err_msg=name)
 
     def test_mixed_batch_with_one_node_and_edgeless_graphs(self, setup):
@@ -328,6 +336,140 @@ class TestPool:
     def test_all_pad_rejected(self):
         with pytest.raises(ValueError, match="pool"):
             pool(Tensor(np.ones((2, 2))), [2, 0])
+
+
+# ---------------------------------------------------------------------------
+# the fused sublayer ops against the composites of single ops they replace
+
+
+def _composite_attention_block(x, norm, proj, heads, lengths):
+    y = ad.layer_norm(x, *norm)
+    q, k, v = (ad.linear(y, w, b) for w, b in proj[:3])
+    return ad.add(x, ad.linear(ad.attention(q, k, v, heads, lengths=lengths), *proj[3]))
+
+
+def _composite_ffn_block(x, norm, proj):
+    h = ad.leaky_relu(ad.linear(ad.layer_norm(x, *norm), *proj[0]), slope=0.2)
+    return ad.add(x, ad.linear(h, *proj[1]))
+
+
+def _composite_embed(tables, columns):
+    out = ad.gather_rows(tables[0], columns[0])
+    for table, ids in zip(tables[1:], columns[1:]):
+        out = ad.add(out, ad.gather_rows(table, ids))
+    return out
+
+
+def _composite_segment_mean(h, lengths):
+    seg = ad.segments(np.repeat(np.arange(len(lengths)), lengths))
+    return ad.mul(ad.segment_sum(h, seg), Tensor(1.0 / np.asarray(lengths)[:, None]))
+
+
+def _fused_case(op, rng):
+    """(inputs, fused build, composite build) over packed rows of mixed
+    lengths: two length groups not contiguous, and length-1 sequences."""
+    d, heads, lengths = 16, 4, [3, 1, 5, 3, 2, 5, 1]
+
+    def t(*shape):
+        return Tensor(rng.standard_normal(shape), requires_grad=True)
+
+    x = t(sum(lengths), d)
+    norm = (t(1, d), t(1, d))
+    if op == "attention_block":
+        proj = tuple((t(d, d), t(1, d)) for _ in range(4))
+        return ([x, *norm, *itertools.chain(*proj)],
+                lambda: ad.attention_block(x, norm, proj, heads, lengths),
+                lambda: _composite_attention_block(x, norm, proj, heads, lengths))
+    if op == "ffn_block":
+        proj = ((t(d, 2 * d), t(1, 2 * d)), (t(2 * d, d), t(1, d)))
+        return ([x, *norm, *itertools.chain(*proj)], lambda: ad.ffn_block(x, norm, proj),
+                lambda: _composite_ffn_block(x, norm, proj))
+    if op == "embed":
+        tables = [t(9, d) for _ in range(5)]
+        columns = [rng.integers(0, 9, size=sum(lengths)) for _ in tables]
+        return (tables, lambda: ad.embed(tables, columns),
+                lambda: _composite_embed(tables, columns))
+    return [x], lambda: ad.segment_mean(x, lengths), lambda: _composite_segment_mean(x, lengths)
+
+
+class TestFusedOps:
+    @pytest.mark.parametrize("op", ["attention_block", "ffn_block", "embed", "segment_mean"])
+    def test_equals_composite_bit_for_bit(self, op):
+        # forward and every gradient: the fused backward sums a gradient with
+        # several terms in the order the composite's tape did
+        inputs, fused, composite = _fused_case(op, np.random.default_rng(31))
+        results = []
+        for build in (fused, composite):
+            for p in inputs:
+                p.grad = None
+            out = build()
+            weights = np.random.default_rng(32).standard_normal(out.shape)
+            ad.sum_(out * Tensor(weights)).backward()
+            results.append([out.data] + [p.grad for p in inputs])
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+
+    @staticmethod
+    def tape_ops(monkeypatch, call) -> list[str]:
+        """The name of every op `call()` puts on the tape."""
+        real, names = Tensor.__dict__["_from_op"].__func__, []
+
+        def from_op(cls, *args):
+            names.append(args[-1])
+            return real(cls, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Tensor, "_from_op", classmethod(from_op))
+            call()
+        return names
+
+    def test_op_counts(self, monkeypatch):
+        # a split of a fused stage that creeps back shows up here
+        gcfg = GenConfig(rng_seed=0, ops=SMALL_OPS)
+        (g,) = _mixed_graphs(gcfg, (12,))
+        vocab = build_vocab(["a small conv net with relu and linear layers"], 64)
+        cfg = ModelConfig(node_vocab_size=len(gcfg.node_vocab()), text_vocab_size=len(vocab),
+                          d=16, gat_heads=2, cross_heads=4, dec_heads=2)
+        params = Model.initialized(cfg, seed=0).constants()
+        seq = tokenize("a small conv net with relu and linear layers", vocab, cfg.max_tokens)
+        assert (cfg.gat_layers, cfg.cross_layers) == (2, 2)
+        text = self.tape_ops(monkeypatch, lambda: encode_texts([seq], params, cfg))
+        assert text == ["embed"] + ["attention_block", "ffn_block"] * 2 + ["segment_mean"]
+        # and 19 ops per GAT layer between embed and the cross-encoder
+        graph = self.tape_ops(monkeypatch, lambda: encode_graphs([g], params, cfg))
+        assert len(graph) == 44 and graph[-5:] == text[-5:], graph
+        h_g, _ = encode_graphs([g], params, cfg)
+        cross = model_mod._decoder_cross(h_g, params)
+        _, past = model_mod._decoder_step(np.array([BOS_ID]), None, cross, params, cfg)
+        step = self.tape_ops(monkeypatch, lambda: model_mod._decoder_step(
+            np.array([7]), past, cross, params, cfg))
+        assert len(step) == 20 and step.count("ffn_block") == step.count("embed") == 1, step
+
+    @pytest.mark.parametrize("names, stage", [
+        (("cross.0.ln.attn.scale",), "attention_block (layer norm)"),
+        (("cross.0.attn.wq",), "attention_block (q projection)"),
+        (("cross.0.attn.wk",), "attention_block (k projection)"),
+        (("cross.0.attn.wv",), "attention_block (v projection)"),
+        (("cross.0.attn.wq", "cross.0.attn.wk"), "attention_block (attention)"),
+        (("cross.1.attn.wo",), "attention_block (output projection)"),
+        (("cross.0.ln.ffn.scale",), "ffn_block (layer norm)"),
+        (("cross.0.ffn.w1",), "ffn_block (hidden layer)"),
+        (("cross.1.ffn.w2",), "ffn_block (output projection)"),
+    ])
+    def test_overflow_names_the_op_and_stage(self, frozen, names, stage):
+        # finite weights whose products overflow; q and k at the square root
+        # of the largest float overflow only in their scores
+        model, vocab, graphs, texts = frozen
+        rng = np.random.default_rng(0)
+        big = np.finfo(np.float64).max ** (1 / len(names))
+        for name in names:
+            shape = model.params[name].data.shape
+            model.params[name].data = np.where(rng.random(shape) < 0.5, -big, big)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for embed in (lambda: embed_texts(texts, model, vocab),
+                          lambda: embed_graphs(graphs, model)):
+                with pytest.raises(ad.NonFiniteError, match=re.escape(stage)):
+                    embed()
 
 
 class TestCosine:
@@ -827,6 +969,13 @@ def tuned_decoder():
     const = detach_params(model.params)
     encoded = [encode_graph(s.graph, const, cfg)[0] for s in samples]
     return model, cfg, encoded
+
+
+def test_allowed_decode_ids_built_once_per_vocabulary_size():
+    ids = model_mod._allowed_ids(12)
+    assert ids is model_mod._allowed_ids(12) and not ids.flags.writeable
+    assert ids.tolist() == [i for i in range(12) if i not in _FORBIDDEN_DECODE_IDS]
+    assert model_mod._allowed_ids(9).tolist() == ids.tolist()[:-3]
 
 
 class TestIncrementalDecoder:
