@@ -1,14 +1,13 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
 The engine covers exactly the operation set the model needs: elementwise
-arithmetic with broadcasting, batched matmul with broadcasting, reductions,
-log-softmax, leaky rectifier, sqrt, clamp, row gather, row selection
-(`take_rows`), column slicing, concatenation, reshape, segment sums over
-packed rows (`segment_sum`), the edge-list graph attention ops
-(`edge_scores`, `segment_softmax`, `neighbour_mix`), and fused layers with
+arithmetic with broadcasting, reductions, log-softmax, leaky rectifier,
+sqrt, clamp, row gather, row selection (`take_rows`), concatenation along
+rows, segment sums over packed rows (`segment_sum`), and fused layers with
 analytic gradients: `linear`, `layer_norm` and multi-head `attention` over
-packed rows, plus four ops that each stand for a whole model stage:
-`embed` (a sum of rows gathered from several tables), `attention_block`
+packed rows, plus five ops that each stand for a whole model stage:
+`embed` (a sum of rows gathered from several tables), `gat_layer` (one
+multi-head graph attention layer over an edge list), `attention_block`
 and `ffn_block` (the two pre-norm residual sublayers of a transformer
 layer) and `segment_mean` (mean pooling over packed rows). The layers and
 the fused ops share their numpy kernels, so each formula is written once.
@@ -161,9 +160,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(_wrap(other), self)
 
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
     def __neg__(self):
         return mul(self, _wrap(-1.0))
 
@@ -236,18 +232,6 @@ def _rows_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return x @ w
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes; leading axes broadcast."""
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ValueError(f"matmul expects operands of 2 or more axes, got "
-                         f"{a.data.shape} @ {b.data.shape}")
-    out = _rows_matmul(a.data, b.data)
-    return Tensor._from_op(out, (a, b), lambda g: (
-        (a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)),
-        (b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)),
-    ), "matmul")
-
-
 def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = _rows_matmul(x, w)
     out += b
@@ -285,9 +269,9 @@ def sum_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return Tensor._from_op(out, (a,), backward, "sum")
 
 
-def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    count = a.data.size if axis is None else a.data.shape[axis]
-    return mul(sum_(a, axis=axis, keepdims=keepdims), _wrap(1.0 / count))
+def mean(a: Tensor) -> Tensor:
+    """The mean of every entry."""
+    return mul(sum_(a), _wrap(1.0 / a.data.size))
 
 
 # ---------------------------------------------------------------------------
@@ -469,95 +453,11 @@ def segment_mean(a: Tensor, lengths) -> Tensor:
     ), "segment_mean")
 
 
-def edge_scores(own: Tensor, other: Tensor, src: np.ndarray, seg: Segments,
-                reverse: np.ndarray) -> Tensor:
-    """Per-edge sums own[target] + other[source] over an edge list: own and
-    other (R, ...) hold one row per node, and the edges are grouped by target
-    as for `neighbour_mix`, with `reverse` pairing each edge with its mirror.
-    Both gradients are segment sums, `other`'s over the reversed edges."""
-    if len(seg.starts) != own.data.shape[0] or len(seg.ids) != len(src):
-        raise ValueError(f"{len(seg.starts)} segments of {len(seg.ids)} edges for "
-                         f"{own.data.shape[0]} nodes and {len(src)} edges")
-    out = own.data[seg.ids] + other.data[src]
-    return Tensor._from_op(out, (own, other), lambda g: (
-        (own, np.add.reduceat(g, seg.starts, axis=0)),
-        (other, np.add.reduceat(g[reverse], seg.starts, axis=0)),
-    ), "edge_scores")
-
-
-def segment_softmax(logits: Tensor, seg: Segments) -> Tensor:
-    """Softmax along axis 0 within each segment of rows.
-
-    Each segment is reduced on its own (`reduceat`), so its values do not
-    depend on the segments around it.
-    """
-    if len(seg.ids) != logits.data.shape[0]:
-        raise ValueError(f"{len(seg.ids)} segment ids for {logits.data.shape[0]} rows")
-    z = logits.data - np.maximum.reduceat(logits.data, seg.starts, axis=0)[seg.ids]
-    e = np.exp(z, out=z)
-    p = e / np.add.reduceat(e, seg.starts, axis=0)[seg.ids]
-
-    def backward(g):
-        inner = np.add.reduceat(g * p, seg.starts, axis=0)[seg.ids]
-        return ((logits, p * (g - inner)),)
-
-    return Tensor._from_op(p, (logits,), backward, "segment_softmax")
-
-
-def neighbour_mix(alpha: Tensor, values: Tensor, src: np.ndarray, seg: Segments,
-                  reverse: np.ndarray) -> Tensor:
-    """Attention-weighted sums over an edge list: out[i] = sum of
-    alpha[e, :, None] * values[src[e]] over the edges e of segment i.
-
-    alpha (E, H) holds one weight per edge and head, values (R, H, dh) one
-    row per node; the edges are grouped by target, node i's edges forming
-    segment i. The edge set must be symmetric: `reverse[e]` is the index of
-    edge e with its ends swapped. The gradient for `values` then is the same
-    segment sum over the reversed edges, with no scattered adds.
-    """
-    if len(seg.starts) != values.data.shape[0] or len(seg.ids) != len(src):
-        raise ValueError(f"{len(seg.starts)} segments of {len(seg.ids)} edges for "
-                         f"{values.data.shape[0]} nodes and {len(src)} edges")
-    out = np.add.reduceat(alpha.data[:, :, None] * values.data[src], seg.starts, axis=0)
-
-    def backward(g):
-        return ((alpha, np.einsum("ehk,ehk->eh", g[seg.ids], values.data[src])),
-                (values, np.add.reduceat(alpha.data[reverse][:, :, None] * g[src],
-                                         seg.starts, axis=0)))
-
-    return Tensor._from_op(out, (alpha, values), backward, "neighbour_mix")
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    out = a.data[:, start:stop]
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        ga[:, start:stop] = g
-        return ((a, ga),)
-
-    return Tensor._from_op(out, (a,), backward, "slice_cols")
-
-
-def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        grads = []
-        for p, s, e in zip(parts, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(s, e)
-            grads.append((p, g[tuple(sl)]))
-        return tuple(grads)
-
-    return Tensor._from_op(out, tuple(parts), backward, "concat")
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    return Tensor._from_op(a.data.reshape(shape), (a,),
-                           lambda g: ((a, g.reshape(a.data.shape)),), "reshape")
+def concat(parts: list[Tensor]) -> Tensor:
+    """The parts' rows, stacked in order."""
+    offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
+    return Tensor._from_op(np.concatenate([p.data for p in parts]), tuple(parts), lambda g: tuple(
+        (p, g[s:e]) for p, s, e in zip(parts, offsets[:-1], offsets[1:])), "concat")
 
 
 def _layer_norm(x: np.ndarray, scale: np.ndarray, bias: np.ndarray, eps: float):
@@ -797,6 +697,83 @@ def ffn_block(x: Tensor, norm: tuple[Tensor, Tensor],
     except NonFiniteError:
         raise _stage_error("ffn_block", [("layer norm", y), ("hidden layer", pre),
                                          ("output projection", f)]) from None
+
+
+# ---------------------------------------------------------------------------
+# graph attention: each layer is one op
+
+
+def gat_layer(x: Tensor, ws: list[Tensor], as_: list[Tensor], proj: Tensor,
+              edges: tuple[np.ndarray, Segments, np.ndarray]) -> Tensor:
+    """One multi-head graph attention layer with its residual, as one op
+    (Veličković et al., arXiv 1710.10903), over node rows x (R, d).
+
+    Head h projects the rows by ws[h] (d, dh) to wh. Edge (i, j) scores
+    leaky_relu(a_own . wh[i] + a_other . wh[j], 0.2), where as_[h] (1, 2*dh)
+    is (a_own, a_other). A softmax over each node's edges weights the sum of
+    its neighbours' wh rows. The heads' sums, side by side, are projected by
+    `proj` (H*dh, d) with no bias and added to x.
+
+    `edges` is (source, seg, reverse) for an edge list of (target, source)
+    pairs grouped by target, node i's edges forming segment i, as
+    `model._gat_edges` gives it. The edge set must be symmetric: reverse[e]
+    is the index of edge e with its ends swapped. So every gradient that
+    flows from edges back to nodes is a segment sum over the reversed
+    edges, with no scattered adds, and each segment is reduced on its own
+    (`reduceat`), so a node's values do not depend on the graphs around it.
+
+    Bits and gradients are those of the single ops the layer was built from,
+    as for `attention_block`. The scores are checked at once: a score that
+    overflowed to -inf takes zero weight and would leave no trace in the
+    result. A NaN or Inf anywhere else reaches the result.
+    """
+    source, seg, reverse = edges
+    heads, r = len(ws), x.data.shape[0]
+    if len(as_) != heads or len(seg.starts) != r or len(seg.ids) != len(source):
+        raise ValueError(f"{len(seg.starts)} segments of {len(seg.ids)} edges for {r} nodes "
+                         f"and {len(source)} edges, {heads} W and {len(as_)} a for the heads")
+    w = np.concatenate([t.data for t in ws], axis=1)
+    a = np.concatenate([t.data for t in as_])
+    dh = w.shape[1] // heads
+    a_own, a_other = a[:, :dh], a[:, dh:]
+    wh = _rows_matmul(x.data, w).reshape(r, heads, dh)
+    # sums of products, not matrix-vector products: BLAS mat-vec rounds a
+    # row differently depending on its position in the batch
+    scores = (wh * a_own).sum(axis=-1)[seg.ids] + (wh * a_other).sum(axis=-1)[source]
+    stages = [("projection", wh), ("scores", scores)]
+    if not _finite(scores):
+        raise _stage_error("gat_layer", stages)
+    z = _leaky_relu(scores, 0.2)
+    z -= np.maximum.reduceat(z, seg.starts, axis=0)[seg.ids]
+    e = np.exp(z, out=z)
+    p = e / np.add.reduceat(e, seg.starts, axis=0)[seg.ids]
+    mixed = np.add.reduceat(p[:, :, None] * wh[source], seg.starts, axis=0).reshape(r, -1)
+    o = _rows_matmul(mixed, proj.data)
+    stages.append(("output projection", o))
+
+    def backward(g):
+        gmixed = (g @ proj.data.T).reshape(r, heads, dh)
+        gp = np.einsum("ehk,ehk->eh", gmixed[seg.ids], wh[source])
+        gz = p * (gp - np.add.reduceat(gp * p, seg.starts, axis=0)[seg.ids])
+        gs = _leaky_relu_grad(gz, scores, 0.2)
+        gown = np.add.reduceat(gs, seg.starts, axis=0)[:, :, None]
+        gother = np.add.reduceat(gs[reverse], seg.starts, axis=0)[:, :, None]
+        # wh's three gradients in the order the tape met them: mix, own, other
+        gwh = np.add.reduceat(p[reverse][:, :, None] * gmixed[source], seg.starts, axis=0)
+        gwh += gown * a_own
+        gwh += gother * a_other
+        gwh = gwh.reshape(r, -1)
+        ga = np.concatenate([(gown * wh).sum(axis=0), (gother * wh).sum(axis=0)], axis=1)
+        gw = x.data.T @ gwh
+        gx = gwh @ w.T
+        gx += g
+        return ((x, gx), *((t, gw[:, h * dh:(h + 1) * dh]) for h, t in enumerate(ws)),
+                *((t, ga[h:h + 1]) for h, t in enumerate(as_)), (proj, mixed.T @ g))
+
+    try:
+        return Tensor._from_op(x.data + o, (x, *ws, *as_, proj), backward, "gat_layer")
+    except NonFiniteError:
+        raise _stage_error("gat_layer", stages) from None
 
 
 # ---------------------------------------------------------------------------

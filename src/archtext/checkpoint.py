@@ -10,15 +10,17 @@ float32 export.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 
 import numpy as np
 
 from .autodiff import Tensor
-from .fileio import atomic_write
+from .fileio import RecordReader, atomic_write
 
 MAGIC = b"ABKT"
 VERSION = 1
+_HEADER_BYTES = 8   # magic, version
 
 
 class CheckpointError(ValueError):
@@ -42,35 +44,18 @@ def save_checkpoint(params: dict[str, Tensor], path: str) -> None:
 
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:
     """Read a checkpoint into float64 arrays keyed by parameter path."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic {blob[:4]!r}, expected {MAGIC!r}")
-    if len(blob) < 8:
-        raise CheckpointError(f"{path}: truncated header of {len(blob)} bytes")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported format version {version}")
+    reader = RecordReader(path, MAGIC, VERSION, _HEADER_BYTES, CheckpointError)
     out: dict[str, np.ndarray] = {}
-    offset = 8
-    while offset < len(blob):
-        try:
-            (name_len,) = struct.unpack_from("<I", blob, offset)
-            offset += 4
-            name = blob[offset:offset + name_len].decode("utf-8")
-            offset += name_len
-            (rank,) = struct.unpack_from("<I", blob, offset)
-            offset += 4
-            dims = struct.unpack_from(f"<{rank}I", blob, offset)
-            offset += 4 * rank
-            count = int(np.prod(dims)) if rank else 1
-            arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-            offset += 4 * count
-        except (struct.error, ValueError) as e:
-            raise CheckpointError(f"{path}: truncated or corrupt record: {e}") from e
+    while not reader.at_end():
+        name = reader.text(reader.u32("name length"), "parameter name")
+        dims = reader.block("<u4", reader.u32(f"rank of {name!r}"), f"dims of {name!r}").tolist()
+        values = reader.block("<f4", math.prod(dims), f"values of {name!r}")
         if name in out:
-            raise CheckpointError(f"{path}: duplicate parameter {name!r}")
-        out[name] = arr.reshape(dims).astype(np.float64)
+            raise reader.fail(f"duplicate parameter {name!r}")
+        try:
+            out[name] = values.reshape(dims).astype(np.float64)
+        except ValueError as e:   # more axes than numpy takes, or a 0 among huge dims
+            raise reader.fail(f"dims {dims} of {name!r}: {e}") from None
     return out
 
 

@@ -11,7 +11,6 @@ threads; every operation in this module is pure.
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass, field
 from itertools import chain
@@ -140,55 +139,42 @@ def validate_graph(g: ArchGraph) -> ValidationReport:
             violations.append(("shape-negative", f"shape {i} = {s} has a negative entry"))
         elif max(s) >= SHAPE_LIMIT:
             violations.append(("shape-range", f"shape {i} = {s} has an entry of 2**53 or more"))
-    _, back = _kahn(g)
+    back = _kahn(g)
     if back is not None:
         violations.append(("cycle", f"graph contains a cycle through edge {back}"))
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
-def _kahn(g: ArchGraph) -> tuple[list[int], tuple[int, int] | None]:
-    """Kahn elimination over the in-range edges, smallest index first.
+def _kahn(g: ArchGraph) -> tuple[int, int] | None:
+    """Kahn elimination over the in-range edges.
 
-    Returns the elimination order and, if a cycle blocks it, the smallest
-    edge inside the residual cyclic core.
+    Returns None if every node is eliminated, else the smallest edge inside
+    the residual cyclic core that blocks it. That core is the same whatever
+    order the nodes are eliminated in.
     """
     m = g.num_nodes
     if all(0 <= u < v < m for u, v in g.edges):
-        # every edge points to a later node, so index order is the order
-        # smallest-index-first elimination produces
-        return list(range(m)), None
+        # every edge points to a later node: no cycle
+        return None
     edges = [(u, v) for u, v in g.sorted_edges() if 0 <= u < m and 0 <= v < m]
     indeg = [0] * m
     succ: list[list[int]] = [[] for _ in range(m)]
     for u, v in edges:
         indeg[v] += 1
         succ[u].append(v)
-    heap = [i for i in range(m) if indeg[i] == 0]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        u = heapq.heappop(heap)
-        order.append(u)
+    ready = [i for i in range(m) if indeg[i] == 0]
+    removed = set()
+    while ready:
+        u = ready.pop()
+        removed.add(u)
         for v in succ[u]:
             indeg[v] -= 1
             if indeg[v] == 0:
-                heapq.heappush(heap, v)
-    if len(order) == m:
-        return order, None
-    removed = set(order)
+                ready.append(v)
+    if len(removed) == m:
+        return None
     # every node left has an in-edge from another node left, so this finds one
-    return order, next((u, v) for u, v in edges if u not in removed and v not in removed)
-
-
-def topo_order(g: ArchGraph) -> list[int]:
-    """Kahn's method with smallest-index-first tie break.
-
-    Raises ValueError naming one back edge if the graph is cyclic.
-    """
-    order, back = _kahn(g)
-    if back is not None:
-        raise ValueError(f"graph is cyclic; back edge {back}")
-    return order
+    return next((u, v) for u, v in edges if u not in removed and v not in removed)
 
 
 def attention_edges(graphs: list[ArchGraph], use_edges: bool = True) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import atomic_write
+from .fileio import RecordReader, atomic_write
 from .graph import ArchGraph
 from .model import Model, embed_graphs, embed_texts
 from .text import TextVocab
@@ -113,31 +113,16 @@ def save_index(index: EmbeddingIndex, path: str) -> None:
 
 
 def load_index(path: str) -> EmbeddingIndex:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != MAGIC:
-        raise IndexError_(f"{path}: bad magic {blob[:4]!r}, expected {MAGIC!r}")
-    if len(blob) < _HEADER_BYTES:
-        raise IndexError_(f"{path}: truncated header of {len(blob)} bytes")
-    try:
-        (version,) = struct.unpack_from("<I", blob, 4)
-        if version != VERSION:
-            raise IndexError_(f"{path}: unsupported version {version}")
-        (d,) = struct.unpack_from("<I", blob, 8)
-        (count,) = struct.unpack_from("<I", blob, 12)
-        fingerprint = blob[16:_HEADER_BYTES]
-        offset = _HEADER_BYTES
-        ids, rows = [], []
-        for _ in range(count):
-            (id_len,) = struct.unpack_from("<I", blob, offset)
-            offset += 4
-            ids.append(blob[offset:offset + id_len].decode("utf-8"))
-            offset += id_len
-            rows.append(np.frombuffer(blob, dtype="<f4", count=d, offset=offset))
-            offset += 4 * d
-    except (struct.error, ValueError) as e:
-        raise IndexError_(f"{path}: truncated or corrupt index: {e}") from e
-    if offset != len(blob):
-        raise IndexError_(f"{path}: {len(blob) - offset} trailing bytes after {count} entries")
+    reader = RecordReader(path, MAGIC, VERSION, _HEADER_BYTES, IndexError_)
+    d, count = reader.u32("dimension"), reader.u32("entry count")
+    fingerprint = reader.raw(32, "fingerprint")
+    ids, rows = [], []
+    for _ in range(count):
+        ids.append(reader.text(reader.u32("id length"), "architecture id"))
+        rows.append(reader.block("<f4", d, "vector"))
+    reader.end(f"{count} entries")
     vectors = np.array(rows, dtype=np.float64).reshape(len(rows), d)
-    return EmbeddingIndex(d=d, ids=ids, vectors=vectors, fingerprint=fingerprint)
+    try:
+        return EmbeddingIndex(d=d, ids=ids, vectors=vectors, fingerprint=fingerprint)
+    except IndexError_ as e:
+        raise reader.fail(str(e)) from None

@@ -156,13 +156,6 @@ def set_params(params: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> None
         params[name].data = arr.astype(np.float64)
 
 
-def detach_params(params: dict[str, Tensor]) -> dict[str, Tensor]:
-    """A constant view of the parameters (shared storage, no gradients).
-    Tensors that are already constants are reused, so detaching a detached
-    view costs no copy and no finiteness scan."""
-    return {name: Tensor(p.data) if p.requires_grad else p for name, p in params.items()}
-
-
 @dataclass
 class Model:
     """Config plus named parameters; the unit everything downstream consumes."""
@@ -264,26 +257,16 @@ def gat_forward(feats: Tensor, edges: np.ndarray, params: dict[str, Tensor],
 
     Per head and edge: additive attention logits through a leaky rectifier,
     a softmax over each node's edges, then an attention-weighted sum of the
-    neighbours' projected features. The per-head weights are concatenated
-    so all heads run at once; the head outputs are projected back to d.
+    neighbours' projected features; the head outputs are projected back to
+    d. Each layer is one `autodiff.gat_layer` op.
     """
-    r, d = feats.shape
-    heads = cfg.gat_heads
-    dh = d // heads
-    source, seg, reverse = _gat_edges(edges, r)
+    gat_edges = _gat_edges(edges, feats.shape[0])
+    heads = range(cfg.gat_heads)
     x = feats
     for layer in range(cfg.gat_layers):
-        w = ad.concat([params[f"gat.{layer}.{h}.W"] for h in range(heads)], axis=1)
-        a = ad.concat([params[f"gat.{layer}.{h}.a"] for h in range(heads)], axis=0)
-        wh = ad.reshape(x @ w, (r, heads, dh))
-        # sum of products, not a matrix-vector product: BLAS mat-vec rounds
-        # a row differently depending on its position in the batch
-        own, other = (ad.sum_(wh * ad.reshape(ad.slice_cols(a, lo, lo + dh), (1, heads, dh)),
-                              axis=-1) for lo in (0, dh))
-        logits = ad.leaky_relu(ad.edge_scores(own, other, source, seg, reverse), slope=0.2)
-        alpha = ad.segment_softmax(logits, seg)
-        mixed = ad.neighbour_mix(alpha, wh, source, seg, reverse)
-        x = x + ad.reshape(mixed, (r, d)) @ params[f"gat.{layer}.proj"]
+        x = ad.gat_layer(x, [params[f"gat.{layer}.{h}.W"] for h in heads],
+                         [params[f"gat.{layer}.{h}.a"] for h in heads],
+                         params[f"gat.{layer}.proj"], gat_edges)
     return x
 
 
@@ -562,14 +545,14 @@ def decode_beam(h_g: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
     smaller token ids). A hypothesis reaching the length budget is closed
     with the end token. beam=1 is greedy decoding. All live hypotheses share
     one length, so each step decodes them as one batch against a key/value
-    cache instead of re-running their prefixes.
+    cache instead of re-running their prefixes. `params` are constants, as
+    `Model.constants()` gives them, so decoding builds no tape.
     """
     if beam < 1:
         raise ValueError("beam width must be >= 1")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     max_len = min(max_len, cfg.max_tokens - 1)
-    params = detach_params(params)
     cross = _decoder_cross(Tensor(h_g.data), params)
     allowed = _allowed_ids(cfg.text_vocab_size)
     eos_only = np.array([EOS_ID], dtype=np.int64)

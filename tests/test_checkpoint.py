@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -74,3 +77,13 @@ def test_fingerprint_changes_with_content(tmp_path, params, rng):
     f1, f2 = checkpoint_fingerprint(str(p1)), checkpoint_fingerprint(str(p2))
     assert len(f1) == 32
     assert f1 != f2
+
+
+def test_overflowing_dims_rejected_naming_the_file(tmp_path):
+    # (2**32-1)**2 elements overflow an int64 product to a negative count
+    path = tmp_path / "huge.abkt"
+    name = b"a.w"
+    path.write_bytes(b"ABKT" + struct.pack("<II", 1, len(name)) + name
+                     + struct.pack("<III", 2, 2 ** 32 - 1, 2 ** 32 - 1) + b"\x00" * 64)
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: truncated values of 'a.w'")):
+        load_checkpoint(str(path))

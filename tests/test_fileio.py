@@ -1,5 +1,5 @@
 """Checkpoint, index, bundle, dataset and CLI output files are replaced
-whole or not at all."""
+whole or not at all, and a damaged checkpoint or index is refused by name."""
 
 import dataclasses
 import json
@@ -8,6 +8,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from archtext import checkpoint, cli, datagen, fileio, index
 from archtext.autodiff import Tensor
@@ -177,3 +179,40 @@ def test_synced_before_rename_with_plain_open_mode(tmp_path, monkeypatch):
     assert calls == ["fsync", "replace"]
     (tmp_path / "plain.txt").write_text("x")
     assert (tmp_path / "new.txt").stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
+
+
+# ---------------------------------------------------------------------------
+# binary files read back: any damage is refused with an error naming the file
+
+
+@pytest.fixture(scope="module")
+def stored(tmp_path_factory):
+    """A small valid checkpoint and index, each as (bytes, loader, error, path
+    to write a damaged copy to)."""
+    root = tmp_path_factory.mktemp("stored")
+    rng = np.random.default_rng(3)
+    ckpt, idx = root / "m.abkt", root / "i.abix"
+    checkpoint.save_checkpoint({"a.w": Tensor(rng.standard_normal((2, 3))),
+                                "b": Tensor(rng.standard_normal((1, 2)))}, str(ckpt))
+    vectors = rng.standard_normal((2, 3))
+    index.save_index(index.EmbeddingIndex(d=3, ids=["x", "yy"], vectors=vectors,
+                                          fingerprint=bytes(range(32))), str(idx))
+    return {"abkt": (ckpt.read_bytes(), checkpoint.load_checkpoint,
+                     checkpoint.CheckpointError, root / "damaged.abkt"),
+            "abix": (idx.read_bytes(), index.load_index, index.IndexError_,
+                     root / "damaged.abix")}
+
+
+@pytest.mark.parametrize("kind", ["abkt", "abix"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_damaged_file_loads_or_is_refused_by_name(stored, kind, data):
+    blob, load, error, path = stored[kind]
+    cut = st.integers(0, len(blob) - 1).map(lambda n: blob[:n])
+    changed = st.tuples(st.integers(0, len(blob) - 1), st.integers(1, 255)).map(
+        lambda c: blob[:c[0]] + bytes([(blob[c[0]] + c[1]) % 256]) + blob[c[0] + 1:])
+    path.write_bytes(data.draw(st.one_of(cut, changed)))
+    try:
+        load(str(path))
+    except error as e:   # anything else, struct.error or a bare ValueError, fails
+        assert str(e).startswith(f"{path}: ")

@@ -17,7 +17,6 @@ from archtext.graph import (
     graph_to_obj,
     parse_graph,
     to_dot,
-    topo_order,
     validate_graph,
 )
 
@@ -55,7 +54,10 @@ class TestValidate:
                       shapes=[(0, 0, 0, 0)] * 2)
         report = validate_graph(g)
         assert not report.ok
-        assert any(code == "cycle" for code, _ in report.violations)
+        assert ("cycle", "graph contains a cycle through edge (0, 1)") in report.violations
+        # an edge to an earlier index is no cycle by itself: 2->0, 0->1
+        back = ArchGraph(nodes=[3, 4, 5], edges=[(2, 0), (0, 1)], shapes=[(0, 0, 0, 0)] * 3)
+        assert validate_graph(back).ok
 
     def test_edge_out_of_range(self):
         g = ArchGraph(nodes=[3, 4, 5], edges=[(0, 5)], shapes=[(0, 0, 0, 0)] * 3)
@@ -83,40 +85,6 @@ class TestValidate:
         bad = ArchGraph(nodes=[3, 3], edges=[(1, 1)], shapes=[(0, 0, 0, 0)] * 2)
         assert validate_graph(good).ok and not validate_graph(good).violations
         assert not validate_graph(bad).ok and validate_graph(bad).violations
-
-
-class TestTopoOrder:
-    def test_chain(self):
-        g = ArchGraph(nodes=[3, 4, 5], edges=[(0, 1), (1, 2)], shapes=[(0, 0, 0, 0)] * 3)
-        assert topo_order(g) == [0, 1, 2]
-
-    def test_edgeless_tie_break(self):
-        g = ArchGraph(nodes=[3, 4, 5], edges=[], shapes=[(0, 0, 0, 0)] * 3)
-        assert topo_order(g) == [0, 1, 2]
-
-    def test_diamond(self):
-        # 0->1, 0->2, 1->3, 2->3; smallest-index-first gives 0,1,2,3
-        g = ArchGraph(nodes=[3, 4, 5, 6], edges=[(0, 1), (0, 2), (1, 3), (2, 3)],
-                      shapes=[(0, 0, 0, 0)] * 4)
-        assert topo_order(g) == [0, 1, 2, 3]
-
-    def test_edge_to_earlier_index(self):
-        # 2->0, 0->1: node 2 has no inputs, so it leads
-        g = ArchGraph(nodes=[3, 4, 5], edges=[(2, 0), (0, 1)], shapes=[(0, 0, 0, 0)] * 3)
-        assert topo_order(g) == [2, 0, 1]
-        assert validate_graph(g).ok
-
-    def test_cycle_raises_naming_edge(self):
-        g = ArchGraph(nodes=[3, 4], edges=[(0, 1), (1, 0)], shapes=[(0, 0, 0, 0)] * 2)
-        with pytest.raises(ValueError, match="back edge"):
-            topo_order(g)
-
-    def test_agrees_with_validate_on_cycles(self, gen_cfg):
-        for i in range(50):
-            rng = np.random.default_rng([17, i])
-            g = gen_architecture(gen_cfg, rng)
-            assert validate_graph(g).ok
-            topo_order(g)  # must not raise
 
 
 class TestAttentionMask:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -220,7 +222,7 @@ def test_unit_rows_match_the_per_row_norm_loop():
     assert _unit_rows(np.zeros((0, 4))).shape == (0, 4)
 
 
-def test_index_invariants_checked():
+def test_index_invariants_checked(tmp_path):
     with pytest.raises(IndexError_):
         EmbeddingIndex(d=4, ids=[], vectors=np.zeros((0, 4)), fingerprint=b"short")
     with pytest.raises(IndexError_):
@@ -229,3 +231,16 @@ def test_index_invariants_checked():
         with pytest.raises(IndexError_, match="non-finite"):
             EmbeddingIndex(d=2, ids=["a", "b"], vectors=np.array([[1.0, 0.0], [bad, 0.0]]),
                            fingerprint=bytes(32))
+    # the same checks on a loaded file name the file
+    path = tmp_path / "i.abix"
+    save_index(EmbeddingIndex(d=2, ids=["a", "b"], vectors=np.eye(2), fingerprint=bytes(32)),
+               str(path))
+    blob = path.read_bytes()
+    second_id = blob.rindex(b"b")
+    for damaged, error in ((blob[:second_id] + b"a" + blob[second_id + 1:],
+                            "duplicate architecture id 'a'"),
+                           (blob[:-4] + np.float32(np.inf).tobytes(),
+                            "vectors hold non-finite values")):
+        path.write_bytes(damaged)
+        with pytest.raises(IndexError_, match=re.escape(f"{path}: {error}")):
+            load_index(str(path))
