@@ -167,23 +167,27 @@ def save_bundle(out_dir: str, model: Model, text_vocab: TextVocab,
 
 def _load_model_config(path: str) -> ModelConfig:
     """A bundle's config.json; it must name every ModelConfig field, with a
-    value of the field's type, and no other key."""
-    with open(path, encoding="utf-8") as f:
-        raw = json.load(f)
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    hints = typing.get_type_hints(ModelConfig)
-    for key in sorted(set(raw) - set(hints)):
-        raise ValueError(f"{path}: unknown key {key!r}")
-    for key in sorted(set(hints) - set(raw)):
-        raise ValueError(f"{path}: missing key {key!r}")
-    for key, typ in hints.items():
-        value = raw[key]
-        # exact types: a JSON true is a bool, never an int or a float
-        if type(value) not in ((int, float) if typ is float else (typ,)):
-            raise ValueError(f"{path}: key {key!r} must be {typ.__name__}, "
-                             f"got {type(value).__name__} {value!r}")
-    return ModelConfig(**raw)
+    value of the field's type and range, and no other key. A fault is a
+    ValueError naming the path."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            raw = json.load(f)
+        if not isinstance(raw, dict):
+            raise ValueError("expected a JSON object")
+        hints = typing.get_type_hints(ModelConfig)
+        for key in sorted(set(raw) - set(hints)):
+            raise ValueError(f"unknown key {key!r}")
+        for key in sorted(set(hints) - set(raw)):
+            raise ValueError(f"missing key {key!r}")
+        for key, typ in hints.items():
+            value = raw[key]
+            # exact types: a JSON true is a bool, never an int or a float
+            if type(value) not in ((int, float) if typ is float else (typ,)):
+                raise ValueError(f"key {key!r} must be {typ.__name__}, "
+                                 f"got {type(value).__name__} {value!r}")
+        return ModelConfig(**raw)
+    except ValueError as e:   # these, invalid JSON or UTF-8, and ModelConfig's range checks
+        raise ValueError(f"{path}: {e}") from e
 
 
 def load_bundle(checkpoint: str) -> tuple[Model, TextVocab, NodeVocab, str]:
@@ -290,8 +294,7 @@ def _cmd_train(args) -> int:
         # a fresh caption vocabulary covers every description, negatives too
         corpus = [s.text for s in samples]
         if args.task == "ac":
-            samples = [datagen.ACSample(graph=s.graph, text=s.text)
-                       for s in samples if s.y == 1.0]
+            samples = datagen.captions(samples)
     if not args.checkpoint:
         text_vocab = build_vocab(corpus, max_size=args.vocab_size)
         cfg = ModelConfig(node_vocab_size=len(node_vocab),
@@ -312,7 +315,7 @@ def _cmd_eval(args) -> int:
     if args.baseline:
         tau = args.tau if args.tau is not None else 0.5
         result["model"] = "baseline"
-        node_vocab = NodeVocab(list(_gen_config(args, load_config_file(args.config)).ops))
+        node_vocab = _gen_config(args, load_config_file(args.config)).node_vocab()
         if args.task == "ar":
             samples = datagen.load_bimodal(args.dataset, node_vocab)
             preds = [evaluate.ar_name_baseline(s.graph.name or "", s.text)
@@ -447,8 +450,7 @@ def _cmd_caption(args) -> int:
 
 def _cmd_viz(args) -> int:
     if args.kind == "dot":
-        file_cfg = load_config_file(args.config)
-        node_vocab = NodeVocab(list(_gen_config(args, file_cfg).ops))
+        node_vocab = _gen_config(args, load_config_file(args.config)).node_vocab()
         _emit(to_dot(_load_graph_file(args.graph, node_vocab), node_vocab), args.out)
         return 0
     # PCA of text and graph embeddings over a bi-modal dataset

@@ -18,9 +18,12 @@ bit-for-bit and order-stable.
 
 from __future__ import annotations
 
+import functools
 import json
+import reprlib
 import statistics
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -117,19 +120,27 @@ class ACDPair:
     g2: ArchGraph
     label: int
 
+    def __post_init__(self):
+        if self.label not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {self.label!r}")
+
 
 @dataclass(frozen=True)
-class BACDSample:
-    g1: ArchGraph
-    g2: ArchGraph
-    label: int
+class BACDSample(ACDPair):
     text: str
 
 
 @dataclass(frozen=True)
 class ACSample:
+    """A caption pair, stored as a bi-modal positive (see `captions`)."""
+
     graph: ArchGraph
     text: str
+
+
+def captions(samples: list[BiModalSample]) -> list[ACSample]:
+    """The caption pairs of a bi-modal dataset: its positives."""
+    return [ACSample(graph=s.graph, text=s.text) for s in samples if s.y == 1.0]
 
 
 def extract_present_ops(g: ArchGraph, vocab: NodeVocab) -> set[str]:
@@ -550,24 +561,24 @@ _STREAM_ACD = 4
 _STREAM_BACD = 5
 
 
-def gen_autonet(cfg: GenConfig, n_archs: int, split: str) -> list[BiModalSample]:
+def _gen_per_graph(cfg: GenConfig, n_archs: int, split: str, stream: int, per_graph) -> list:
+    """The samples `per_graph(g, cfg, rng)` makes of each of n_archs random
+    graphs, every graph and its samples drawn from their own RNG stream."""
     split_code = 0 if split == "train" else 1
     samples = []
     for i in range(n_archs):
-        rng = np.random.default_rng([cfg.rng_seed, _STREAM_AUTONET, split_code, i])
+        rng = np.random.default_rng([cfg.rng_seed, stream, split_code, i])
         g = gen_architecture(cfg, rng, name=f"autonet_{split}_{i:05d}")
-        samples.extend(gen_descriptions(g, cfg, rng))
+        samples.extend(per_graph(g, cfg, rng))
     return samples
+
+
+def gen_autonet(cfg: GenConfig, n_archs: int, split: str) -> list[BiModalSample]:
+    return _gen_per_graph(cfg, n_archs, split, _STREAM_AUTONET, gen_descriptions)
 
 
 def gen_autonet_aqa(cfg: GenConfig, n_archs: int, split: str) -> list[AQASample]:
-    split_code = 0 if split == "train" else 1
-    samples = []
-    for i in range(n_archs):
-        rng = np.random.default_rng([cfg.rng_seed, _STREAM_AQA, split_code, i])
-        g = gen_architecture(cfg, rng, name=f"autonet_{split}_{i:05d}")
-        samples.extend(gen_qa(g, cfg, rng))
-    return samples
+    return _gen_per_graph(cfg, n_archs, split, _STREAM_AQA, gen_qa)
 
 
 def gen_tvhf(cfg: GenConfig) -> list[BiModalSample]:
@@ -632,42 +643,71 @@ def gen_bacd_dataset(cfg: GenConfig) -> list[BACDSample]:
 
 
 # ---------------------------------------------------------------------------
-# JSONL serialization
+# JSONL serialization: a sample's record holds its dataclass fields in order
 
-def record_of(sample, vocab: NodeVocab) -> dict:
-    if isinstance(sample, BiModalSample):
-        return {"graph": graph_to_obj(sample.graph, vocab), "text": sample.text, "y": sample.y}
-    if isinstance(sample, AQASample):
-        return {"graph": graph_to_obj(sample.graph, vocab), "question": sample.question,
-                "answers": sorted(sample.answers)}
-    if isinstance(sample, ACDPair):
-        return {"g1": graph_to_obj(sample.g1, vocab), "g2": graph_to_obj(sample.g2, vocab),
-                "label": sample.label}
-    if isinstance(sample, BACDSample):
-        return {"g1": graph_to_obj(sample.g1, vocab), "g2": graph_to_obj(sample.g2, vocab),
-                "label": sample.label, "text": sample.text}
-    if isinstance(sample, ACSample):
-        return {"graph": graph_to_obj(sample.graph, vocab), "text": sample.text, "y": 1.0}
-    raise TypeError(f"unsupported sample type {type(sample)!r}")
+
+@functools.cache
+def _layout(cls) -> tuple[tuple[str, object], ...]:
+    """A sample type's record layout: its fields, each with its declared type."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in fields(cls))
+
+
+def _json_value(value, vocab: NodeVocab):
+    if isinstance(value, ArchGraph):
+        return graph_to_obj(value, vocab)
+    return sorted(value) if isinstance(value, frozenset) else value
 
 
 def write_jsonl(samples, vocab: NodeVocab, path: str) -> None:
     with atomic_write(path) as f:
         for s in samples:
-            f.write(json.dumps(record_of(s, vocab)) + "\n")
+            if isinstance(s, ACSample):
+                s = BiModalSample(graph=s.graph, text=s.text, y=1.0)
+            record = {key: _json_value(getattr(s, key), vocab) for key, _ in _layout(type(s))}
+            f.write(json.dumps(record) + "\n")
 
 
-def _load(path: str, build) -> list:
-    """One sample per non-blank JSONL line, built by `build(record)`, which
-    may return None to skip a record. A bad line is a ValueError naming the
-    file, the line and the field."""
+_JSON_KINDS = {str: "a string", float: "a number", int: "an integer",
+               frozenset[int]: "a list of integers"}
+
+
+def _field(record: dict, key: str, typ, vocab: NodeVocab):
+    """Field `key` of a record, read as the type `typ` a sample declares for
+    it; a value of another JSON type is a ValueError naming the field."""
+    value = record[key]
+    if typ is ArchGraph:
+        try:
+            return graph_from_obj(value, vocab)
+        except (GraphParseError, GraphValidationError) as e:
+            raise ValueError(f"field '{key}': {e}") from e
+    # exact types: a JSON true is a bool, never a number
+    if type(value) is typ:
+        return value
+    if typ is float and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"field '{key}' is out of range, got {reprlib.repr(value)}") from None
+    if typ == frozenset[int] and type(value) is list and set(map(type, value)) <= {int}:
+        return frozenset(value)
+    raise ValueError(f"field '{key}' must be {_JSON_KINDS[typ]}, got {reprlib.repr(value)}")
+
+
+def _load(path: str, read) -> list:
+    """`read(record)` of each non-blank JSONL line, where None skips the
+    record. A line that is not a JSON object, or that `read` refuses, is a
+    ValueError naming the file, the line and the field."""
     out = []
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, 1):
             if not line.strip():
                 continue
             try:
-                sample = build(json.loads(line))
+                record = json.loads(line)
+                if type(record) is not dict:
+                    raise ValueError(f"record must be a JSON object, got {reprlib.repr(record)}")
+                sample = read(record)
             except json.JSONDecodeError as e:
                 raise ValueError(f"{path}:{line_no}: invalid JSON: {e.msg}") from e
             except KeyError as e:
@@ -679,40 +719,38 @@ def _load(path: str, build) -> list:
     return out
 
 
-def _graph_at(record: dict, key: str, vocab: NodeVocab) -> ArchGraph:
-    """The validated graph under `key`; an error names the field."""
-    try:
-        return graph_from_obj(record[key], vocab)
-    except (GraphParseError, GraphValidationError) as e:
-        raise ValueError(f"field '{key}': {e}") from e
+def _reader(cls, vocab: NodeVocab):
+    """The reader of `cls` records: each field is read as `cls` declares it."""
+    layout = _layout(cls)
+    return lambda record: cls(**{key: _field(record, key, typ, vocab) for key, typ in layout})
 
 
 def load_bimodal(path: str, vocab: NodeVocab) -> list[BiModalSample]:
-    return _load(path, lambda r: BiModalSample(graph=_graph_at(r, "graph", vocab),
-                                               text=r["text"], y=float(r["y"])))
+    return _load(path, _reader(BiModalSample, vocab))
 
 
 def load_aqa(path: str, vocab: NodeVocab) -> list[AQASample]:
-    return _load(path, lambda r: AQASample(graph=_graph_at(r, "graph", vocab),
-                                           question=r["question"],
-                                           answers=frozenset(r["answers"])))
+    return _load(path, _reader(AQASample, vocab))
 
 
 def load_acd(path: str, vocab: NodeVocab) -> list[ACDPair]:
-    return _load(path, lambda r: ACDPair(g1=_graph_at(r, "g1", vocab),
-                                         g2=_graph_at(r, "g2", vocab), label=int(r["label"])))
+    return _load(path, _reader(ACDPair, vocab))
 
 
 def load_bacd(path: str, vocab: NodeVocab) -> list[BACDSample]:
-    return _load(path, lambda r: BACDSample(g1=_graph_at(r, "g1", vocab),
-                                            g2=_graph_at(r, "g2", vocab),
-                                            label=int(r["label"]), text=r["text"]))
+    return _load(path, _reader(BACDSample, vocab))
 
 
 def load_ac(path: str, vocab: NodeVocab) -> list[ACSample]:
-    """Caption pairs: the positive rows of a bi-modal file."""
-    return _load(path, lambda r: (ACSample(graph=_graph_at(r, "graph", vocab), text=r["text"])
-                                  if float(r.get("y", 1.0)) == 1.0 else None))
+    """The `captions` of a bi-modal file whose y, when left out, is 1. Of a
+    record that is no caption only y is read."""
+    read = _reader(BiModalSample, vocab)
+
+    def read_positive(record):
+        record = {"y": 1.0, **record}
+        return read(record) if _field(record, "y", float, vocab) == 1.0 else None
+
+    return captions(_load(path, read_positive))
 
 
 # ---------------------------------------------------------------------------
@@ -731,17 +769,22 @@ def _dist(values) -> dict:
 
 
 def compute_stats(path: str) -> dict:
-    """Table-style statistics of a JSONL dataset (any record schema)."""
-    records = _load(path, lambda r: r)
+    """Table-style statistics of a JSONL dataset of any record layout. Each
+    graph and text field present is checked as the loaders check it; op
+    names are counted as written."""
+    vocab = NodeVocab(())   # checks a graph without knowing its op names
     graphs, texts = [], []
-    for r in records:
+
+    def read(record):
         for key in ("graph", "g1", "g2"):
-            if key in r:
-                graphs.append(r[key])
-        if "text" in r:
-            texts.append(r["text"])
-        if "question" in r:
-            texts.append(r["question"])
+            if key in record:
+                _field(record, key, ArchGraph, vocab)
+                graphs.append(record[key])
+        texts.extend(_field(record, key, str, vocab) for key in ("text", "question")
+                     if key in record)
+        return record
+
+    records = _load(path, read)
     unique_archs = {json.dumps(g, sort_keys=True) for g in graphs}
     unique_nodes = {n for g in graphs for n in g["nodes"]}
     token_lists = [normalize(t) for t in texts]

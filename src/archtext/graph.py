@@ -17,7 +17,7 @@ from itertools import chain
 
 import numpy as np
 
-from .fileio import atomic_write
+from .text import Vocab
 
 MASK_NODE = "[MASK_NODE]"
 PAD_NODE = "[PAD_NODE]"
@@ -46,47 +46,10 @@ class GraphValidationError(ValueError):
         self.report = report
 
 
-class NodeVocab:
+class NodeVocab(Vocab):
     """Operation-name vocabulary; ids 0..2 are reserved control tokens."""
 
-    def __init__(self, op_names: list[str] | tuple[str, ...]):
-        names = list(RESERVED_NODE_TOKENS) + [n for n in op_names if n not in RESERVED_NODE_TOKENS]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate op names in vocabulary")
-        self._names = names
-        self._ids = {n: i for i, n in enumerate(names)}
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._ids
-
-    @property
-    def names(self) -> list[str]:
-        return list(self._names)
-
-    def id_of(self, name: str) -> int:
-        """Id for a name; unknown names map to the UNK token."""
-        return self._ids.get(name, UNK_NODE_ID)
-
-    def name_of(self, op_id: int) -> str:
-        if not 0 <= op_id < len(self._names):
-            raise KeyError(f"op id {op_id} out of vocabulary (size {len(self._names)})")
-        return self._names[op_id]
-
-    def save(self, path: str) -> None:
-        with atomic_write(path) as f:
-            for name in self._names:
-                f.write(name + "\n")
-
-    @classmethod
-    def load(cls, path: str) -> "NodeVocab":
-        with open(path, encoding="utf-8") as f:
-            names = [line.rstrip("\n") for line in f if line.rstrip("\n")]
-        if tuple(names[:3]) != RESERVED_NODE_TOKENS:
-            raise ValueError(f"node vocabulary file must start with {RESERVED_NODE_TOKENS}")
-        return cls(names[3:])
+    RESERVED, UNK_ID, KIND = RESERVED_NODE_TOKENS, UNK_NODE_ID, "node"
 
 
 @dataclass(frozen=True)

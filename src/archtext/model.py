@@ -50,6 +50,16 @@ class ModelConfig:
     arch_only: bool = False
 
     def __post_init__(self):
+        # the floors come first, as a zero width or head count divides by zero
+        # below; max_tokens leaves room for [BOS] and [EOS], as `tokenize` requires
+        floors = {"d": 1, "gat_heads": 1, "cross_heads": 1, "dec_heads": 1, "max_nodes": 1,
+                  "n_answers": 1, "shape_buckets": 1, "max_tokens": 3, "gat_layers": 0,
+                  "cross_layers": 0}
+        for key, floor in floors.items():
+            if getattr(self, key) < floor:
+                raise ValueError(f"{key} must be at least {floor}, got {getattr(self, key)}")
+        if not self.eps_cos > 0:
+            raise ValueError(f"eps_cos must be positive, got {self.eps_cos}")
         for heads in (self.gat_heads, self.cross_heads, self.dec_heads):
             if self.d % heads != 0:
                 raise ValueError(f"d={self.d} not divisible by head count {heads}")

@@ -26,46 +26,64 @@ def normalize(text: str) -> list[str]:
     return _WORD_RE.findall(text.lower())
 
 
-class TextVocab:
-    """Token-to-id map with five fixed reserved entries at ids 0..4."""
+class Vocab:
+    """Name-to-id map, saved one name a line. A subclass fixes the reserved
+    names that take the first ids (RESERVED), the id an unknown name maps to
+    (UNK_ID) and the kind of names that messages speak of (KIND)."""
 
-    def __init__(self, words: list[str] | tuple[str, ...]):
-        tokens = list(RESERVED_TOKENS) + [w for w in words if w not in RESERVED_TOKENS]
-        if len(set(tokens)) != len(tokens):
-            raise ValueError("duplicate tokens in vocabulary")
-        self._tokens = tokens
-        self._ids = {t: i for i, t in enumerate(tokens)}
+    def __init__(self, names: list[str] | tuple[str, ...]):
+        self._names = list(self.RESERVED) + [n for n in names if n not in self.RESERVED]
+        self._ids = {n: i for i, n in enumerate(self._names)}
+        if len(self._ids) != len(self._names):
+            raise ValueError(f"duplicate names in {self.KIND} vocabulary")
 
     def __len__(self) -> int:
-        return len(self._tokens)
+        return len(self._names)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
+    def __contains__(self, name: str) -> bool:
+        return name in self._ids
 
     @property
-    def tokens(self) -> list[str]:
-        return list(self._tokens)
+    def names(self) -> list[str]:
+        return list(self._names)
 
-    def id_of(self, token: str) -> int:
-        return self._ids.get(token, UNK_ID)
+    def id_of(self, name: str) -> int:
+        """Id for a name; unknown names map to UNK_ID."""
+        return self._ids.get(name, self.UNK_ID)
 
-    def token_of(self, token_id: int) -> str:
-        if not 0 <= token_id < len(self._tokens):
-            raise KeyError(f"token id {token_id} out of vocabulary (size {len(self._tokens)})")
-        return self._tokens[token_id]
+    def name_of(self, name_id: int) -> str:
+        if not 0 <= name_id < len(self._names):
+            raise KeyError(f"id {name_id} out of the {self.KIND} vocabulary (size {len(self._names)})")
+        return self._names[name_id]
 
     def save(self, path: str) -> None:
         with atomic_write(path) as f:
-            for t in self._tokens:
-                f.write(t + "\n")
+            for name in self._names:
+                f.write(name + "\n")
 
     @classmethod
-    def load(cls, path: str) -> "TextVocab":
-        with open(path, encoding="utf-8") as f:
-            tokens = [line.rstrip("\n") for line in f if line.rstrip("\n")]
-        if tuple(tokens[:5]) != RESERVED_TOKENS:
-            raise ValueError(f"text vocabulary file must start with {RESERVED_TOKENS}")
-        return cls(tokens[5:])
+    def load(cls, path: str) -> "Vocab":
+        """The vocabulary saved at `path`; a damaged file is a ValueError
+        naming the path, and the line of a repeated name."""
+        try:
+            with open(path, encoding="utf-8") as f:
+                lines = [(no, name) for no, line in enumerate(f, 1) if (name := line.rstrip("\n"))]
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: not UTF-8 text: {e.reason}") from e
+        names = [name for _, name in lines]
+        if tuple(names[:len(cls.RESERVED)]) != cls.RESERVED:
+            raise ValueError(f"{path}: {cls.KIND} vocabulary file must start with {cls.RESERVED}")
+        first: dict[str, int] = {}
+        for no, name in lines:
+            if first.setdefault(name, no) != no:
+                raise ValueError(f"{path}:{no}: {name!r} repeats line {first[name]}")
+        return cls(names[len(cls.RESERVED):])
+
+
+class TextVocab(Vocab):
+    """Word vocabulary with five fixed reserved entries at ids 0..4."""
+
+    RESERVED, UNK_ID, KIND = RESERVED_TOKENS, UNK_ID, "text"
 
 
 @dataclass(frozen=True)
@@ -113,7 +131,7 @@ def detokenize(ids, vocab: TextVocab) -> str:
     """
     words = []
     for i in ids:
-        tok = vocab.token_of(int(i))
+        tok = vocab.name_of(int(i))
         if tok not in RESERVED_TOKENS:
             words.append(tok)
     return " ".join(words)

@@ -4,8 +4,11 @@ import struct
 import numpy as np
 import pytest
 
-from archtext.cli import run
+from archtext.cli import load_config_file, run, save_bundle
+from archtext.datagen import GenConfig
 from archtext.index import load_index
+from archtext.model import Model, ModelConfig
+from archtext.text import TextVocab
 
 TINY_CONFIG = """\
 [gen]
@@ -88,6 +91,34 @@ class TestStats:
 
     def test_missing_file_is_data_error(self):
         assert run(["stats", "/nonexistent/nope.jsonl"]) == 2
+
+    @pytest.mark.parametrize("line, expect", [
+        ('{"graph": 5, "text": "t", "y": 1.0}', "field 'graph': top-level value must be an object"),
+        ("5", "record must be a JSON object, got 5"),
+        ('{"graph": {"nodes": 5, "edges": [], "shapes": []}, "text": "t", "y": 1.0}',
+         "field 'graph': field 'nodes' must be a list"),
+    ], ids=["graph-int", "line-int", "nodes-int"])
+    def test_invalid_record_is_data_error(self, tmp_path, cfg_file, capsys, line, expect):
+        data = _gen(tmp_path, cfg_file, "autonet", "d.jsonl")
+        lines = data.read_text().splitlines()
+        lines[1] = line
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["stats", str(bad)]) == 2
+        assert f"{bad}:2: {expect}" in capsys.readouterr().err
+
+
+def _fresh_bundle(tmp_path, cfg_file) -> str:
+    """An untrained bundle over the config's ops, for commands that need one
+    but fail before they run it."""
+    out = tmp_path / "fresh"
+    nv = GenConfig(**load_config_file(cfg_file)["gen"]).node_vocab()
+    tv = TextVocab(["tiny", "words"])
+    cfg = ModelConfig(node_vocab_size=len(nv), text_vocab_size=len(tv), d=8, gat_heads=2,
+                      cross_heads=2, dec_heads=2, max_tokens=16)
+    save_bundle(str(out), Model.initialized(cfg, seed=0), tv, nv, [])
+    return str(out)
 
 
 @pytest.fixture
@@ -335,7 +366,8 @@ class TestErrors:
         assert run(["gen", "--task", "autonet", "--config", str(bad),
                     "--out", str(tmp_path / "x.jsonl")]) == 2
 
-    @pytest.mark.parametrize("edit", ["unknown", "missing", "wrong-type"])
+    @pytest.mark.parametrize("edit", ["unknown", "missing", "wrong-type", "gat-heads-0", "d-0",
+                                      "max-tokens-negative"])
     def test_bad_bundle_config_is_data_error(self, tmp_path, pretrained, capsys, edit):
         data, ckpt = pretrained
         config = ckpt / "config.json"
@@ -346,22 +378,40 @@ class TestErrors:
         elif edit == "missing":
             del cfg["d"]
             expect = "missing key 'd'"
-        else:
+        elif edit == "wrong-type":
             cfg["d"] = "16"
             expect = "key 'd' must be int"
+        else:
+            # out of range: a zero width or head count divides by zero below the loader
+            key, value = {"gat-heads-0": ("gat_heads", 0), "d-0": ("d", 0),
+                          "max-tokens-negative": ("max_tokens", -5)}[edit]
+            cfg[key] = value
+            expect = f"{key} must be at least"
         config.write_text(json.dumps(cfg))
         assert run(["eval", "--task", "ar", "--checkpoint", str(ckpt),
                     "--dataset", str(data)]) == 2
         err = capsys.readouterr().err
         assert "config.json" in err and expect in err
 
-    @pytest.mark.parametrize("defect", ["text-vocab", "node-vocab", "non-finite"])
+    @pytest.mark.parametrize("defect", ["text-vocab", "node-vocab", "non-finite",
+                                        "vocab-reserved", "vocab-repeat", "vocab-utf8"])
     def test_inconsistent_bundle_is_data_error(self, pretrained, capsys, defect):
         data, ckpt = pretrained
+        vocab = ckpt / "text_vocab.txt"
+        lines = vocab.read_text(encoding="utf-8").splitlines()
         if defect == "text-vocab":
-            with open(ckpt / "text_vocab.txt", "a", encoding="utf-8") as f:
+            with open(vocab, "a", encoding="utf-8") as f:
                 f.writelines(f"extra{i}\n" for i in range(500))
             expect = ("text_vocab.txt", "text_vocab_size")
+        elif defect == "vocab-reserved":
+            vocab.write_text("\n".join(lines[1:]) + "\n", encoding="utf-8")
+            expect = ("text_vocab.txt: text vocabulary file must start with",)
+        elif defect == "vocab-repeat":
+            vocab.write_text("\n".join(lines + [lines[6]]) + "\n", encoding="utf-8")
+            expect = (f"text_vocab.txt:{len(lines) + 1}: {lines[6]!r} repeats line 7",)
+        elif defect == "vocab-utf8":
+            vocab.write_bytes(vocab.read_bytes() + b"\xff\n")
+            expect = ("text_vocab.txt: not UTF-8 text",)
         elif defect == "node-vocab":
             with open(ckpt / "node_vocab.txt", "a", encoding="utf-8") as f:
                 f.write("extra_op\n")
@@ -410,21 +460,58 @@ class TestErrors:
         assert run([*argv, flag]) == 1
         assert flag.split("=")[0] in capsys.readouterr().err
 
-    def test_invalid_graph_record_is_data_error(self, tmp_path, cfg_file, capsys):
-        data = _gen(tmp_path, cfg_file, "autonet", "d.jsonl")
-        lines = data.read_text().splitlines()
-        rec = json.loads(lines[1])
+    @pytest.mark.parametrize("task, field, value, expect", [
         # out of range and cyclic: an attention mask would wire -1 to the last node
-        rec["graph"]["edges"] = [[-1, 0], [1, 0], [0, 1]]
-        lines[1] = json.dumps(rec)
+        ("pretrain", "graph.edges", [[-1, 0], [1, 0], [0, 1]], "field 'graph': edge-range"),
+        ("pretrain", "text", 5, "field 'text' must be a string, got 5"),
+        ("pretrain", "y", "0.5", "field 'y' must be a number, got '0.5'"),
+        ("pretrain", "y", True, "field 'y' must be a number, got True"),
+        ("pretrain", "y", 2 ** 1024, "field 'y' is out of range"),
+        ("aqa", "question", 5, "field 'question' must be a string"),
+        ("aqa", "answers", [True], "field 'answers' must be a list of integers"),
+        ("acd", "label", 2, "label must be 0 or 1, got 2"),
+        ("acd", "label", 0.9, "field 'label' must be an integer, got 0.9"),
+        ("acd", "label", "1", "field 'label' must be an integer, got '1'"),
+        ("bacd", "label", 2, "label must be 0 or 1, got 2"),
+        ("bacd", "text", 5, "field 'text' must be a string"),
+        ("ac", "text", 5, "field 'text' must be a string"),
+        ("ac", "y", "0.5", "field 'y' must be a number"),
+        ("ac", "y", True, "field 'y' must be a number"),
+        ("ac", None, [1], "record must be a JSON object, got [1]"),
+    ], ids=["pretrain-graph", "pretrain-text-int", "pretrain-y-str", "pretrain-y-bool",
+            "pretrain-y-huge", "aqa-question-int", "aqa-answers-bool", "acd-label-2",
+            "acd-label-float", "acd-label-str", "bacd-label-2", "bacd-text-int", "ac-text-int",
+            "ac-y-str", "ac-y-bool", "ac-line-list"])
+    def test_invalid_graph_record_is_data_error(self, tmp_path, cfg_file, capsys, task, field,
+                                                value, expect):
+        gen_task = {"pretrain": "autonet", "ac": "autonet"}.get(task, task)
+        data = _gen(tmp_path, cfg_file, gen_task, "d.jsonl")
+        lines = data.read_text().splitlines()
+        # a positive, so that a caption file reads more of it than its y
+        n = next(i for i, line in enumerate(lines) if json.loads(line).get("y", 1.0) == 1.0)
+        rec = json.loads(lines[n])
+        if field is None:
+            rec = value
+        elif "." in field:
+            outer, inner = field.split(".")
+            rec[outer][inner] = value
+        else:
+            rec[field] = value
+        lines[n] = json.dumps(rec)
         bad = tmp_path / "bad.jsonl"
         bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "c"
+        if task in ("pretrain", "aqa"):
+            argv = ["train", "--task", task, "--config", cfg_file, "--out", str(out)]
+        elif task == "acd":
+            argv = ["eval", "--task", "acd", "--baseline", "--config", cfg_file]
+        else:
+            argv = ["eval", "--task", task, "--checkpoint", _fresh_bundle(tmp_path, cfg_file)]
         capsys.readouterr()
-        assert run(["train", "--task", "pretrain", "--config", cfg_file,
-                    "--dataset", str(bad), "--out", str(tmp_path / "c")]) == 2
+        assert run([*argv, "--dataset", str(bad)]) == 2
         err = capsys.readouterr().err
-        assert f"{bad}:2" in err and "field 'graph'" in err and "edge-range" in err
-        assert not (tmp_path / "c").exists()
+        assert f"{bad}:{n + 1}: {expect}" in err, err
+        assert not out.exists()
 
     def test_unknown_section_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.ini"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from archtext.datagen import (
     AQASample,
     BiModalSample,
     GenConfig,
+    captions,
     compute_stats,
     extract_present_ops,
     gen_acd_dataset,
@@ -21,8 +24,10 @@ from archtext.datagen import (
     gen_tvhf,
     graph_from_obj,
     graph_to_obj,
+    load_ac,
     load_acd,
     load_aqa,
+    load_bacd,
     load_bimodal,
     mine_negatives,
     token_overlap_similarity,
@@ -369,21 +374,47 @@ class TestJsonl:
         path = tmp_path / "d.jsonl"
         write_jsonl(samples, vocab, str(path))
         assert load_bimodal(str(path), vocab) == samples
+        again = tmp_path / "again.jsonl"
+        write_jsonl(load_bimodal(str(path), vocab), vocab, str(again))
+        assert again.read_bytes() == path.read_bytes()
 
-    def test_aqa_and_acd_round_trip(self, tmp_path, small_ops):
+    @pytest.mark.parametrize("kind", ["aqa", "acd", "bacd", "ac"])
+    def test_file_round_trip(self, tmp_path, small_ops, kind):
         cfg = GenConfig(rng_seed=2, ops=small_ops, min_nodes=3, max_nodes=5,
                         tvhf_families=3, tvhf_variants=2)
         vocab = cfg.node_vocab()
         rng = np.random.default_rng(0)
-        g = gen_architecture(cfg, rng)
-        qa = gen_qa(g, cfg, rng)
-        p1 = tmp_path / "qa.jsonl"
-        write_jsonl(qa, vocab, str(p1))
-        assert load_aqa(str(p1), vocab) == qa
-        acd = gen_acd_dataset(cfg)
-        p2 = tmp_path / "acd.jsonl"
-        write_jsonl(acd, vocab, str(p2))
-        assert load_acd(str(p2), vocab) == acd
+        samples, load = {
+            "aqa": (lambda: gen_qa(gen_architecture(cfg, rng), cfg, rng), load_aqa),
+            "acd": (lambda: gen_acd_dataset(cfg), load_acd),
+            "bacd": (lambda: gen_bacd_dataset(cfg), load_bacd),
+            "ac": (lambda: captions(gen_autonet(cfg, 2, "train")), load_ac),
+        }[kind]
+        samples = samples()
+        assert samples
+        path = tmp_path / "d.jsonl"
+        write_jsonl(samples, vocab, str(path))
+        assert load(str(path), vocab) == samples
+        again = tmp_path / "again.jsonl"
+        write_jsonl(load(str(path), vocab), vocab, str(again))
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_caption_file_reads_the_positives(self, tmp_path, small_ops):
+        cfg = GenConfig(rng_seed=2, ops=small_ops, min_nodes=3, max_nodes=5)
+        vocab = cfg.node_vocab()
+        samples = gen_autonet(cfg, 2, "train")
+        path = tmp_path / "d.jsonl"
+        write_jsonl(samples, vocab, str(path))
+        # a caption record may leave its y out
+        lines = path.read_text().splitlines()
+        for i, s in enumerate(samples):
+            if s.y == 1.0:
+                rec = json.loads(lines[i])
+                del rec["y"]
+                lines[i] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        assert load_ac(str(path), vocab) == captions(samples)
+        assert 0 < len(captions(samples)) < len(samples)
 
 
 def test_compute_stats(tmp_path, small_ops):

@@ -1,10 +1,13 @@
 """Checkpoint, index, bundle, dataset and CLI output files are replaced
-whole or not at all, and a damaged checkpoint or index is refused by name."""
+whole or not at all, and a damaged checkpoint, index, dataset record or
+bundle config is refused by name."""
 
+import copy
 import dataclasses
 import json
 import os
 import struct
+import typing
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 from archtext import checkpoint, cli, datagen, fileio, index
 from archtext.autodiff import Tensor
 from archtext.datagen import GenConfig
-from archtext.graph import NodeVocab, graph_to_obj
+from archtext.graph import ArchGraph, NodeVocab, graph_to_obj
 from archtext.model import Model, ModelConfig
 from archtext.text import TextVocab, build_vocab
 
@@ -216,3 +219,128 @@ def test_damaged_file_loads_or_is_refused_by_name(stored, kind, data):
         load(str(path))
     except error as e:   # anything else, struct.error or a bare ValueError, fails
         assert str(e).startswith(f"{path}: ")
+
+
+# ---------------------------------------------------------------------------
+# text files read back: a dataset record or a bundle's config.json with one
+# field replaced or dropped, or cut short, loads well typed or is refused by name
+
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def _like(value):
+    """Values of the JSON type of `value`, near the ranges a loader checks."""
+    if type(value) is int:
+        return st.integers(-3, 2 * value + 3)
+    if type(value) is float:
+        # 2**1024 is an integer past the float range
+        return st.floats() | st.integers(-3, 3) | st.just(2 ** 1024)
+    if type(value) is list:
+        return st.lists(st.integers(-3, 60) | st.lists(st.integers(-3, 9), max_size=5),
+                        max_size=4)
+    return _ANY_JSON
+
+
+# the declared type and range of every sample field
+_FIELD_OK = {
+    "graph": lambda v: type(v) is ArchGraph,
+    "g1": lambda v: type(v) is ArchGraph,
+    "g2": lambda v: type(v) is ArchGraph,
+    "text": lambda v: type(v) is str,
+    "question": lambda v: type(v) is str,
+    "y": lambda v: type(v) is float and 0.0 <= v <= 1.0,
+    "label": lambda v: type(v) is int and v in (0, 1),
+    "answers": lambda v: (type(v) is frozenset and len(v) > 0
+                          and all(type(a) is int and 0 <= a < 51 for a in v)),
+}
+
+
+def _damaged(data, doc: dict, dumps) -> str:
+    """The text of `doc` with one field, or one field of a nested object,
+    replaced by another JSON value or dropped; or `doc` replaced whole; or
+    its text cut short."""
+    how = data.draw(st.sampled_from(["replace", "drop", "cut", "whole"]))
+    if how == "whole":
+        return dumps(data.draw(_ANY_JSON))
+    if how == "cut":
+        text = dumps(doc)
+        return text[:data.draw(st.integers(0, len(text) - 1))]
+    doc = copy.deepcopy(doc)
+    paths = [(doc, k) for k in doc] + [(v, k) for v in doc.values() if type(v) is dict
+                                       for k in v]
+    owner, key = data.draw(st.sampled_from(paths))
+    if how == "drop":
+        del owner[key]
+    else:
+        owner[key] = data.draw(_like(owner[key]) | _ANY_JSON)
+    return dumps(doc)
+
+
+@pytest.fixture(scope="module")
+def records(tmp_path_factory):
+    """The first generated record of each dataset type, with its loader."""
+    root = tmp_path_factory.mktemp("records")
+    rng = np.random.default_rng(0)
+    g = datagen.gen_architecture(_GEN, rng)
+    datasets = {
+        "bimodal": (datagen.gen_autonet(_GEN, 1, "train"), datagen.load_bimodal),
+        "aqa": (datagen.gen_qa(g, _GEN, rng), datagen.load_aqa),
+        "acd": (datagen.gen_acd_dataset(_GEN), datagen.load_acd),
+        "bacd": (datagen.gen_bacd_dataset(_GEN), datagen.load_bacd),
+        "ac": (datagen.captions(datagen.gen_autonet(_GEN, 1, "train")), datagen.load_ac),
+    }
+    out = {}
+    for kind, (samples, load) in datasets.items():
+        path = root / f"{kind}.jsonl"
+        datagen.write_jsonl(samples[:1], _GEN.node_vocab(), str(path))
+        out[kind] = (json.loads(path.read_text()), load, root / f"damaged-{kind}.jsonl")
+    return out
+
+
+@pytest.mark.parametrize("kind", ["bimodal", "aqa", "acd", "bacd", "ac"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_damaged_record_loads_or_is_refused_by_name(records, kind, data):
+    record, load, path = records[kind]
+    path.write_text(_damaged(data, record, json.dumps) + "\n", encoding="utf-8")
+    try:
+        samples = load(str(path), _GEN.node_vocab())
+    except ValueError as e:   # anything else, a TypeError or an OverflowError, fails
+        assert str(e).startswith(f"{path}:1: ")
+    else:
+        for s in samples:
+            assert all(_FIELD_OK[f.name](getattr(s, f.name)) for f in dataclasses.fields(s))
+
+
+@pytest.fixture(scope="module")
+def bundle_config(tmp_path_factory):
+    """A saved bundle's config.json, and a path to write a damaged copy to."""
+    root = tmp_path_factory.mktemp("config")
+    cli.save_bundle(str(root), Model.initialized(ModelConfig(node_vocab_size=5, text_vocab_size=7,
+                                                             d=8, gat_heads=2, cross_heads=2,
+                                                             dec_heads=2), seed=0),
+                    TextVocab(["a", "b"]), NodeVocab(["conv2d", "relu"]), [])
+    return json.loads((root / cli.CONFIG_FILE).read_text()), root / "damaged.json"
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_damaged_bundle_config_loads_or_is_refused_by_name(bundle_config, data):
+    config, path = bundle_config
+    path.write_text(_damaged(data, config, lambda d: json.dumps(d, indent=2, sort_keys=True)),
+                    encoding="utf-8")
+    try:
+        cfg = cli._load_model_config(str(path))
+    except ValueError as e:
+        assert str(e).startswith(f"{path}: ")
+    else:
+        hints = typing.get_type_hints(ModelConfig)
+        for key, value in cfg.to_dict().items():
+            assert type(value) in ((int, float) if hints[key] is float else (hints[key],))
+            if hints[key] is int:
+                assert value >= 0
+        assert cfg.d >= 1 and cfg.max_tokens >= 3 and cfg.eps_cos > 0 and 0 < cfg.tau < 1

@@ -19,7 +19,7 @@ from archtext.text import (
 
 def test_reserved_ids_fixed():
     v = TextVocab([])
-    assert [v.token_of(i) for i in range(5)] == list(RESERVED_TOKENS)
+    assert [v.name_of(i) for i in range(5)] == list(RESERVED_TOKENS)
     assert len(v) == 5
 
 
@@ -53,7 +53,7 @@ class TestBuildVocab:
     def test_document_order_does_not_matter(self):
         a = build_vocab(["red green", "blue", "red"], max_size=10)
         b = build_vocab(["red", "blue", "red green"], max_size=10)
-        assert a.tokens == b.tokens
+        assert a.names == b.names
 
 
 class TestTokenize:
@@ -130,4 +130,4 @@ def test_vocab_file_round_trip(tmp_path):
     v = build_vocab(["the quick brown fox"], max_size=12)
     path = tmp_path / "vocab.txt"
     v.save(str(path))
-    assert TextVocab.load(str(path)).tokens == v.tokens
+    assert TextVocab.load(str(path)).names == v.names
