@@ -39,7 +39,7 @@ from .graph import (
     parse_graph,
     to_dot,
 )
-from .model import Model, ModelConfig, embed_graphs, embed_texts, set_params
+from .model import Model, ModelConfig, embed_graphs, embed_texts
 from .text import TextVocab, build_vocab
 from .training import TrainConfig
 
@@ -192,8 +192,8 @@ def _load_model_config(path: str) -> ModelConfig:
 
 def load_bundle(checkpoint: str) -> tuple[Model, TextVocab, NodeVocab, str]:
     """Model, vocabularies and checkpoint path of a bundle, checked to agree:
-    each vocabulary has the size config.json gives it, every weight has the
-    shape config.json implies (the embedding tables included) and is finite."""
+    each vocabulary has the size config.json gives it, and `Model.from_arrays`
+    checks the weights against the config's parameter table."""
     bundle = _bundle_dir(checkpoint)
     ckpt_path = os.path.join(bundle, CKPT_FILE)
     for required in (ckpt_path, os.path.join(bundle, CONFIG_FILE)):
@@ -210,12 +210,8 @@ def load_bundle(checkpoint: str) -> tuple[Model, TextVocab, NodeVocab, str]:
             raise ValueError(f"{path}: {size} entries, but {CONFIG_FILE} has "
                              f"{key} = {getattr(cfg, key)}")
     arrays = load_checkpoint(ckpt_path)
-    for name in sorted(arrays):
-        if not np.isfinite(arrays[name]).all():
-            raise ValueError(f"{ckpt_path}: parameter {name!r} has non-finite values")
-    model = Model.initialized(cfg, seed=0)
     try:
-        set_params(model.params, arrays)
+        model = Model.from_arrays(cfg, arrays)
     except ValueError as e:
         raise ValueError(f"{ckpt_path}: {e}") from e
     return model, text_vocab, node_vocab, ckpt_path

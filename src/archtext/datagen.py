@@ -153,10 +153,7 @@ def token_overlap_similarity(a: str, b: str) -> float:
     wa, wb = set(normalize(a)), set(normalize(b))
     if not wa and not wb:
         return 0.0
-    union = wa | wb
-    if not union:
-        return 0.0
-    return len(wa & wb) / len(union)
+    return len(wa & wb) / len(wa | wb)
 
 
 # ---------------------------------------------------------------------------
@@ -699,8 +696,12 @@ def _load(path: str, read) -> list:
     record. A line that is not a JSON object, or that `read` refuses, is a
     ValueError naming the file, the line and the field."""
     out = []
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
+    with open(path, "rb") as f:
+        for line_no, raw in enumerate(f, 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise ValueError(f"{path}:{line_no}: not UTF-8 text: {e.reason}") from e
             if not line.strip():
                 continue
             try:

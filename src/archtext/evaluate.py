@@ -294,46 +294,23 @@ def run_ac(model: Model, samples: list[ACSample], text_vocab: TextVocab,
 # PCA projection
 
 
-def pca_project(embeddings: np.ndarray, k: int = 2, tol: float = 1e-9,
-                max_iter: int = 10000) -> np.ndarray:
-    """Project onto the top-k covariance eigenvectors via power iteration
-    with deflation. Each eigenvector's largest-magnitude entry is made
-    positive. Rank-deficient inputs yield fewer columns with a warning."""
+def pca_project(embeddings: np.ndarray, k: int = 2) -> np.ndarray:
+    """Project onto the top-k covariance eigenvectors, each with its
+    largest-magnitude entry positive. Rank-deficient inputs (eigenvalues
+    below 1e-12 of the largest) yield fewer columns with a warning."""
     x = np.asarray(embeddings, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("need an (N >= 2) x d matrix")
     centered = x - x.mean(axis=0, keepdims=True)
     cov = centered.T @ centered / x.shape[0]
-    d = cov.shape[0]
-    rng = np.random.default_rng(0)
-    comps = []
-    first_eig = None
-    for _ in range(min(k, d)):
-        v = rng.standard_normal(d)
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(max_iter):
-            w = cov @ v
-            lam = float(np.linalg.norm(w))
-            if lam < 1e-30:
-                break
-            w_norm = w / lam
-            if np.linalg.norm(w_norm - v) < tol or np.linalg.norm(w_norm + v) < tol:
-                v = w_norm
-                break
-            v = w_norm
-        if first_eig is None:
-            first_eig = lam
-        if lam < 1e-30 or (first_eig > 0 and lam / first_eig < 1e-12):
-            warnings.warn(f"data rank < {k}; returning {len(comps)} components")
-            break
-        imax = int(np.argmax(np.abs(v)))
-        if v[imax] < 0:
-            v = -v
-        comps.append(v)
-        cov = cov - lam * np.outer(v, v)
-    if not comps:
+    eigvals, eigvecs = np.linalg.eigh(cov)   # ascending
+    eigvals = eigvals[::-1][:k]
+    rank = int(np.count_nonzero(eigvals >= max(1e-30, 1e-12 * eigvals.max(initial=0.0))))
+    if rank < len(eigvals):
+        warnings.warn(f"data rank < {k}; returning {rank} components")
+    if rank == 0:
         warnings.warn("degenerate data; returning a zero component")
         return np.zeros((x.shape[0], 1))
-    basis = np.stack(comps, axis=1)
+    basis = eigvecs[:, ::-1][:, :rank]
+    basis = basis * np.sign(basis[np.abs(basis).argmax(axis=0), np.arange(rank)])
     return centered @ basis

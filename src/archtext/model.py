@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,87 +84,84 @@ def shape_bucket(x, n_buckets: int):
 # parameters
 
 
-def _linear_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+class ParamSpec(NamedTuple):
+    """A learnable tensor: checkpoint path, shape and initializer, a uniform
+    draw from [-bound, bound] or, where bound is None, a constant fill."""
+
+    path: str
+    shape: tuple[int, ...]
+    bound: float | None
+    fill: float
 
 
-def _attn_params(rng, d: int, prefix: str, out: dict[str, np.ndarray]) -> None:
-    for gate in ("wq", "wk", "wv", "wo"):
-        out[f"{prefix}.{gate}"] = _linear_init(rng, d, d)
-    for gate in ("bq", "bk", "bv", "bo"):
-        out[f"{prefix}.{gate}"] = np.zeros((1, d))
+def param_table(cfg: ModelConfig) -> list[ParamSpec]:
+    """Every learnable tensor of a model with config `cfg`, in the order
+    `init_params` draws them: the one statement of the parameter layout."""
+    d, dh = cfg.d, cfg.d // cfg.gat_heads
+    table: list[ParamSpec] = []
 
+    def add(path: str, rows: int, cols: int, bound: float | None = None,
+            fill: float = 0.0) -> None:
+        table.append(ParamSpec(path, (rows, cols), bound, fill))
 
-def _block_params(rng, d: int, prefix: str, ln_names: tuple[str, ...],
-                  out: dict[str, np.ndarray]) -> None:
-    hidden = 2 * d
-    out[f"{prefix}.ffn.w1"] = _linear_init(rng, d, hidden)
-    out[f"{prefix}.ffn.b1"] = np.zeros((1, hidden))
-    out[f"{prefix}.ffn.w2"] = _linear_init(rng, hidden, d)
-    out[f"{prefix}.ffn.b2"] = np.zeros((1, d))
-    for ln in ln_names:
-        out[f"{prefix}.ln.{ln}.scale"] = np.ones((1, d))
-        out[f"{prefix}.ln.{ln}.bias"] = np.zeros((1, d))
+    def weight(path: str, fan_in: int, fan_out: int, bias: str = "") -> None:
+        """A weight drawn within 1/sqrt(fan_in), then its zero bias if named."""
+        add(path, fan_in, fan_out, 1.0 / math.sqrt(fan_in))
+        if bias:
+            add(bias, 1, fan_out)
+
+    def attention(prefix: str) -> None:
+        for gate in "qkvo":
+            weight(f"{prefix}.w{gate}", d, d)
+        for gate in "qkvo":
+            add(f"{prefix}.b{gate}", 1, d)
+
+    def block(prefix: str, norms: tuple[str, ...]) -> None:
+        weight(f"{prefix}.ffn.w1", d, 2 * d, f"{prefix}.ffn.b1")
+        weight(f"{prefix}.ffn.w2", 2 * d, d, f"{prefix}.ffn.b2")
+        for ln in norms:
+            add(f"{prefix}.ln.{ln}.scale", 1, d, fill=1.0)
+            add(f"{prefix}.ln.{ln}.bias", 1, d)
+
+    add("text.tok_emb", cfg.text_vocab_size, d, 0.02)
+    add("text.pos_emb", cfg.max_tokens, d, 0.02)
+    add("arch.node_emb", cfg.node_vocab_size, d, 0.02)
+    for k in range(4):
+        add(f"arch.shape_emb.{k}", cfg.shape_buckets, d, 0.02)
+
+    for layer in range(cfg.gat_layers):
+        for h in range(cfg.gat_heads):
+            weight(f"gat.{layer}.{h}.W", d, dh)
+            # a (2*dh, 1) weight stored as a row: the same draws, laid flat
+            add(f"gat.{layer}.{h}.a", 1, 2 * dh, 1.0 / math.sqrt(2 * dh))
+        weight(f"gat.{layer}.proj", d, d)
+
+    for layer in range(cfg.cross_layers):
+        attention(f"cross.{layer}.attn")
+        block(f"cross.{layer}", ("attn", "ffn"))
+
+    weight("head.mam.proj.w", d, cfg.node_vocab_size, "head.mam.proj.b")
+    weight("head.aqa.fc1.w", d, d, "head.aqa.fc1.b")
+    weight("head.aqa.fc2.w", d, cfg.n_answers, "head.aqa.fc2.b")
+
+    add("dec.emb.tok", cfg.text_vocab_size, d, 0.02)
+    add("dec.emb.pos", cfg.max_tokens, d, 0.02)
+    attention("dec.attn")
+    attention("dec.xattn")
+    block("dec", ("self", "xattn", "ffn"))
+    weight("dec.out.fc1.w", d, d, "dec.out.fc1.b")
+    weight("dec.out.fc2.w", d, cfg.text_vocab_size, "dec.out.fc2.b")
+    return table
 
 
 def init_params(cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
-    """All learnable tensors under their canonical checkpoint paths."""
+    """All learnable tensors under their canonical checkpoint paths, drawn
+    from one generator in `param_table` order."""
     rng = np.random.default_rng(seed)
-    d = cfg.d
-    arrays: dict[str, np.ndarray] = {}
-
-    def emb(shape):
-        return rng.uniform(-0.02, 0.02, size=shape)
-
-    arrays["text.tok_emb"] = emb((cfg.text_vocab_size, d))
-    arrays["text.pos_emb"] = emb((cfg.max_tokens, d))
-    arrays["arch.node_emb"] = emb((cfg.node_vocab_size, d))
-    for k in range(4):
-        arrays[f"arch.shape_emb.{k}"] = emb((cfg.shape_buckets, d))
-
-    dh = d // cfg.gat_heads
-    for layer in range(cfg.gat_layers):
-        for h in range(cfg.gat_heads):
-            arrays[f"gat.{layer}.{h}.W"] = _linear_init(rng, d, dh)
-            arrays[f"gat.{layer}.{h}.a"] = _linear_init(rng, 2 * dh, 1).reshape(1, 2 * dh)
-        arrays[f"gat.{layer}.proj"] = _linear_init(rng, d, d)
-
-    for layer in range(cfg.cross_layers):
-        _attn_params(rng, d, f"cross.{layer}.attn", arrays)
-        _block_params(rng, d, f"cross.{layer}", ("attn", "ffn"), arrays)
-
-    arrays["head.mam.proj.w"] = _linear_init(rng, d, cfg.node_vocab_size)
-    arrays["head.mam.proj.b"] = np.zeros((1, cfg.node_vocab_size))
-    arrays["head.aqa.fc1.w"] = _linear_init(rng, d, d)
-    arrays["head.aqa.fc1.b"] = np.zeros((1, d))
-    arrays["head.aqa.fc2.w"] = _linear_init(rng, d, cfg.n_answers)
-    arrays["head.aqa.fc2.b"] = np.zeros((1, cfg.n_answers))
-
-    arrays["dec.emb.tok"] = emb((cfg.text_vocab_size, d))
-    arrays["dec.emb.pos"] = emb((cfg.max_tokens, d))
-    _attn_params(rng, d, "dec.attn", arrays)
-    _attn_params(rng, d, "dec.xattn", arrays)
-    _block_params(rng, d, "dec", ("self", "xattn", "ffn"), arrays)
-    arrays["dec.out.fc1.w"] = _linear_init(rng, d, d)
-    arrays["dec.out.fc1.b"] = np.zeros((1, d))
-    arrays["dec.out.fc2.w"] = _linear_init(rng, d, cfg.text_vocab_size)
-    arrays["dec.out.fc2.b"] = np.zeros((1, cfg.text_vocab_size))
-
-    return {name: Tensor(a, requires_grad=True, name=name) for name, a in arrays.items()}
-
-
-def set_params(params: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> None:
-    """Load checkpoint arrays into an existing parameter dict, shape-checked."""
-    missing = sorted(set(params) - set(arrays))
-    extra = sorted(set(arrays) - set(params))
-    if missing or extra:
-        raise ValueError(f"parameter mismatch: missing {missing}, unexpected {extra}")
-    for name, arr in arrays.items():
-        if params[name].data.shape != arr.shape:
-            raise ValueError(
-                f"{name}: checkpoint shape {arr.shape} != model shape {params[name].data.shape}")
-        params[name].data = arr.astype(np.float64)
+    return {p.path: Tensor(np.full(p.shape, p.fill) if p.bound is None
+                           else rng.uniform(-p.bound, p.bound, size=p.shape),
+                           requires_grad=True, name=p.path)
+            for p in param_table(cfg)}
 
 
 @dataclass
@@ -181,11 +179,31 @@ class Model:
     def initialized(cls, cfg: ModelConfig, seed: int) -> "Model":
         return cls(cfg=cfg, params=init_params(cfg, seed))
 
+    @classmethod
+    def from_arrays(cls, cfg: ModelConfig, arrays: dict[str, np.ndarray]) -> "Model":
+        """The model with config `cfg` and these weights, such as a checkpoint
+        holds, checked against `param_table(cfg)` (paths and shapes) and for
+        non-finite values before any parameter is made; a fault is a
+        ValueError naming the parameter. Float64 arrays are not copied."""
+        table = param_table(cfg)
+        paths = {p.path for p in table}
+        missing, extra = sorted(paths - set(arrays)), sorted(set(arrays) - paths)
+        if missing or extra:
+            raise ValueError(f"parameter mismatch: missing {missing}, unexpected {extra}")
+        for p in table:
+            a = arrays[p.path]
+            if a.shape != p.shape:
+                raise ValueError(f"{p.path}: checkpoint shape {a.shape} != model shape {p.shape}")
+            if not np.isfinite(a).all():
+                raise ValueError(f"parameter {p.path!r} has non-finite values")
+        return cls(cfg=cfg, params={p.path: Tensor(arrays[p.path], requires_grad=True, name=p.path)
+                                    for p in table})
+
     def constant(self, name: str) -> Tensor:
         """Parameter `name` as a constant sharing its storage, so in-place
         edits show through. It is made, and its array scanned for non-finite
         values, only when the parameter holds an array it has not seen: every
-        update (`adam_step`, `set_params`) assigns a new one."""
+        update (`adam_step`) assigns a new one."""
         p, c = self.params[name], self._consts.get(name)
         if c is None or c.data is not p.data:
             c = self._consts[name] = Tensor(p.data)

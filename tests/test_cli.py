@@ -1,10 +1,13 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from archtext.cli import load_config_file, run, save_bundle
+import archtext.model as model_mod
+from archtext.checkpoint import load_checkpoint
+from archtext.cli import load_bundle, load_config_file, run, save_bundle
 from archtext.datagen import GenConfig
 from archtext.index import load_index
 from archtext.model import Model, ModelConfig
@@ -97,13 +100,14 @@ class TestStats:
         ("5", "record must be a JSON object, got 5"),
         ('{"graph": {"nodes": 5, "edges": [], "shapes": []}, "text": "t", "y": 1.0}',
          "field 'graph': field 'nodes' must be a list"),
-    ], ids=["graph-int", "line-int", "nodes-int"])
+        (b"\xff", "not UTF-8 text: invalid start byte"),
+    ], ids=["graph-int", "line-int", "nodes-int", "line-not-utf8"])
     def test_invalid_record_is_data_error(self, tmp_path, cfg_file, capsys, line, expect):
         data = _gen(tmp_path, cfg_file, "autonet", "d.jsonl")
-        lines = data.read_text().splitlines()
-        lines[1] = line
+        lines = data.read_bytes().splitlines()
+        lines[1] = line if isinstance(line, bytes) else line.encode()
         bad = tmp_path / "bad.jsonl"
-        bad.write_text("\n".join(lines) + "\n")
+        bad.write_bytes(b"\n".join(lines) + b"\n")
         capsys.readouterr()
         assert run(["stats", str(bad)]) == 2
         assert f"{bad}:2: {expect}" in capsys.readouterr().err
@@ -351,6 +355,20 @@ class TestViz:
         assert len(lines) > 1
 
 
+class TestLoadBundle:
+    def test_loads_the_checkpoint_without_initializing(self, pretrained, monkeypatch):
+        _, ckpt = pretrained
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_bundle initialized a model")
+
+        monkeypatch.setattr(model_mod, "init_params", refuse)
+        model, _, _, path = load_bundle(str(ckpt))
+        arrays = load_checkpoint(path)
+        assert list(model.params) == [p.path for p in model_mod.param_table(model.cfg)]
+        assert all(np.array_equal(p.data, arrays[name]) for name, p in model.params.items())
+
+
 class TestErrors:
     def test_unknown_config_key_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -367,12 +385,18 @@ class TestErrors:
                     "--out", str(tmp_path / "x.jsonl")]) == 2
 
     @pytest.mark.parametrize("edit", ["unknown", "missing", "wrong-type", "gat-heads-0", "d-0",
-                                      "max-tokens-negative"])
+                                      "max-tokens-negative", "enlarged"])
     def test_bad_bundle_config_is_data_error(self, tmp_path, pretrained, capsys, edit):
         data, ckpt = pretrained
         config = ckpt / "config.json"
         cfg = json.loads(config.read_text())
-        if edit == "unknown":
+        where = "config.json"
+        if edit == "enlarged":
+            # a valid config the weights do not fit: refused by the parameter
+            # table before a model of the config's size is made
+            cfg.update(d=512, max_tokens=2048)
+            where, expect = "model.abkt", "text.tok_emb: checkpoint shape"
+        elif edit == "unknown":
             cfg["mask_ratio"] = 0.15
             expect = "unknown key 'mask_ratio'"
         elif edit == "missing":
@@ -388,10 +412,15 @@ class TestErrors:
             cfg[key] = value
             expect = f"{key} must be at least"
         config.write_text(json.dumps(cfg))
-        assert run(["eval", "--task", "ar", "--checkpoint", str(ckpt),
-                    "--dataset", str(data)]) == 2
+        tracemalloc.start()
+        try:
+            code = run(["eval", "--task", "ar", "--checkpoint", str(ckpt), "--dataset", str(data)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         err = capsys.readouterr().err
-        assert "config.json" in err and expect in err
+        assert code == 2 and peak < 5 * 2**20, (err, peak)
+        assert where in err and expect in err, err
 
     @pytest.mark.parametrize("defect", ["text-vocab", "node-vocab", "non-finite",
                                         "vocab-reserved", "vocab-repeat", "vocab-utf8"])
@@ -478,15 +507,18 @@ class TestErrors:
         ("ac", "y", "0.5", "field 'y' must be a number"),
         ("ac", "y", True, "field 'y' must be a number"),
         ("ac", None, [1], "record must be a JSON object, got [1]"),
+        # a raw line: Latin-1 text in a UTF-8 file
+        ("acd", None, b'{"label": 1, "note": "caf\xe9"}',
+         "not UTF-8 text: invalid continuation byte"),
     ], ids=["pretrain-graph", "pretrain-text-int", "pretrain-y-str", "pretrain-y-bool",
             "pretrain-y-huge", "aqa-question-int", "aqa-answers-bool", "acd-label-2",
             "acd-label-float", "acd-label-str", "bacd-label-2", "bacd-text-int", "ac-text-int",
-            "ac-y-str", "ac-y-bool", "ac-line-list"])
+            "ac-y-str", "ac-y-bool", "ac-line-list", "acd-line-not-utf8"])
     def test_invalid_graph_record_is_data_error(self, tmp_path, cfg_file, capsys, task, field,
                                                 value, expect):
         gen_task = {"pretrain": "autonet", "ac": "autonet"}.get(task, task)
         data = _gen(tmp_path, cfg_file, gen_task, "d.jsonl")
-        lines = data.read_text().splitlines()
+        lines = data.read_bytes().splitlines()
         # a positive, so that a caption file reads more of it than its y
         n = next(i for i, line in enumerate(lines) if json.loads(line).get("y", 1.0) == 1.0)
         rec = json.loads(lines[n])
@@ -497,9 +529,9 @@ class TestErrors:
             rec[outer][inner] = value
         else:
             rec[field] = value
-        lines[n] = json.dumps(rec)
+        lines[n] = rec if isinstance(rec, bytes) else json.dumps(rec).encode()
         bad = tmp_path / "bad.jsonl"
-        bad.write_text("\n".join(lines) + "\n")
+        bad.write_bytes(b"\n".join(lines) + b"\n")
         out = tmp_path / "c"
         if task in ("pretrain", "aqa"):
             argv = ["train", "--task", task, "--config", cfg_file, "--out", str(out)]

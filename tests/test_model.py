@@ -32,8 +32,8 @@ from archtext.model import (
     gat_forward,
     init_params,
     mam_logits,
+    param_table,
     pool,
-    set_params,
     shape_bucket,
 )
 from archtext.text import BOS_ID, EOS_ID, TextVocab, build_vocab, tokenize
@@ -544,17 +544,53 @@ class TestParams:
                          "dec.ln.self.bias", "dec.out.fc1.w", "dec.out.fc2.w"):
             assert expected in names
 
-    def test_set_params_shape_check(self, tiny_model):
-        arrays = {k: v.data.copy() for k, v in tiny_model.params.items()}
-        arrays["text.tok_emb"] = arrays["text.tok_emb"][:2]
-        with pytest.raises(ValueError, match="shape"):
-            set_params(tiny_model.params, arrays)
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        {"d": 8, "gat_layers": 1, "gat_heads": 2, "cross_layers": 1, "cross_heads": 2,
+         "dec_heads": 2, "max_nodes": 8, "max_tokens": 8, "n_answers": 6, "shape_buckets": 4},
+        {"gat_layers": 0, "cross_layers": 0},
+    ], ids=["default", "tiny", "no-gat-no-cross"])
+    def test_table_is_the_init_layout(self, kwargs):
+        cfg = ModelConfig(node_vocab_size=10, text_vocab_size=40, **kwargs)
+        params = init_params(cfg, seed=0)
+        table = param_table(cfg)
+        assert [p.path for p in table] == list(params)
+        assert [p.shape for p in table] == [params[p.path].data.shape for p in table]
 
-    def test_set_params_name_check(self, tiny_model):
-        arrays = {k: v.data.copy() for k, v in tiny_model.params.items()}
+    @staticmethod
+    def arrays(model):
+        return {k: v.data.copy() for k, v in model.params.items()}
+
+    def test_from_arrays_round_trip(self, tiny_model):
+        arrays = self.arrays(tiny_model)
+        loaded = Model.from_arrays(tiny_model.cfg, arrays)
+        assert list(loaded.params) == list(tiny_model.params)
+        for name, p in loaded.params.items():
+            assert p.requires_grad and p.name == name and p.data is arrays[name]
+
+    def test_from_arrays_shape_check(self, tiny_model):
+        arrays = self.arrays(tiny_model)
+        arrays["text.tok_emb"] = arrays["text.tok_emb"][:2]
+        with pytest.raises(ValueError, match=r"text\.tok_emb: checkpoint shape \(2, 8\)"):
+            Model.from_arrays(tiny_model.cfg, arrays)
+
+    def test_from_arrays_name_check(self, tiny_model):
+        arrays = self.arrays(tiny_model)
         arrays.pop("text.tok_emb")
-        with pytest.raises(ValueError, match="mismatch"):
-            set_params(tiny_model.params, arrays)
+        with pytest.raises(ValueError,
+                           match=r"mismatch: missing \['text\.tok_emb'\], unexpected \[\]"):
+            Model.from_arrays(tiny_model.cfg, arrays)
+        arrays = self.arrays(tiny_model)
+        arrays["gat.1.proj"] = arrays["gat.0.proj"]
+        with pytest.raises(ValueError, match=r"missing \[\], unexpected \['gat\.1\.proj'\]"):
+            Model.from_arrays(tiny_model.cfg, arrays)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_from_arrays_refuses_non_finite(self, tiny_model, bad):
+        arrays = self.arrays(tiny_model)
+        arrays["dec.ffn.w2"][3, 1] = bad
+        with pytest.raises(ValueError, match="parameter 'dec.ffn.w2' has non-finite values"):
+            Model.from_arrays(tiny_model.cfg, arrays)
 
 
 class TestEndToEnd:
@@ -804,8 +840,8 @@ class TestConstantView:
 
     def assert_fresh(self, model, vocab, graphs, texts, before):
         """The model's embeddings changed, and equal a newly loaded copy's."""
-        fresh = Model.initialized(model.cfg, seed=0)
-        set_params(fresh.params, {name: p.data.copy() for name, p in model.params.items()})
+        fresh = Model.from_arrays(model.cfg,
+                                  {name: p.data.copy() for name, p in model.params.items()})
         got = self.embed(model, vocab, graphs, texts)
         for g, w, b in zip(got, self.embed(fresh, vocab, graphs, texts), before):
             assert np.array_equal(g, w) and not np.array_equal(g, b)
@@ -819,7 +855,8 @@ class TestConstantView:
         self.assert_fresh(model, *frozen[1:], before)
 
         before = self.embed(model, *frozen[1:])
-        set_params(model.params, {name: p.data * 1.1 for name, p in model.params.items()})
+        for p in model.params.values():
+            p.data = p.data * 1.1
         self.assert_fresh(model, *frozen[1:], before)
 
         before = self.embed(model, *frozen[1:])
