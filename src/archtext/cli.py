@@ -22,23 +22,11 @@ import typing
 import numpy as np
 
 from . import datagen, evaluate, index as index_mod, training
-from .autodiff import NonFiniteError
 from .catalog import answer_catalog
-from .checkpoint import (
-    CheckpointError,
-    checkpoint_fingerprint,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .checkpoint import checkpoint_fingerprint, load_checkpoint, save_checkpoint
 from .datagen import GenConfig
 from .fileio import atomic_write
-from .graph import (
-    GraphParseError,
-    GraphValidationError,
-    NodeVocab,
-    parse_graph,
-    to_dot,
-)
+from .graph import NodeVocab, parse_graph, to_dot
 from .model import Model, ModelConfig, embed_graphs, embed_texts
 from .text import TextVocab, build_vocab
 from .training import TrainConfig
@@ -74,35 +62,39 @@ def _coerce(raw: str, typ):
         return int(raw)
     if typ is float:
         return float(raw)
+    if typ == tuple[str, ...]:   # a comma-separated list, such as [gen] ops
+        return tuple(x.strip() for x in raw.split(",") if x.strip())
     return raw
 
 
 def load_config_file(path: str | None) -> dict[str, dict]:
     """INI-style key=value sections [gen], [model], [train]; unknown keys
-    are rejected."""
+    are rejected. A fault is a ValueError naming the path."""
     sections: dict[str, dict] = {"gen": {}, "model": {}, "train": {}}
     if path is None:
         return sections
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ValueError(f"config file not found: {path}")
     gen_hints = typing.get_type_hints(GenConfig)
     model_hints = typing.get_type_hints(ModelConfig)
     train_hints = typing.get_type_hints(TrainConfig)
     allowed = {"gen": (_GEN_KEYS, gen_hints), "model": (_MODEL_KEYS, model_hints),
                "train": (_TRAIN_KEYS, train_hints)}
-    for section in parser.sections():
-        if section not in allowed:
-            raise ValueError(f"unknown config section [{section}]")
-        keys, hints = allowed[section]
-        for key, raw in parser.items(section):
-            if key not in keys:
-                raise ValueError(f"unknown key {key!r} in section [{section}]")
-            if key == "ops":
-                sections[section][key] = tuple(x.strip() for x in raw.split(",") if x.strip())
-            else:
-                sections[section][key] = _coerce(raw, hints[key])
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ValueError("config file not found")
+        for section in parser.sections():
+            if section not in allowed:
+                raise ValueError(f"unknown config section [{section}]")
+            keys, hints = allowed[section]
+            for key, raw in parser.items(section):
+                if key not in keys:
+                    raise ValueError(f"unknown key {key!r} in section [{section}]")
+                try:
+                    sections[section][key] = _coerce(raw, hints[key])
+                except ValueError as e:
+                    raise ValueError(f"[{section}] {key}: {e}") from e
+    except (configparser.Error, ValueError) as e:   # these, and text that is not UTF-8
+        raise ValueError(f"{path}: {e}") from e
     return sections
 
 
@@ -113,14 +105,16 @@ def _gen_config(args, file_cfg: dict) -> GenConfig:
     return GenConfig(**kwargs)
 
 
-_ABLATION_FLAGS = ("no_mam", "no_cross_encoder", "no_shape", "no_edge",
-                   "text_only", "arch_only")
+_ENCODER_SWITCHES = ("no_cross_encoder", "no_shape", "no_edge")   # read by the encoders
+_TRAINING_SWITCHES = ("no_mam", "text_only", "arch_only")         # read by the training loops
 
 
 def _apply_ablations(cfg: ModelConfig, args) -> ModelConfig:
-    updates = {flag: True for flag in _ABLATION_FLAGS if getattr(args, flag)}
-    if args.tau is not None:
-        updates["tau"] = args.tau
+    """`cfg` under the --tau and ablation switches the subcommand takes."""
+    given = vars(args)
+    updates = {flag: True for flag in _ENCODER_SWITCHES + _TRAINING_SWITCHES if given.get(flag)}
+    if given.get("tau") is not None:
+        updates["tau"] = given["tau"]
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
@@ -243,10 +237,8 @@ def _cmd_gen(args) -> int:
         samples = datagen.gen_acd_dataset(cfg)
     elif task == "tvhf":
         samples = datagen.gen_tvhf(cfg)
-    elif task == "bacd":
-        samples = datagen.gen_bacd_dataset(cfg)
     else:
-        raise UsageError(f"unknown gen task {args.task!r}")
+        samples = datagen.gen_bacd_dataset(cfg)
     datagen.write_jsonl(samples, vocab, args.out)
     print(f"wrote {len(samples)} records to {args.out}")
     return 0
@@ -307,6 +299,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if not args.baseline and not args.checkpoint:
+        raise UsageError("--checkpoint is required for model evaluation")
     result: dict = {"task": args.task}
     if args.baseline:
         tau = args.tau if args.tau is not None else 0.5
@@ -346,12 +340,10 @@ def _cmd_eval(args) -> int:
             metrics = evaluate.run_aqa(model, datagen.load_aqa(args.dataset, node_vocab),
                                        text_vocab)
             result.update(metrics.to_dict())
-        elif args.task == "ac":
+        else:
             rouge = evaluate.run_ac(model, datagen.load_ac(args.dataset, node_vocab),
                                     text_vocab, beam=args.beam)
             result.update(rouge.to_dict())
-        else:
-            raise UsageError(f"unknown eval task {args.task!r}")
     _emit(json.dumps(result, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
@@ -391,8 +383,12 @@ def _cmd_search(args) -> int:
 
 
 def _load_graph_file(path: str, node_vocab: NodeVocab):
-    with open(path, encoding="utf-8") as f:
-        return parse_graph(f.read(), node_vocab)
+    """A graph JSON file; a fault is a ValueError naming the path."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return parse_graph(f.read(), node_vocab)
+    except ValueError as e:   # bad JSON, bad graph or text that is not UTF-8
+        raise ValueError(f"{path}: {e}") from e
 
 
 def _cmd_reason(args) -> int:
@@ -483,12 +479,15 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="master RNG seed (default: config value)")
 
 
-def _add_model_switches(p: argparse.ArgumentParser) -> None:
-    """--tau and the ablation switches, for subcommands that run a model."""
-    p.add_argument("--tau", type=float, default=None,
-                   help="decision threshold (default: the bundle's tau; 0.5 for a fresh "
-                        "model or --baseline)")
-    for flag in _ABLATION_FLAGS:
+def _add_model_switches(p: argparse.ArgumentParser, tau: bool,
+                        switches: tuple[str, ...] = _ENCODER_SWITCHES) -> None:
+    """Ablation switches, for subcommands that run a model, and --tau for
+    those that decide at a threshold."""
+    if tau:
+        p.add_argument("--tau", type=float, default=None,
+                       help="decision threshold (default: the bundle's tau; 0.5 for a fresh "
+                            "model or --baseline)")
+    for flag in switches:
         p.add_argument(f"--{flag.replace('_', '-')}", action="store_true",
                        dest=flag, help=f"ablation switch {flag} (default off)")
 
@@ -525,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=None,
                    help="masked-node loss weight (default 0.05)")
     _add_common(p)
-    _add_model_switches(p)
+    _add_model_switches(p, tau=True, switches=_ENCODER_SWITCHES + _TRAINING_SWITCHES)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="run a task over a dataset")
@@ -537,24 +536,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beam", type=int, default=10, help="beam width for captioning (default 10)")
     p.add_argument("--out", default=None, help="write metrics JSON here (default: stdout)")
     _add_common(p)
-    _add_model_switches(p)
+    _add_model_switches(p, tau=True)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("search", help="build or query the retrieval index")
-    p.add_argument("action", choices=["build", "query"])
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset", default=None, help="bi-modal JSONL for build (default: none)")
-    p.add_argument("--index", default=None, help="index file for query (default: none)")
-    p.add_argument("--out", default=None, help="index output path for build (default: none)")
-    p.add_argument("--query", default=None, help="text query (default: none)")
-    p.add_argument("--k", type=int, default=5, help="results to return (default 5)")
+    actions = p.add_subparsers(dest="action", required=True)
+    a = actions.add_parser("build", help="index the graphs of a bi-modal dataset")
+    a.add_argument("--checkpoint", required=True)
+    a.add_argument("--dataset", required=True, help="bi-modal JSONL")
+    a.add_argument("--out", required=True, help="index output path")
+    a = actions.add_parser("query", help="rank the indexed graphs against a text")
+    a.add_argument("--checkpoint", required=True)
+    a.add_argument("--index", required=True, help="index file")
+    a.add_argument("--query", required=True, help="text query")
+    a.add_argument("--k", type=int, default=5, help="results to return (default 5)")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("reason", help="score one statement against one graph")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--graph", required=True, help="graph JSON file")
     p.add_argument("--text", required=True, help="statement")
-    _add_model_switches(p)
+    _add_model_switches(p, tau=True)
     p.set_defaults(func=_cmd_reason)
 
     p = sub.add_parser("clone", help="compare two graphs")
@@ -562,74 +564,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g1", required=True, help="first graph JSON file")
     p.add_argument("--g2", required=True, help="second graph JSON file")
     p.add_argument("--text", default=None, help="optional supporting text (default: none)")
-    _add_model_switches(p)
+    _add_model_switches(p, tau=True)
     p.set_defaults(func=_cmd_clone)
 
     p = sub.add_parser("qa", help="answer one question about one graph")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--question", required=True)
-    _add_model_switches(p)
+    _add_model_switches(p, tau=False)
     p.set_defaults(func=_cmd_qa)
 
     p = sub.add_parser("caption", help="generate a caption for one graph")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--beam", type=int, default=10, help="beam width (default 10)")
-    _add_model_switches(p)
+    _add_model_switches(p, tau=False)
     p.set_defaults(func=_cmd_caption)
 
     p = sub.add_parser("viz", help="export PCA CSV or DOT text")
-    p.add_argument("kind", choices=["pca", "dot"])
-    p.add_argument("--checkpoint", default=None, help="checkpoint bundle for pca (default: none)")
-    p.add_argument("--dataset", default=None, help="bi-modal JSONL for pca (default: none)")
-    p.add_argument("--graph", default=None, help="graph JSON file for dot (default: none)")
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-    _add_common(p)
-    _add_model_switches(p)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    k = kinds.add_parser("pca", help="PCA of a bi-modal dataset's embeddings as CSV")
+    k.add_argument("--checkpoint", required=True)
+    k.add_argument("--dataset", required=True, help="bi-modal JSONL")
+    k.add_argument("--out", default=None, help="output path (default: stdout)")
+    _add_model_switches(k, tau=False)
+    k = kinds.add_parser("dot", help="one graph as DOT text")
+    k.add_argument("--graph", required=True, help="graph JSON file")
+    k.add_argument("--out", default=None, help="output path (default: stdout)")
+    _add_common(k)
     p.set_defaults(func=_cmd_viz)
 
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
-    try:
-        _validate_args(args)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, FileNotFoundError, GraphParseError,
-            GraphValidationError, CheckpointError, index_mod.IndexError_) as e:
+    except (ValueError, KeyError, OSError) as e:   # the format errors are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except NonFiniteError as e:
-        print(f"runtime failure: {e}", file=sys.stderr)
-        return 3
     except Exception as e:  # noqa: BLE001 - CLI boundary
         print(f"runtime failure: {e}", file=sys.stderr)
         return 3
-
-
-def _validate_args(args) -> None:
-    if args.command == "eval" and not args.baseline and not args.checkpoint:
-        raise UsageError("--checkpoint is required for model evaluation")
-    if args.command == "search":
-        if args.action == "build" and (not args.dataset or not args.out):
-            raise UsageError("search build requires --dataset and --out")
-        if args.action == "query" and (not args.index or args.query is None):
-            raise UsageError("search query requires --index and --query")
-    if args.command == "viz":
-        if args.kind == "pca" and (not args.checkpoint or not args.dataset):
-            raise UsageError("viz pca requires --checkpoint and --dataset")
-        if args.kind == "dot" and not args.graph:
-            raise UsageError("viz dot requires --graph")
 
 
 def main() -> None:

@@ -45,6 +45,10 @@ class TrainConfig:
             raise ValueError(f"unknown task {self.task!r}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
+        if not 0.0 < self.lr < math.inf:   # false for a NaN too
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and non-negative, got {self.alpha}")
         if not 0.0 < self.mask_ratio < 1.0:
             raise ValueError("mask_ratio must lie in (0, 1)")
 

@@ -369,6 +369,22 @@ class TestLoadBundle:
         assert all(np.array_equal(p.data, arrays[name]) for name, p in model.params.items())
 
 
+_ALL_SWITCHES = ("--tau=0.3", "--no-mam", "--no-cross-encoder", "--no-shape", "--no-edge",
+                 "--text-only", "--arch-only")
+_TRAINING_SWITCHES = ("--no-mam", "--text-only", "--arch-only")
+_SEARCH_BUILD = ["search", "build", "--checkpoint", "ckpt", "--dataset", "d.jsonl",
+                 "--out", "i.abix"]
+_VIZ_PCA = ["viz", "pca", "--checkpoint", "ckpt", "--dataset", "d.jsonl"]
+_VIZ_DOT = ["viz", "dot", "--graph", "g.json"]
+
+
+def _unread(cases):
+    """Parameters (argv, flag) for each command line and each flag it must
+    refuse, with ids `<flag>-argv<n>` numbering the command lines."""
+    return [pytest.param(argv, flag, id=f"{flag}-argv{n}")
+            for n, (argv, flags) in enumerate(cases) for flag in flags]
+
+
 class TestErrors:
     def test_unknown_config_key_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -465,25 +481,44 @@ class TestErrors:
         assert run([*argv, "--alpha", "7"]) == 1
         assert "--alpha" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ["gen", "--task", "autonet", "--out", "d.jsonl"],
-        ["search", "build", "--checkpoint", "ckpt", "--dataset", "d.jsonl", "--out", "i.abix"],
-    ])
-    @pytest.mark.parametrize("switch", ["--tau=0.3", "--no-mam", "--no-cross-encoder",
-                                        "--no-shape", "--no-edge", "--text-only", "--arch-only"])
+    @pytest.mark.parametrize("argv, switch", _unread([
+        (["gen", "--task", "autonet", "--out", "d.jsonl"], _ALL_SWITCHES),
+        (_SEARCH_BUILD, _ALL_SWITCHES),
+        # train alone reads the training switches; qa decides at 0.5, and
+        # caption and viz pca decide nothing; viz dot runs no model
+        (["eval", "--task", "ar", "--checkpoint", "ckpt", "--dataset", "d.jsonl"],
+         _TRAINING_SWITCHES),
+        (["reason", "--checkpoint", "ckpt", "--graph", "g.json", "--text", "conv"],
+         _TRAINING_SWITCHES),
+        (["clone", "--checkpoint", "ckpt", "--g1", "g.json", "--g2", "g.json"],
+         _TRAINING_SWITCHES),
+        (["qa", "--checkpoint", "ckpt", "--graph", "g.json", "--question", "which ops"],
+         ("--tau=0.3", *_TRAINING_SWITCHES)),
+        (["caption", "--checkpoint", "ckpt", "--graph", "g.json"],
+         ("--tau=0.3", *_TRAINING_SWITCHES)),
+        (_VIZ_PCA, ("--tau=0.3", *_TRAINING_SWITCHES)),
+        (_VIZ_DOT, _ALL_SWITCHES),
+    ]))
     def test_model_switch_where_unread_is_usage_error(self, argv, switch, capsys):
         # gen runs no model, and search runs the bundle's model as saved
         assert run([*argv, switch]) == 1
         assert switch.split("=")[0] in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ["search", "build", "--checkpoint", "ckpt", "--dataset", "d.jsonl", "--out", "i.abix"],
-        ["reason", "--checkpoint", "ckpt", "--graph", "g.json", "--text", "conv"],
-        ["clone", "--checkpoint", "ckpt", "--g1", "g.json", "--g2", "g.json"],
-        ["qa", "--checkpoint", "ckpt", "--graph", "g.json", "--question", "which ops"],
-        ["caption", "--checkpoint", "ckpt", "--graph", "g.json"],
-    ])
-    @pytest.mark.parametrize("flag", ["--config=c.ini", "--seed=5"])
+    @pytest.mark.parametrize("argv, flag", _unread([
+        (_SEARCH_BUILD, ("--config=c.ini", "--seed=5", "--index=i.abix", "--query=conv", "--k=3")),
+        (["reason", "--checkpoint", "ckpt", "--graph", "g.json", "--text", "conv"],
+         ("--config=c.ini", "--seed=5")),
+        (["clone", "--checkpoint", "ckpt", "--g1", "g.json", "--g2", "g.json"],
+         ("--config=c.ini", "--seed=5")),
+        (["qa", "--checkpoint", "ckpt", "--graph", "g.json", "--question", "which ops"],
+         ("--config=c.ini", "--seed=5")),
+        (["caption", "--checkpoint", "ckpt", "--graph", "g.json"], ("--config=c.ini", "--seed=5")),
+        # and each search or viz action reads only its own inputs
+        (_VIZ_PCA, ("--config=c.ini", "--seed=5", "--graph=g.json")),
+        (["search", "query", "--checkpoint", "ckpt", "--index", "i.abix", "--query", "conv"],
+         ("--dataset=d.jsonl", "--out=i.abix")),
+        (_VIZ_DOT, ("--checkpoint=ckpt", "--dataset=d.jsonl")),
+    ]))
     def test_config_or_seed_where_unread_is_usage_error(self, argv, flag, capsys):
         # these run a saved bundle, whose config and seed are fixed
         assert run([*argv, flag]) == 1
@@ -543,6 +578,67 @@ class TestErrors:
         assert run([*argv, "--dataset", str(bad)]) == 2
         err = capsys.readouterr().err
         assert f"{bad}:{n + 1}: {expect}" in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, missing", [
+        (["search", "build", "--checkpoint", "ckpt", "--dataset", "d.jsonl"], "--out"),
+        (["search", "query", "--checkpoint", "ckpt", "--index", "i.abix"], "--query"),
+        (["viz", "pca", "--dataset", "d.jsonl"], "--checkpoint"),
+        (["viz", "dot", "--out", "g.dot"], "--graph"),
+    ])
+    def test_sub_action_missing_flag_is_usage_error(self, argv, missing, capsys):
+        # the message names the missing flag, and none of those given
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert missing in err and not any(a in err for a in argv if a.startswith("--")), err
+
+    @pytest.mark.parametrize("flag", ["--dataset", "--index"])
+    def test_directory_input_is_data_error(self, tmp_path, cfg_file, capsys, flag):
+        # a path that cannot be read is a data error, as a missing one is
+        if flag == "--dataset":
+            argv = ["eval", "--task", "acd", "--baseline", "--dataset", str(tmp_path)]
+        else:
+            argv = ["search", "query", "--checkpoint", _fresh_bundle(tmp_path, cfg_file),
+                    "--index", str(tmp_path), "--query", "conv"]
+        assert run(argv) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, expect", [
+        ("[model]\nd = abc\n", "[model] d: invalid literal for int()"),
+        ("[gen]\nrng_seed = 1e3\n", "[gen] rng_seed: invalid literal for int()"),
+        ("[train]\nepochs = 2\n[train]\nepochs = 3\n", "section 'train' already exists"),
+        ("[model]\nd = 16\nd = 32\n", "option 'd' in section 'model' already exists"),
+        ("d = 16\n", "File contains no section headers"),
+    ], ids=["int", "int-exponent", "repeated-section", "repeated-key", "no-section"])
+    def test_bad_config_file_is_data_error(self, tmp_path, capsys, text, expect):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text)
+        assert run(["gen", "--task", "autonet", "--config", str(bad),
+                    "--out", str(tmp_path / "x.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and expect in err, err
+
+    @pytest.mark.parametrize("content, expect", [
+        (b'{"nodes": ["conv2d"]', "invalid JSON"),
+        (b'{"nodes": ["conv2d", "relu"], "edges": [[0, 5]], "shapes": [[1, 1, 1, 1], [0, 0, 0, 0]]}',
+         "edge"),
+        (b'{"nodes": ["conv2d"]}\xff', "can't decode byte 0xff"),
+    ], ids=["json", "edge-range", "not-utf8"])
+    def test_bad_graph_file_is_data_error(self, tmp_path, cfg_file, capsys, content, expect):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert run(["viz", "dot", "--graph", str(bad), "--config", cfg_file]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and expect in err, err
+
+    @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "-1"), ("--lr", "0"),
+                                             ("--alpha", "inf"), ("--alpha", "-3")])
+    def test_bad_step_setting_is_data_error(self, tmp_path, cfg_file, capsys, flag, value):
+        data = _gen(tmp_path, cfg_file, "autonet", "d.jsonl")
+        out = tmp_path / "c"
+        assert run(["train", "--task", "pretrain", "--config", cfg_file, "--dataset", str(data),
+                    "--out", str(out), f"{flag}={value}"]) == 2
+        assert f"{flag[2:]} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_section_is_data_error(self, tmp_path):

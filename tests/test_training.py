@@ -320,3 +320,11 @@ def test_train_config_validation():
         TrainConfig(task="nope")
     with pytest.raises(ValueError):
         TrainConfig(task="pretrain", batch_size=0)
+
+
+@pytest.mark.parametrize("key, value", [("lr", float("nan")), ("lr", float("inf")),
+                                        ("lr", 0.0), ("lr", -1.0), ("alpha", float("nan")),
+                                        ("alpha", float("inf")), ("alpha", -3.0)])
+def test_step_settings_must_be_finite_and_in_range(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be finite"):
+        TrainConfig(task="pretrain", **{key: value})
