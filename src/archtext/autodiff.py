@@ -1,19 +1,19 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
 The engine covers exactly the operation set the model needs: elementwise
-arithmetic with broadcasting, reductions, log-softmax, leaky rectifier,
-sqrt, clamp, row gather, row selection (`take_rows`), concatenation along
-rows, segment sums over packed rows (`segment_sum`), and fused layers with
-analytic gradients: `linear`, `layer_norm` and multi-head `attention` over
-packed rows, plus five ops that each stand for a whole model stage:
-`embed` (a sum of rows gathered from several tables), `gat_layer` (one
-multi-head graph attention layer over an edge list), `attention_block`
-and `ffn_block` (the two pre-norm residual sublayers of a transformer
-layer) and `segment_mean` (mean pooling over packed rows). The layers and
-the fused ops share their numpy kernels, so each formula is written once.
-Every op validates that its output is finite, and a fused op names the
-stage of its computation where NaN or Inf first appeared; NaN or Inf
-anywhere is a hard error rather than a silent corruption.
+arithmetic with broadcasting, reductions, log-softmax, sqrt, clamp, segment
+sums over packed rows (`segment_sum`), `linear`, and fused ops with analytic
+gradients that each stand for a whole model stage: `embed` (a sum of rows
+gathered from several tables), `gat_layer` (one multi-head graph attention
+layer over an edge list), `attention_block`, `cross_attention_block` and
+`ffn_block` (the pre-norm residual sublayers of a transformer layer over
+packed rows, self-attention optionally causal and extending a `KVCache`),
+`mlp` (the two-layer output heads), `segment_mean` (mean pooling over packed
+rows) and `nll` (a weighted negative log-likelihood). The fused ops share
+their numpy kernels, so each formula is written once. Every op validates
+that its output is finite, and a fused op names the stage of its
+computation where NaN or Inf first appeared; NaN or Inf anywhere is a hard
+error rather than a silent corruption.
 
 Gradients flow through a tape built implicitly by op closures; calling
 `backward` on a scalar seeds the reverse pass. `finite_diff` provides the
@@ -286,12 +286,6 @@ def _leaky_relu_grad(g: np.ndarray, a: np.ndarray, slope: float) -> np.ndarray:
     return g * np.where(a > 0, 1.0, slope)
 
 
-def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    return Tensor._from_op(_leaky_relu(a.data, slope), (a,), lambda g: (
-        (a, _leaky_relu_grad(g, a.data, slope)),
-    ), "leaky_relu")
-
-
 def sqrt(a: Tensor) -> Tensor:
     out = np.sqrt(a.data)
     return Tensor._from_op(out, (a,), lambda g: (
@@ -358,14 +352,6 @@ def _gather_grad(g: np.ndarray, idx: np.ndarray, table: np.ndarray) -> np.ndarra
     return gt
 
 
-def gather_rows(table: Tensor, ids) -> Tensor:
-    """Embedding lookup: rows of `table` selected by integer ids."""
-    idx = _gather_ids(table, ids, "gather_rows")
-    return Tensor._from_op(table.data[idx], (table,), lambda g: (
-        (table, _gather_grad(g, idx, table.data)),
-    ), "gather_rows")
-
-
 def embed(tables: list[Tensor], id_columns) -> Tensor:
     """Sums of rows gathered from several tables: row r is tables[0][ids_0[r]]
     + tables[1][ids_1[r]] + ..., added left to right, for one id column per
@@ -380,28 +366,6 @@ def embed(tables: list[Tensor], id_columns) -> Tensor:
         out += t.data[i]
     return Tensor._from_op(out, tuple(tables), lambda g: tuple(
         (t, _gather_grad(g, i, t.data)) for t, i in zip(tables, idx)), "embed")
-
-
-def _check_rows(rows: np.ndarray, n: int) -> np.ndarray:
-    """Row indices into n rows, each once and in order."""
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.ndim != 1 or (rows.size and (rows[0] < 0 or rows[-1] >= n
-                                         or (np.diff(rows) <= 0).any())):
-        raise ValueError(f"rows must be strictly increasing indices in [0, {n})")
-    return rows
-
-
-def take_rows(a: Tensor, rows) -> Tensor:
-    """The listed rows of `a`, strictly increasing so that each is taken once
-    and the gradient goes back by assignment."""
-    rows = _check_rows(rows, a.data.shape[0])
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        ga[rows] = g
-        return ((a, ga),)
-
-    return Tensor._from_op(a.data[rows], (a,), backward, "take_rows")
 
 
 class Segments(NamedTuple):
@@ -453,13 +417,6 @@ def segment_mean(a: Tensor, lengths) -> Tensor:
     ), "segment_mean")
 
 
-def concat(parts: list[Tensor]) -> Tensor:
-    """The parts' rows, stacked in order."""
-    offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
-    return Tensor._from_op(np.concatenate([p.data for p in parts]), tuple(parts), lambda g: tuple(
-        (p, g[s:e]) for p, s, e in zip(parts, offsets[:-1], offsets[1:])), "concat")
-
-
 def _layer_norm(x: np.ndarray, scale: np.ndarray, bias: np.ndarray, eps: float):
     """The normalized, scaled and shifted rows, and the normalized rows and
     inverse deviations the gradient reads."""
@@ -483,15 +440,6 @@ def _layer_norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, scale: n
 _LN_EPS = 1e-5
 
 
-def layer_norm(x: Tensor, scale: Tensor, bias: Tensor, eps: float = _LN_EPS) -> Tensor:
-    """Normalize over the last axis, then apply the affine pair; one op with
-    the analytic gradient (Ba et al., arXiv 1607.06450)."""
-    out, xhat, inv = _layer_norm(x.data, scale.data, bias.data, eps)
-    return Tensor._from_op(out, (x, scale, bias), lambda g: zip(
-        (x, scale, bias), _layer_norm_grads(g, xhat, inv, scale.data, bias.data)),
-        "layer_norm")
-
-
 # ---------------------------------------------------------------------------
 # attention over packed rows
 
@@ -507,48 +455,91 @@ def _by_row(blocks: np.ndarray) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(n * l, heads * dh)
 
 
-def _length_groups(lengths, rows: int) -> list[tuple[slice | np.ndarray, int]]:
-    """The sequences of each length among `rows` packed rows, as (row
-    selector, sequence count) pairs: a slice when the group's rows are
-    contiguous, else the row indices in order."""
+class _Group(NamedTuple):
+    """The n sequences of a packed batch that share a query length lq and a
+    key length lk, which attention runs as one dense block: their query rows
+    and their key rows, each a slice when the sequences lie end to end, else
+    the row indices in order, and the (lq, lk) keys hidden from each query,
+    or None when every query sees every key."""
+
+    q: slice | np.ndarray
+    k: slice | np.ndarray
+    n: int
+    hidden: np.ndarray | None
+
+
+def _check_lengths(lengths, rows: int) -> np.ndarray:
     lengths = np.asarray(lengths, dtype=np.int64)
-    if (lengths.ndim == 1 and len(lengths) and lengths[0] >= 1
-            and lengths[0] * len(lengths) == rows and (lengths == lengths[0]).all()):
-        return [(slice(0, rows), len(lengths))]   # one length: every row in one block
     if lengths.ndim != 1 or not len(lengths) or lengths.min() < 1 or lengths.sum() != rows:
         raise ValueError(f"sequence lengths {lengths.tolist()} do not split {rows} rows")
-    starts = np.cumsum(lengths) - lengths
+    return lengths
+
+
+def _rows_of(starts: np.ndarray, length: int) -> slice | np.ndarray:
+    """The rows of the sequences of one length that start at `starts`."""
+    if starts[-1] - starts[0] == (len(starts) - 1) * length:
+        return slice(int(starts[0]), int(starts[0] + len(starts) * length))
+    return (starts[:, None] + np.arange(length)).ravel()
+
+
+def _hidden(lq: int, lk: int, causal: bool) -> np.ndarray | None:
+    """The keys hidden from each of lq queries over lk keys, the last lq of
+    them the queries' own: with `causal`, those after the query's own."""
+    return ~np.tri(lq, lk, lk - lq, dtype=bool) if causal and lq > 1 else None
+
+
+def _length_groups(lengths, rows: int, k_lengths=None, k_rows: int = 0,
+                   causal: bool = False) -> list[_Group]:
+    """The attention groups of packed rows: sequence b has lengths[b] of the
+    `rows` query rows and k_lengths[b] of the `k_rows` key rows, or, without
+    k_lengths, the same rows as keys. With `causal`, a query sees the keys
+    up to its own position, taking a sequence's last lq keys to be its
+    queries' own: query i sees key j for j <= i + lk - lq."""
+    lq = _check_lengths(lengths, rows)
+    own = k_lengths is None
+    lk = lq if own else _check_lengths(k_lengths, k_rows)
+    if len(lk) != len(lq):
+        raise ValueError(f"{len(lq)} query sequences for {len(lk)} key sequences")
+    if len(lq) == 1 or ((lq == lq[0]).all() and (own or (lk == lk[0]).all())):
+        # one block holds every row
+        return [_Group(slice(0, rows), slice(0, rows if own else k_rows), len(lq),
+                       _hidden(int(lq[0]), int(lk[0]), causal))]
+    q_starts = np.cumsum(lq) - lq
+    k_starts = q_starts if own else np.cumsum(lk) - lk
+    width = 1 if own else int(lk.max()) + 1
+    pair = lq if own else lq * width + lk
     groups = []
-    for length in np.unique(lengths):
-        first = starts[lengths == length]
-        if first[-1] - first[0] == (len(first) - 1) * length:
-            rows_of = slice(int(first[0]), int(first[0] + len(first) * length))
-        else:
-            rows_of = (first[:, None] + np.arange(length)).ravel()
-        groups.append((rows_of, len(first)))
+    for p in np.unique(pair).tolist():
+        which = pair == p
+        a, b = (p, p) if own else divmod(p, width)
+        starts = q_starts[which]
+        q_of = _rows_of(starts, a)
+        groups.append(_Group(q_of, q_of if own else _rows_of(k_starts[which], b), len(starts),
+                             _hidden(a, b, causal)))
     return groups
 
 
-def _head_blocks(q, k, v, rows_of, n: int, heads: int, scale: float):
-    return (_by_head(q[rows_of], n, heads) * scale, _by_head(k[rows_of], n, heads),
-            _by_head(v[rows_of], n, heads))
+def _head_blocks(q, k, v, group: _Group, heads: int, scale: float):
+    return (_by_head(q[group.q], group.n, heads) * scale, _by_head(k[group.k], group.n, heads),
+            _by_head(v[group.k], group.n, heads))
 
 
-def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, groups, mask):
+def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, groups):
     """The attention output over `groups` (as `_length_groups` gives them),
-    and the attention weights of each group, which the gradient reads."""
+    and the attention weights of each group, which the gradient reads. A
+    hidden key gets exactly zero weight."""
     scale = 1.0 / math.sqrt(q.shape[1] // heads)
     out = np.empty_like(q)
     weights = []
-    for rows_of, n in groups:
-        qh, kh, vh = _head_blocks(q, k, v, rows_of, n, heads, scale)
+    for group in groups:
+        qh, kh, vh = _head_blocks(q, k, v, group, heads, scale)
         s = qh @ kh.swapaxes(-1, -2)
-        if mask is not None:
-            np.copyto(s, -np.inf, where=~mask)
+        if group.hidden is not None:
+            np.copyto(s, -np.inf, where=group.hidden)
         s -= s.max(axis=-1, keepdims=True)
         p = np.exp(s, out=s)
         p /= p.sum(axis=-1, keepdims=True)
-        out[rows_of] = _by_row(p @ vh)
+        out[group.q] = _by_row(p @ vh)
         weights.append(p)
     return out, weights
 
@@ -559,14 +550,14 @@ def _attention_grads(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,
     dS = P * (dP - rowsum(dP * P)) (FlashAttention, arXiv 2205.14135)."""
     scale = 1.0 / math.sqrt(q.shape[1] // heads)
     gq, gk, gv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
-    for (rows_of, n), p in zip(groups, weights):
-        qh, kh, vh = _head_blocks(q, k, v, rows_of, n, heads, scale)
-        go = _by_head(g[rows_of], n, heads)
+    for group, p in zip(groups, weights):
+        qh, kh, vh = _head_blocks(q, k, v, group, heads, scale)
+        go = _by_head(g[group.q], group.n, heads)
         dp = go @ vh.swapaxes(-1, -2)
         ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
-        gq[rows_of] = _by_row(ds @ kh) * scale
-        gk[rows_of] = _by_row(ds.swapaxes(-1, -2) @ qh)
-        gv[rows_of] = _by_row(p.swapaxes(-1, -2) @ go)
+        gq[group.q] = _by_row(ds @ kh) * scale
+        gk[group.k] = _by_row(ds.swapaxes(-1, -2) @ qh)
+        gv[group.k] = _by_row(p.swapaxes(-1, -2) @ go)
     return gq, gk, gv
 
 
@@ -577,40 +568,39 @@ def _check_heads(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> Non
                          f"k {k.shape}, v {v.shape}")
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None,
-              mask=None) -> Tensor:
-    """Scaled dot-product attention over packed rows, every head in one op.
+class KVCache:
+    """The self-attention keys and values of the positions decoded so far,
+    for B sequences that grow in step: k and v are (B, P, d), sequence-major,
+    so handing each sequence's rows to the sequences that continue it is one
+    gather (`reorder`). An `attention_block` given the cache attends over it
+    and appends its own rows. The rows are constants: a cached block is
+    forward-only."""
 
-    q (Lq, d), k and v (Lk, d) split their d columns into `heads` heads; the
-    result has q's shape, heads merged, before any output projection.
-    - With `lengths`, q, k and v hold the same sequences end to end,
-      lengths[b] rows each, and a row attends over its own sequence only.
-      The sequences of one length run as one dense (n, heads, l, l) block,
-      so no row is padding and a sequence gets the same bits alone and in
-      any batch (Krell et al., arXiv 2107.02027).
-    - Without, every query attends over every key, or over the keys that
-      `mask` (broadcasting to (Lq, Lk)) marks true; a masked key gets
-      exactly zero weight, and each query must keep at least one key.
+    __slots__ = ("k", "v")
 
-    Only the attention weights P are kept for the backward pass.
-    """
-    _check_heads(q.data, k.data, v.data, heads)
-    lq, lk = q.data.shape[0], k.data.shape[0]
-    if lengths is not None:
-        if mask is not None or lk != lq:
-            raise ValueError("attention over sequence lengths takes no mask, and one "
-                             "row of q, k and v per position")
-        groups = _length_groups(lengths, lq)
-    else:
-        groups = [(slice(None), 1)]
-        if mask is not None:
-            mask = np.broadcast_to(np.asarray(mask, dtype=bool), (lq, lk))
-            if not mask.any(axis=-1).all():
-                raise ValueError("attention query with every key masked")
-    out, weights = _attention(q.data, k.data, v.data, heads, groups, mask)
-    return Tensor._from_op(out, (q, k, v), lambda g: zip(
-        (q, k, v), _attention_grads(g, q.data, k.data, v.data, heads, groups, weights)),
-        "attention")
+    def __init__(self):
+        self.k = self.v = None
+
+    @property
+    def positions(self) -> int:
+        return 0 if self.k is None else self.k.shape[1]
+
+    def extend(self, k: np.ndarray, v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Append the rows k and v of n sequences, the same number of rows
+        each, end to end; returns every sequence's cached rows then its new
+        ones, packed the same way."""
+        d = k.shape[1]
+        k, v = k.reshape(n, -1, d), v.reshape(n, -1, d)
+        if self.k is not None:
+            if len(self.k) != n:
+                raise ValueError(f"{n} sequences for a cache of {len(self.k)}")
+            k, v = np.concatenate((self.k, k), axis=1), np.concatenate((self.v, v), axis=1)
+        self.k, self.v = k, v
+        return k.reshape(-1, d), v.reshape(-1, d)
+
+    def reorder(self, parents) -> None:
+        """Sequence i continues the cached rows of sequence parents[i]."""
+        self.k, self.v = self.k[parents], self.v[parents]
 
 
 # ---------------------------------------------------------------------------
@@ -618,12 +608,21 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None,
 
 
 def attention_block(x: Tensor, norm: tuple[Tensor, Tensor],
-                    proj: tuple[tuple[Tensor, Tensor], ...], heads: int, lengths) -> Tensor:
+                    proj: tuple[tuple[Tensor, Tensor], ...], heads: int, lengths,
+                    causal: bool = False, cache: KVCache | None = None) -> Tensor:
     """The pre-norm self-attention sublayer over packed rows, as one op:
     x + linear_o(attention(linear_q(y), linear_k(y), linear_v(y))) for
     y = layer_norm(x), with `norm` the layer norm's (scale, bias) and `proj`
     the (w, b) pairs of the q, k, v and output projections. x (R, d) holds
-    sequences end to end, lengths[b] rows each, as for `attention`.
+    sequences end to end, lengths[b] rows each, and a row attends over its
+    own sequence only, or, with `causal`, over its own sequence's rows up to
+    its own. The sequences of one length run as one dense (n, heads, l, l)
+    block, so no row is padding and a sequence gets the same bits alone and
+    in any batch (Krell et al., arXiv 2107.02027).
+
+    With `cache`, every sequence has the same number of rows in x, which
+    follow the sequence's rows in the cache: they attend over those as well,
+    and are appended to them (Vaswani et al., arXiv 1706.03762).
 
     The forward pass has the bits of those five ops in turn, and the
     gradients are theirs, summed in the order the tape sums them. A
@@ -636,14 +635,28 @@ def attention_block(x: Tensor, norm: tuple[Tensor, Tensor],
     attention weight and would leave no trace in the result.
     """
     (scale, bias), ((wq, bq), (wk, bk), (wv, bv), (wo, bo)) = norm, proj
-    groups = _length_groups(lengths, x.data.shape[0])
+    inputs = (x, scale, bias, wq, bq, wk, bk, wv, bv, wo, bo)
+    rows = x.data.shape[0]
+    if cache is None:
+        groups = _length_groups(lengths, rows, causal=causal)
+    else:
+        lengths = _check_lengths(lengths, rows)
+        if any(t.requires_grad for t in inputs):
+            raise ValueError("a cached attention_block is forward-only")
+        if (lengths != lengths[0]).any():
+            raise ValueError(f"a cached attention_block takes sequences of one length, "
+                             f"got {lengths.tolist()}")
     y, xhat, inv = _layer_norm(x.data, scale.data, bias.data, _LN_EPS)
     q, k, v = (_linear(y, w.data, b.data) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
     stages = [("layer norm", y), ("q projection", q), ("k projection", k), ("v projection", v)]
     if not _finite(k):
         raise _stage_error("attention_block", stages)
     _check_heads(q, k, v, heads)
-    att, weights = _attention(q, k, v, heads, groups, None)
+    if cache is not None:
+        k, v = cache.extend(k, v, len(lengths))
+        groups = [_Group(slice(0, rows), slice(0, len(k)), len(lengths),
+                         _hidden(int(lengths[0]), cache.positions, causal))]
+    att, weights = _attention(q, k, v, heads, groups)
     o = _linear(att, wo.data, bo.data)
     stages += [("attention", att), ("output projection", o)]
 
@@ -658,14 +671,66 @@ def attention_block(x: Tensor, norm: tuple[Tensor, Tensor],
         gy += gyv
         gx, gscale, gbias = _layer_norm_grads(gy, xhat, inv, scale.data, bias.data)
         gx += g
-        return ((x, gx), (scale, gscale), (bias, gbias), (wq, gwq), (bq, gbq),
-                (wk, gwk), (bk, gbk), (wv, gwv), (bv, gbv), (wo, gwo), (bo, gbo))
+        return zip(inputs, (gx, gscale, gbias, gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo))
 
     try:
-        return Tensor._from_op(o + x.data, (x, scale, bias, wq, bq, wk, bk, wv, bv, wo, bo),
-                               backward, "attention_block")
+        return Tensor._from_op(o + x.data, inputs, backward, "attention_block")
     except NonFiniteError:
         raise _stage_error("attention_block", stages) from None
+
+
+def cross_attention_block(x: Tensor, kv: tuple[Tensor, Tensor], norm: tuple[Tensor, Tensor],
+                          proj: tuple[tuple[Tensor, Tensor], tuple[Tensor, Tensor]],
+                          heads: int, lengths, kv_lengths) -> Tensor:
+    """The pre-norm cross-attention sublayer over packed rows, as one op:
+    x + linear_o(attention(linear_q(layer_norm(x)), k, v)) for kv = (k, v),
+    key and value rows projected beforehand, `norm` the layer norm's
+    (scale, bias) and `proj` the (w, b) pairs of the q and output
+    projections. Sequence b has lengths[b] rows of x, which attend over its
+    kv_lengths[b] rows of k and v only; the sequences of one pair of lengths
+    run as one dense block. Bits, gradients and errors as for
+    `attention_block`: the keys are checked where they are made."""
+    (scale, bias), ((wq, bq), (wo, bo)) = norm, proj
+    k, v = kv
+    inputs = (x, k, v, scale, bias, wq, bq, wo, bo)
+    groups = _length_groups(lengths, x.data.shape[0], kv_lengths, k.data.shape[0])
+    y, xhat, inv = _layer_norm(x.data, scale.data, bias.data, _LN_EPS)
+    q = _linear(y, wq.data, bq.data)
+    _check_heads(q, k.data, v.data, heads)
+    att, weights = _attention(q, k.data, v.data, heads, groups)
+    o = _linear(att, wo.data, bo.data)
+
+    def backward(g):
+        gatt, gwo, gbo = _linear_grads(g, att, wo.data, bo.data)
+        gq, gk, gv = _attention_grads(gatt, q, k.data, v.data, heads, groups, weights)
+        gy, gwq, gbq = _linear_grads(gq, y, wq.data, bq.data)
+        gx, gscale, gbias = _layer_norm_grads(gy, xhat, inv, scale.data, bias.data)
+        gx += g
+        return zip(inputs, (gx, gk, gv, gscale, gbias, gwq, gbq, gwo, gbo))
+
+    try:
+        return Tensor._from_op(o + x.data, inputs, backward, "cross_attention_block")
+    except NonFiniteError:
+        raise _stage_error("cross_attention_block", [
+            ("layer norm", y), ("q projection", q), ("attention", att),
+            ("output projection", o)]) from None
+
+
+def _mlp(x: np.ndarray, proj):
+    """linear_2(leaky_relu(linear_1(x), 0.2)) for the (w, b) pairs `proj`,
+    and the hidden layer before and after the rectifier."""
+    (w1, b1), (w2, b2) = proj
+    pre = _linear(x, w1.data, b1.data)
+    h = _leaky_relu(pre, 0.2)
+    return _linear(h, w2.data, b2.data), pre, h
+
+
+def _mlp_grads(g: np.ndarray, x: np.ndarray, pre: np.ndarray, h: np.ndarray, proj):
+    """The gradients of `_mlp` for x, w1, b1, w2 and b2, given the output's."""
+    (w1, b1), (w2, b2) = proj
+    gh, gw2, gb2 = _linear_grads(g, h, w2.data, b2.data)
+    gx, gw1, gb1 = _linear_grads(_leaky_relu_grad(gh, pre, 0.2), x, w1.data, b1.data)
+    return gx, gw1, gb1, gw2, gb2
 
 
 def ffn_block(x: Tensor, norm: tuple[Tensor, Tensor],
@@ -678,25 +743,59 @@ def ffn_block(x: Tensor, norm: tuple[Tensor, Tensor],
     output projection reaches the result, so the result's check covers
     them, and the error names the first stage that had one."""
     (scale, bias), ((w1, b1), (w2, b2)) = norm, proj
+    inputs = (x, scale, bias, w1, b1, w2, b2)
     y, xhat, inv = _layer_norm(x.data, scale.data, bias.data, _LN_EPS)
-    pre = _linear(y, w1.data, b1.data)
-    h = _leaky_relu(pre, 0.2)
-    f = _linear(h, w2.data, b2.data)
+    f, pre, h = _mlp(y, proj)
 
     def backward(g):
-        gh, gw2, gb2 = _linear_grads(g, h, w2.data, b2.data)
-        gy, gw1, gb1 = _linear_grads(_leaky_relu_grad(gh, pre, 0.2), y, w1.data, b1.data)
+        gy, *gw = _mlp_grads(g, y, pre, h, proj)
         gx, gscale, gbias = _layer_norm_grads(gy, xhat, inv, scale.data, bias.data)
         gx += g
-        return ((x, gx), (scale, gscale), (bias, gbias), (w1, gw1), (b1, gb1),
-                (w2, gw2), (b2, gb2))
+        return zip(inputs, (gx, gscale, gbias, *gw))
 
     try:
-        return Tensor._from_op(f + x.data, (x, scale, bias, w1, b1, w2, b2), backward,
-                               "ffn_block")
+        return Tensor._from_op(f + x.data, inputs, backward, "ffn_block")
     except NonFiniteError:
         raise _stage_error("ffn_block", [("layer norm", y), ("hidden layer", pre),
                                          ("output projection", f)]) from None
+
+
+def mlp(x: Tensor, proj: tuple[tuple[Tensor, Tensor], tuple[Tensor, Tensor]]) -> Tensor:
+    """The two-layer perceptron of the output heads, as one op:
+    linear_2(leaky_relu(linear_1(x), 0.2)), with `proj` the (w, b) pairs of
+    the two layers. Bits, gradients and errors as for `ffn_block`."""
+    (w1, b1), (w2, b2) = proj
+    f, pre, h = _mlp(x.data, proj)
+    try:
+        return Tensor._from_op(f, (x, w1, b1, w2, b2), lambda g: zip(
+            (x, w1, b1, w2, b2), _mlp_grads(g, x.data, pre, h, proj)), "mlp")
+    except NonFiniteError:
+        raise _stage_error("mlp", [("hidden layer", pre), ("output projection", f)]) from None
+
+
+def nll(logits: Tensor, targets, weights) -> Tensor:
+    """The weighted negative log-likelihood of one target per row, as one op:
+    -sum_r weights[r] * log_softmax(logits)[r, targets[r]], a scalar."""
+    targets = np.asarray(targets, dtype=np.int64)
+    weights = np.asarray(weights, dtype=np.float64)
+    rows, vocab = logits.data.shape
+    if (targets.shape != (rows,) or weights.shape != (rows,)
+            or (rows and (targets.min() < 0 or targets.max() >= vocab))):
+        raise ValueError(f"nll takes one target in [0, {vocab}) and one weight for each "
+                         f"of {rows} rows, got {targets.shape} and {weights.shape}")
+    at = np.arange(rows), targets
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        grad = e / total
+        grad[at] -= 1.0
+        grad *= (g * weights)[:, None]
+        return ((logits, grad),)
+
+    return Tensor._from_op(-(weights * (shifted[at] - np.log(total[:, 0]))).sum(), (logits,),
+                           backward, "nll")
 
 
 # ---------------------------------------------------------------------------

@@ -473,6 +473,16 @@ def _cmd_viz(args) -> int:
 # argument wiring
 
 
+def _positive_int(raw: str) -> int:
+    """An argument type: a whole number of at least 1."""
+    try:
+        if int(raw) >= 1:
+            return int(raw)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw!r}")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     """--config and --seed, for the subcommands that read them."""
     p.add_argument("--config", default=None, help="INI config file (default: none)")
@@ -533,7 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None, help="checkpoint bundle (default: none; required unless --baseline)")
     p.add_argument("--baseline", action="store_true",
                    help="use the uni-modal baseline instead of the model (default off)")
-    p.add_argument("--beam", type=int, default=10, help="beam width for captioning (default 10)")
+    p.add_argument("--beam", type=_positive_int, default=10,
+                   help="beam width for captioning (default 10)")
     p.add_argument("--out", default=None, help="write metrics JSON here (default: stdout)")
     _add_common(p)
     _add_model_switches(p, tau=True)
@@ -549,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--checkpoint", required=True)
     a.add_argument("--index", required=True, help="index file")
     a.add_argument("--query", required=True, help="text query")
-    a.add_argument("--k", type=int, default=5, help="results to return (default 5)")
+    a.add_argument("--k", type=_positive_int, default=5, help="results to return (default 5)")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("reason", help="score one statement against one graph")
@@ -577,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("caption", help="generate a caption for one graph")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--graph", required=True)
-    p.add_argument("--beam", type=int, default=10, help="beam width (default 10)")
+    p.add_argument("--beam", type=_positive_int, default=10, help="beam width (default 10)")
     _add_model_switches(p, tau=False)
     p.set_defaults(func=_cmd_caption)
 

@@ -182,9 +182,10 @@ class Model:
     @classmethod
     def from_arrays(cls, cfg: ModelConfig, arrays: dict[str, np.ndarray]) -> "Model":
         """The model with config `cfg` and these weights, such as a checkpoint
-        holds, checked against `param_table(cfg)` (paths and shapes) and for
-        non-finite values before any parameter is made; a fault is a
-        ValueError naming the parameter. Float64 arrays are not copied."""
+        holds, checked against `param_table(cfg)` (paths and shapes) before
+        any parameter is made, and for non-finite values as each is made; a
+        fault is a ValueError naming the parameter. Float64 arrays are not
+        copied."""
         table = param_table(cfg)
         paths = {p.path for p in table}
         missing, extra = sorted(paths - set(arrays)), sorted(set(arrays) - paths)
@@ -194,10 +195,13 @@ class Model:
             a = arrays[p.path]
             if a.shape != p.shape:
                 raise ValueError(f"{p.path}: checkpoint shape {a.shape} != model shape {p.shape}")
-            if not np.isfinite(a).all():
-                raise ValueError(f"parameter {p.path!r} has non-finite values")
-        return cls(cfg=cfg, params={p.path: Tensor(arrays[p.path], requires_grad=True, name=p.path)
-                                    for p in table})
+        params = {}
+        for p in table:
+            try:   # the one scan for non-finite values is the Tensor's own
+                params[p.path] = Tensor(arrays[p.path], requires_grad=True, name=p.path)
+            except ad.NonFiniteError:
+                raise ValueError(f"parameter {p.path!r} has non-finite values") from None
+        return cls(cfg=cfg, params=params)
 
     def constant(self, name: str) -> Tensor:
         """Parameter `name` as a constant sharing its storage, so in-place
@@ -298,22 +302,19 @@ def gat_forward(feats: Tensor, edges: np.ndarray, params: dict[str, Tensor],
     return x
 
 
-def _project(x: Tensor, params: dict[str, Tensor], prefix: str, gate: str) -> Tensor:
-    return ad.linear(x, params[f"{prefix}.w{gate}"], params[f"{prefix}.b{gate}"])
-
-
 def _norm(params: dict[str, Tensor], prefix: str) -> tuple[Tensor, Tensor]:
     return params[f"{prefix}.scale"], params[f"{prefix}.bias"]
-
-
-def _ln(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
-    return ad.layer_norm(x, *_norm(params, prefix))
 
 
 def _pairs(params: dict[str, Tensor], prefix: str,
            gates: str) -> tuple[tuple[Tensor, Tensor], ...]:
     """The (w, b) pairs of the named linear layers under `prefix`."""
     return tuple((params[f"{prefix}.w{g}"], params[f"{prefix}.b{g}"]) for g in gates)
+
+
+def _head(params: dict[str, Tensor], prefix: str) -> tuple[tuple[Tensor, Tensor], ...]:
+    """The (w, b) pairs of the two layers of the output head under `prefix`."""
+    return tuple((params[f"{prefix}.fc{i}.w"], params[f"{prefix}.fc{i}.b"]) for i in (1, 2))
 
 
 def _ffn_block(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
@@ -467,89 +468,76 @@ def mam_logits(h_g: Tensor, params: dict[str, Tensor]) -> Tensor:
 
 def aqa_logits(j_t: Tensor, j_g: Tensor, params: dict[str, Tensor]) -> Tensor:
     """Answer logits from the elementwise product of the pooled pair."""
-    h = ad.leaky_relu(ad.linear(j_t * j_g, params["head.aqa.fc1.w"], params["head.aqa.fc1.b"]),
-                      slope=0.2)
-    return ad.linear(h, params["head.aqa.fc2.w"], params["head.aqa.fc2.b"])
+    return ad.mlp(j_t * j_g, _head(params, "head.aqa"))
 
 
 # ---------------------------------------------------------------------------
-# decoder
+# decoder: one layer and the output head, run by teacher forcing over the
+# packed rows of a batch of captions, and by beam search a position at a time
+# against a key/value cache
 
 
 def _decoder_cross(h_g: Tensor, params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
     """The graph side of cross-attention: key and value rows over H_g. It
     does not depend on the tokens, so a caption computes it once."""
-    return _project(h_g, params, "dec.xattn", "k"), _project(h_g, params, "dec.xattn", "v")
+    k, v = (ad.linear(h_g, w, b) for w, b in _pairs(params, "dec.xattn", "kv"))
+    return k, v
 
 
-def _decoder_layer(x: Tensor, past: tuple[Tensor, Tensor] | None, self_mask: np.ndarray,
-                   cross, params: dict[str, Tensor],
-                   cfg: ModelConfig) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-    """The decoder block over new rows `x`: self-attention over the rows
-    cached in `past` followed by `x`'s own, cross-attention over the graph,
-    then the feed-forward net. All rows form one attention batch.
-    Returns the block output and the extended self-attention (K, V) rows;
-    `self_mask` is (rows of x, rows of K), `cross` what `_decoder_cross`
-    gives."""
-    heads = cfg.dec_heads
-    y = _ln(x, params, "dec.ln.self")
-    k = _project(y, params, "dec.attn", "k")
-    v = _project(y, params, "dec.attn", "v")
-    if past is not None:
-        k, v = ad.concat([past[0], k]), ad.concat([past[1], v])
-    att = ad.attention(_project(y, params, "dec.attn", "q"), k, v, heads, mask=self_mask)
-    x = x + _project(att, params, "dec.attn", "o")
-    y = _ln(x, params, "dec.ln.xattn")
-    att = ad.attention(_project(y, params, "dec.xattn", "q"), *cross, heads)
-    x = x + _project(att, params, "dec.xattn", "o")
-    return _ffn_block(x, params, "dec"), (k, v)
+def _decoder(x: Tensor, lengths, cross: tuple[Tensor, Tensor], cross_lengths,
+             params: dict[str, Tensor], cfg: ModelConfig,
+             cache: ad.KVCache | None = None) -> Tensor:
+    """Token logits of the decoder over token rows x: causal self-attention
+    within each of the sequences of x, lengths[b] rows each (after their
+    rows in `cache`, if given), cross-attention over the graph rows `cross`
+    (as `_decoder_cross` gives them) in the pairs of query and key lengths
+    `cross_lengths`, the feed-forward net, then the output head."""
+    x = ad.attention_block(x, _norm(params, "dec.ln.self"), _pairs(params, "dec.attn", "qkvo"),
+                           cfg.dec_heads, lengths, causal=True, cache=cache)
+    x = ad.cross_attention_block(x, cross, _norm(params, "dec.ln.xattn"),
+                                 _pairs(params, "dec.xattn", "qo"), cfg.dec_heads,
+                                 *cross_lengths)
+    x = _ffn_block(x, params, "dec")
+    return ad.mlp(x, _head(params, "dec.out"))
 
 
-def _decoder_out(x: Tensor, params: dict[str, Tensor]) -> Tensor:
-    h = ad.leaky_relu(ad.linear(x, params["dec.out.fc1.w"], params["dec.out.fc1.b"]), slope=0.2)
-    return ad.linear(h, params["dec.out.fc2.w"], params["dec.out.fc2.b"])
+def decoder_logits(h_g: Tensor, input_ids, params: dict[str, Tensor], cfg: ModelConfig,
+                   lengths=None, sizes=None) -> Tensor:
+    """Teacher-forced decoder pass over a batch of captions, packed: the
+    token ids of caption b are lengths[b] entries of `input_ids`, end to
+    end, and its graph is sizes[b] rows of h_g, end to end. Each caption's
+    rows attend causally over its own tokens and over every row of its own
+    graph. By default the ids are one caption of the graph h_g. Returns
+    token logits, one row per input id."""
+    ids = np.asarray(input_ids, dtype=np.int64)
+    lengths = np.asarray([len(ids)] if lengths is None else lengths, dtype=np.int64)
+    sizes = [h_g.shape[0]] if sizes is None else sizes
+    if lengths.min() < 1 or lengths.sum() != len(ids):
+        raise ValueError(f"caption lengths {lengths.tolist()} do not split {len(ids)} input ids")
+    if lengths.max() > cfg.max_tokens:
+        raise ValueError(f"decoder input of {lengths.max()} exceeds max_tokens {cfg.max_tokens}")
+    positions = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    x = ad.embed([params["dec.emb.tok"], params["dec.emb.pos"]], [ids, positions])
+    return _decoder(x, lengths, _decoder_cross(h_g, params), (lengths, sizes), params, cfg)
 
 
-def decoder_logits(h_g: Tensor, input_ids, params: dict[str, Tensor],
-                   cfg: ModelConfig) -> Tensor:
-    """Teacher-forced decoder pass: causal self-attention over the token
-    prefix, cross-attention over every row of the graph sequence, token
-    logits out."""
-    t = len(input_ids)
-    if t > cfg.max_tokens:
-        raise ValueError(f"decoder input of {t} exceeds max_tokens {cfg.max_tokens}")
-    x = ad.embed([params["dec.emb.tok"], params["dec.emb.pos"]], [list(input_ids), np.arange(t)])
-    causal = np.tril(np.ones((t, t), dtype=bool))
-    x, _ = _decoder_layer(x, None, causal, _decoder_cross(h_g, params), params, cfg)
-    return _decoder_out(x, params)
+def _decoder_step(tokens: np.ndarray, cache: ad.KVCache, cross: tuple[Tensor, Tensor],
+                  params: dict[str, Tensor], cfg: ModelConfig) -> np.ndarray:
+    """One incremental step for B hypotheses of one graph and equal length.
 
-
-def _decoder_step(tokens: np.ndarray, past: tuple[Tensor, Tensor] | None, cross,
-                  params: dict[str, Tensor],
-                  cfg: ModelConfig) -> tuple[np.ndarray, tuple[Tensor, Tensor]]:
-    """One incremental step for B hypotheses of equal length.
-
-    `tokens[b]` is hypothesis b's newest token. `past` holds the self-attention
-    (K, V) rows of the earlier positions, position-major: row p*B + b is
-    position p of hypothesis b. Returns next-token log-probabilities (B, vocab)
-    and the cache extended by this position. Each query sees only its own
-    hypothesis's rows, so B rows run as one batch.
+    `tokens[b]` is hypothesis b's newest token, and `cache` holds the
+    self-attention keys and values of the earlier positions of each; the
+    step appends this position's. Returns next-token log-probabilities
+    (B, vocab). The B rows run as one batch: self-attention as B sequences
+    of one row over their own cached rows, cross-attention as one sequence
+    of B rows over the graph's.
     """
     b = len(tokens)
-    pos = 0 if past is None else past[0].shape[0] // b
-    x = ad.embed([params["dec.emb.tok"], params["dec.emb.pos"]], [tokens, np.full(b, pos)])
-    own = np.arange((pos + 1) * b)[None, :] % b == np.arange(b)[:, None]
-    x, cache = _decoder_layer(x, past, own, cross, params, cfg)
-    return ad.log_softmax(_decoder_out(x, params)).data, cache
-
-
-def _reorder_cache(cache: tuple[Tensor, Tensor], parents: np.ndarray,
-                   width: int) -> tuple[Tensor, Tensor]:
-    """Each new hypothesis takes over its parent's cache rows; `width` is the
-    number of hypotheses the cache was built for."""
-    positions = cache[0].shape[0] // width
-    rows = (np.arange(positions)[:, None] * width + parents[None, :]).ravel()
-    return ad.gather_rows(cache[0], rows), ad.gather_rows(cache[1], rows)
+    x = ad.embed([params["dec.emb.tok"], params["dec.emb.pos"]],
+                 [tokens, np.full(b, cache.positions)])
+    logits = _decoder(x, np.ones(b, dtype=np.int64), cross, ([b], [cross[0].shape[0]]),
+                      params, cfg, cache)
+    return ad.log_softmax(logits).data
 
 
 _FORBIDDEN_DECODE_IDS = (PAD_ID, BOS_ID, MASK_ID)
@@ -562,6 +550,23 @@ def _allowed_ids(vocab_size: int) -> np.ndarray:
     ids = np.setdiff1d(np.arange(vocab_size), _FORBIDDEN_DECODE_IDS)
     ids.flags.writeable = False
     return ids
+
+
+def _best_expansions(key: np.ndarray, ranks: np.ndarray, cands: np.ndarray,
+                     beam: int) -> np.ndarray:
+    """The flat indices of the `beam` best of len(ranks) x len(cands)
+    expansions, best first: expansion i appends token cands[i % len(cands)]
+    to the hypothesis ranked ranks[i // len(cands)] and scores key[i]. A
+    higher key wins, then the smaller rank, then the smaller token. Only the
+    expansions scoring at least the beam-th best key are sorted; every tie
+    at that cut stays in, so the result is that of sorting them all."""
+    if beam < len(key):
+        cut = np.partition(key, len(key) - beam)[len(key) - beam]
+        keep = np.flatnonzero(key >= cut)
+    else:
+        keep = np.arange(len(key))
+    parents, toks = np.divmod(keep, len(cands))
+    return keep[np.lexsort((cands[toks], ranks[parents], -key[keep]))][:beam]
 
 
 def decode_beam(h_g: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
@@ -587,10 +592,10 @@ def decode_beam(h_g: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
 
     seqs = np.full((1, 1), BOS_ID, dtype=np.int64)   # live prefixes, start token first
     sums = np.zeros(1)                                # their summed log-probabilities
-    cache = None
+    cache = ad.KVCache()
     done: list[tuple[tuple[int, ...], float]] = []
     while len(seqs):
-        logp, cache = _decoder_step(seqs[:, -1], cache, cross, params, cfg)
+        logp = _decoder_step(seqs[:, -1], cache, cross, params, cfg)
         length = seqs.shape[1]   # tokens after the start token once extended
         cands = eos_only if length == max_len else allowed
         totals = (sums[:, None] + logp[:, cands]).ravel()
@@ -600,8 +605,7 @@ def decode_beam(h_g: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
         # lexicographically smaller sequence: parent first, then token
         rank = np.empty(len(seqs), dtype=np.int64)
         rank[np.lexsort(seqs.T[::-1])] = np.arange(len(seqs))
-        order = np.lexsort((np.tile(cands, len(seqs)), np.repeat(rank, len(cands)),
-                            -key))[:beam]
+        order = _best_expansions(key, rank, cands, beam)
         parents, toks = np.divmod(order, len(cands))
         toks = cands[toks]
         ended = toks == EOS_ID
@@ -609,7 +613,7 @@ def decode_beam(h_g: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
         done.extend((tuple(int(t) for t in s[1:]), float(k))
                     for s, k in zip(grown[ended], key[order][ended]))
         if not ended.all():
-            cache = _reorder_cache(cache, parents[~ended], len(seqs))
+            cache.reorder(parents[~ended])
         seqs, sums = grown[~ended], totals[order][~ended]
     best = min(done, key=lambda c: (-c[1], c[0]))
     return list(best[0])

@@ -15,6 +15,8 @@ from archtext.autodiff import (
     zero_grads,
 )
 
+import composite_ops as cops
+
 
 def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4)
@@ -45,7 +47,7 @@ def _weights(scores, mask=None) -> np.ndarray:
     eye = np.eye(lk, 16)
     q = np.zeros((lq, 16))
     q[:, :lk] = scores
-    return ad.attention(Tensor(q), Tensor(4.0 * eye), Tensor(eye), 1, mask=mask).data[:, :lk]
+    return cops.attention(Tensor(q), Tensor(4.0 * eye), Tensor(eye), 1, mask=mask).data[:, :lk]
 
 
 class TestClosedForms:
@@ -100,7 +102,7 @@ class TestOpGradients:
         for rng, n, m in self._shapes():
             a = _param(rng, n, m)
             pos = Tensor(np.abs(rng.standard_normal((n, m))) + 0.5, requires_grad=True)
-            check_grad(lambda: ad.sum_(ad.leaky_relu(a, 0.2) * a)
+            check_grad(lambda: ad.sum_(cops.leaky_relu(a, 0.2) * a)
                        + ad.sum_(ad.sqrt(pos)), [a, pos])
 
     def test_clamp_min(self):
@@ -121,7 +123,7 @@ class TestOpGradients:
             mask = rng.random((n, keys)) > 0.3
             mask[:, 0] = True
             w = Tensor(rng.standard_normal((n, 4)))
-            check_grad(lambda: ad.sum_(ad.attention(q, k, v, 2, mask=mask) * w), [q, k, v])
+            check_grad(lambda: ad.sum_(cops.attention(q, k, v, 2, mask=mask) * w), [q, k, v])
 
     def test_attention_over_lengths(self):
         # one-row sequences, repeated lengths, and groups whose rows are
@@ -131,7 +133,7 @@ class TestOpGradients:
             rows = sum(lengths)
             q, k, v = (_param(rng, rows, 4) for _ in range(3))
             w = Tensor(rng.standard_normal((rows, 4)))
-            check_grad(lambda: ad.sum_(ad.attention(q, k, v, 2, lengths=lengths) * w),
+            check_grad(lambda: ad.sum_(cops.attention(q, k, v, 2, lengths=lengths) * w),
                        [q, k, v])
 
     def test_linear(self):
@@ -152,7 +154,7 @@ class TestOpGradients:
             table = _param(rng, 6, 4)
             ids = rng.integers(0, 6, size=5)
             w = Tensor(rng.standard_normal((5, 4)))
-            check_grad(lambda: ad.sum_(ad.gather_rows(table, ids) * w), [table])
+            check_grad(lambda: ad.sum_(cops.gather_rows(table, ids) * w), [table])
             # against unbuffered scattered adds, up to the rounding of a sum
             # taken in another order
             want, bound = np.zeros_like(table.data), np.zeros_like(table.data)
@@ -166,7 +168,7 @@ class TestOpGradients:
             a = _param(rng, 6, 3)
             rows = np.flatnonzero(rng.random(6) < 0.6)
             w = Tensor(rng.standard_normal((len(rows), 3)))
-            check_grad(lambda: ad.sum_(ad.take_rows(a, rows) * w), [a])
+            check_grad(lambda: ad.sum_(cops.take_rows(a, rows) * w), [a])
 
     def test_segment_sum(self):
         rng = np.random.default_rng(15)
@@ -182,8 +184,8 @@ class TestOpGradients:
         for rng, n, m in self._shapes():
             a, b = _param(rng, n + 1, m), _param(rng, n, m)
             w = Tensor(rng.standard_normal((2 * n + 1, m)))
-            check_grad(lambda: ad.sum_(ad.concat(
-                [ad.take_rows(a, range(1, n + 1)), b, ad.take_rows(a, [0])]) * w), [a, b])
+            check_grad(lambda: ad.sum_(cops.concat(
+                [cops.take_rows(a, range(1, n + 1)), b, cops.take_rows(a, [0])]) * w), [a, b])
 
     def test_layer_norm(self):
         for rng, n, m in self._shapes():
@@ -192,7 +194,7 @@ class TestOpGradients:
             scale = Tensor(rng.standard_normal((1, cols)), requires_grad=True)
             bias = Tensor(rng.standard_normal((1, cols)), requires_grad=True)
             w = Tensor(rng.standard_normal((n, cols)))
-            check_grad(lambda: ad.sum_(ad.layer_norm(x, scale, bias) * w),
+            check_grad(lambda: ad.sum_(cops.layer_norm(x, scale, bias) * w),
                        [x, scale, bias])
 
     def test_bce_with_logits(self):
@@ -205,7 +207,8 @@ class TestOpGradients:
 # packed rows with a length-1 sequence and two repeated lengths whose rows
 # are not contiguous, as the fused ops meet them in a mixed batch
 MIXED_LENGTHS = ([1], [2, 1, 3, 2], [3, 1, 3, 2, 2])
-
+# (query lengths, key lengths): captions of a batch over their own graphs
+CROSS_LENGTHS = (([1], [1]), ([3, 1, 3, 2], [1, 4, 1, 2]), ([2, 2, 1], [1, 3, 1]))
 
 def _norm_proj(rng, d, shapes, requires_grad=True):
     """A random layer-norm pair and (w, b) pairs of the given (in, out) shapes."""
@@ -245,6 +248,49 @@ class TestFusedOpGradients:
             w = Tensor(rng.standard_normal((rows, d)))
             check_grad(lambda: ad.sum_(ad.attention_block(x, norm, proj, 2, lengths) * w),
                        [x, *_flat(norm, proj)])
+
+    def test_causal_attention_block(self):
+        rng = np.random.default_rng(27)
+        for lengths in MIXED_LENGTHS:
+            rows, d = sum(lengths), 4
+            x = _param(rng, rows, d)
+            norm, proj = _norm_proj(rng, d, [(d, d)] * 4)
+            w = Tensor(rng.standard_normal((rows, d)))
+            check_grad(lambda: ad.sum_(ad.attention_block(x, norm, proj, 2, lengths, causal=True)
+                                       * w), [x, *_flat(norm, proj)])
+
+    def test_cross_attention_block(self):
+        # queries of each length against keys of each length, a length-1
+        # caption and a 1-node graph among them; the (3, 1) pairs lie apart
+        rng = np.random.default_rng(28)
+        for lengths, kv_lengths in CROSS_LENGTHS:
+            rows, d = sum(lengths), 4
+            x, k, v = _param(rng, rows, d), _param(rng, sum(kv_lengths), d), _param(
+                rng, sum(kv_lengths), d)
+            norm, proj = _norm_proj(rng, d, [(d, d)] * 2)
+            w = Tensor(rng.standard_normal((rows, d)))
+            check_grad(lambda: ad.sum_(ad.cross_attention_block(
+                x, (k, v), norm, proj, 2, lengths, kv_lengths) * w), [x, k, v, *_flat(norm, proj)])
+
+    def test_mlp(self):
+        rng = np.random.default_rng(29)
+        for rows in (1, 4):
+            x = _param(rng, rows, 3)
+            _, proj = _norm_proj(rng, 3, [(3, 5), (5, 2)])
+            w = Tensor(rng.standard_normal((rows, 2)))
+            check_grad(lambda: ad.sum_(ad.mlp(x, proj) * w), [x, *_flat((), proj)])
+
+    def test_nll(self):
+        # repeated targets, and weights of either sign
+        rng = np.random.default_rng(30)
+        for rows in (1, 5):
+            logits = _param(rng, rows, 4)
+            targets = rng.integers(0, 4, size=rows)
+            weights = rng.standard_normal(rows)
+            check_grad(lambda: ad.nll(logits, targets, weights), [logits])
+            logp = ad.log_softmax(Tensor(logits.data)).data
+            want = -(weights * logp[np.arange(rows), targets]).sum()
+            assert ad.nll(logits, targets, weights).item() == pytest.approx(want, rel=1e-12)
 
     def test_ffn_block(self):
         rng = np.random.default_rng(22)
@@ -320,9 +366,12 @@ class TestFusedOpGradients:
         adj = np.zeros((5, 5), dtype=bool)
         adj[0, 3] = True
         gat = _gat_case(rng, adj, heads=2, dh=2, requires_grad=False)
+        cross = (attn[0], attn[1][::3])
         for out in (ad.attention_block(x, *attn, 2, lengths), ad.ffn_block(x, *ffn),
                     ad.embed([x, x], [[0, 4], [1, 1]]), ad.gat_layer(x, *gat[1:]),
-                    ad.segment_mean(x, lengths)):
+                    ad.segment_mean(x, lengths), ad.attention_block(x, *attn, 2, lengths, True),
+                    ad.cross_attention_block(x, (x, x), *cross, 2, lengths, [1, 2, 2]),
+                    ad.mlp(x, ffn[1]), ad.nll(x, [0, 1, 2, 3, 0], np.ones(5))):
             assert out._backward is None and out._parents == () and not out.requires_grad
 
 
@@ -346,9 +395,9 @@ class TestMaskedSoftmaxSemantics:
         np.testing.assert_allclose(p.sum(axis=-1), 1.0)
         # and a masked key's value never reaches the output
         q, k, v = (rng.standard_normal((6, 4)) for _ in range(3))
-        out = ad.attention(Tensor(q[:4]), Tensor(k), Tensor(v), 2, mask=mask).data
+        out = cops.attention(Tensor(q[:4]), Tensor(k), Tensor(v), 2, mask=mask).data
         v[~mask.any(axis=0)] = 1e6
-        again = ad.attention(Tensor(q[:4]), Tensor(k), Tensor(v), 2, mask=mask).data
+        again = cops.attention(Tensor(q[:4]), Tensor(k), Tensor(v), 2, mask=mask).data
         np.testing.assert_array_equal(out, again)
 
     def test_single_row_keeps_its_shape(self):
@@ -367,7 +416,7 @@ class TestAttention:
         rng = np.random.default_rng(2)
         lengths = [3, 1, 5, 3, 2, 5]
         q, k, v = (rng.standard_normal((sum(lengths), 8)) for _ in range(3))
-        out = ad.attention(Tensor(q), Tensor(k), Tensor(v), 2, lengths=lengths).data
+        out = cops.attention(Tensor(q), Tensor(k), Tensor(v), 2, lengths=lengths).data
         start = 0
         for n in lengths:
             rows = slice(start, start + n)
@@ -383,7 +432,7 @@ class TestAttention:
         rng = np.random.default_rng(4)
         for lengths in ([5], [3, 3, 3], [1, 1]):
             q, k, v = (rng.standard_normal((sum(lengths), 8)) for _ in range(3))
-            out = ad.attention(Tensor(q), Tensor(k), Tensor(v), 2, lengths=lengths).data
+            out = cops.attention(Tensor(q), Tensor(k), Tensor(v), 2, lengths=lengths).data
             for start in range(0, sum(lengths), lengths[0]):
                 rows = slice(start, start + lengths[0])
                 for cols in (slice(0, 4), slice(4, 8)):
@@ -396,19 +445,59 @@ class TestAttention:
         rng = np.random.default_rng(3)
         lengths = [3, 1, 5, 3, 2, 5, 3]
         q, k, v = (rng.standard_normal((sum(lengths), 8)) for _ in range(3))
-        batch = ad.attention(Tensor(q), Tensor(k), Tensor(v), 4, lengths=lengths).data
+        batch = cops.attention(Tensor(q), Tensor(k), Tensor(v), 4, lengths=lengths).data
         start = 0
         for n in lengths:
             rows = slice(start, start + n)
-            alone = ad.attention(Tensor(q[rows]), Tensor(k[rows]), Tensor(v[rows]), 4,
+            alone = cops.attention(Tensor(q[rows]), Tensor(k[rows]), Tensor(v[rows]), 4,
                                  lengths=[n]).data
             assert np.array_equal(batch[rows], alone)
             start += n
 
+    def test_causal_row_sees_no_later_row(self):
+        # changing a sequence's later rows leaves its earlier rows' bits be
+        rng = np.random.default_rng(6)
+        lengths, d = [4, 1, 3], 8
+        norm, proj = _norm_proj(rng, d, [(d, d)] * 4, requires_grad=False)
+        x = rng.standard_normal((8, d))
+        out = ad.attention_block(Tensor(x), norm, proj, 2, lengths, causal=True).data
+        x[[3, 7]] += 1.0   # the last rows of sequences 0 and 2
+        again = ad.attention_block(Tensor(x), norm, proj, 2, lengths, causal=True).data
+        changed = (out != again).any(axis=1)
+        assert changed[[3, 7]].all() and not changed[[0, 1, 2, 4, 5, 6]].any()
+
+    def test_cached_steps_equal_the_causal_pass(self):
+        # three sequences of five rows, fed one row a step with a cache whose
+        # sequences swap and fork between steps
+        rng = np.random.default_rng(8)
+        d, steps = 8, 5
+        norm, proj = _norm_proj(rng, d, [(d, d)] * 4, requires_grad=False)
+        rows = rng.standard_normal((3, steps, d))
+        history = np.arange(3)
+        cache = ad.KVCache()
+        for t in range(steps):
+            if t:
+                history = rng.integers(0, 3, size=3)
+                cache.reorder(history)
+                rows[:, :t] = rows[history, :t]
+            out = ad.attention_block(Tensor(rows[:, t]), norm, proj, 2, [1, 1, 1],
+                                     causal=True, cache=cache).data
+            assert cache.positions == t + 1
+            full = ad.attention_block(Tensor(rows[:, :t + 1].reshape(-1, d)), norm, proj, 2,
+                                      [t + 1] * 3, causal=True).data
+            np.testing.assert_allclose(out, full.reshape(3, t + 1, d)[:, -1], rtol=0,
+                                       atol=1e-12)
+
+    def test_cached_block_is_forward_only(self):
+        rng = np.random.default_rng(9)
+        norm, proj = _norm_proj(rng, 4, [(4, 4)] * 4)
+        with pytest.raises(ValueError, match="forward-only"):
+            ad.attention_block(_param(rng, 2, 4), norm, proj, 2, [1, 1], cache=ad.KVCache())
+
     def test_mask_and_lengths_are_exclusive(self):
         a = Tensor(np.ones((2, 2)))
         with pytest.raises(ValueError, match="mask"):
-            ad.attention(a, a, a, 1, lengths=[2], mask=np.ones((2, 2), dtype=bool))
+            cops.attention(a, a, a, 1, lengths=[2], mask=np.ones((2, 2), dtype=bool))
 
 
 def test_lone_row_product_equals_its_row_in_a_batch():
@@ -427,7 +516,7 @@ class TestLayerNormSemantics:
         x = Tensor(np.full((2, 5), 3.7))
         scale = Tensor(np.ones((1, 5)))
         bias = Tensor(np.zeros((1, 5)))
-        out = ad.layer_norm(x, scale, bias)
+        out = cops.layer_norm(x, scale, bias)
         np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
 
@@ -454,6 +543,10 @@ _IDENTITY_BLOCK = ((Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 2)))),
                    tuple((Tensor(np.eye(2)), Tensor(np.zeros((1, 2)))) for _ in range(4)))
 
 
+# the same for a cross-attention sublayer: its q and output (w, b) pairs
+_CROSS_IDENTITY = (_IDENTITY_BLOCK[0], _IDENTITY_BLOCK[1][:2])
+
+
 class TestRowAndSegmentOps:
     def test_segment_sum_of_a_segment_equals_it_alone(self):
         rng = np.random.default_rng(1)
@@ -465,10 +558,10 @@ class TestRowAndSegmentOps:
                                    rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("call", [
-        lambda a: ad.take_rows(a, [1, 1]),
-        lambda a: ad.take_rows(a, [2, 0]),
-        lambda a: ad.attention(a, a, a, 1, lengths=[1, 1]),
-        lambda a: ad.attention(a, a, a, 1, lengths=[3, 0]),
+        lambda a: cops.take_rows(a, [1, 1]),
+        lambda a: cops.take_rows(a, [2, 0]),
+        lambda a: cops.attention(a, a, a, 1, lengths=[1, 1]),
+        lambda a: cops.attention(a, a, a, 1, lengths=[3, 0]),
         lambda a: ad.segments([1, 1, 2]),
         lambda a: ad.segments([0, 2, 2]),
         lambda a: ad.segments([0, 1, 0]),
@@ -480,20 +573,26 @@ class TestRowAndSegmentOps:
         lambda a: ad.segment_mean(a, [3, 0]),
         lambda a: ad.embed([a, a], [[0, 1], [0]]),
         lambda a: ad.embed([], []),
+        lambda a: ad.cross_attention_block(a, (a, a), *_CROSS_IDENTITY, 1, [3], [1, 2]),
+        lambda a: ad.cross_attention_block(a, (a, a), *_CROSS_IDENTITY, 1, [2, 1], [2, 2]),
+        lambda a: ad.attention_block(a, *_IDENTITY_BLOCK, 1, [2, 1], cache=ad.KVCache()),
+        lambda a: ad.nll(a, [0, 1, 2], np.ones(3)),
+        lambda a: ad.nll(a, [0, 1, -1], np.ones(3)),
+        lambda a: ad.nll(a, [0, 1, 1], np.ones(2)),
     ])
     def test_bad_indices_rejected(self, call):
         with pytest.raises(ValueError):
             call(Tensor(np.ones((3, 2))))
 
     @pytest.mark.parametrize("op, shape, call", [
-        ("take_rows", (2, 2), lambda a: ad.take_rows(a, [0, 1])),
-        ("attention", (2, 2), lambda a: ad.attention(a, a, a, 1, lengths=[2])),
+        ("take_rows", (2, 2), lambda a: cops.take_rows(a, [0, 1])),
+        ("attention", (2, 2), lambda a: cops.attention(a, a, a, 1, lengths=[2])),
         ("gat_layer", (2, 2), lambda a: _gat_call(a, [0, 1], [0, 1])),
         ("attention_block", (2, 2), lambda a: ad.attention_block(a, *_IDENTITY_BLOCK, 1, [2])),
         ("segment_sum", (2, 2), lambda a: ad.segment_sum(a, ad.segments([0, 1]))),
-        ("attention", (2, 2), lambda a: ad.attention(Tensor(np.ones((3, 2))), a, a, 2,
+        ("attention", (2, 2), lambda a: cops.attention(Tensor(np.ones((3, 2))), a, a, 2,
                                                      mask=np.ones(2, dtype=bool))),
-        ("layer_norm", (2, 2), lambda a: ad.layer_norm(a, Tensor(np.ones((1, 2))),
+        ("layer_norm", (2, 2), lambda a: cops.layer_norm(a, Tensor(np.ones((1, 2))),
                                                        Tensor(np.zeros((1, 2))))),
         ("linear", (2, 2), lambda a: ad.linear(a, Tensor(np.ones((2, 3))),
                                                Tensor(np.zeros((1, 3))))),
@@ -501,6 +600,10 @@ class TestRowAndSegmentOps:
                                                      _IDENTITY_BLOCK[1][:2])),
         ("embed", (2, 2), lambda a: ad.embed([Tensor(np.ones((2, 2))), a], [[0, 0], [1, 0]])),
         ("segment_mean", (2, 2), lambda a: ad.segment_mean(a, [1, 1])),
+        ("cross_attention_block", (2, 2), lambda a: ad.cross_attention_block(
+            a, (Tensor(np.ones((3, 2))),) * 2, *_CROSS_IDENTITY, 1, [2], [3])),
+        ("mlp", (2, 2), lambda a: ad.mlp(a, _IDENTITY_BLOCK[1][:2])),
+        ("nll", (2, 2), lambda a: ad.nll(a, [0, 1], np.ones(2))),
     ])
     def test_non_finite_output_names_the_op(self, op, shape, call):
         a = Tensor(np.ones(shape))

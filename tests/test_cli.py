@@ -592,6 +592,18 @@ class TestErrors:
         err = capsys.readouterr().err
         assert missing in err and not any(a in err for a in argv if a.startswith("--")), err
 
+    @pytest.mark.parametrize("argv", [
+        ["search", "query", "--checkpoint", "ckpt", "--index", "i.abix", "--query", "x", "--k"],
+        ["eval", "--task", "ac", "--dataset", "d.jsonl", "--checkpoint", "ckpt", "--beam"],
+        ["caption", "--checkpoint", "ckpt", "--graph", "g.json", "--beam"],
+    ])
+    @pytest.mark.parametrize("value", ["0", "-1", "2.5", "ten"])
+    def test_count_below_one_is_usage_error(self, argv, value, capsys):
+        # refused at parse time, before any file is read, naming the flag
+        assert run([*argv, value]) == 1
+        err = capsys.readouterr().err
+        assert f"argument {argv[-1]}: must be a positive integer, got '{value}'" in err, err
+
     @pytest.mark.parametrize("flag", ["--dataset", "--index"])
     def test_directory_input_is_data_error(self, tmp_path, cfg_file, capsys, flag):
         # a path that cannot be read is a data error, as a missing one is

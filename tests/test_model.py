@@ -40,12 +40,14 @@ from archtext.text import BOS_ID, EOS_ID, TextVocab, build_vocab, tokenize
 from archtext.training import (
     MaskPlan,
     TrainConfig,
+    decoder_loss,
     finetune_ac,
     mam_terms,
     mask_nodes,
     sim_loss,
 )
 
+import composite_ops as cops
 from test_autodiff import rel_err
 
 
@@ -342,20 +344,51 @@ class TestPool:
 
 
 def _composite_attention_block(x, norm, proj, heads, lengths):
-    y = ad.layer_norm(x, *norm)
+    y = cops.layer_norm(x, *norm)
     q, k, v = (ad.linear(y, w, b) for w, b in proj[:3])
-    return ad.add(x, ad.linear(ad.attention(q, k, v, heads, lengths=lengths), *proj[3]))
+    return ad.add(x, ad.linear(cops.attention(q, k, v, heads, lengths=lengths), *proj[3]))
+
+
+def _composite_attention(q, k, v, heads, lengths, kv_lengths, causal):
+    """Attention of each sequence on its own, its rows taken out and the
+    results stacked: sequence b's lengths[b] rows of q over its
+    kv_lengths[b] rows of k and v, causal as `attention_block` says."""
+    parts, q_at, k_at = [], 0, 0
+    for lq, lk in zip(lengths, kv_lengths):
+        q_rows, k_rows = np.arange(q_at, q_at + lq), np.arange(k_at, k_at + lk)
+        mask = np.tri(lq, lk, lk - lq, dtype=bool) if causal else None
+        parts.append(cops.attention(cops.take_rows(q, q_rows), cops.take_rows(k, k_rows),
+                                    cops.take_rows(v, k_rows), heads, mask=mask))
+        q_at, k_at = q_at + lq, k_at + lk
+    return cops.concat(parts)
+
+
+def _composite_causal_attention_block(x, norm, proj, heads, lengths):
+    y = cops.layer_norm(x, *norm)
+    q, k, v = (ad.linear(y, w, b) for w, b in proj[:3])
+    return ad.add(x, ad.linear(_composite_attention(q, k, v, heads, lengths, lengths, True),
+                               *proj[3]))
+
+
+def _composite_cross_attention_block(x, kv, norm, proj, heads, lengths, kv_lengths):
+    q = ad.linear(cops.layer_norm(x, *norm), *proj[0])
+    return ad.add(x, ad.linear(_composite_attention(q, *kv, heads, lengths, kv_lengths, False),
+                               *proj[1]))
+
+
+def _composite_mlp(x, proj):
+    return ad.linear(cops.leaky_relu(ad.linear(x, *proj[0]), slope=0.2), *proj[1])
 
 
 def _composite_ffn_block(x, norm, proj):
-    h = ad.leaky_relu(ad.linear(ad.layer_norm(x, *norm), *proj[0]), slope=0.2)
+    h = cops.leaky_relu(ad.linear(cops.layer_norm(x, *norm), *proj[0]), slope=0.2)
     return ad.add(x, ad.linear(h, *proj[1]))
 
 
 def _composite_embed(tables, columns):
-    out = ad.gather_rows(tables[0], columns[0])
+    out = cops.gather_rows(tables[0], columns[0])
     for table, ids in zip(tables[1:], columns[1:]):
-        out = ad.add(out, ad.gather_rows(table, ids))
+        out = ad.add(out, cops.gather_rows(table, ids))
     return out
 
 
@@ -383,6 +416,24 @@ def _fused_case(op, rng):
         proj = ((t(d, 2 * d), t(1, 2 * d)), (t(2 * d, d), t(1, d)))
         return ([x, *norm, *itertools.chain(*proj)], lambda: ad.ffn_block(x, norm, proj),
                 lambda: _composite_ffn_block(x, norm, proj))
+    if op == "causal_attention_block":
+        proj = tuple((t(d, d), t(1, d)) for _ in range(4))
+        return ([x, *norm, *itertools.chain(*proj)],
+                lambda: ad.attention_block(x, norm, proj, heads, lengths, causal=True),
+                lambda: _composite_causal_attention_block(x, norm, proj, heads, lengths))
+    if op == "cross_attention_block":
+        # a 1-node graph, and graphs of one size under captions of two lengths
+        kv_lengths = [4, 1, 4, 2, 4, 1, 3]
+        kv = (t(sum(kv_lengths), d), t(sum(kv_lengths), d))
+        proj = tuple((t(d, d), t(1, d)) for _ in range(2))
+        return ([x, *kv, *norm, *itertools.chain(*proj)],
+                lambda: ad.cross_attention_block(x, kv, norm, proj, heads, lengths, kv_lengths),
+                lambda: _composite_cross_attention_block(x, kv, norm, proj, heads, lengths,
+                                                         kv_lengths))
+    if op == "mlp":
+        proj = ((t(d, 2 * d), t(1, 2 * d)), (t(2 * d, 5), t(1, 5)))
+        return [x, *itertools.chain(*proj)], lambda: ad.mlp(x, proj), lambda: _composite_mlp(
+            x, proj)
     if op == "embed":
         tables = [t(9, d) for _ in range(5)]
         columns = [rng.integers(0, 9, size=sum(lengths)) for _ in tables]
@@ -392,7 +443,8 @@ def _fused_case(op, rng):
 
 
 class TestFusedOps:
-    @pytest.mark.parametrize("op", ["attention_block", "ffn_block", "embed", "segment_mean"])
+    @pytest.mark.parametrize("op", ["attention_block", "ffn_block", "embed", "segment_mean",
+                                    "causal_attention_block", "cross_attention_block", "mlp"])
     def test_equals_composite_bit_for_bit(self, op):
         # forward and every gradient: the fused backward sums a gradient with
         # several terms in the order the composite's tape did
@@ -439,10 +491,22 @@ class TestFusedOps:
         assert graph == ["embed", "gat_layer", "gat_layer"] + text[1:], graph
         h_g, _ = encode_graphs([g], params, cfg)
         cross = model_mod._decoder_cross(h_g, params)
-        _, past = model_mod._decoder_step(np.array([BOS_ID]), None, cross, params, cfg)
+        cache = ad.KVCache()
+        model_mod._decoder_step(np.array([BOS_ID]), cache, cross, params, cfg)
+        cache.reorder([0, 0])   # two hypotheses continue the first
         step = self.tape_ops(monkeypatch, lambda: model_mod._decoder_step(
-            np.array([7]), past, cross, params, cfg))
-        assert len(step) == 20 and step.count("ffn_block") == step.count("embed") == 1, step
+            np.array([7, 9]), cache, cross, params, cfg))
+        decoder = ["attention_block", "cross_attention_block", "ffn_block", "mlp"]
+        assert step == ["embed", *decoder, "log_softmax"], step
+        # a caption fine-tuning batch: the graph encode, then one teacher-forced
+        # decoder pass and its loss over the packed captions of the batch
+        graphs = _mixed_graphs(gcfg, (3, 12, 1, 7))
+        texts = ["a small conv net", "relu", "", "linear layers with relu and a conv net"]
+        samples = [ACSample(graph=gr, text=t) for gr, t in zip(graphs, texts)]
+        model = Model.initialized(cfg, seed=0)
+        batch = self.tape_ops(monkeypatch, lambda: finetune_ac(
+            samples, model, TrainConfig(task="ac", batch_size=4, epochs=1), vocab))
+        assert batch == graph + ["embed", "linear", "linear", *decoder, "nll"], batch
 
     @pytest.mark.parametrize("names, stage", [
         (("cross.0.ln.attn.scale",), "attention_block (layer norm)"),
@@ -736,15 +800,13 @@ class TestBatchedCore:
             assert np.array_equal(j_t.data[row], alone.data[0])
 
     def test_mixed_length_batch_takes_no_rows(self, tiny, monkeypatch):
-        # no layer pads, so no encode has padding rows to select away
+        # no layer pads, so no encode has padding rows to select away: a
+        # mixed batch runs the ops of a batch of one, and no other
         model, cfg, seqs, graphs, *_ = tiny
-
-        def take_rows(*args):
-            raise AssertionError("an encode selected rows")
-
-        monkeypatch.setattr(ad, "take_rows", take_rows)
-        encode_texts(seqs, model.params, cfg)
-        encode_graphs(graphs, model.params, cfg)
+        for encode, items in ((encode_texts, seqs), (encode_graphs, graphs)):
+            ops = [TestFusedOps.tape_ops(monkeypatch, lambda: encode(batch, model.params, cfg))
+                   for batch in (items, items[:1])]
+            assert ops[0] == ops[1]
 
     def test_longer_batch_mate_changes_nothing_else(self, tiny):
         model, cfg, seqs, graphs, plans, ys, targets = tiny
@@ -1036,10 +1098,10 @@ class TestIncrementalDecoder:
         cross = model_mod._decoder_cross(h_g, params)
         rng = np.random.default_rng(0)
         prefixes = [[BOS_ID]]
-        cache = None
+        cache = ad.KVCache()
         for step in range(6):
             tokens = np.array([p[-1] for p in prefixes])
-            logp, cache = model_mod._decoder_step(tokens, cache, cross, params, cfg)
+            logp = model_mod._decoder_step(tokens, cache, cross, params, cfg)
             assert logp.shape == (len(prefixes), cfg.text_vocab_size)
             for row, prefix in zip(logp, prefixes):
                 full = ad.log_softmax(decoder_logits(h_g, prefix, params, cfg)).data[-1]
@@ -1049,7 +1111,7 @@ class TestIncrementalDecoder:
             parents = rng.integers(0, width, size=min(4, width + 2))
             toks = rng.choice([5, 6, 7, 8, 9], size=len(parents), replace=False)
             prefixes = [prefixes[p] + [int(t)] for p, t in zip(parents, toks)]
-            cache = model_mod._reorder_cache(cache, parents, width)
+            cache.reorder(parents)
 
     def test_decoding_never_runs_the_full_prefix(self, tuned_decoder, monkeypatch):
         model, cfg, encoded = tuned_decoder
@@ -1061,6 +1123,110 @@ class TestIncrementalDecoder:
 
         monkeypatch.setattr(model_mod, "decoder_logits", forbidden)
         assert decode_beam(h_g, model.constants(), cfg, beam=3, max_len=6) == want
+
+
+def _composite_decoder_logits(h_g, ids, params, cfg):
+    """The teacher-forced decoder of one caption as single ops, its one
+    mask the causal one."""
+    t, heads = len(ids), cfg.dec_heads
+
+    def proj(prefix, gate):
+        return params[f"{prefix}.w{gate}"], params[f"{prefix}.b{gate}"]
+
+    def ln(name):
+        return params[f"dec.ln.{name}.scale"], params[f"dec.ln.{name}.bias"]
+
+    x = ad.embed([params["dec.emb.tok"], params["dec.emb.pos"]], [ids, np.arange(t)])
+    y = cops.layer_norm(x, *ln("self"))
+    q, k, v = (ad.linear(y, *proj("dec.attn", gate)) for gate in "qkv")
+    att = cops.attention(q, k, v, heads, mask=np.tri(t, dtype=bool))
+    x = ad.add(x, ad.linear(att, *proj("dec.attn", "o")))
+    k, v = (ad.linear(h_g, *proj("dec.xattn", gate)) for gate in "kv")
+    q = ad.linear(cops.layer_norm(x, *ln("xattn")), *proj("dec.xattn", "q"))
+    x = ad.add(x, ad.linear(cops.attention(q, k, v, heads), *proj("dec.xattn", "o")))
+    x = _composite_ffn_block(x, ln("ffn"), (proj("dec.ffn", 1), proj("dec.ffn", 2)))
+    return _composite_mlp(x, tuple((params[f"dec.out.fc{i}.w"], params[f"dec.out.fc{i}.b"])
+                                   for i in (1, 2)))
+
+
+class TestPackedDecoder:
+    def test_caption_equals_composite_bit_for_bit(self, tuned_decoder):
+        # forward and the gradient of every decoder weight and of the graph rows
+        model, cfg, encoded = tuned_decoder
+        ids = [BOS_ID, 7, 5, 9, 9]
+        weights = np.random.default_rng(3).standard_normal((len(ids), cfg.text_vocab_size))
+        results = []
+        for build in (decoder_logits, _composite_decoder_logits):
+            h_g = Tensor(encoded[2].data, requires_grad=True)
+            ad.zero_grads(model.params)
+            out = build(h_g, ids, model.params, cfg)
+            ad.sum_(out * Tensor(weights)).backward()
+            results.append([out.data, h_g.grad] + [p.grad for name, p in
+                                                  sorted(model.params.items())
+                                                  if name.startswith("dec.")])
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+
+    def test_packed_captions_equal_solo_passes(self, tuned_decoder):
+        # captions of 1-6 tokens over graphs of 1-6 nodes, two of one length
+        model, cfg, _ = tuned_decoder
+        params = model.constants()
+        gcfg = GenConfig(rng_seed=3, ops=SMALL_OPS)
+        graphs = _mixed_graphs(gcfg, (4, 1, 6, 3, 4))
+        rng = np.random.default_rng(12)
+        captions = [[BOS_ID] + list(rng.integers(5, cfg.text_vocab_size, size=n))
+                    for n in (3, 0, 5, 2, 3)]
+        targets = [list(rng.integers(5, cfg.text_vocab_size, size=len(c))) for c in captions]
+        h_g, _ = encode_graphs(graphs, params, cfg)
+        lengths = [len(c) for c in captions]
+        packed = decoder_logits(h_g, list(itertools.chain(*captions)), params, cfg,
+                                lengths=lengths, sizes=[g.num_nodes for g in graphs]).data
+        loss = decoder_loss(Tensor(packed), list(itertools.chain(*targets)), lengths).item()
+        solo_losses = []
+        for g, ids, want, start in zip(graphs, captions, targets, np.cumsum(lengths) - lengths):
+            alone = decoder_logits(encode_graph(g, params, cfg)[0], ids, params, cfg)
+            np.testing.assert_allclose(packed[start:start + len(ids)], alone.data, rtol=0,
+                                       atol=1e-12)
+            solo_losses.append(decoder_loss(alone, want).item())
+        assert loss == pytest.approx(np.mean(solo_losses), rel=1e-12)
+
+    def test_caption_beyond_max_tokens_rejected(self, tuned_decoder):
+        model, cfg, encoded = tuned_decoder
+        with pytest.raises(ValueError, match="exceeds max_tokens"):
+            decoder_logits(encoded[0], [BOS_ID] * (cfg.max_tokens + 1), model.constants(), cfg)
+
+    @pytest.mark.parametrize("lengths", [[2, 1], [4, 0], [5]])
+    def test_lengths_must_split_the_ids(self, tuned_decoder, lengths):
+        model, cfg, encoded = tuned_decoder
+        with pytest.raises(ValueError, match="do not split 4 input ids"):
+            decoder_logits(encoded[0], [BOS_ID, 5, 6, 7], model.constants(), cfg, lengths=lengths)
+
+
+def _full_sort_expansions(key, ranks, cands, beam):
+    return np.lexsort((np.tile(cands, len(ranks)), np.repeat(ranks, len(cands)), -key))[:beam]
+
+
+@st.composite
+def _expansions(draw):
+    """Keys of hypotheses x candidates, with exact ties forced in by
+    drawing from a few values; sometimes the end token alone."""
+    width = draw(st.integers(1, 6))
+    cands = (np.array([EOS_ID]) if draw(st.booleans())
+             else np.array(sorted(draw(st.sets(st.integers(1, 40), min_size=1, max_size=8)))))
+    values = draw(st.lists(st.floats(-50, 0, allow_nan=False), min_size=1, max_size=4))
+    key = np.array(draw(st.lists(st.sampled_from(values), min_size=width * len(cands),
+                                 max_size=width * len(cands))))
+    ranks = np.array(draw(st.permutations(range(width))))
+    return key, ranks, cands, draw(st.integers(1, width * len(cands) + 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_expansions())
+def test_partitioned_beam_selection_equals_full_sort(case):
+    # beams wider than the candidates included
+    key, ranks, cands, beam = case
+    got = model_mod._best_expansions(key, ranks, cands, beam)
+    assert got.tolist() == _full_sort_expansions(key, ranks, cands, beam).tolist()
 
 
 class TestBeamSearch:
@@ -1111,15 +1277,15 @@ class TestBeamSearch:
                   (BOS_ID, 7, 1): {EOS_ID: 0.0},
                   (BOS_ID, 6, 1): {EOS_ID: 0.0}}
 
-        def scripted_step(tokens, past, cross, params, cfg):
-            # the cache carries each hypothesis's tokens, position-major
-            col = Tensor(np.asarray(tokens, dtype=np.float64)[:, None])
-            cache = col if past is None else ad.concat([past[0], col])
+        def scripted_step(tokens, cache, cross, params, cfg):
+            # the cache carries each hypothesis's tokens, one row per position
+            col = np.asarray(tokens, dtype=np.float64)[:, None, None]
+            cache.k = cache.v = col if cache.k is None else np.concatenate((cache.k, col), axis=1)
             logp = np.full((len(tokens), cfg.text_vocab_size), -100.0)
-            for row, history in zip(logp, cache.data.reshape(-1, len(tokens)).T):
+            for row, history in zip(logp, cache.k[:, :, 0]):
                 for tok, lp in scores.get(tuple(int(t) for t in history), {}).items():
                     row[tok] = lp
-            return logp, (cache, cache)
+            return logp
 
         monkeypatch.setattr(model_mod, "_decoder_step", scripted_step)
         assert decode_beam(h_g, model.constants(), cfg, beam=2, max_len=3) == [6, 1, EOS_ID]
