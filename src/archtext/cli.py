@@ -28,7 +28,7 @@ from .datagen import GenConfig
 from .fileio import atomic_write
 from .graph import NodeVocab, parse_graph, to_dot
 from .model import Model, ModelConfig, embed_graphs, embed_texts
-from .text import TextVocab, build_vocab
+from .text import TextVocab, build_vocab, normalize
 from .training import TrainConfig
 
 
@@ -105,8 +105,63 @@ def _gen_config(args, file_cfg: dict) -> GenConfig:
     return GenConfig(**kwargs)
 
 
+_BEAM = 10           # the caption beam width without --beam
+_VOCAB_SIZE = 4096   # the fresh text vocabulary's size limit without --vocab-size
+
 _ENCODER_SWITCHES = ("no_cross_encoder", "no_shape", "no_edge")   # read by the encoders
 _TRAINING_SWITCHES = ("no_mam", "text_only", "arch_only")         # read by the training loops
+
+
+_MODEL_RUN = ("checkpoint", *_ENCODER_SWITCHES)
+_TRAIN_STEP = ("epochs", "lr", "batch_size", "config", "seed", "tau", "text_only", "arch_only",
+               *_ENCODER_SWITCHES)
+_PRETRAIN = (*_TRAIN_STEP, "alpha", "no_mam")   # alpha and no_mam weight the masked-node term
+
+# The optional flags each run reads, by subcommand, task and mode (eval: with
+# --baseline; train: with --checkpoint). A run refuses any other optional
+# flag of its subcommand with exit 1, naming it.
+_READS = {
+    "eval": {
+        ("ar", False): (*_MODEL_RUN, "tau"),
+        ("acd", False): (*_MODEL_RUN, "tau"),
+        ("bacd", False): (*_MODEL_RUN, "tau"),
+        ("aqa", False): _MODEL_RUN,
+        ("ac", False): (*_MODEL_RUN, "beam"),
+        ("ar", True): ("config", "seed"),
+        ("acd", True): ("config", "seed", "tau"),
+    },
+    "train": {
+        # --vocab-size sizes a fresh text vocabulary; a bundle brings its own
+        ("pretrain", False): (*_PRETRAIN, "vocab_size"),
+        ("pretrain", True): (*_PRETRAIN, "checkpoint"),
+        ("aqa", False): (*_TRAIN_STEP, "vocab_size"),
+        ("aqa", True): (*_TRAIN_STEP, "checkpoint"),
+        ("ac", False): (*_TRAIN_STEP, "vocab_size"),
+        ("ac", True): (*_TRAIN_STEP, "checkpoint"),
+    },
+}
+
+
+def _refuse_unread(args, mode: bool) -> None:
+    """A UsageError naming the first optional flag given to this run of
+    `args.command` that `_READS` says it does not read."""
+    table = _READS[args.command]
+    reads = table[args.task, mode]
+    given = vars(args)
+    for flag in dict.fromkeys(f for flags in table.values() for f in flags):
+        # by identity: a given 0 equals False
+        if flag not in reads and given[flag] is not None and given[flag] is not False:
+            line = f"{args.command} --task {args.task}"
+            if mode:
+                line += " --baseline" if args.command == "eval" else " --checkpoint"
+            raise UsageError(f"{line} does not read --{flag.replace('_', '-')}")
+
+
+def _require_words(flag: str, text: str) -> None:
+    """A ValueError naming `flag` when `text` holds no word token: the model
+    would score the bare [BOS] [EOS] sequence."""
+    if not normalize(text):
+        raise ValueError(f"{flag} holds no word tokens: {text!r}")
 
 
 def _apply_ablations(cfg: ModelConfig, args) -> ModelConfig:
@@ -251,6 +306,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    _refuse_unread(args, bool(args.checkpoint))
     file_cfg = load_config_file(args.config)
     gen_cfg = _gen_config(args, file_cfg)
     train_kwargs = dict(file_cfg["train"])
@@ -284,7 +340,8 @@ def _cmd_train(args) -> int:
         if args.task == "ac":
             samples = datagen.captions(samples)
     if not args.checkpoint:
-        text_vocab = build_vocab(corpus, max_size=args.vocab_size)
+        size = _VOCAB_SIZE if args.vocab_size is None else args.vocab_size
+        text_vocab = build_vocab(corpus, max_size=size)
         cfg = ModelConfig(node_vocab_size=len(node_vocab),
                           text_vocab_size=len(text_vocab), **file_cfg["model"])
         model = Model.initialized(_apply_ablations(cfg, args), seed=tcfg.seed)
@@ -301,6 +358,9 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     if not args.baseline and not args.checkpoint:
         raise UsageError("--checkpoint is required for model evaluation")
+    if args.baseline and (args.task, True) not in _READS["eval"]:
+        raise UsageError(f"no baseline for task {args.task!r}")
+    _refuse_unread(args, args.baseline)
     result: dict = {"task": args.task}
     if args.baseline:
         tau = args.tau if args.tau is not None else 0.5
@@ -312,14 +372,12 @@ def _cmd_eval(args) -> int:
                      if s.graph.name else False for s in samples]
             labels = [s.y >= 0.5 for s in samples]
             metrics = evaluate.accuracy_f1(preds, labels)
-        elif args.task == "acd":
+        else:
             pairs = datagen.load_acd(args.dataset, node_vocab)
             preds = [evaluate.jaccard_similarity(p.g1, p.g2, node_vocab) > tau
                      for p in pairs]
             labels = [p.label == 1 for p in pairs]
             metrics = evaluate.accuracy_f1(preds, labels)
-        else:
-            raise UsageError(f"no baseline for task {args.task!r}")
         result.update(metrics.to_dict())
     else:
         model, text_vocab, node_vocab = _load_model(args)
@@ -342,7 +400,7 @@ def _cmd_eval(args) -> int:
             result.update(metrics.to_dict())
         else:
             rouge = evaluate.run_ac(model, datagen.load_ac(args.dataset, node_vocab),
-                                    text_vocab, beam=args.beam)
+                                    text_vocab, beam=_BEAM if args.beam is None else args.beam)
             result.update(rouge.to_dict())
     _emit(json.dumps(result, indent=2, sort_keys=True) + "\n", args.out)
     return 0
@@ -367,6 +425,8 @@ def _first_samples(samples) -> dict[str, int]:
 
 
 def _cmd_search(args) -> int:
+    if args.action == "query":
+        _require_words("--query", args.query)
     model, text_vocab, node_vocab, ckpt_path = load_bundle(args.checkpoint)
     fingerprint = checkpoint_fingerprint(ckpt_path)
     if args.action == "build":
@@ -392,6 +452,7 @@ def _load_graph_file(path: str, node_vocab: NodeVocab):
 
 
 def _cmd_reason(args) -> int:
+    _require_words("--text", args.text)
     model, text_vocab, node_vocab = _load_model(args)
     g = _load_graph_file(args.graph, node_vocab)
     (score,) = evaluate.pair_scores(embed_texts([args.text], model, text_vocab),
@@ -403,10 +464,12 @@ def _cmd_reason(args) -> int:
 
 
 def _cmd_clone(args) -> int:
+    if args.text is not None:
+        _require_words("--text", args.text)
     model, text_vocab, node_vocab = _load_model(args)
     g1 = _load_graph_file(args.g1, node_vocab)
     g2 = _load_graph_file(args.g2, node_vocab)
-    if args.text:
+    if args.text is not None:
         sample = datagen.BACDSample(g1=g1, g2=g2, label=0, text=args.text)
         score = evaluate.bacd_score(model, sample, text_vocab)
     else:
@@ -419,6 +482,7 @@ def _cmd_clone(args) -> int:
 
 
 def _cmd_qa(args) -> int:
+    _require_words("--question", args.question)
     model, text_vocab, node_vocab = _load_model(args)
     g = _load_graph_file(args.graph, node_vocab)
     probs = evaluate.answer_probs(model, embed_texts([args.question], model, text_vocab),
@@ -529,8 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=None, help="training epochs (default 10)")
     p.add_argument("--lr", type=float, default=None, help="Adam learning rate (default 2e-5)")
     p.add_argument("--batch-size", type=int, default=None, help="batch size (default 8)")
-    p.add_argument("--vocab-size", type=int, default=4096,
-                   help="max text vocabulary size when built fresh (default 4096)")
+    p.add_argument("--vocab-size", type=int, default=None,
+                   help=f"max text vocabulary size when built fresh (default {_VOCAB_SIZE})")
     p.add_argument("--alpha", type=float, default=None,
                    help="masked-node loss weight (default 0.05)")
     _add_common(p)
@@ -543,8 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None, help="checkpoint bundle (default: none; required unless --baseline)")
     p.add_argument("--baseline", action="store_true",
                    help="use the uni-modal baseline instead of the model (default off)")
-    p.add_argument("--beam", type=_positive_int, default=10,
-                   help="beam width for captioning (default 10)")
+    p.add_argument("--beam", type=_positive_int, default=None,
+                   help=f"beam width for captioning (default {_BEAM})")
     p.add_argument("--out", default=None, help="write metrics JSON here (default: stdout)")
     _add_common(p)
     _add_model_switches(p, tau=True)
@@ -588,7 +652,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("caption", help="generate a caption for one graph")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--graph", required=True)
-    p.add_argument("--beam", type=_positive_int, default=10, help="beam width (default 10)")
+    p.add_argument("--beam", type=_positive_int, default=_BEAM,
+                   help=f"beam width (default {_BEAM})")
     _add_model_switches(p, tau=False)
     p.set_defaults(func=_cmd_caption)
 

@@ -650,32 +650,61 @@ def _layout(cls) -> tuple[tuple[str, object], ...]:
     return tuple((f.name, hints[f.name]) for f in fields(cls))
 
 
-def _json_value(value, vocab: NodeVocab):
-    if isinstance(value, ArchGraph):
-        return graph_to_obj(value, vocab)
-    return sorted(value) if isinstance(value, frozenset) else value
-
-
 def write_jsonl(samples, vocab: NodeVocab, path: str) -> None:
+    """One JSON record per sample, its fields in declared order. Each distinct
+    graph is serialized once per file; a line is joined from per-field JSON
+    pieces, byte for byte what `json.dumps` gives for the whole record."""
+    graph_json: dict[ArchGraph, str] = {}
+
+    def piece(value) -> str:
+        if isinstance(value, ArchGraph):
+            text = graph_json.get(value)
+            if text is None:
+                text = graph_json[value] = json.dumps(graph_to_obj(value, vocab))
+            return text
+        return json.dumps(sorted(value) if isinstance(value, frozenset) else value)
+
     with atomic_write(path) as f:
         for s in samples:
             if isinstance(s, ACSample):
                 s = BiModalSample(graph=s.graph, text=s.text, y=1.0)
-            record = {key: _json_value(getattr(s, key), vocab) for key, _ in _layout(type(s))}
-            f.write(json.dumps(record) + "\n")
+            f.write("{" + ", ".join(f"{json.dumps(key)}: {piece(getattr(s, key))}"
+                                    for key, _ in _layout(type(s))) + "}\n")
 
 
 _JSON_KINDS = {str: "a string", float: "a number", int: "an integer",
                frozenset[int]: "a list of integers"}
 
 
-def _field(record: dict, key: str, typ, vocab: NodeVocab):
+class _Graphs:
+    """The graphs of one load call: each distinct graph document is parsed
+    and validated once, and its repeats share the parsed graph.
+
+    The key is the document's JSON with sorted object keys, so it keeps each
+    value's JSON type (a true never matches a 1) and ignores key order. A
+    document that fails to parse is not kept, so each of its repeats is
+    refused at its own line."""
+
+    def __init__(self, vocab: NodeVocab):
+        self.vocab = vocab
+        self.parsed: dict[str, ArchGraph] = {}
+
+    def read(self, doc) -> ArchGraph:
+        key = json.dumps(doc, sort_keys=True)
+        g = self.parsed.get(key)
+        if g is None:
+            g = self.parsed[key] = graph_from_obj(doc, self.vocab)
+        return g
+
+
+def _field(record: dict, key: str, typ, graphs: _Graphs | None):
     """Field `key` of a record, read as the type `typ` a sample declares for
-    it; a value of another JSON type is a ValueError naming the field."""
+    it (a graph through `graphs`); a value of another JSON type is a
+    ValueError naming the field."""
     value = record[key]
     if typ is ArchGraph:
         try:
-            return graph_from_obj(value, vocab)
+            return graphs.read(value)
         except (GraphParseError, GraphValidationError) as e:
             raise ValueError(f"field '{key}': {e}") from e
     # exact types: a JSON true is a bool, never a number
@@ -723,7 +752,8 @@ def _load(path: str, read) -> list:
 def _reader(cls, vocab: NodeVocab):
     """The reader of `cls` records: each field is read as `cls` declares it."""
     layout = _layout(cls)
-    return lambda record: cls(**{key: _field(record, key, typ, vocab) for key, typ in layout})
+    graphs = _Graphs(vocab)
+    return lambda record: cls(**{key: _field(record, key, typ, graphs) for key, typ in layout})
 
 
 def load_bimodal(path: str, vocab: NodeVocab) -> list[BiModalSample]:
@@ -749,7 +779,7 @@ def load_ac(path: str, vocab: NodeVocab) -> list[ACSample]:
 
     def read_positive(record):
         record = {"y": 1.0, **record}
-        return read(record) if _field(record, "y", float, vocab) == 1.0 else None
+        return read(record) if _field(record, "y", float, None) == 1.0 else None
 
     return captions(_load(path, read_positive))
 
@@ -773,26 +803,25 @@ def compute_stats(path: str) -> dict:
     """Table-style statistics of a JSONL dataset of any record layout. Each
     graph and text field present is checked as the loaders check it; op
     names are counted as written."""
-    vocab = NodeVocab(())   # checks a graph without knowing its op names
+    archs = _Graphs(NodeVocab(()))   # checks a graph without knowing its op names
     graphs, texts = [], []
 
     def read(record):
         for key in ("graph", "g1", "g2"):
             if key in record:
-                _field(record, key, ArchGraph, vocab)
+                _field(record, key, ArchGraph, archs)
                 graphs.append(record[key])
-        texts.extend(_field(record, key, str, vocab) for key in ("text", "question")
+        texts.extend(_field(record, key, str, None) for key in ("text", "question")
                      if key in record)
         return record
 
     records = _load(path, read)
-    unique_archs = {json.dumps(g, sort_keys=True) for g in graphs}
     unique_nodes = {n for g in graphs for n in g["nodes"]}
     token_lists = [normalize(t) for t in texts]
     unique_tokens = {w for ws in token_lists for w in ws}
     stats = {
         "samples": len(records),
-        "unique_archs": len(unique_archs),
+        "unique_archs": len(archs.parsed),
         "unique_nodes": len(unique_nodes),
         "nodes": _dist(len(g["nodes"]) for g in graphs),
         "edges": _dist(len(g["edges"]) for g in graphs),

@@ -376,6 +376,12 @@ _SEARCH_BUILD = ["search", "build", "--checkpoint", "ckpt", "--dataset", "d.json
                  "--out", "i.abix"]
 _VIZ_PCA = ["viz", "pca", "--checkpoint", "ckpt", "--dataset", "d.jsonl"]
 _VIZ_DOT = ["viz", "dot", "--graph", "g.json"]
+_TRAIN_AC = ["train", "--task", "ac", "--dataset", "d.jsonl", "--out", "o"]
+_TRAIN_AC_FROM = [*_TRAIN_AC, "--checkpoint", "ckpt"]
+_TRAIN_AQA_FROM = ["train", "--task", "aqa", "--dataset", "d.jsonl", "--out", "o",
+                   "--checkpoint", "ckpt"]
+_EVAL_AC = ["eval", "--task", "ac", "--checkpoint", "ckpt", "--dataset", "d.jsonl"]
+_EVAL_ACD_BASELINE = ["eval", "--task", "acd", "--baseline", "--dataset", "d.jsonl"]
 
 
 def _unread(cases):
@@ -498,6 +504,16 @@ class TestErrors:
          ("--tau=0.3", *_TRAINING_SWITCHES)),
         (_VIZ_PCA, ("--tau=0.3", *_TRAINING_SWITCHES)),
         (_VIZ_DOT, _ALL_SWITCHES),
+        # --no-mam weights only pre-training's masked-node term; aqa decides
+        # at 0.5 and ac decides nothing; a baseline runs no model, and the
+        # name baseline decides at no threshold
+        (_TRAIN_AQA_FROM, ("--no-mam",)),
+        (_TRAIN_AC_FROM, ("--no-mam",)),
+        (_TRAIN_AC, ("--no-mam",)),
+        (["eval", "--task", "aqa", "--checkpoint", "ckpt", "--dataset", "d.jsonl"], ("--tau=0.3",)),
+        (_EVAL_AC, ("--tau=0.3",)),
+        (_EVAL_ACD_BASELINE, ("--no-cross-encoder", "--no-shape", "--no-edge")),
+        (["eval", "--task", "ar", "--baseline", "--dataset", "d.jsonl"], ("--tau=0.3",)),
     ]))
     def test_model_switch_where_unread_is_usage_error(self, argv, switch, capsys):
         # gen runs no model, and search runs the bundle's model as saved
@@ -518,11 +534,40 @@ class TestErrors:
         (["search", "query", "--checkpoint", "ckpt", "--index", "i.abix", "--query", "conv"],
          ("--dataset=d.jsonl", "--out=i.abix")),
         (_VIZ_DOT, ("--checkpoint=ckpt", "--dataset=d.jsonl")),
+        # eval reads --beam for ac alone, and --config/--seed only with --baseline
+        (["eval", "--task", "ar", "--checkpoint", "ckpt", "--dataset", "d.jsonl"],
+         ("--config=c.ini", "--seed=5", "--beam=2", "--seed=0")),
+        (_EVAL_ACD_BASELINE, ("--checkpoint=ckpt", "--beam=2")),
+        # a bundle brings its own text vocabulary, and only pre-training reads --alpha
+        (_TRAIN_AQA_FROM, ("--alpha=9", "--vocab-size=3")),
+        (_TRAIN_AC_FROM, ("--alpha=9", "--vocab-size=3")),
+        (["train", "--task", "pretrain", "--dataset", "d.jsonl", "--out", "o",
+          "--checkpoint", "ckpt"], ("--vocab-size=3",)),
+        (_TRAIN_AC, ("--alpha=9", "--alpha=0")),
     ]))
     def test_config_or_seed_where_unread_is_usage_error(self, argv, flag, capsys):
-        # these run a saved bundle, whose config and seed are fixed
+        # each run refuses a flag it does not read, before it reads any file
         assert run([*argv, flag]) == 1
         assert flag.split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["search", "query", "--checkpoint", "ckpt", "--index", "i.abix", "--query"], "--query"),
+        (["reason", "--checkpoint", "ckpt", "--graph", "graph.json", "--text"], "--text"),
+        (["clone", "--checkpoint", "ckpt", "--g1", "graph.json", "--g2", "graph.json",
+          "--text"], "--text"),
+        (["qa", "--checkpoint", "ckpt", "--graph", "graph.json", "--question"], "--question"),
+    ], ids=["query", "reason", "clone", "qa"])
+    @pytest.mark.parametrize("text", ["", " ?! "], ids=["empty", "punctuation"])
+    def test_text_without_words_is_data_error(self, tmp_path, cfg_file, graph_file, capsys,
+                                              argv, flag, text):
+        # scored, it would be the bare [BOS] [EOS] sequence
+        files = {"ckpt": _fresh_bundle(tmp_path, cfg_file), "i.abix": str(tmp_path / "i.abix"),
+                 "graph.json": str(graph_file)}
+        assert run(["search", "build", "--checkpoint", files["ckpt"], "--dataset",
+                    str(tmp_path / "g.jsonl"), "--out", files["i.abix"]]) == 0
+        capsys.readouterr()
+        assert run([files.get(a, a) for a in argv] + [text]) == 2
+        assert f"{flag} holds no word tokens: {text!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("task, field, value, expect", [
         # out of range and cyclic: an attention mask would wire -1 to the last node

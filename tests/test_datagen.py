@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,7 +8,10 @@ from hypothesis import strategies as st
 
 from archtext.catalog import DEFAULT_OPS, answer_catalog, mentioned_ops
 from archtext.datagen import (
+    ACDPair,
+    ACSample,
     AQASample,
+    BACDSample,
     BiModalSample,
     GenConfig,
     captions,
@@ -415,6 +419,99 @@ class TestJsonl:
         path.write_text("\n".join(lines) + "\n")
         assert load_ac(str(path), vocab) == captions(samples)
         assert 0 < len(captions(samples)) < len(samples)
+
+
+_DOC = {"name": "g", "nodes": ["conv2d", "relu", "linear"], "edges": [[0, 1], [1, 2]],
+        "shapes": [[8, 3, 3, 3], [0, 0, 0, 0], [16, 8, 1, 1]]}
+
+
+def _write_records(path, *records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return str(path)
+
+
+class TestGraphSharing:
+    """Each distinct graph document is parsed once per load call and shared by
+    the records that repeat it."""
+
+    def test_equal_documents_share_one_graph(self, tmp_path, gen_cfg):
+        vocab = gen_cfg.node_vocab()
+        path = _write_records(tmp_path / "d.jsonl", {"graph": _DOC, "text": "a", "y": 1.0},
+                              {"graph": _DOC, "text": "b", "y": 0.0})
+        a, b = load_bimodal(path, vocab)
+        assert a.graph is b.graph
+        (pair,) = load_bacd(_write_records(tmp_path / "p.jsonl",
+                                           {"g1": _DOC, "g2": _DOC, "label": 1, "text": "c"}),
+                            vocab)
+        assert pair.g1 is pair.g2
+
+    def test_load_calls_share_nothing(self, tmp_path, gen_cfg):
+        vocab = gen_cfg.node_vocab()
+        path = _write_records(tmp_path / "d.jsonl", {"graph": _DOC, "text": "a", "y": 1.0})
+        (first,), (second,) = load_bimodal(path, vocab), load_bimodal(path, vocab)
+        assert first.graph == second.graph and first.graph is not second.graph
+
+    def test_documents_differing_in_name_stay_distinct(self, tmp_path, gen_cfg):
+        renamed = {**_DOC, "name": "h"}
+        unnamed = {k: v for k, v in _DOC.items() if k != "name"}
+        path = _write_records(tmp_path / "d.jsonl", *({"graph": doc, "text": "a", "y": 1.0}
+                                                      for doc in (_DOC, renamed, unnamed)))
+        names = [s.graph.name for s in load_bimodal(path, gen_cfg.node_vocab())]
+        assert names == ["g", "h", None]
+
+    def test_reordered_keys_share_one_graph(self, tmp_path, gen_cfg):
+        reordered = {k: _DOC[k] for k in reversed(list(_DOC))}
+        path = _write_records(tmp_path / "d.jsonl", {"graph": _DOC, "text": "a", "y": 1.0},
+                              {"y": 1.0, "text": "a", "graph": reordered})
+        a, b = load_bimodal(path, gen_cfg.node_vocab())
+        assert a.graph is b.graph
+
+    def test_true_for_an_index_is_refused_after_a_valid_repeat(self, tmp_path, gen_cfg):
+        # true == 1 and hash(true) == hash(1) in Python: a key of parsed
+        # values would take this edge for [1, 2] and skip the check
+        bad = {**_DOC, "edges": [[0, 1], [True, 2]]}
+        path = _write_records(tmp_path / "d.jsonl", {"graph": _DOC, "text": "a", "y": 1.0},
+                              {"graph": bad, "text": "a", "y": 1.0})
+        with pytest.raises(ValueError, match=f"{path}:2: field 'graph': field 'edges' must "
+                                             "hold pairs of integers"):
+            load_bimodal(path, gen_cfg.node_vocab())
+
+    def test_refused_document_is_refused_at_each_repeat(self, tmp_path, gen_cfg):
+        bad = {**_DOC, "edges": [[0, 1], [1, 2], [2, 0]]}
+        record = {"graph": bad, "text": "a", "y": 1.0}
+        path = _write_records(tmp_path / "d.jsonl", record, record)
+        vocab = gen_cfg.node_vocab()
+        with pytest.raises(ValueError, match=f"{path}:1: field 'graph': cycle"):
+            load_bimodal(path, vocab)
+        path = _write_records(tmp_path / "e.jsonl", {"graph": _DOC, "text": "a", "y": 1.0},
+                              {"graph": {**_DOC, "nodes": ["conv2d", "nope", "relu"]},
+                               "text": "a", "y": 1.0}, record, record)
+        with pytest.raises(ValueError, match=f"{path}:3: field 'graph': cycle"):
+            load_bimodal(path, vocab)
+
+    def test_write_matches_per_record_json(self, tmp_path, gen_cfg):
+        vocab = gen_cfg.node_vocab()
+        g = gen_architecture(gen_cfg, np.random.default_rng(0), name="x")
+        unnamed = gen_architecture(gen_cfg, np.random.default_rng(1))
+        samples = [BiModalSample(graph=g, text="a conv net", y=1.0),
+                   BiModalSample(graph=unnamed, text="a \"quoted\" caf\u00e9", y=0.25),
+                   AQASample(graph=g, question="which ops?", answers=frozenset({7, 3})),
+                   ACDPair(g1=g, g2=unnamed, label=0),
+                   BACDSample(g1=unnamed, g2=unnamed, label=1, text="both"),
+                   ACSample(graph=g, text="a caption"),
+                   ACSample(graph=unnamed, text="another")]
+        expected = []
+        for s in samples:
+            if isinstance(s, ACSample):
+                s = BiModalSample(graph=s.graph, text=s.text, y=1.0)
+            record = {f.name: getattr(s, f.name) for f in fields(s)}
+            record = {k: graph_to_obj(v, vocab) if isinstance(v, ArchGraph)
+                      else sorted(v) if isinstance(v, frozenset) else v
+                      for k, v in record.items()}
+            expected.append(json.dumps(record) + "\n")
+        path = tmp_path / "d.jsonl"
+        write_jsonl(samples, vocab, str(path))
+        assert path.read_text() == "".join(expected)
 
 
 def test_compute_stats(tmp_path, small_ops):
