@@ -146,9 +146,6 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, _wrap(other))
 
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
     def __mul__(self, other):
         return mul(self, _wrap(other))
 
@@ -156,9 +153,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
 
     def __neg__(self):
         return mul(self, _wrap(-1.0))
@@ -400,15 +394,21 @@ def segment_sum(a: Tensor, seg: Segments) -> Tensor:
                            lambda g: ((a, g[seg.ids]),), "segment_sum")
 
 
+def check_lengths(lengths, n: int, unit: str) -> np.ndarray:
+    """`lengths` as an int64 array, checked to split n items of a packed
+    batch, such as rows or token ids, end to end into sequences of at
+    least one each; a fault is a ValueError naming n and the `unit`."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.ndim != 1 or not len(lengths) or lengths.min() < 1 or lengths.sum() != n:
+        raise ValueError(f"sequence lengths {lengths.tolist()} do not split {n} {unit}")
+    return lengths
+
+
 def segment_mean(a: Tensor, lengths) -> Tensor:
     """Means over consecutive runs of rows, lengths[i] rows for run i: (R, d)
     rows give (len(lengths), d). Each run is summed on its own (`reduceat`)
     and then scaled by 1 / its length."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if (lengths.ndim != 1 or not len(lengths) or lengths.min() < 1
-            or lengths.sum() != a.data.shape[0]):
-        raise ValueError(f"segment lengths {lengths.tolist()} do not split "
-                         f"{a.data.shape[0]} rows")
+    lengths = check_lengths(lengths, a.data.shape[0], "rows")
     inv = 1.0 / lengths[:, None]
     out = np.add.reduceat(a.data, np.cumsum(lengths) - lengths, axis=0)
     out *= inv
@@ -468,13 +468,6 @@ class _Group(NamedTuple):
     hidden: np.ndarray | None
 
 
-def _check_lengths(lengths, rows: int) -> np.ndarray:
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.ndim != 1 or not len(lengths) or lengths.min() < 1 or lengths.sum() != rows:
-        raise ValueError(f"sequence lengths {lengths.tolist()} do not split {rows} rows")
-    return lengths
-
-
 def _rows_of(starts: np.ndarray, length: int) -> slice | np.ndarray:
     """The rows of the sequences of one length that start at `starts`."""
     if starts[-1] - starts[0] == (len(starts) - 1) * length:
@@ -495,9 +488,9 @@ def _length_groups(lengths, rows: int, k_lengths=None, k_rows: int = 0,
     k_lengths, the same rows as keys. With `causal`, a query sees the keys
     up to its own position, taking a sequence's last lq keys to be its
     queries' own: query i sees key j for j <= i + lk - lq."""
-    lq = _check_lengths(lengths, rows)
+    lq = check_lengths(lengths, rows, "rows")
     own = k_lengths is None
-    lk = lq if own else _check_lengths(k_lengths, k_rows)
+    lk = lq if own else check_lengths(k_lengths, k_rows, "rows")
     if len(lk) != len(lq):
         raise ValueError(f"{len(lq)} query sequences for {len(lk)} key sequences")
     if len(lq) == 1 or ((lq == lq[0]).all() and (own or (lk == lk[0]).all())):
@@ -640,7 +633,7 @@ def attention_block(x: Tensor, norm: tuple[Tensor, Tensor],
     if cache is None:
         groups = _length_groups(lengths, rows, causal=causal)
     else:
-        lengths = _check_lengths(lengths, rows)
+        lengths = check_lengths(lengths, rows, "rows")
         if any(t.requires_grad for t in inputs):
             raise ValueError("a cached attention_block is forward-only")
         if (lengths != lengths[0]).any():

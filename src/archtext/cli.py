@@ -47,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
 _MODEL_KEYS = {f.name for f in dataclasses.fields(ModelConfig)} - {
     "node_vocab_size", "text_vocab_size"}
 _GEN_KEYS = {f.name for f in dataclasses.fields(GenConfig)}
-_TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
+_TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)} - {"task"}   # --task sets it
 
 
 def _coerce(raw: str, typ):
@@ -62,9 +62,8 @@ def _coerce(raw: str, typ):
         return int(raw)
     if typ is float:
         return float(raw)
-    if typ == tuple[str, ...]:   # a comma-separated list, such as [gen] ops
-        return tuple(x.strip() for x in raw.split(",") if x.strip())
-    return raw
+    # the one other type, a comma-separated list: [gen] ops
+    return tuple(x.strip() for x in raw.split(",") if x.strip())
 
 
 def load_config_file(path: str | None) -> dict[str, dict]:
@@ -98,13 +97,6 @@ def load_config_file(path: str | None) -> dict[str, dict]:
     return sections
 
 
-def _gen_config(args, file_cfg: dict) -> GenConfig:
-    kwargs = dict(file_cfg["gen"])
-    if args.seed is not None:
-        kwargs["rng_seed"] = args.seed
-    return GenConfig(**kwargs)
-
-
 _BEAM = 10           # the caption beam width without --beam
 _VOCAB_SIZE = 4096   # the fresh text vocabulary's size limit without --vocab-size
 
@@ -127,8 +119,8 @@ _READS = {
         ("bacd", False): (*_MODEL_RUN, "tau"),
         ("aqa", False): _MODEL_RUN,
         ("ac", False): (*_MODEL_RUN, "beam"),
-        ("ar", True): ("config", "seed"),
-        ("acd", True): ("config", "seed", "tau"),
+        ("ar", True): ("config",),
+        ("acd", True): ("config", "tau"),
     },
     "train": {
         # --vocab-size sizes a fresh text vocabulary; a bundle brings its own
@@ -279,8 +271,10 @@ def _load_model(args) -> tuple[Model, TextVocab, NodeVocab]:
 
 
 def _cmd_gen(args) -> int:
-    file_cfg = load_config_file(args.config)
-    cfg = _gen_config(args, file_cfg)
+    kwargs = load_config_file(args.config)["gen"]
+    if args.seed is not None:
+        kwargs["rng_seed"] = args.seed
+    cfg = GenConfig(**kwargs)
     vocab = cfg.node_vocab()
     n = cfg.n_val_archs if args.split == "val" else cfg.n_train_archs
     task = "tvhf" if args.task == "tvhf-mine" else args.task
@@ -308,25 +302,17 @@ def _cmd_stats(args) -> int:
 def _cmd_train(args) -> int:
     _refuse_unread(args, bool(args.checkpoint))
     file_cfg = load_config_file(args.config)
-    gen_cfg = _gen_config(args, file_cfg)
-    train_kwargs = dict(file_cfg["train"])
-    train_kwargs["task"] = args.task
-    if args.seed is not None:
-        train_kwargs["seed"] = args.seed
-    if args.epochs is not None:
-        train_kwargs["epochs"] = args.epochs
-    if args.lr is not None:
-        train_kwargs["lr"] = args.lr
-    if args.batch_size is not None:
-        train_kwargs["batch_size"] = args.batch_size
-    if args.alpha is not None:
-        train_kwargs["alpha"] = args.alpha
+    train_kwargs = dict(file_cfg["train"], task=args.task)
+    given = vars(args)
+    for key in ("seed", "epochs", "lr", "batch_size", "alpha"):
+        if given[key] is not None:
+            train_kwargs[key] = given[key]
     tcfg = TrainConfig(**train_kwargs)
 
+    # a bundle brings its own model config and node vocabulary
+    node_vocab = GenConfig(**file_cfg["gen"]).node_vocab()
     if args.checkpoint:
         model, text_vocab, node_vocab = _load_model(args)
-    else:
-        node_vocab = gen_cfg.node_vocab()
 
     if args.task == "aqa":
         samples = datagen.load_aqa(args.dataset, node_vocab)
@@ -365,7 +351,7 @@ def _cmd_eval(args) -> int:
     if args.baseline:
         tau = args.tau if args.tau is not None else 0.5
         result["model"] = "baseline"
-        node_vocab = _gen_config(args, load_config_file(args.config)).node_vocab()
+        node_vocab = GenConfig(**load_config_file(args.config)["gen"]).node_vocab()
         if args.task == "ar":
             samples = datagen.load_bimodal(args.dataset, node_vocab)
             preds = [evaluate.ar_name_baseline(s.graph.name or "", s.text)
@@ -506,7 +492,7 @@ def _cmd_caption(args) -> int:
 
 def _cmd_viz(args) -> int:
     if args.kind == "dot":
-        node_vocab = _gen_config(args, load_config_file(args.config)).node_vocab()
+        node_vocab = GenConfig(**load_config_file(args.config)["gen"]).node_vocab()
         _emit(to_dot(_load_graph_file(args.graph, node_vocab), node_vocab), args.out)
         return 0
     # PCA of text and graph embeddings over a bi-modal dataset
@@ -547,10 +533,12 @@ def _positive_int(raw: str) -> int:
     raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw!r}")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    """--config and --seed, for the subcommands that read them."""
+def _add_config(p: argparse.ArgumentParser, seed: bool) -> None:
+    """--config, and --seed for the subcommands that draw random numbers."""
     p.add_argument("--config", default=None, help="INI config file (default: none)")
-    p.add_argument("--seed", type=int, default=None, help="master RNG seed (default: config value)")
+    if seed:
+        p.add_argument("--seed", type=int, default=None,
+                       help="master RNG seed (default: config value)")
 
 
 def _add_model_switches(p: argparse.ArgumentParser, tau: bool,
@@ -561,9 +549,11 @@ def _add_model_switches(p: argparse.ArgumentParser, tau: bool,
         p.add_argument("--tau", type=float, default=None,
                        help="decision threshold (default: the bundle's tau; 0.5 for a fresh "
                             "model or --baseline)")
+    sides = p.add_mutually_exclusive_group()   # a run trains one side, or both
     for flag in switches:
-        p.add_argument(f"--{flag.replace('_', '-')}", action="store_true",
-                       dest=flag, help=f"ablation switch {flag} (default off)")
+        group = sides if flag in ("text_only", "arch_only") else p
+        group.add_argument(f"--{flag.replace('_', '-')}", action="store_true",
+                           dest=flag, help=f"ablation switch {flag} (default off)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -577,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output JSONL path")
     p.add_argument("--split", default="train", choices=["train", "val"],
                    help="which split size to use (default train)")
-    _add_common(p)
+    _add_config(p, seed=True)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("stats", help="dataset statistics")
@@ -597,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"max text vocabulary size when built fresh (default {_VOCAB_SIZE})")
     p.add_argument("--alpha", type=float, default=None,
                    help="masked-node loss weight (default 0.05)")
-    _add_common(p)
+    _add_config(p, seed=True)
     _add_model_switches(p, tau=True, switches=_ENCODER_SWITCHES + _TRAINING_SWITCHES)
     p.set_defaults(func=_cmd_train)
 
@@ -610,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beam", type=_positive_int, default=None,
                    help=f"beam width for captioning (default {_BEAM})")
     p.add_argument("--out", default=None, help="write metrics JSON here (default: stdout)")
-    _add_common(p)
+    _add_config(p, seed=False)
     _add_model_switches(p, tau=True)
     p.set_defaults(func=_cmd_eval)
 
@@ -667,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     k = kinds.add_parser("dot", help="one graph as DOT text")
     k.add_argument("--graph", required=True, help="graph JSON file")
     k.add_argument("--out", default=None, help="output path (default: stdout)")
-    _add_common(k)
+    _add_config(k, seed=False)
     p.set_defaults(func=_cmd_viz)
 
     return parser

@@ -18,7 +18,7 @@ import numpy as np
 from .autodiff import Tensor
 from .datagen import ACDPair, ACSample, AQASample, BACDSample, BiModalSample
 from .graph import ArchGraph, NodeVocab
-from .model import Model, aqa_logits, caption_ids, cosine, embed_graphs, embed_texts
+from .model import Model, aqa_logits, cosine, decode_beam, embed_graphs, embed_texts, encode_graph
 from .text import TextVocab, detokenize, normalize
 
 
@@ -266,14 +266,17 @@ def run_aqa(model: Model, samples: list[AQASample],
 
 
 def caption_graph(model: Model, g: ArchGraph, text_vocab: TextVocab,
-                  beam: int = 10, max_len: int | None = None) -> str:
-    """Beam-decode one caption for a graph."""
-    budget = max_len if max_len is not None else model.cfg.max_tokens - 1
-    return detokenize(caption_ids(g, model, beam, budget), text_vocab)
+                  beam: int, max_len: int | None = None) -> str:
+    """Beam-decode one caption for a graph under constant parameters, of at
+    most max_len tokens (by default as many as max_tokens allows)."""
+    params = model.constants()
+    h_g, _ = encode_graph(g, params, model.cfg)
+    return detokenize(decode_beam(h_g, params, model.cfg, beam=beam, max_len=max_len),
+                      text_vocab)
 
 
 def run_ac(model: Model, samples: list[ACSample], text_vocab: TextVocab,
-           beam: int = 10) -> RougeScores:
+           beam: int) -> RougeScores:
     """Captioning: decode each distinct graph once, detokenize, average the
     three overlap scores over the samples."""
     if not samples:

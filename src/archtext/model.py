@@ -68,6 +68,8 @@ class ModelConfig:
             raise ValueError("tau must lie in (0, 1)")
         if self.node_vocab_size < 4 or self.text_vocab_size < 6:
             raise ValueError("vocabulary too small")
+        if self.text_only and self.arch_only:
+            raise ValueError("text_only and arch_only are mutually exclusive")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -218,8 +220,6 @@ class Model:
         calls. The dict is the model's own; read it, do not change it."""
         for name in self.params:
             self.constant(name)
-        if len(self._consts) != len(self.params):   # a parameter was removed
-            self._consts = {name: self._consts[name] for name in self.params}
         return self._consts
 
 
@@ -350,9 +350,6 @@ def cross_encode(x: Tensor, lengths, params: dict[str, Tensor],
 def pool(h: Tensor, lengths) -> Tensor:
     """Mean over each sequence's rows of a packed batch: h (R, d), lengths[b]
     rows each, gives (B, d)."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.min() < 1:
-        raise ValueError("cannot pool an empty sequence")
     return ad.segment_mean(h, lengths)
 
 
@@ -450,13 +447,6 @@ def embed_graphs(graphs: list[ArchGraph], model: Model) -> np.ndarray:
                           lambda g: g.num_nodes, cfg.d)
 
 
-def caption_ids(g: ArchGraph, model: Model, beam: int, max_len: int) -> list[int]:
-    """Beam-decode one graph's caption token ids under constant parameters."""
-    params = model.constants()
-    h_g, _ = encode_graph(g, params, model.cfg)
-    return decode_beam(h_g, params, model.cfg, beam=beam, max_len=max_len)
-
-
 # ---------------------------------------------------------------------------
 # heads
 
@@ -510,10 +500,8 @@ def decoder_logits(h_g: Tensor, input_ids, params: dict[str, Tensor], cfg: Model
     graph. By default the ids are one caption of the graph h_g. Returns
     token logits, one row per input id."""
     ids = np.asarray(input_ids, dtype=np.int64)
-    lengths = np.asarray([len(ids)] if lengths is None else lengths, dtype=np.int64)
+    lengths = ad.check_lengths([len(ids)] if lengths is None else lengths, len(ids), "input ids")
     sizes = [h_g.shape[0]] if sizes is None else sizes
-    if lengths.min() < 1 or lengths.sum() != len(ids):
-        raise ValueError(f"caption lengths {lengths.tolist()} do not split {len(ids)} input ids")
     if lengths.max() > cfg.max_tokens:
         raise ValueError(f"decoder input of {lengths.max()} exceeds max_tokens {cfg.max_tokens}")
     positions = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
@@ -570,22 +558,25 @@ def _best_expansions(key: np.ndarray, ranks: np.ndarray, cands: np.ndarray,
 
 
 def decode_beam(h_g: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
-                beam: int = 10, max_len: int = 16) -> list[int]:
+                beam: int, max_len: int | None) -> list[int]:
     """Length-normalized beam search; returns the best token sequence
     (without the leading start token, ending in the end token).
 
     Hypotheses are compared by (mean log-probability, then lexicographically
-    smaller token ids). A hypothesis reaching the length budget is closed
-    with the end token. beam=1 is greedy decoding. All live hypotheses share
-    one length, so each step decodes them as one batch against a key/value
-    cache instead of re-running their prefixes. `params` are constants, as
+    smaller token ids). The length budget is max_len tokens after the start
+    token, and at most the max_tokens - 1 that max_len=None gives; a
+    hypothesis reaching it is closed with the end token. beam=1 is greedy
+    decoding. All live hypotheses share one length, so each step decodes
+    them as one batch against a key/value cache instead of re-running their
+    prefixes. `params` are constants, as
     `Model.constants()` gives them, so decoding builds no tape.
     """
     if beam < 1:
         raise ValueError("beam width must be >= 1")
-    if max_len < 1:
+    if max_len is not None and max_len < 1:
         raise ValueError("max_len must be >= 1")
-    max_len = min(max_len, cfg.max_tokens - 1)
+    budget = cfg.max_tokens - 1
+    max_len = budget if max_len is None else min(max_len, budget)
     cross = _decoder_cross(Tensor(h_g.data), params)
     allowed = _allowed_ids(cfg.text_vocab_size)
     eos_only = np.array([EOS_ID], dtype=np.int64)

@@ -131,10 +131,8 @@ def decoder_loss(logits: Tensor, target_ids, lengths=None) -> Tensor:
     targets = np.asarray(target_ids, dtype=np.int64)
     if targets.ndim != 1 or not len(targets) or len(targets) != logits.shape[0]:
         raise ValueError(f"{targets.shape} target ids for logits of shape {logits.shape}")
-    lengths = np.asarray([len(targets)] if lengths is None else lengths, dtype=np.int64)
-    if lengths.min() < 1 or lengths.sum() != len(targets):
-        raise ValueError(f"caption lengths {lengths.tolist()} do not split {len(targets)} "
-                         "target ids")
+    lengths = ad.check_lengths([len(targets)] if lengths is None else lengths, len(targets),
+                               "target ids")
     return ad.nll(logits, targets, np.repeat(1.0 / (lengths * len(lengths)), lengths))
 
 
@@ -144,8 +142,6 @@ def decoder_loss(logits: Tensor, target_ids, lengths=None) -> Tensor:
 
 def _frozen_view(model: Model) -> dict[str, Tensor]:
     cfg = model.cfg
-    if cfg.text_only and cfg.arch_only:
-        raise ValueError("text_only and arch_only are mutually exclusive")
     if cfg.text_only:
         return freeze_groups(model, ("arch.", "gat."))
     if cfg.arch_only:

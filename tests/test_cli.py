@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import archtext.model as model_mod
+from archtext import datagen, evaluate, training
 from archtext.checkpoint import load_checkpoint
 from archtext.cli import load_bundle, load_config_file, run, save_bundle
-from archtext.datagen import GenConfig
+from archtext.datagen import BACDSample, GenConfig
+from archtext.graph import parse_graph
 from archtext.index import load_index
 from archtext.model import Model, ModelConfig
 from archtext.text import TextVocab
@@ -47,6 +49,15 @@ def cfg_file(tmp_path):
     path = tmp_path / "tiny.ini"
     path.write_text(TINY_CONFIG)
     return str(path)
+
+
+@pytest.mark.parametrize("raw, value", [("1", True), ("True", True), ("yes", True), ("on", True),
+                                        ("0", False), ("false", False), ("no", False),
+                                        ("off", False)])
+def test_config_boolean_spellings(tmp_path, raw, value):
+    path = tmp_path / "b.ini"
+    path.write_text(f"[model]\nno_shape = {raw}\n")
+    assert load_config_file(str(path))["model"] == {"no_shape": value}
 
 
 def _gen(tmp_path, cfg_file, task, name, extra=()):
@@ -159,6 +170,18 @@ class TestTrain:
                     "--epochs", "1"]) == 0
         assert (out / "model.abkt").exists()
 
+    def test_finetune_ac_from_checkpoint(self, tmp_path, cfg_file, pretrained):
+        data, ckpt = pretrained
+        out = tmp_path / "ac_ckpt"
+        assert run(["train", "--task", "ac", "--config", cfg_file, "--dataset", str(data),
+                    "--checkpoint", str(ckpt), "--out", str(out), "--epochs", "1",
+                    "--batch-size", "3"]) == 0
+        # a caption file's captions are its records with y = 1; --batch-size
+        # overrides the config's 8
+        captions = datagen.load_ac(str(data), load_bundle(str(ckpt))[2])
+        log = (out / "loss_log.jsonl").read_text().splitlines()
+        assert len(log) == -(-len(captions) // 3)
+
     def test_train_ac_fresh(self, tmp_path, cfg_file):
         data = _gen(tmp_path, cfg_file, "autonet", "cap.jsonl")
         out = tmp_path / "ac_ckpt"
@@ -224,6 +247,18 @@ class TestEval:
         assert metrics() == metrics("--tau", "0.3")
         # the two thresholds decide differently on this data
         assert metrics() != metrics("--tau", "0.5")
+
+    @pytest.mark.parametrize("task", ["acd", "bacd"])
+    def test_eval_clone_tasks_with_checkpoint(self, tmp_path, cfg_file, pretrained, capsys, task):
+        _, ckpt = pretrained
+        data = _gen(tmp_path, cfg_file, task, f"{task}.jsonl")
+        capsys.readouterr()
+        assert run(["eval", "--task", task, "--dataset", str(data),
+                    "--checkpoint", str(ckpt)]) == 0
+        metrics = json.loads(capsys.readouterr().out)
+        pairs = len(data.read_text().splitlines())
+        assert metrics["model"] == "archtext" and metrics["task"] == task
+        assert metrics["tp"] + metrics["fp"] + metrics["tn"] + metrics["fn"] == pairs
 
     def test_baseline_acd_jaccard(self, tmp_path, cfg_file, capsys):
         data = _gen(tmp_path, cfg_file, "acd", "acd.jsonl")
@@ -321,6 +356,41 @@ class TestOneOffs:
         out = json.loads(capsys.readouterr().out)
         assert out["verdict"] == "similar"  # identical graphs
 
+    def test_clone_with_text(self, tmp_path, cfg_file, pretrained, graph_file, capsys):
+        _, ckpt = pretrained
+        capsys.readouterr()
+        assert run(["clone", "--checkpoint", str(ckpt), "--g1", str(graph_file),
+                    "--g2", str(graph_file), "--text", "two conv nets"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        model, text_vocab, node_vocab, _ = load_bundle(str(ckpt))
+        g = parse_graph(graph_file.read_text(), node_vocab)
+        sample = BACDSample(g1=g, g2=g, label=0, text="two conv nets")
+        assert out["score"] == evaluate.bacd_score(model, sample, text_vocab)
+
+    def test_checkpoint_may_name_the_weights_file(self, pretrained, graph_file, capsys):
+        _, ckpt = pretrained
+        outputs = []
+        for path in (ckpt, ckpt / "model.abkt"):
+            capsys.readouterr()
+            assert run(["reason", "--checkpoint", str(path), "--graph", str(graph_file),
+                        "--text", "a network with pooling"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_qa_without_a_likely_answer_picks_the_best(self, tmp_path, cfg_file, graph_file,
+                                                       capsys):
+        ckpt = _fresh_bundle(tmp_path, cfg_file)
+        model, text_vocab, node_vocab, _ = load_bundle(ckpt)
+        bias = np.full(model.params["head.aqa.fc2.b"].shape, -10.0)
+        bias[0, 7] = -5.0
+        model.params["head.aqa.fc2.b"].data = bias
+        save_bundle(ckpt, model, text_vocab, node_vocab, [])
+        capsys.readouterr()
+        assert run(["qa", "--checkpoint", ckpt, "--graph", str(graph_file),
+                    "--question", "which ops"]) == 0
+        (answer,) = json.loads(capsys.readouterr().out)["answers"]
+        assert answer["id"] == 7 and answer["prob"] < 0.5
+
     def test_qa(self, tmp_path, cfg_file, pretrained, graph_file, capsys):
         _, ckpt = pretrained
         capsys.readouterr()
@@ -407,7 +477,7 @@ class TestErrors:
                     "--out", str(tmp_path / "x.jsonl")]) == 2
 
     @pytest.mark.parametrize("edit", ["unknown", "missing", "wrong-type", "gat-heads-0", "d-0",
-                                      "max-tokens-negative", "enlarged"])
+                                      "max-tokens-negative", "enlarged", "text-and-arch-only"])
     def test_bad_bundle_config_is_data_error(self, tmp_path, pretrained, capsys, edit):
         data, ckpt = pretrained
         config = ckpt / "config.json"
@@ -427,6 +497,9 @@ class TestErrors:
         elif edit == "wrong-type":
             cfg["d"] = "16"
             expect = "key 'd' must be int"
+        elif edit == "text-and-arch-only":
+            cfg.update(text_only=True, arch_only=True)
+            expect = "text_only and arch_only are mutually exclusive"
         else:
             # out of range: a zero width or head count divides by zero below the loader
             key, value = {"gat-heads-0": ("gat_heads", 0), "d-0": ("d", 0),
@@ -445,7 +518,8 @@ class TestErrors:
         assert where in err and expect in err, err
 
     @pytest.mark.parametrize("defect", ["text-vocab", "node-vocab", "non-finite",
-                                        "vocab-reserved", "vocab-repeat", "vocab-utf8"])
+                                        "vocab-reserved", "vocab-repeat", "vocab-utf8",
+                                        "no-config", "no-weights"])
     def test_inconsistent_bundle_is_data_error(self, pretrained, capsys, defect):
         data, ckpt = pretrained
         vocab = ckpt / "text_vocab.txt"
@@ -463,6 +537,10 @@ class TestErrors:
         elif defect == "vocab-utf8":
             vocab.write_bytes(vocab.read_bytes() + b"\xff\n")
             expect = ("text_vocab.txt: not UTF-8 text",)
+        elif defect in ("no-config", "no-weights"):
+            name = "config.json" if defect == "no-config" else "model.abkt"
+            (ckpt / name).unlink()
+            expect = (f"checkpoint bundle incomplete: missing {ckpt / name}",)
         elif defect == "node-vocab":
             with open(ckpt / "node_vocab.txt", "a", encoding="utf-8") as f:
                 f.write("extra_op\n")
@@ -514,6 +592,9 @@ class TestErrors:
         (_EVAL_AC, ("--tau=0.3",)),
         (_EVAL_ACD_BASELINE, ("--no-cross-encoder", "--no-shape", "--no-edge")),
         (["eval", "--task", "ar", "--baseline", "--dataset", "d.jsonl"], ("--tau=0.3",)),
+        # a run trains the text side, the graph side or both, never neither
+        ([*_TRAIN_AC, "--text-only"], ("--arch-only",)),
+        ([*_TRAIN_AQA_FROM, "--arch-only"], ("--text-only",)),
     ]))
     def test_model_switch_where_unread_is_usage_error(self, argv, switch, capsys):
         # gen runs no model, and search runs the bundle's model as saved
@@ -533,11 +614,13 @@ class TestErrors:
         (_VIZ_PCA, ("--config=c.ini", "--seed=5", "--graph=g.json")),
         (["search", "query", "--checkpoint", "ckpt", "--index", "i.abix", "--query", "conv"],
          ("--dataset=d.jsonl", "--out=i.abix")),
-        (_VIZ_DOT, ("--checkpoint=ckpt", "--dataset=d.jsonl")),
-        # eval reads --beam for ac alone, and --config/--seed only with --baseline
+        (_VIZ_DOT, ("--checkpoint=ckpt", "--dataset=d.jsonl", "--seed=5")),
+        # eval reads --beam for ac alone and --config only with --baseline; a
+        # node vocabulary, all that eval and viz dot take from a config, draws
+        # nothing, so neither reads --seed
         (["eval", "--task", "ar", "--checkpoint", "ckpt", "--dataset", "d.jsonl"],
          ("--config=c.ini", "--seed=5", "--beam=2", "--seed=0")),
-        (_EVAL_ACD_BASELINE, ("--checkpoint=ckpt", "--beam=2")),
+        (_EVAL_ACD_BASELINE, ("--checkpoint=ckpt", "--beam=2", "--seed=5")),
         # a bundle brings its own text vocabulary, and only pre-training reads --alpha
         (_TRAIN_AQA_FROM, ("--alpha=9", "--vocab-size=3")),
         (_TRAIN_AC_FROM, ("--alpha=9", "--vocab-size=3")),
@@ -666,7 +749,11 @@ class TestErrors:
         ("[train]\nepochs = 2\n[train]\nepochs = 3\n", "section 'train' already exists"),
         ("[model]\nd = 16\nd = 32\n", "option 'd' in section 'model' already exists"),
         ("d = 16\n", "File contains no section headers"),
-    ], ids=["int", "int-exponent", "repeated-section", "repeated-key", "no-section"])
+        # --task sets the task
+        ("[train]\ntask = aqa\n", "unknown key 'task' in section [train]"),
+        ("[model]\nno_shape = maybe\n", "[model] no_shape: not a boolean: 'maybe'"),
+    ], ids=["int", "int-exponent", "repeated-section", "repeated-key", "no-section", "train-task",
+            "not-a-boolean"])
     def test_bad_config_file_is_data_error(self, tmp_path, capsys, text, expect):
         bad = tmp_path / "bad.ini"
         bad.write_text(text)
@@ -697,6 +784,34 @@ class TestErrors:
                     "--out", str(out), f"{flag}={value}"]) == 2
         assert f"{flag[2:]} must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("model_section, flags", [
+        ("text_only = true\narch_only = true\n", ()),
+        ("arch_only = yes\n", ("--text-only",)),
+    ], ids=["config", "config-and-flag"])
+    def test_text_only_with_arch_only_is_data_error(self, tmp_path, cfg_file, capsys, monkeypatch,
+                                                    model_section, flags):
+        data = _gen(tmp_path, cfg_file, "autonet", "d.jsonl")
+        both = tmp_path / "both.ini"
+        both.write_text(TINY_CONFIG.replace("[model]\n", "[model]\n" + model_section))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(training, "_train", refuse)
+        out = tmp_path / "c"
+        assert run(["train", "--task", "pretrain", "--config", str(both), "--dataset", str(data),
+                    "--out", str(out), *flags]) == 2
+        assert "text_only and arch_only are mutually exclusive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unexpected_exception_is_runtime_failure(self, monkeypatch, capsys):
+        def broken(path):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(datagen, "compute_stats", broken)
+        assert run(["stats", "d.jsonl"]) == 3
+        assert capsys.readouterr().err == "runtime failure: boom\n"
 
     def test_unknown_section_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.ini"

@@ -335,7 +335,7 @@ class TestPool:
         np.testing.assert_allclose(out.data, [[0.5, 0.5]])
 
     def test_all_pad_rejected(self):
-        with pytest.raises(ValueError, match="pool"):
+        with pytest.raises(ValueError, match=re.escape("lengths [2, 0] do not split 2 rows")):
             pool(Tensor(np.ones((2, 2))), [2, 0])
 
 
@@ -1266,6 +1266,15 @@ class TestBeamSearch:
         out = decode_beam(h_g, model.constants(), cfg, beam=10, max_len=4)
         # every candidate ties; the smallest allowed id (UNK=1) repeats, then EOS
         assert out == [1, 1, 1, EOS_ID]
+
+    @pytest.mark.parametrize("max_len", [None, 100], ids=["none", "clamped"])
+    def test_budget_is_what_max_tokens_leaves(self, decode_setup, max_len):
+        h_g, model, cfg = decode_setup
+        for name in ("dec.out.fc2.w", "dec.out.fc2.b"):
+            model.params[name].data = np.zeros_like(model.params[name].data)
+        out = decode_beam(h_g, model.constants(), cfg, beam=2, max_len=max_len)
+        # the start token takes one of the max_tokens positions
+        assert out == [1] * (cfg.max_tokens - 2) + [EOS_ID]
 
     def test_equal_scores_prefer_smaller_parent(self, decode_setup, monkeypatch):
         """Expansions of two parents tie exactly; the lexicographically smaller

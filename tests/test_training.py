@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from archtext.autodiff import Tensor
+from archtext import training
+from archtext.autodiff import NonFiniteError, Tensor, adam_step
 from archtext.checkpoint import save_checkpoint
 from archtext.datagen import ACSample, AQASample, BiModalSample, GenConfig, gen_architecture
 from archtext.graph import MASK_NODE_ID, ArchGraph
@@ -167,6 +169,10 @@ class TestDecoderLoss:
         with pytest.raises(ValueError):
             decoder_loss(Tensor(np.zeros((2, 4))), targets)
 
+    def test_lengths_must_split_targets(self):
+        with pytest.raises(ValueError, match=re.escape("lengths [1, 1] do not split 3 target ids")):
+            decoder_loss(Tensor(np.zeros((3, 4))), [1, 2, 3], [1, 1])
+
 
 # ---------------------------------------------------------------------------
 # loops
@@ -265,6 +271,23 @@ class TestPretrain:
         for name, arr in before.items():
             assert model.params[name].grad is None
             np.testing.assert_array_equal(model.params[name].data, arr)
+
+    def test_non_finite_update_names_epoch_and_step(self, small_ops, monkeypatch):
+        gcfg, samples = _toy_bimodal(small_ops)
+        vocab = build_vocab([s.text for s in samples], 64)
+        calls = []
+
+        def failing_adam_step(params, grads, state):
+            calls.append(state)
+            if len(calls) == 3:   # 8 samples in batches of 4: the first step of epoch 1
+                raise NonFiniteError("non-finite gradient for parameter x")
+            adam_step(params, grads, state)
+
+        monkeypatch.setattr(training, "adam_step", failing_adam_step)
+        with pytest.raises(NonFiniteError, match=re.escape(
+                "aborting at epoch 1 step 2: non-finite gradient for parameter x; loss value ")):
+            pretrain(samples, _toy_model(gcfg, vocab),
+                     TrainConfig(task="pretrain", batch_size=4, epochs=2, seed=0), vocab)
 
 
 class TestFinetuneAqa:
