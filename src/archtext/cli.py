@@ -302,6 +302,9 @@ def _cmd_stats(args) -> int:
 def _cmd_train(args) -> int:
     _refuse_unread(args, bool(args.checkpoint))
     file_cfg = load_config_file(args.config)
+    if args.checkpoint and file_cfg["model"]:   # the bundle brings its own model config
+        raise UsageError(f"train --task {args.task} --checkpoint does not read the [model] "
+                         f"section of --config {args.config}")
     train_kwargs = dict(file_cfg["train"], task=args.task)
     given = vars(args)
     for key in ("seed", "epochs", "lr", "batch_size", "alpha"):
@@ -341,53 +344,33 @@ def _cmd_train(args) -> int:
     return 0
 
 
+_LOADERS = {"ar": datagen.load_bimodal, "acd": datagen.load_acd, "bacd": datagen.load_bacd,
+            "aqa": datagen.load_aqa, "ac": datagen.load_ac}
+
+
 def _cmd_eval(args) -> int:
     if not args.baseline and not args.checkpoint:
         raise UsageError("--checkpoint is required for model evaluation")
     if args.baseline and (args.task, True) not in _READS["eval"]:
-        raise UsageError(f"no baseline for task {args.task!r}")
+        raise UsageError(f"eval --task {args.task} has no --baseline")
     _refuse_unread(args, args.baseline)
-    result: dict = {"task": args.task}
     if args.baseline:
-        tau = args.tau if args.tau is not None else 0.5
-        result["model"] = "baseline"
         node_vocab = GenConfig(**load_config_file(args.config)["gen"]).node_vocab()
-        if args.task == "ar":
-            samples = datagen.load_bimodal(args.dataset, node_vocab)
-            preds = [evaluate.ar_name_baseline(s.graph.name or "", s.text)
-                     if s.graph.name else False for s in samples]
-            labels = [s.y >= 0.5 for s in samples]
-            metrics = evaluate.accuracy_f1(preds, labels)
-        else:
-            pairs = datagen.load_acd(args.dataset, node_vocab)
-            preds = [evaluate.jaccard_similarity(p.g1, p.g2, node_vocab) > tau
-                     for p in pairs]
-            labels = [p.label == 1 for p in pairs]
-            metrics = evaluate.accuracy_f1(preds, labels)
-        result.update(metrics.to_dict())
+        tau = args.tau if args.tau is not None else 0.5
+        runners = {"ar": evaluate.run_ar_baseline,
+                   "acd": lambda pairs: evaluate.run_acd_baseline(pairs, tau, node_vocab)}
     else:
         model, text_vocab, node_vocab = _load_model(args)
         tau = model.cfg.tau   # the bundle's, or --tau as _load_model applied it
-        result["model"] = "archtext"
-        if args.task == "ar":
-            metrics = evaluate.run_ar(model, datagen.load_bimodal(args.dataset, node_vocab),
-                                      tau, text_vocab)
-            result.update(metrics.to_dict())
-        elif args.task == "acd":
-            metrics = evaluate.run_acd(model, datagen.load_acd(args.dataset, node_vocab), tau)
-            result.update(metrics.to_dict())
-        elif args.task == "bacd":
-            metrics = evaluate.run_bacd(model, datagen.load_bacd(args.dataset, node_vocab),
-                                        tau, text_vocab)
-            result.update(metrics.to_dict())
-        elif args.task == "aqa":
-            metrics = evaluate.run_aqa(model, datagen.load_aqa(args.dataset, node_vocab),
-                                       text_vocab)
-            result.update(metrics.to_dict())
-        else:
-            rouge = evaluate.run_ac(model, datagen.load_ac(args.dataset, node_vocab),
-                                    text_vocab, beam=_BEAM if args.beam is None else args.beam)
-            result.update(rouge.to_dict())
+        beam = _BEAM if args.beam is None else args.beam
+        runners = {"ar": lambda samples: evaluate.run_ar(model, samples, tau, text_vocab),
+                   "acd": lambda samples: evaluate.run_acd(model, samples, tau),
+                   "bacd": lambda samples: evaluate.run_bacd(model, samples, tau, text_vocab),
+                   "aqa": lambda samples: evaluate.run_aqa(model, samples, text_vocab),
+                   "ac": lambda samples: evaluate.run_ac(model, samples, text_vocab, beam=beam)}
+    metrics = runners[args.task](_LOADERS[args.task](args.dataset, node_vocab))
+    result = {"task": args.task, "model": "baseline" if args.baseline else "archtext",
+              **metrics.to_dict()}
     _emit(json.dumps(result, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
@@ -441,10 +424,9 @@ def _cmd_reason(args) -> int:
     _require_words("--text", args.text)
     model, text_vocab, node_vocab = _load_model(args)
     g = _load_graph_file(args.graph, node_vocab)
-    (score,) = evaluate.pair_scores(embed_texts([args.text], model, text_vocab),
-                                    embed_graphs([g], model), model.cfg.eps_cos)
-    print(json.dumps({"score": score,
-                      "verdict": "correct" if score > model.cfg.tau else "incorrect"},
+    score = float(evaluate.ar_scores(model, [args.text], [g], text_vocab)[0])
+    correct = evaluate.threshold_decision(score, model.cfg.tau)
+    print(json.dumps({"score": score, "verdict": "correct" if correct else "incorrect"},
                      indent=2))
     return 0
 
@@ -456,13 +438,12 @@ def _cmd_clone(args) -> int:
     g1 = _load_graph_file(args.g1, node_vocab)
     g2 = _load_graph_file(args.g2, node_vocab)
     if args.text is not None:
-        sample = datagen.BACDSample(g1=g1, g2=g2, label=0, text=args.text)
-        score = evaluate.bacd_score(model, sample, text_vocab)
+        scores = evaluate.bacd_scores(model, [g1], [g2], [args.text], text_vocab)
     else:
-        j = embed_graphs([g1, g2], model)
-        (score,) = evaluate.pair_scores(j[:1], j[1:], model.cfg.eps_cos)
-    print(json.dumps({"score": score,
-                      "verdict": "similar" if score > model.cfg.tau else "dissimilar"},
+        scores = evaluate.acd_scores(model, [g1], [g2])
+    score = float(scores[0])
+    similar = evaluate.threshold_decision(score, model.cfg.tau)
+    print(json.dumps({"score": score, "verdict": "similar" if similar else "dissimilar"},
                      indent=2))
     return 0
 
@@ -471,14 +452,14 @@ def _cmd_qa(args) -> int:
     _require_words("--question", args.question)
     model, text_vocab, node_vocab = _load_model(args)
     g = _load_graph_file(args.graph, node_vocab)
-    probs = evaluate.answer_probs(model, embed_texts([args.question], model, text_vocab),
-                                  embed_graphs([g], model))[0]
     answers = answer_catalog()
-    chosen = [i for i in range(len(answers.answers)) if probs[i] > 0.5]
-    if not chosen:
-        chosen = [int(np.argmax(probs))]
-    print(json.dumps({"answers": [{"id": i, "text": answers.text_of(i), "prob": float(probs[i])}
-                                  for i in chosen]}, indent=2))
+    probs = evaluate.answer_probs(model, [args.question], [g], text_vocab)[0]
+    probs = probs[:len(answers.answers)]   # the slots both the head and the catalog have
+    chosen = np.flatnonzero(evaluate.threshold_decision(probs, evaluate.QA_THRESHOLD))
+    if not len(chosen):
+        chosen = [np.argmax(probs)]
+    print(json.dumps({"answers": [{"id": int(i), "text": answers.text_of(i),
+                                   "prob": float(probs[i])} for i in chosen]}, indent=2))
     return 0
 
 

@@ -1,5 +1,9 @@
-"""Task runners and metrics: reasoning, clone detection, QA, captioning,
-plus the structural and name-match baselines and a PCA projector.
+"""Task scores, decisions and metrics: reasoning, clone detection, QA,
+captioning, the structural and name-match baselines, and a PCA projector.
+Each task has one score function over lists of inputs (`ar_scores`,
+`acd_scores`, `bacd_scores`, `answer_probs`, `caption_graph`), the one path
+that `eval`'s runners and the one-sample commands share, with one decision
+rule (`threshold_decision`), one home per label rule and one count fold.
 
 All runners are pure functions of (frozen model, dataset): repeated calls
 return identical metrics. Aggregation is count-based, so it is independent
@@ -53,6 +57,9 @@ def _f1(p: float, r: float) -> float:
     return 2 * p * r / (p + r) if p + r > 0 else 0.0
 
 
+QA_THRESHOLD = 0.5   # a QA answer slot is chosen when its probability exceeds this
+
+
 def threshold_decision(score, tau: float):
     """Positive only for scores strictly greater than the threshold;
     elementwise on an array of scores."""
@@ -69,16 +76,15 @@ def metrics_from_counts(tp: int, fp: int, tn: int, fn: int) -> ClsMetrics:
 
 
 def accuracy_f1(preds, labels) -> ClsMetrics:
-    """Binary classification metrics; precision/recall/f1 are 0 on zero division."""
-    if len(preds) != len(labels):
-        raise ValueError("preds and labels lengths differ")
-    if not preds:
+    """Binary classification metrics over decision and label arrays of one
+    shape, any shape; precision/recall/f1 are 0 on zero division."""
+    p, y = np.asarray(preds, dtype=bool), np.asarray(labels, dtype=bool)
+    if p.shape != y.shape:
+        raise ValueError(f"preds of shape {p.shape} and labels of shape {y.shape} differ")
+    if not p.size:
         raise ValueError("empty prediction list")
-    tp = sum(1 for p, y in zip(preds, labels) if p and y)
-    fp = sum(1 for p, y in zip(preds, labels) if p and not y)
-    tn = sum(1 for p, y in zip(preds, labels) if not p and not y)
-    fn = sum(1 for p, y in zip(preds, labels) if not p and y)
-    return metrics_from_counts(tp, fp, tn, fn)
+    return metrics_from_counts(int(np.count_nonzero(p & y)), int(np.count_nonzero(p & ~y)),
+                               int(np.count_nonzero(~p & ~y)), int(np.count_nonzero(~p & y)))
 
 
 # ---------------------------------------------------------------------------
@@ -177,41 +183,58 @@ def jaccard_similarity(g1: ArchGraph, g2: ArchGraph, vocab: NodeVocab) -> float:
     return 0.5 * node_iou + 0.5 * _multiset_iou(e1, e2)
 
 
-def ar_name_baseline(arch_name: str, statement: str) -> bool:
-    """Correct iff the architecture name occurs in the statement (case-folded)."""
-    if not arch_name:
-        raise ValueError("empty architecture name")
-    return arch_name.lower() in statement.lower()
+def ar_name_baseline(arch_name: str | None, statement: str) -> bool:
+    """Correct iff the architecture has a name and the statement holds it
+    (case-folded)."""
+    return bool(arch_name) and arch_name.lower() in statement.lower()
 
 
 # ---------------------------------------------------------------------------
-# task runners
+# scores, label rules and task runners
 
 
-def pair_scores(a: np.ndarray, b: np.ndarray, eps: float) -> list[float]:
-    """Cosine of each row pair of two (N, d) embedding matrices."""
-    return cosine(Tensor(a), Tensor(b), eps).data.tolist()
-
-
-def run_ar(model: Model, samples: list[BiModalSample], tau: float,
-           text_vocab: TextVocab) -> ClsMetrics:
-    """Statement verification: cosine(J_t, J_g) > tau counts as correct."""
+def _columns(samples: list, *fields: str) -> list[list]:
+    """Each named field of every sample, one list per field. This is where
+    every runner and baseline refuses an empty dataset, before any encode."""
     if not samples:
         raise ValueError("empty dataset")
-    scores = pair_scores(embed_texts([s.text for s in samples], model, text_vocab),
-                         embed_graphs([s.graph for s in samples], model), model.cfg.eps_cos)
-    return accuracy_f1([threshold_decision(sc, tau) for sc in scores],
-                       [s.y >= 0.5 for s in samples])
+    return [[getattr(s, f) for s in samples] for f in fields]
 
 
-def run_acd(model: Model, pairs: list[ACDPair], tau: float) -> ClsMetrics:
-    """Clone detection: cosine of the two pooled graph embeddings vs tau."""
-    if not pairs:
-        raise ValueError("empty dataset")
-    j_g = embed_graphs([p.g1 for p in pairs] + [p.g2 for p in pairs], model)
-    scores = pair_scores(j_g[:len(pairs)], j_g[len(pairs):], model.cfg.eps_cos)
-    return accuracy_f1([threshold_decision(sc, tau) for sc in scores],
-                       [p.label == 1 for p in pairs])
+def _is_correct(ys) -> np.ndarray:
+    return np.asarray(ys) >= 0.5
+
+
+def _is_clone(labels) -> np.ndarray:
+    return np.asarray(labels) == 1
+
+
+def answer_targets(answer_sets, n_answers: int) -> np.ndarray:
+    """The (N, n_answers) gold matrix of N sets of answer ids. An answer
+    beyond the head's n_answers slots is dropped: it is neither trained nor
+    scored."""
+    gold = np.zeros((len(answer_sets), n_answers), dtype=bool)
+    for row, answers in zip(gold, answer_sets):
+        row[[a for a in answers if a < n_answers]] = True
+    return gold
+
+
+def _graph_pairs(model: Model, g1s: list[ArchGraph], g2s: list[ArchGraph]) -> tuple:
+    j_g = embed_graphs([*g1s, *g2s], model)
+    return j_g[:len(g1s)], j_g[len(g1s):]
+
+
+def ar_scores(model: Model, texts: list[str], graphs: list[ArchGraph],
+              text_vocab: TextVocab) -> np.ndarray:
+    """Cosine of each (text, graph) pair's pooled embeddings; shape (N,)."""
+    return cosine(Tensor(embed_texts(texts, model, text_vocab)),
+                  Tensor(embed_graphs(graphs, model)), model.cfg.eps_cos).data
+
+
+def acd_scores(model: Model, g1s: list[ArchGraph], g2s: list[ArchGraph]) -> np.ndarray:
+    """Cosine of each graph pair's pooled embeddings; shape (N,)."""
+    j1, j2 = _graph_pairs(model, g1s, g2s)
+    return cosine(Tensor(j1), Tensor(j2), model.cfg.eps_cos).data
 
 
 def three_way_score(j1: np.ndarray, j2: np.ndarray, j_t: np.ndarray,
@@ -222,47 +245,69 @@ def three_way_score(j1: np.ndarray, j2: np.ndarray, j_t: np.ndarray,
     return (cosine(a, b, eps).data + cosine(a, t, eps).data + cosine(b, t, eps).data) / 3.0
 
 
-def _bacd_scores(model: Model, samples: list[BACDSample], text_vocab: TextVocab) -> list[float]:
-    n = len(samples)
-    j_g = embed_graphs([s.g1 for s in samples] + [s.g2 for s in samples], model)
-    j_t = embed_texts([s.text for s in samples], model, text_vocab)
-    return three_way_score(j_g[:n], j_g[n:], j_t, model.cfg.eps_cos).tolist()
+def bacd_scores(model: Model, g1s: list[ArchGraph], g2s: list[ArchGraph], texts: list[str],
+                text_vocab: TextVocab) -> np.ndarray:
+    """The three-way score of each graph pair and its supporting text; shape (N,)."""
+    j1, j2 = _graph_pairs(model, g1s, g2s)
+    return three_way_score(j1, j2, embed_texts(texts, model, text_vocab), model.cfg.eps_cos)
 
 
 def bacd_score(model: Model, s: BACDSample, text_vocab: TextVocab) -> float:
-    return _bacd_scores(model, [s], text_vocab)[0]
+    return float(bacd_scores(model, [s.g1], [s.g2], [s.text], text_vocab)[0])
+
+
+def answer_probs(model: Model, questions: list[str], graphs: list[ArchGraph],
+                 text_vocab: TextVocab) -> np.ndarray:
+    """The QA head's probability of each answer slot for each (question,
+    graph) pair; shape (N, n_answers)."""
+    logits = aqa_logits(Tensor(embed_texts(questions, model, text_vocab)),
+                        Tensor(embed_graphs(graphs, model)), model.constants()).data
+    return 1.0 / (1.0 + np.exp(-logits))
+
+
+def run_ar(model: Model, samples: list[BiModalSample], tau: float,
+           text_vocab: TextVocab) -> ClsMetrics:
+    """Statement verification: cosine(J_t, J_g) > tau counts as correct."""
+    texts, graphs, ys = _columns(samples, "text", "graph", "y")
+    return accuracy_f1(threshold_decision(ar_scores(model, texts, graphs, text_vocab), tau),
+                       _is_correct(ys))
+
+
+def run_acd(model: Model, pairs: list[ACDPair], tau: float) -> ClsMetrics:
+    """Clone detection: cosine of the two pooled graph embeddings vs tau."""
+    g1s, g2s, labels = _columns(pairs, "g1", "g2", "label")
+    return accuracy_f1(threshold_decision(acd_scores(model, g1s, g2s), tau), _is_clone(labels))
 
 
 def run_bacd(model: Model, samples: list[BACDSample], tau: float,
              text_vocab: TextVocab) -> ClsMetrics:
     """Text-assisted clone detection over the three-way cosine average."""
-    if not samples:
-        raise ValueError("empty dataset")
-    preds = [threshold_decision(sc, tau) for sc in _bacd_scores(model, samples, text_vocab)]
-    labels = [s.label == 1 for s in samples]
-    return accuracy_f1(preds, labels)
-
-
-def answer_probs(model: Model, j_t: np.ndarray, j_g: np.ndarray) -> np.ndarray:
-    """Per-answer probabilities of the QA head for row-aligned pooled (N, d)
-    matrices (J_t, J_g); shape (N, n_answers)."""
-    logits = aqa_logits(Tensor(j_t), Tensor(j_g), model.constants()).data
-    return 1.0 / (1.0 + np.exp(-logits))
+    g1s, g2s, texts, labels = _columns(samples, "g1", "g2", "text", "label")
+    return accuracy_f1(threshold_decision(bacd_scores(model, g1s, g2s, texts, text_vocab), tau),
+                       _is_clone(labels))
 
 
 def run_aqa(model: Model, samples: list[AQASample],
             text_vocab: TextVocab) -> ClsMetrics:
     """Multi-label QA, micro-averaged over every answer slot of every sample."""
-    if not samples:
-        raise ValueError("empty dataset")
-    probs = answer_probs(model, embed_texts([s.question for s in samples], model, text_vocab),
-                         embed_graphs([s.graph for s in samples], model))
-    pred = threshold_decision(probs, 0.5)
-    gold = np.zeros_like(pred)   # an answer beyond the head's slots is not scored
-    for row, s in zip(gold, samples):
-        row[[a for a in s.answers if a < len(row)]] = True
-    return metrics_from_counts(int(np.sum(pred & gold)), int(np.sum(pred & ~gold)),
-                               int(np.sum(~pred & ~gold)), int(np.sum(~pred & gold)))
+    questions, graphs, answers = _columns(samples, "question", "graph", "answers")
+    probs = answer_probs(model, questions, graphs, text_vocab)
+    return accuracy_f1(threshold_decision(probs, QA_THRESHOLD),
+                       answer_targets(answers, probs.shape[1]))
+
+
+def run_ar_baseline(samples: list[BiModalSample]) -> ClsMetrics:
+    """The name baseline: a statement counts as correct iff it names its graph."""
+    graphs, texts, ys = _columns(samples, "graph", "text", "y")
+    return accuracy_f1([ar_name_baseline(g.name, t) for g, t in zip(graphs, texts)],
+                       _is_correct(ys))
+
+
+def run_acd_baseline(pairs: list[ACDPair], tau: float, vocab: NodeVocab) -> ClsMetrics:
+    """The structural baseline: Jaccard similarity of the two graphs vs tau."""
+    g1s, g2s, labels = _columns(pairs, "g1", "g2", "label")
+    scores = np.array([jaccard_similarity(g1, g2, vocab) for g1, g2 in zip(g1s, g2s)])
+    return accuracy_f1(threshold_decision(scores, tau), _is_clone(labels))
 
 
 def caption_graph(model: Model, g: ArchGraph, text_vocab: TextVocab,
@@ -279,18 +324,12 @@ def run_ac(model: Model, samples: list[ACSample], text_vocab: TextVocab,
            beam: int) -> RougeScores:
     """Captioning: decode each distinct graph once, detokenize, average the
     three overlap scores over the samples."""
-    if not samples:
-        raise ValueError("empty dataset")
-    captions = {g: caption_graph(model, g, text_vocab, beam=beam)
-                for g in dict.fromkeys(s.graph for s in samples)}
-    r1s, r2s, rls = [], [], []
-    for s in samples:
-        sc = rouge_scores(captions[s.graph], s.text)
-        r1s.append(sc.r1)
-        r2s.append(sc.r2)
-        rls.append(sc.rlsum)
-    return RougeScores(r1=float(np.mean(r1s)), r2=float(np.mean(r2s)),
-                       rlsum=float(np.mean(rls)))
+    graphs, texts = _columns(samples, "graph", "text")
+    captions = {g: caption_graph(model, g, text_vocab, beam=beam) for g in dict.fromkeys(graphs)}
+    scores = [rouge_scores(captions[g], t) for g, t in zip(graphs, texts)]
+    return RougeScores(r1=float(np.mean([sc.r1 for sc in scores])),
+                       r2=float(np.mean([sc.r2 for sc in scores])),
+                       rlsum=float(np.mean([sc.rlsum for sc in scores])))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamState, NonFiniteError, Tensor, adam_step
 from .datagen import ACSample, AQASample, BiModalSample
+from .evaluate import answer_targets
 from .graph import MASK_NODE_ID, ArchGraph
 from .model import (
     Model,
@@ -216,9 +217,7 @@ def finetune_aqa(samples: list[AQASample], model: Model, tcfg: TrainConfig,
     """Multi-label answer fine-tuning with binary cross-entropy."""
     cfg = model.cfg
     seqs = [tokenize(s.question, text_vocab, cfg.max_tokens) for s in samples]
-    targets = np.zeros((len(samples), cfg.n_answers))
-    for i, s in enumerate(samples):
-        targets[i, list(s.answers)] = 1.0
+    targets = answer_targets([s.answers for s in samples], cfg.n_answers).astype(np.float64)
 
     def batch_loss(batch, view, rng):
         _, j_t = encode_texts([seqs[i] for i in batch], view, cfg)

@@ -51,6 +51,16 @@ def cfg_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def finetune_cfg(tmp_path):
+    """The tiny config without its [model] section, which a run from a
+    bundle refuses: the bundle brings its own model config."""
+    path = tmp_path / "finetune.ini"
+    path.write_text(TINY_CONFIG[:TINY_CONFIG.index("[model]")]
+                    + TINY_CONFIG[TINY_CONFIG.index("[train]"):])
+    return str(path)
+
+
 @pytest.mark.parametrize("raw, value", [("1", True), ("True", True), ("yes", True), ("on", True),
                                         ("0", False), ("false", False), ("no", False),
                                         ("off", False)])
@@ -161,19 +171,19 @@ class TestTrain:
         assert (out / "model.abkt").read_bytes() == (out2 / "model.abkt").read_bytes()
         assert (out / "loss_log.jsonl").read_bytes() == (out2 / "loss_log.jsonl").read_bytes()
 
-    def test_finetune_aqa_from_checkpoint(self, tmp_path, cfg_file, pretrained):
+    def test_finetune_aqa_from_checkpoint(self, tmp_path, cfg_file, finetune_cfg, pretrained):
         _, ckpt = pretrained
         qa = _gen(tmp_path, cfg_file, "aqa", "qa.jsonl")
         out = tmp_path / "aqa_ckpt"
-        assert run(["train", "--task", "aqa", "--config", cfg_file, "--dataset", str(qa),
+        assert run(["train", "--task", "aqa", "--config", finetune_cfg, "--dataset", str(qa),
                     "--checkpoint", str(ckpt), "--out", str(out), "--seed", "2",
                     "--epochs", "1"]) == 0
         assert (out / "model.abkt").exists()
 
-    def test_finetune_ac_from_checkpoint(self, tmp_path, cfg_file, pretrained):
+    def test_finetune_ac_from_checkpoint(self, tmp_path, finetune_cfg, pretrained):
         data, ckpt = pretrained
         out = tmp_path / "ac_ckpt"
-        assert run(["train", "--task", "ac", "--config", cfg_file, "--dataset", str(data),
+        assert run(["train", "--task", "ac", "--config", finetune_cfg, "--dataset", str(data),
                     "--checkpoint", str(ckpt), "--out", str(out), "--epochs", "1",
                     "--batch-size", "3"]) == 0
         # a caption file's captions are its records with y = 1; --batch-size
@@ -390,6 +400,25 @@ class TestOneOffs:
                     "--question", "which ops"]) == 0
         (answer,) = json.loads(capsys.readouterr().out)["answers"]
         assert answer["id"] == 7 and answer["prob"] < 0.5
+
+    def test_answers_beyond_the_head_are_dropped(self, tmp_path, cfg_file, finetune_cfg,
+                                                 graph_file, capsys):
+        # a head of 3 slots, where the questions' answers range over the
+        # catalog's 51: train, fine-tune and qa leave out the slots it lacks
+        qa = _gen(tmp_path, cfg_file, "aqa", "qa.jsonl")
+        assert any(max(json.loads(line)["answers"]) >= 3 for line in qa.read_text().splitlines())
+        small = tmp_path / "small.ini"
+        small.write_text(TINY_CONFIG.replace("[model]\n", "[model]\nn_answers = 3\n"))
+        ckpt, tuned = tmp_path / "qa3", tmp_path / "qa3_tuned"
+        assert run(["train", "--task", "aqa", "--config", str(small), "--dataset", str(qa),
+                    "--out", str(ckpt), "--epochs", "1"]) == 0
+        assert run(["train", "--task", "aqa", "--config", finetune_cfg, "--dataset", str(qa),
+                    "--checkpoint", str(ckpt), "--out", str(tuned), "--epochs", "1"]) == 0
+        capsys.readouterr()
+        assert run(["qa", "--checkpoint", str(tuned), "--graph", str(graph_file),
+                    "--question", "which ops"]) == 0
+        answers = json.loads(capsys.readouterr().out)["answers"]
+        assert answers and all(a["id"] < 3 for a in answers)
 
     def test_qa(self, tmp_path, cfg_file, pretrained, graph_file, capsys):
         _, ckpt = pretrained
@@ -627,9 +656,17 @@ class TestErrors:
         (["train", "--task", "pretrain", "--dataset", "d.jsonl", "--out", "o",
           "--checkpoint", "ckpt"], ("--vocab-size=3",)),
         (_TRAIN_AC, ("--alpha=9", "--alpha=0")),
+        # a bundle brings its own model config, so a fine-tune refuses a
+        # config's [model] section; and only ar and acd have a baseline
+        (_TRAIN_AQA_FROM, ("--config=model.ini",)),
+        (["eval", "--task", "bacd", "--dataset", "d.jsonl"], ("--baseline",)),
     ]))
-    def test_config_or_seed_where_unread_is_usage_error(self, argv, flag, capsys):
+    def test_config_or_seed_where_unread_is_usage_error(self, argv, flag, capsys, tmp_path,
+                                                         monkeypatch):
         # each run refuses a flag it does not read, before it reads any file
+        # but its config
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "model.ini").write_text("[model]\nno_shape = true\nd = 32\n")
         assert run([*argv, flag]) == 1
         assert flag.split("=")[0] in capsys.readouterr().err
 
@@ -752,11 +789,13 @@ class TestErrors:
         # --task sets the task
         ("[train]\ntask = aqa\n", "unknown key 'task' in section [train]"),
         ("[model]\nno_shape = maybe\n", "[model] no_shape: not a boolean: 'maybe'"),
+        (None, "config file not found"),
     ], ids=["int", "int-exponent", "repeated-section", "repeated-key", "no-section", "train-task",
-            "not-a-boolean"])
+            "not-a-boolean", "missing"])
     def test_bad_config_file_is_data_error(self, tmp_path, capsys, text, expect):
         bad = tmp_path / "bad.ini"
-        bad.write_text(text)
+        if text is not None:
+            bad.write_text(text)
         assert run(["gen", "--task", "autonet", "--config", str(bad),
                     "--out", str(tmp_path / "x.jsonl")]) == 2
         err = capsys.readouterr().err

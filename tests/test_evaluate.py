@@ -35,7 +35,7 @@ from archtext.evaluate import (
     three_way_score,
     threshold_decision,
 )
-from archtext.model import Model, ModelConfig, embed_graphs, embed_texts
+from archtext.model import Model, ModelConfig
 from archtext.text import build_vocab
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "metrics_golden.json")
@@ -65,6 +65,22 @@ class TestAccuracyF1:
     def test_counts_sum_to_n(self):
         m = accuracy_f1([1, 0, 1, 0, 1], [0, 0, 1, 1, 1])
         assert m.tp + m.fp + m.tn + m.fn == 5
+
+    @pytest.mark.parametrize("preds, labels, expect", [
+        ([1, 0, 1], [1, 0], r"preds of shape \(3,\) and labels of shape \(2,\) differ"),
+        ([[1, 0], [0, 1]], [1, 0, 0, 1], r"shape \(2, 2\) and labels of shape \(4,\)"),
+        ([], [], "empty prediction list"),
+    ], ids=["lengths", "shapes", "empty"])
+    def test_refuses_mismatched_or_empty(self, preds, labels, expect):
+        with pytest.raises(ValueError, match=expect):
+            accuracy_f1(preds, labels)
+
+    def test_counts_cells_of_any_shape(self):
+        preds = np.array([[True, False, True], [False, False, True]])
+        labels = np.array([[True, True, False], [False, False, True]])
+        assert accuracy_f1(preds, labels) == accuracy_f1(preds.ravel().tolist(),
+                                                         labels.ravel().tolist())
+        assert accuracy_f1(preds, labels) == metrics_from_counts(2, 1, 2, 1)
 
     def test_golden_file(self):
         with open(GOLDEN) as f:
@@ -179,6 +195,10 @@ class TestNameBaseline:
 
     def test_case_insensitive(self):
         assert ar_name_baseline("ResNet18", "uses resnet18")
+
+    @pytest.mark.parametrize("name", ["", None])
+    def test_unnamed_graph_is_never_named(self, name):
+        assert not ar_name_baseline(name, "uses resnet18")
 
 
 class TestThreeWayScore:
@@ -326,8 +346,7 @@ class TestRunners:
                        texts + ["does it work"], ({0}, {1, 2}, {0, 1, 2}, {2, 50})))]
         counts = Counter()
         for s in samples:
-            probs = answer_probs(model, embed_texts([s.question], model, vocab),
-                                 embed_graphs([s.graph], model))[0]
+            probs = answer_probs(model, [s.question], [s.graph], vocab)[0]
             for slot in range(model.cfg.n_answers):
                 counts[(bool(probs[slot] > 0.5), slot in s.answers)] += 1
         want = (counts[True, True], counts[True, False], counts[False, False],
@@ -353,7 +372,23 @@ class TestRunners:
                                      r2=float(np.mean([w.r2 for w in want])),
                                      rlsum=float(np.mean([w.rlsum for w in want])))
 
-    def test_empty_dataset_rejected(self, runner_setup):
+    @pytest.mark.parametrize("runner", [
+        lambda model, vocab: run_ar(model, [], 0.5, vocab),
+        lambda model, vocab: run_acd(model, [], 0.5),
+        lambda model, vocab: run_bacd(model, [], 0.5, vocab),
+        lambda model, vocab: run_aqa(model, [], vocab),
+        lambda model, vocab: run_ac(model, [], vocab, beam=2),
+        lambda model, vocab: evaluate.run_ar_baseline([]),
+        lambda model, vocab: evaluate.run_acd_baseline([], 0.5, NodeVocab(["conv2d"])),
+    ], ids=["run_ar", "run_acd", "run_bacd", "run_aqa", "run_ac", "ar-baseline",
+            "acd-baseline"])
+    def test_empty_dataset_rejected(self, runner_setup, monkeypatch, runner):
         _, _, _, vocab, model = runner_setup
-        with pytest.raises(ValueError):
-            run_ar(model, [], 0.5, vocab)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an empty dataset reached an encode")
+
+        for name in ("embed_texts", "embed_graphs", "caption_graph"):
+            monkeypatch.setattr(evaluate, name, refuse)
+        with pytest.raises(ValueError, match="^empty dataset$"):
+            runner(model, vocab)
