@@ -302,9 +302,11 @@ def _cmd_stats(args) -> int:
 def _cmd_train(args) -> int:
     _refuse_unread(args, bool(args.checkpoint))
     file_cfg = load_config_file(args.config)
-    if args.checkpoint and file_cfg["model"]:   # the bundle brings its own model config
-        raise UsageError(f"train --task {args.task} --checkpoint does not read the [model] "
-                         f"section of --config {args.config}")
+    if args.checkpoint:   # the bundle brings its own model config and node vocabulary
+        for section in ("model", "gen"):
+            if file_cfg[section]:
+                raise UsageError(f"train --task {args.task} --checkpoint does not read the "
+                                 f"[{section}] section of --config {args.config}")
     train_kwargs = dict(file_cfg["train"], task=args.task)
     given = vars(args)
     for key in ("seed", "epochs", "lr", "batch_size", "alpha"):
@@ -312,10 +314,10 @@ def _cmd_train(args) -> int:
             train_kwargs[key] = given[key]
     tcfg = TrainConfig(**train_kwargs)
 
-    # a bundle brings its own model config and node vocabulary
-    node_vocab = GenConfig(**file_cfg["gen"]).node_vocab()
     if args.checkpoint:
         model, text_vocab, node_vocab = _load_model(args)
+    else:
+        node_vocab = GenConfig(**file_cfg["gen"]).node_vocab()
 
     if args.task == "aqa":
         samples = datagen.load_aqa(args.dataset, node_vocab)

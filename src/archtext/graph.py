@@ -6,12 +6,22 @@ a set of directed edges, and one 4-tuple of non-negative integers below
 without shape attributes carry the sentinel (0, 0, 0, 0).
 
 All values are immutable after construction and safe to share across
-threads; every operation in this module is pure.
+threads. Graphs share their immutable parts through two tables that only
+construction touches: `_ROWS` gives each distinct edge pair or shape row
+one tuple and holds at most `_ROWS_CAP` of them, and `_EDGE_SETS` gives
+each distinct edge set one frozenset and holds at most one per live
+distinct set. A dataset's graphs repeat few pairs, rows and edge sets
+among many, so sharing them cuts the memory its graphs hold severalfold.
+No value, equality or hash depends on the tables: every other operation
+in this module is pure. A shared edge set may iterate in another order
+than an equal set built anew, so whatever needs an order sorts the edges.
 """
 
 from __future__ import annotations
 
+import copy
 import json
+import weakref
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -32,6 +42,22 @@ Shape = tuple[int, int, int, int]
 SENTINEL_SHAPE: Shape = (0, 0, 0, 0)
 # shape entries stay below 2**53, where float64 holds every integer exactly
 SHAPE_LIMIT = 2 ** 53
+
+# The one tuple of each distinct edge pair and shape row, keyed by itself.
+# Tuples cannot be weakly referenced, so the table has a fixed cap instead
+# and is cleared when full; graphs built after a clear share less, and no
+# value changes. Graphs of at most 64 nodes, the default `max_nodes`, have
+# at most 2,016 forward edge pairs, and one set-up of a perfbench workload
+# holds at most 1,820 distinct pairs and 136 distinct rows, so 4096 keeps
+# them all with room to spare. Full, the table holds at most 0.97 MB on
+# 64-bit CPython: a 148 KB dict and 4096 rows of at most 200 bytes each, a
+# 72-byte 4-tuple and four 32-byte ints.
+_ROWS_CAP = 4096
+_ROWS: dict[tuple[int, ...], tuple[int, ...]] = {}
+# The one frozenset of each distinct edge set among live graphs, keyed by
+# its hash: a set that no graph holds drops out. Two sets of equal hash but
+# unequal value keep the later one, and the earlier one is not shared.
+_EDGE_SETS: weakref.WeakValueDictionary[int, frozenset] = weakref.WeakValueDictionary()
 
 
 class GraphParseError(ValueError):
@@ -54,7 +80,12 @@ class NodeVocab(Vocab):
 
 @dataclass(frozen=True)
 class ArchGraph:
-    """Immutable architecture graph: nodes, directed edges, per-node shapes."""
+    """Immutable architecture graph: nodes, directed edges, per-node shapes.
+
+    `edges` and `shapes`, and the tuples inside them, may be objects that
+    other graphs hold too: construction stores one object per distinct
+    value (see the module docstring), and `with_nodes` copies share them.
+    """
 
     nodes: tuple[int, ...]
     edges: frozenset[tuple[int, int]]
@@ -63,9 +94,18 @@ class ArchGraph:
 
     def __init__(self, nodes, edges, shapes, name: str | None = None):
         object.__setattr__(self, "nodes", tuple(int(n) for n in nodes))
-        object.__setattr__(self, "edges", frozenset((int(a), int(b)) for a, b in edges))
-        object.__setattr__(self, "shapes", tuple(tuple(int(x) for x in s) for s in shapes))
+        object.__setattr__(self, "edges", _shared_edges(
+            frozenset(_shared_row((int(a), int(b))) for a, b in edges)))
+        object.__setattr__(self, "shapes", tuple(_shared_row(tuple(map(int, s))) for s in shapes))
         object.__setattr__(self, "name", name)
+
+    def with_nodes(self, nodes: tuple[int, ...]) -> "ArchGraph":
+        """This graph with the node ids `nodes`, which must be a tuple of ints
+        of the same length; the copy holds this graph's `edges`, `shapes`
+        and name as they are."""
+        g = copy.copy(self)
+        object.__setattr__(g, "nodes", nodes)
+        return g
 
     @property
     def num_nodes(self) -> int:
@@ -73,6 +113,25 @@ class ArchGraph:
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
+
+
+def _shared_row(row: tuple[int, ...]) -> tuple[int, ...]:
+    """The one tuple in `_ROWS` equal to `row`."""
+    shared = _ROWS.get(row)
+    if shared is None:
+        if len(_ROWS) >= _ROWS_CAP:
+            _ROWS.clear()
+        shared = _ROWS[row] = row
+    return shared
+
+
+def _shared_edges(edges: frozenset) -> frozenset:
+    """The one frozenset in `_EDGE_SETS` equal to `edges`."""
+    key = hash(edges)
+    shared = _EDGE_SETS.get(key)
+    if shared != edges:
+        shared = _EDGE_SETS[key] = edges
+    return shared
 
 
 @dataclass(frozen=True)

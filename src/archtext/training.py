@@ -75,7 +75,7 @@ def mask_nodes(g: ArchGraph, ratio: float, rng: np.random.Generator) -> tuple[Ar
     for p in positions:
         originals.append(nodes[p])
         nodes[p] = MASK_NODE_ID
-    masked = ArchGraph(nodes=nodes, edges=g.edges, shapes=g.shapes, name=g.name)
+    masked = g.with_nodes(tuple(nodes))
     return masked, MaskPlan(positions=tuple(positions), original_ids=tuple(originals))
 
 

@@ -79,6 +79,26 @@ def test_fingerprint_changes_with_content(tmp_path, params, rng):
     assert f1 != f2
 
 
+def _record(name: bytes, dims, values: bytes = b"") -> bytes:
+    """One checkpoint record: name, rank, dims, then float32 values."""
+    return (struct.pack("<I", len(name)) + name + struct.pack(f"<I{len(dims)}I", len(dims), *dims)
+            + values)
+
+
+@pytest.mark.parametrize("records, expect", [
+    (_record(b"a.w", [1], b"\x00" * 4) * 2, "duplicate parameter 'a.w'"),
+    # more axes than numpy takes
+    (_record(b"a.w", [1] * 65, b"\x00" * 4), "dims [1, 1, 1, 1, 1"),
+    # no values, but dims too large for any array
+    (_record(b"a.w", [0, 2 ** 32 - 1, 2 ** 32 - 1]), "dims [0, 4294967295, 4294967295] of 'a.w'"),
+], ids=["duplicate", "rank-65", "zero-among-huge"])
+def test_bad_record_rejected_naming_the_file(tmp_path, records, expect):
+    path = tmp_path / "bad.abkt"
+    path.write_bytes(b"ABKT" + struct.pack("<I", 1) + records)
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: {expect}")):
+        load_checkpoint(str(path))
+
+
 def test_overflowing_dims_rejected_naming_the_file(tmp_path):
     # (2**32-1)**2 elements overflow an int64 product to a negative count
     path = tmp_path / "huge.abkt"

@@ -53,11 +53,11 @@ def cfg_file(tmp_path):
 
 @pytest.fixture
 def finetune_cfg(tmp_path):
-    """The tiny config without its [model] section, which a run from a
-    bundle refuses: the bundle brings its own model config."""
+    """The tiny config's [train] section alone: a run from a bundle refuses
+    [gen] and [model], since the bundle brings its own node vocabulary and
+    model config."""
     path = tmp_path / "finetune.ini"
-    path.write_text(TINY_CONFIG[:TINY_CONFIG.index("[model]")]
-                    + TINY_CONFIG[TINY_CONFIG.index("[train]"):])
+    path.write_text(TINY_CONFIG[TINY_CONFIG.index("[train]"):])
     return str(path)
 
 
@@ -506,7 +506,8 @@ class TestErrors:
                     "--out", str(tmp_path / "x.jsonl")]) == 2
 
     @pytest.mark.parametrize("edit", ["unknown", "missing", "wrong-type", "gat-heads-0", "d-0",
-                                      "max-tokens-negative", "enlarged", "text-and-arch-only"])
+                                      "max-tokens-negative", "enlarged", "text-and-arch-only",
+                                      "eps-cos-0", "heads-split-d", "tau-1"])
     def test_bad_bundle_config_is_data_error(self, tmp_path, pretrained, capsys, edit):
         data, ckpt = pretrained
         config = ckpt / "config.json"
@@ -529,6 +530,15 @@ class TestErrors:
         elif edit == "text-and-arch-only":
             cfg.update(text_only=True, arch_only=True)
             expect = "text_only and arch_only are mutually exclusive"
+        elif edit == "eps-cos-0":
+            cfg["eps_cos"] = 0.0
+            expect = "eps_cos must be positive, got 0.0"
+        elif edit == "heads-split-d":
+            cfg["cross_heads"] = 3
+            expect = "d=16 not divisible by head count 3"
+        elif edit == "tau-1":
+            cfg["tau"] = 1.0
+            expect = "tau must lie in (0, 1)"
         else:
             # out of range: a zero width or head count divides by zero below the loader
             key, value = {"gat-heads-0": ("gat_heads", 0), "d-0": ("d", 0),
@@ -660,6 +670,8 @@ class TestErrors:
         # config's [model] section; and only ar and acd have a baseline
         (_TRAIN_AQA_FROM, ("--config=model.ini",)),
         (["eval", "--task", "bacd", "--dataset", "d.jsonl"], ("--baseline",)),
+        # nor its [gen] section, since the bundle brings its own node vocabulary
+        (_TRAIN_AC_FROM, ("--config=gen.ini",)),
     ]))
     def test_config_or_seed_where_unread_is_usage_error(self, argv, flag, capsys, tmp_path,
                                                          monkeypatch):
@@ -667,6 +679,7 @@ class TestErrors:
         # but its config
         monkeypatch.chdir(tmp_path)
         (tmp_path / "model.ini").write_text("[model]\nno_shape = true\nd = 32\n")
+        (tmp_path / "gen.ini").write_text("[gen]\nops = conv2d,relu\n")
         assert run([*argv, flag]) == 1
         assert flag.split("=")[0] in capsys.readouterr().err
 

@@ -451,6 +451,21 @@ class TestGraphSharing:
         (first,), (second,) = load_bimodal(path, vocab), load_bimodal(path, vocab)
         assert first.graph == second.graph and first.graph is not second.graph
 
+    def test_load_calls_share_parts(self, tmp_path, gen_cfg):
+        # separate loads share no graph, but each distinct edge pair, shape
+        # row and edge set is one object
+        vocab = gen_cfg.node_vocab()
+        grown = {**_DOC, "edges": [[0, 1], [1, 2], [0, 2]]}
+        first = _write_records(tmp_path / "a.jsonl", {"graph": _DOC, "text": "a", "y": 1.0})
+        second = _write_records(tmp_path / "b.jsonl", {"graph": _DOC, "text": "b", "y": 0.0},
+                                {"graph": grown, "text": "c", "y": 1.0})
+        (a,), (b, c) = load_bimodal(first, vocab), load_bimodal(second, vocab)
+        a, b, c = a.graph, b.graph, c.graph
+        assert a is not b and a.edges is b.edges
+        assert all(r is s for r, s in zip(a.shapes, b.shapes)) and a.shapes[0] is c.shapes[0]
+        in_c = {p: p for p in c.edges}
+        assert all(in_c[p] is p for p in a.edges)
+
     def test_documents_differing_in_name_stay_distinct(self, tmp_path, gen_cfg):
         renamed = {**_DOC, "name": "h"}
         unnamed = {k: v for k, v in _DOC.items() if k != "name"}

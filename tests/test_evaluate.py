@@ -228,6 +228,13 @@ class TestPca:
             coords = pca_project(pts, k=2)
         assert coords.shape == (20, 1)
 
+    def test_identical_points_give_one_zero_column(self):
+        with pytest.warns(UserWarning) as caught:
+            coords = pca_project(np.full((4, 3), 2.5), k=2)
+        assert [str(w.message) for w in caught] == [
+            "data rank < 2; returning 0 components", "degenerate data; returning a zero component"]
+        np.testing.assert_array_equal(coords, np.zeros((4, 1)))
+
     def test_noisy_line_second_component_tracks_noise(self):
         rng = np.random.default_rng(0)
         t = np.linspace(-1, 1, 40)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from archtext import graph
 from archtext.catalog import DEFAULT_OPS
 from archtext.datagen import GenConfig, gen_architecture
 from archtext.graph import (
@@ -85,6 +86,29 @@ class TestValidate:
         bad = ArchGraph(nodes=[3, 3], edges=[(1, 1)], shapes=[(0, 0, 0, 0)] * 2)
         assert validate_graph(good).ok and not validate_graph(good).violations
         assert not validate_graph(bad).ok and validate_graph(bad).violations
+
+
+class TestSharedParts:
+    def test_row_table_stays_within_its_cap(self, monkeypatch):
+        monkeypatch.setattr(graph, "_ROWS", {})
+        monkeypatch.setattr(graph, "_ROWS_CAP", 8)
+        before = ArchGraph(nodes=[3, 4], edges=[(0, 1)], shapes=[(8, 3, 3, 3), (0, 0, 0, 0)])
+        sizes = []
+        for i in range(20):
+            ArchGraph(nodes=[3], edges=[], shapes=[(100 + i, 0, 0, 0)])
+            sizes.append(len(graph._ROWS))
+        # filled to the cap and cleared, more than once
+        assert max(sizes) == 8 and sizes.count(1) == 2
+        after = ArchGraph(nodes=[3, 4], edges=[(0, 1)], shapes=[(8, 3, 3, 3), (0, 0, 0, 0)])
+        assert after.shapes[0] is not before.shapes[0]
+        assert after == before and hash(after) == hash(before)
+
+    def test_edge_set_lives_while_a_graph_holds_it(self):
+        g = ArchGraph(nodes=[3] * 300, edges=[(0, 299), (1, 299)], shapes=[(0, 0, 0, 0)] * 300)
+        key = hash(g.edges)
+        assert graph._EDGE_SETS[key] is g.edges
+        del g
+        assert key not in graph._EDGE_SETS
 
 
 class TestAttentionMask:

@@ -131,6 +131,11 @@ class TestEmbedNodesShapes:
         with pytest.raises(ValueError, match="vocabulary"):
             embed_nodes_shapes([g], tiny_model.params, tiny_model.cfg)
 
+    def test_graph_over_max_nodes_rejected(self, tiny_model):
+        g = ArchGraph(nodes=[3] * 9, edges=[], shapes=[(0, 0, 0, 0)] * 9)
+        with pytest.raises(ValueError, match="graph has 9 nodes, max_nodes is 8"):
+            embed_nodes_shapes([g], tiny_model.params, tiny_model.cfg)
+
 
 class TestGat:
     def test_isolated_node_residual_form(self, tiny_model):
@@ -317,6 +322,12 @@ class TestCrossEncode:
         x2[[0, 1, 5, 6]] = x2[[6, 5, 1, 0]]
         out2 = cross_encode(Tensor(x2), [2, 3, 2], tiny_model.params, cfg)
         np.testing.assert_array_equal(out1.data[2:5], out2.data[2:5])
+
+    def test_sequence_over_encoder_limit_rejected(self, tiny_model):
+        # the limit is the larger of max_tokens and max_nodes, 8 for both here
+        cfg = tiny_model.cfg
+        with pytest.raises(ValueError, match="sequence of 9 exceeds encoder limit"):
+            cross_encode(Tensor(np.ones((11, cfg.d))), [2, 9], tiny_model.params, cfg)
 
 
 class TestPool:

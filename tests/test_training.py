@@ -48,8 +48,8 @@ class TestMaskNodes:
                 assert masked.nodes[i] == MASK_NODE_ID
             else:
                 assert masked.nodes[i] == g.nodes[i]
-        assert masked.edges == g.edges
-        assert masked.shapes == g.shapes
+        assert masked.edges is g.edges
+        assert masked.shapes is g.shapes
 
     def test_counts_and_uniqueness_over_many_sizes(self, rng):
         for m in range(1, 60):
@@ -144,6 +144,11 @@ class TestAqaLoss:
     def test_targets_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             aqa_loss(Tensor(np.zeros((1, 2))), np.array([0.5, 1.5]))
+
+    def test_targets_must_match_logits_shape(self):
+        with pytest.raises(ValueError,
+                           match=re.escape("target shape (1, 2) != logits shape (1, 3)")):
+            aqa_loss(Tensor(np.zeros((1, 3))), np.zeros(2))
 
 
 class TestDecoderLoss:
@@ -343,6 +348,9 @@ def test_train_config_validation():
         TrainConfig(task="nope")
     with pytest.raises(ValueError):
         TrainConfig(task="pretrain", batch_size=0)
+    for ratio in (0.0, 1.0):
+        with pytest.raises(ValueError, match=re.escape("mask_ratio must lie in (0, 1)")):
+            TrainConfig(task="pretrain", mask_ratio=ratio)
 
 
 @pytest.mark.parametrize("key, value", [("lr", float("nan")), ("lr", float("inf")),
