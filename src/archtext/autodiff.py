@@ -718,11 +718,13 @@ def _mlp(x: np.ndarray, proj):
     return _linear(h, w2.data, b2.data), pre, h
 
 
-def _mlp_grads(g: np.ndarray, x: np.ndarray, pre: np.ndarray, h: np.ndarray, proj):
-    """The gradients of `_mlp` for x, w1, b1, w2 and b2, given the output's."""
+def _mlp_grads(g: np.ndarray, x: np.ndarray, h: np.ndarray, proj):
+    """The gradients of `_mlp` for x, w1, b1, w2 and b2, given the output's.
+    The rectifier's slope is read from its output h, which is positive
+    exactly where its input is, so a backward pass keeps h alone."""
     (w1, b1), (w2, b2) = proj
     gh, gw2, gb2 = _linear_grads(g, h, w2.data, b2.data)
-    gx, gw1, gb1 = _linear_grads(_leaky_relu_grad(gh, pre, 0.2), x, w1.data, b1.data)
+    gx, gw1, gb1 = _linear_grads(_leaky_relu_grad(gh, h, 0.2), x, w1.data, b1.data)
     return gx, gw1, gb1, gw2, gb2
 
 
@@ -741,7 +743,7 @@ def ffn_block(x: Tensor, norm: tuple[Tensor, Tensor],
     f, pre, h = _mlp(y, proj)
 
     def backward(g):
-        gy, *gw = _mlp_grads(g, y, pre, h, proj)
+        gy, *gw = _mlp_grads(g, y, h, proj)
         gx, gscale, gbias = _layer_norm_grads(gy, xhat, inv, scale.data, bias.data)
         gx += g
         return zip(inputs, (gx, gscale, gbias, *gw))
@@ -761,7 +763,7 @@ def mlp(x: Tensor, proj: tuple[tuple[Tensor, Tensor], tuple[Tensor, Tensor]]) ->
     f, pre, h = _mlp(x.data, proj)
     try:
         return Tensor._from_op(f, (x, w1, b1, w2, b2), lambda g: zip(
-            (x, w1, b1, w2, b2), _mlp_grads(g, x.data, pre, h, proj)), "mlp")
+            (x, w1, b1, w2, b2), _mlp_grads(g, x.data, h, proj)), "mlp")
     except NonFiniteError:
         raise _stage_error("mlp", [("hidden layer", pre), ("output projection", f)]) from None
 

@@ -4,11 +4,18 @@ reconstruction), QA fine-tuning, and caption fine-tuning.
 Each loop is deterministic given (model seed, train seed): epoch order comes
 from a seed-derived permutation, node masking draws from the same sequential
 stream, and a re-run writes a bit-identical checkpoint.
+
+A training step backpropagates each loss term as soon as it is built, before
+the next is built: the leaf gradients add up across the passes, and a
+pre-training step holds the tape of one term (the text and graph encodes of
+the similarity term, then the masked-graph encode of the MAM term), not of
+all three encodes at once.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +116,9 @@ def mam_loss(f_m: Tensor, plan: MaskPlan) -> Tensor:
 
 
 def total_loss(l_sim: Tensor, l_mam: Tensor | None, alpha: float, no_mam: bool) -> Tensor:
+    """l_sim + alpha * l_mam on one tape: the pre-training objective as the
+    gradient suite differentiates it. A training step backpropagates the same
+    terms with the same weights, one at a time (`_train`)."""
     if no_mam or l_mam is None:
         return l_sim
     return l_sim + alpha * l_mam
@@ -163,9 +173,14 @@ def _train(n: int, model: Model, tcfg: TrainConfig, stream: int, batch_loss) -> 
     """The one optimization loop: seed-derived epoch permutations, batches,
     one Adam step per batch, one log record per step.
 
-    `batch_loss(batch, view, rng)` returns (l_total, l_sim, l_mam) for the
-    sample indices of one batch; the last two may be None. It may draw from
-    `rng`, the same stream that permutes the epochs.
+    `batch_loss(batch, view, rng)` yields the loss terms of the sample
+    indices of one batch, one at a time, as (key, weight, term): the scalar
+    term, its weight in the objective and its log key ("l_sim", "l_mam", or
+    None for a task's lone loss). Each weighted term is backpropagated
+    before the next is asked for, so only its tape is alive while it is
+    built. `l_total` is the weighted sum of the terms, in the order given.
+    `batch_loss` may draw from `rng`, the same stream that permutes the
+    epochs.
     """
     if n == 0:
         raise ValueError("empty dataset")
@@ -176,16 +191,9 @@ def _train(n: int, model: Model, tcfg: TrainConfig, stream: int, batch_loss) -> 
     for epoch in range(tcfg.epochs):
         order = rng.permutation(n)
         for batch in _batches(n, tcfg.batch_size, order):
-            l_total, l_sim, l_mam = batch_loss(batch, _frozen_view(model), rng)
-            _step(model, l_total, state, epoch, step)
+            losses = _step(model, batch_loss(batch, _frozen_view(model), rng), state, epoch, step)
             step += 1
-            log.append({
-                "epoch": epoch,
-                "step": step,
-                "l_sim": l_sim.item() if l_sim is not None else None,
-                "l_mam": l_mam.item() if l_mam is not None else None,
-                "l_total": l_total.item(),
-            })
+            log.append({"epoch": epoch, "step": step, **losses})
     return log
 
 
@@ -200,14 +208,13 @@ def pretrain(samples: list[BiModalSample], model: Model, tcfg: TrainConfig,
         graphs = [samples[i].graph for i in batch]
         _, j_t = encode_texts([seqs[i] for i in batch], view, cfg)
         _, j_g = encode_graphs(graphs, view, cfg)
-        l_sim = ad.mean(sim_loss(j_t, j_g, ys[batch], cfg.eps_cos))
-        l_mam = None
+        yield "l_sim", 1.0, ad.mean(sim_loss(j_t, j_g, ys[batch], cfg.eps_cos))
         if not cfg.no_mam:
             masked, plans = zip(*(mask_nodes(g, tcfg.mask_ratio, rng) for g in graphs))
             h_gm, _ = encode_graphs(list(masked), view, cfg)
             sizes = [g.num_nodes for g in graphs]
             l_mam = ad.mean(mam_terms(mam_logits(h_gm, view), list(plans), sizes))
-        return total_loss(l_sim, l_mam, tcfg.alpha, cfg.no_mam), l_sim, l_mam
+            yield "l_mam", tcfg.alpha, l_mam
 
     return _train(len(samples), model, tcfg, 11, batch_loss)
 
@@ -222,7 +229,7 @@ def finetune_aqa(samples: list[AQASample], model: Model, tcfg: TrainConfig,
     def batch_loss(batch, view, rng):
         _, j_t = encode_texts([seqs[i] for i in batch], view, cfg)
         _, j_g = encode_graphs([samples[i].graph for i in batch], view, cfg)
-        return aqa_loss(aqa_logits(j_t, j_g, view), targets[batch]), None, None
+        yield None, 1.0, aqa_loss(aqa_logits(j_t, j_g, view), targets[batch])
 
     return _train(len(samples), model, tcfg, 12, batch_loss)
 
@@ -244,18 +251,38 @@ def finetune_ac(samples: list[ACSample], model: Model, tcfg: TrainConfig,
         logits = decoder_logits(h_g, input_ids=[t for i in batch for t in seqs[i][:-1]],
                                 params=view, cfg=cfg, lengths=lengths,
                                 sizes=[g.num_nodes for g in graphs])
-        return decoder_loss(logits, [t for i in batch for t in seqs[i][1:]], lengths), None, None
+        yield None, 1.0, decoder_loss(logits, [t for i in batch for t in seqs[i][1:]], lengths)
 
     return _train(len(samples), model, tcfg, 13, batch_loss)
 
 
-def _step(model: Model, loss: Tensor, state: AdamState, epoch: int, step: int) -> None:
+def _step(model: Model, terms, state: AdamState, epoch: int, step: int) -> dict:
+    """One optimization step over the (key, weight, term) loss terms of a
+    batch: each weighted term's backward pass, then one Adam update. Returns
+    the values of the keyed terms and `l_total`, their weighted sum. A
+    non-finite gradient names the epoch, step and value of the loss it came
+    from."""
     ad.zero_grads(model.params)
+    losses = {"l_sim": None, "l_mam": None}
+    total = None
+    for key, weight, term in terms:
+        loss = term if weight == 1.0 else weight * term
+        value = loss.item()
+        total = value if total is None else total + value
+        with _aborting(epoch, step, value):
+            loss.backward()
+        if key is not None:
+            losses[key] = term.item()
+    losses["l_total"] = total
+    with _aborting(epoch, step, total):
+        adam_step(model.params, _collect_grads(model), state)
+    return losses
+
+
+@contextmanager
+def _aborting(epoch: int, step: int, value: float):
     try:
-        loss.backward()
-        grads = _collect_grads(model)
-        adam_step(model.params, grads, state)
+        yield
     except NonFiniteError as e:
         raise NonFiniteError(
-            f"aborting at epoch {epoch} step {step}: {e}; "
-            f"loss value {float(loss.data)!r}") from e
+            f"aborting at epoch {epoch} step {step}: {e}; loss value {value!r}") from e

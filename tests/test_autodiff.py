@@ -547,6 +547,13 @@ _IDENTITY_BLOCK = ((Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 2)))),
 _CROSS_IDENTITY = (_IDENTITY_BLOCK[0], _IDENTITY_BLOCK[1][:2])
 
 
+def _cache_of_one(rows: np.ndarray) -> ad.KVCache:
+    """A cache holding `rows` as the keys and values of one sequence."""
+    cache = ad.KVCache()
+    cache.extend(rows, rows, 1)
+    return cache
+
+
 class TestRowAndSegmentOps:
     def test_segment_sum_of_a_segment_equals_it_alone(self):
         rng = np.random.default_rng(1)
@@ -579,10 +586,19 @@ class TestRowAndSegmentOps:
         lambda a: ad.nll(a, [0, 1, 2], np.ones(3)),
         lambda a: ad.nll(a, [0, 1, -1], np.ones(3)),
         lambda a: ad.nll(a, [0, 1, 1], np.ones(2)),
+        lambda a: ad.linear(Tensor(np.ones(2)), a, Tensor(np.zeros((1, 2)))),   # 1-D rows
+        lambda a: ad.embed([a], [[[0, 1, 2]]]),                        # ids not flat
+        lambda a: ad.attention_block(a, *_IDENTITY_BLOCK, 3, [3]),       # 2 columns, 3 heads
+        lambda a: _cache_of_one(a.data).extend(a.data, a.data, 3),
     ])
     def test_bad_indices_rejected(self, call):
         with pytest.raises(ValueError):
             call(Tensor(np.ones((3, 2))))
+
+    @pytest.mark.parametrize("ids", [[0, 3], [-1, 0]], ids=["past-end", "negative"])
+    def test_gather_id_out_of_range_is_index_error(self, ids):
+        with pytest.raises(IndexError, match=re.escape("gather id out of range [0, 3)")):
+            ad.embed([Tensor(np.ones((3, 2)))], [ids])
 
     @pytest.mark.parametrize("op, shape, call", [
         ("take_rows", (2, 2), lambda a: cops.take_rows(a, [0, 1])),

@@ -484,10 +484,17 @@ _EVAL_ACD_BASELINE = ["eval", "--task", "acd", "--baseline", "--dataset", "d.jso
 
 
 def _unread(cases):
-    """Parameters (argv, flag) for each command line and each flag it must
-    refuse, with ids `<flag>-argv<n>` numbering the command lines."""
-    return [pytest.param(argv, flag, id=f"{flag}-argv{n}")
-            for n, (argv, flags) in enumerate(cases) for flag in flags]
+    """Parameters (argv, flag) for each (name, argv, flags) command line and
+    each flag it must refuse, with ids `<flag>-<name>`. The name is given,
+    not counted, so a case added anywhere leaves every other id as it is:
+    the command lines listed first keep their old `argv<n>` names, and a new
+    one is named after its command line. A repeated id is refused."""
+    params = [pytest.param(argv, flag, id=f"{flag}-{name}")
+              for name, argv, flags in cases for flag in flags]
+    ids = [p.id for p in params]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"repeated test ids in {ids}")
+    return params
 
 
 class TestErrors:
@@ -605,35 +612,36 @@ class TestErrors:
         assert "--alpha" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, switch", _unread([
-        (["gen", "--task", "autonet", "--out", "d.jsonl"], _ALL_SWITCHES),
-        (_SEARCH_BUILD, _ALL_SWITCHES),
+        ("argv0", ["gen", "--task", "autonet", "--out", "d.jsonl"], _ALL_SWITCHES),
+        ("argv1", _SEARCH_BUILD, _ALL_SWITCHES),
         # train alone reads the training switches; qa decides at 0.5, and
         # caption and viz pca decide nothing; viz dot runs no model
-        (["eval", "--task", "ar", "--checkpoint", "ckpt", "--dataset", "d.jsonl"],
+        ("argv2", ["eval", "--task", "ar", "--checkpoint", "ckpt", "--dataset", "d.jsonl"],
          _TRAINING_SWITCHES),
-        (["reason", "--checkpoint", "ckpt", "--graph", "g.json", "--text", "conv"],
+        ("argv3", ["reason", "--checkpoint", "ckpt", "--graph", "g.json", "--text", "conv"],
          _TRAINING_SWITCHES),
-        (["clone", "--checkpoint", "ckpt", "--g1", "g.json", "--g2", "g.json"],
+        ("argv4", ["clone", "--checkpoint", "ckpt", "--g1", "g.json", "--g2", "g.json"],
          _TRAINING_SWITCHES),
-        (["qa", "--checkpoint", "ckpt", "--graph", "g.json", "--question", "which ops"],
+        ("argv5", ["qa", "--checkpoint", "ckpt", "--graph", "g.json", "--question", "which ops"],
          ("--tau=0.3", *_TRAINING_SWITCHES)),
-        (["caption", "--checkpoint", "ckpt", "--graph", "g.json"],
+        ("argv6", ["caption", "--checkpoint", "ckpt", "--graph", "g.json"],
          ("--tau=0.3", *_TRAINING_SWITCHES)),
-        (_VIZ_PCA, ("--tau=0.3", *_TRAINING_SWITCHES)),
-        (_VIZ_DOT, _ALL_SWITCHES),
+        ("argv7", _VIZ_PCA, ("--tau=0.3", *_TRAINING_SWITCHES)),
+        ("argv8", _VIZ_DOT, _ALL_SWITCHES),
         # --no-mam weights only pre-training's masked-node term; aqa decides
         # at 0.5 and ac decides nothing; a baseline runs no model, and the
         # name baseline decides at no threshold
-        (_TRAIN_AQA_FROM, ("--no-mam",)),
-        (_TRAIN_AC_FROM, ("--no-mam",)),
-        (_TRAIN_AC, ("--no-mam",)),
-        (["eval", "--task", "aqa", "--checkpoint", "ckpt", "--dataset", "d.jsonl"], ("--tau=0.3",)),
-        (_EVAL_AC, ("--tau=0.3",)),
-        (_EVAL_ACD_BASELINE, ("--no-cross-encoder", "--no-shape", "--no-edge")),
-        (["eval", "--task", "ar", "--baseline", "--dataset", "d.jsonl"], ("--tau=0.3",)),
+        ("argv9", _TRAIN_AQA_FROM, ("--no-mam",)),
+        ("argv10", _TRAIN_AC_FROM, ("--no-mam",)),
+        ("argv11", _TRAIN_AC, ("--no-mam",)),
+        ("argv12", ["eval", "--task", "aqa", "--checkpoint", "ckpt", "--dataset", "d.jsonl"],
+         ("--tau=0.3",)),
+        ("argv13", _EVAL_AC, ("--tau=0.3",)),
+        ("argv14", _EVAL_ACD_BASELINE, ("--no-cross-encoder", "--no-shape", "--no-edge")),
+        ("argv15", ["eval", "--task", "ar", "--baseline", "--dataset", "d.jsonl"], ("--tau=0.3",)),
         # a run trains the text side, the graph side or both, never neither
-        ([*_TRAIN_AC, "--text-only"], ("--arch-only",)),
-        ([*_TRAIN_AQA_FROM, "--arch-only"], ("--text-only",)),
+        ("argv16", [*_TRAIN_AC, "--text-only"], ("--arch-only",)),
+        ("argv17", [*_TRAIN_AQA_FROM, "--arch-only"], ("--text-only",)),
     ]))
     def test_model_switch_where_unread_is_usage_error(self, argv, switch, capsys):
         # gen runs no model, and search runs the bundle's model as saved
@@ -641,37 +649,40 @@ class TestErrors:
         assert switch.split("=")[0] in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, flag", _unread([
-        (_SEARCH_BUILD, ("--config=c.ini", "--seed=5", "--index=i.abix", "--query=conv", "--k=3")),
-        (["reason", "--checkpoint", "ckpt", "--graph", "g.json", "--text", "conv"],
+        ("argv0", _SEARCH_BUILD,
+         ("--config=c.ini", "--seed=5", "--index=i.abix", "--query=conv", "--k=3")),
+        ("argv1", ["reason", "--checkpoint", "ckpt", "--graph", "g.json", "--text", "conv"],
          ("--config=c.ini", "--seed=5")),
-        (["clone", "--checkpoint", "ckpt", "--g1", "g.json", "--g2", "g.json"],
+        ("argv2", ["clone", "--checkpoint", "ckpt", "--g1", "g.json", "--g2", "g.json"],
          ("--config=c.ini", "--seed=5")),
-        (["qa", "--checkpoint", "ckpt", "--graph", "g.json", "--question", "which ops"],
+        ("argv3", ["qa", "--checkpoint", "ckpt", "--graph", "g.json", "--question", "which ops"],
          ("--config=c.ini", "--seed=5")),
-        (["caption", "--checkpoint", "ckpt", "--graph", "g.json"], ("--config=c.ini", "--seed=5")),
+        ("argv4", ["caption", "--checkpoint", "ckpt", "--graph", "g.json"],
+         ("--config=c.ini", "--seed=5")),
         # and each search or viz action reads only its own inputs
-        (_VIZ_PCA, ("--config=c.ini", "--seed=5", "--graph=g.json")),
-        (["search", "query", "--checkpoint", "ckpt", "--index", "i.abix", "--query", "conv"],
+        ("argv5", _VIZ_PCA, ("--config=c.ini", "--seed=5", "--graph=g.json")),
+        ("argv6",
+         ["search", "query", "--checkpoint", "ckpt", "--index", "i.abix", "--query", "conv"],
          ("--dataset=d.jsonl", "--out=i.abix")),
-        (_VIZ_DOT, ("--checkpoint=ckpt", "--dataset=d.jsonl", "--seed=5")),
+        ("argv7", _VIZ_DOT, ("--checkpoint=ckpt", "--dataset=d.jsonl", "--seed=5")),
         # eval reads --beam for ac alone and --config only with --baseline; a
         # node vocabulary, all that eval and viz dot take from a config, draws
         # nothing, so neither reads --seed
-        (["eval", "--task", "ar", "--checkpoint", "ckpt", "--dataset", "d.jsonl"],
+        ("argv8", ["eval", "--task", "ar", "--checkpoint", "ckpt", "--dataset", "d.jsonl"],
          ("--config=c.ini", "--seed=5", "--beam=2", "--seed=0")),
-        (_EVAL_ACD_BASELINE, ("--checkpoint=ckpt", "--beam=2", "--seed=5")),
+        ("argv9", _EVAL_ACD_BASELINE, ("--checkpoint=ckpt", "--beam=2", "--seed=5")),
         # a bundle brings its own text vocabulary, and only pre-training reads --alpha
-        (_TRAIN_AQA_FROM, ("--alpha=9", "--vocab-size=3")),
-        (_TRAIN_AC_FROM, ("--alpha=9", "--vocab-size=3")),
-        (["train", "--task", "pretrain", "--dataset", "d.jsonl", "--out", "o",
-          "--checkpoint", "ckpt"], ("--vocab-size=3",)),
-        (_TRAIN_AC, ("--alpha=9", "--alpha=0")),
-        # a bundle brings its own model config, so a fine-tune refuses a
-        # config's [model] section; and only ar and acd have a baseline
-        (_TRAIN_AQA_FROM, ("--config=model.ini",)),
-        (["eval", "--task", "bacd", "--dataset", "d.jsonl"], ("--baseline",)),
-        # nor its [gen] section, since the bundle brings its own node vocabulary
-        (_TRAIN_AC_FROM, ("--config=gen.ini",)),
+        ("argv10", _TRAIN_AQA_FROM, ("--alpha=9", "--vocab-size=3")),
+        ("argv11", _TRAIN_AC_FROM, ("--alpha=9", "--vocab-size=3")),
+        ("argv12", ["train", "--task", "pretrain", "--dataset", "d.jsonl", "--out", "o",
+                    "--checkpoint", "ckpt"], ("--vocab-size=3",)),
+        ("argv13", _TRAIN_AC, ("--alpha=9", "--alpha=0")),
+        # a bundle brings its own model config and node vocabulary, so a
+        # fine-tune refuses a config's [model] and [gen] sections
+        ("argv14", _TRAIN_AQA_FROM, ("--config=model.ini",)),
+        ("argv16", _TRAIN_AC_FROM, ("--config=gen.ini",)),
+        # only ar and acd have a baseline
+        ("argv15", ["eval", "--task", "bacd", "--dataset", "d.jsonl"], ("--baseline",)),
     ]))
     def test_config_or_seed_where_unread_is_usage_error(self, argv, flag, capsys, tmp_path,
                                                          monkeypatch):

@@ -4,13 +4,14 @@ import re
 import numpy as np
 import pytest
 
+from archtext import autodiff as ad
 from archtext import training
-from archtext.autodiff import NonFiniteError, Tensor, adam_step
+from archtext.autodiff import AdamState, NonFiniteError, Tensor, adam_step
 from archtext.checkpoint import save_checkpoint
 from archtext.datagen import ACSample, AQASample, BiModalSample, GenConfig, gen_architecture
 from archtext.graph import MASK_NODE_ID, ArchGraph
-from archtext.model import Model, ModelConfig
-from archtext.text import TextVocab, build_vocab
+from archtext.model import Model, ModelConfig, encode_graphs, encode_texts, mam_logits
+from archtext.text import TextVocab, build_vocab, tokenize
 from archtext.training import (
     MaskPlan,
     TrainConfig,
@@ -19,6 +20,7 @@ from archtext.training import (
     finetune_ac,
     finetune_aqa,
     mam_loss,
+    mam_terms,
     mask_count,
     mask_nodes,
     pretrain,
@@ -205,6 +207,38 @@ def _toy_model(gcfg, text_vocab, **overrides):
     return Model.initialized(ModelConfig(**kwargs), seed=0)
 
 
+def _one_tape_pretrain(samples, model, tcfg, text_vocab) -> list[dict]:
+    """`pretrain` as one tape per step: both terms built, summed by
+    `total_loss` and backpropagated once. The reference the term-by-term
+    step must match bit for bit."""
+    cfg = model.cfg
+    seqs = [tokenize(s.text, text_vocab, cfg.max_tokens) for s in samples]
+    ys = np.array([s.y for s in samples], dtype=np.float64)
+    state = AdamState(lr=tcfg.lr)
+    rng = np.random.default_rng([tcfg.seed, 11])
+    log = []
+    for epoch in range(tcfg.epochs):
+        order = rng.permutation(len(samples))
+        for start in range(0, len(samples), tcfg.batch_size):
+            batch = [int(i) for i in order[start:start + tcfg.batch_size]]
+            graphs = [samples[i].graph for i in batch]
+            _, j_t = encode_texts([seqs[i] for i in batch], model.params, cfg)
+            _, j_g = encode_graphs(graphs, model.params, cfg)
+            l_sim = ad.mean(sim_loss(j_t, j_g, ys[batch], cfg.eps_cos))
+            masked, plans = zip(*(mask_nodes(g, tcfg.mask_ratio, rng) for g in graphs))
+            h_gm, _ = encode_graphs(list(masked), model.params, cfg)
+            l_mam = ad.mean(mam_terms(mam_logits(h_gm, model.params), list(plans),
+                                      [g.num_nodes for g in graphs]))
+            l_total = total_loss(l_sim, l_mam, tcfg.alpha, no_mam=False)
+            ad.zero_grads(model.params)
+            l_total.backward()
+            adam_step(model.params, {name: p.grad for name, p in model.params.items()
+                                     if p.grad is not None}, state)
+            log.append({"epoch": epoch, "step": len(log) + 1, "l_sim": l_sim.item(),
+                        "l_mam": l_mam.item(), "l_total": l_total.item()})
+    return log
+
+
 class TestPretrain:
     def test_loss_decreases_and_logs(self, small_ops):
         gcfg, samples = _toy_bimodal(small_ops)
@@ -293,6 +327,64 @@ class TestPretrain:
                 "aborting at epoch 1 step 2: non-finite gradient for parameter x; loss value ")):
             pretrain(samples, _toy_model(gcfg, vocab),
                      TrainConfig(task="pretrain", batch_size=4, epochs=2, seed=0), vocab)
+
+    def test_term_by_term_step_matches_one_tape_bit_for_bit(self, small_ops):
+        gcfg, samples = _toy_bimodal(small_ops)
+        vocab = build_vocab([s.text for s in samples], 64)
+        tcfg = TrainConfig(task="pretrain", lr=5e-3, batch_size=4, epochs=3, seed=9, alpha=0.3)
+        model, reference = _toy_model(gcfg, vocab), _toy_model(gcfg, vocab)
+        log = pretrain(samples, model, tcfg, vocab)
+        assert repr(log) == repr(_one_tape_pretrain(samples, reference, tcfg, vocab))
+        for name, p in model.params.items():
+            assert p.data.tobytes() == reference.params[name].data.tobytes(), name
+
+    def test_first_term_tape_is_released_before_the_second_is_built(self, small_ops,
+                                                                    monkeypatch):
+        gcfg, samples = _toy_bimodal(small_ops)
+        vocab = build_vocab([s.text for s in samples], 64)
+        returned, checked = [], []
+
+        def recording(encode):
+            def wrapped(*args):
+                if len(returned) == 4:   # text and graph encodes done: the masked graph's
+                    checked.append([t._parents == () for t in returned])
+                out = encode(*args)
+                assert all(t._parents for t in out)   # each result is on the tape
+                returned.extend(out)
+                return out
+            return wrapped
+
+        monkeypatch.setattr(training, "encode_texts", recording(encode_texts))
+        monkeypatch.setattr(training, "encode_graphs", recording(encode_graphs))
+        pretrain(samples, _toy_model(gcfg, vocab),
+                 TrainConfig(task="pretrain", batch_size=8, epochs=1, seed=0), vocab)
+        assert len(returned) == 6
+        assert checked == [[True] * 4]
+
+    def test_non_finite_gradient_of_the_first_term_names_epoch_and_step(self, small_ops,
+                                                                         monkeypatch):
+        gcfg, samples = _toy_bimodal(small_ops)
+        vocab = build_vocab([s.text for s in samples], 64)
+        calls = []
+
+        def failing_sim_loss(*args):
+            out = sim_loss(*args)
+            calls.append(out)
+            if len(calls) < 3:   # 8 samples in batches of 4: the first step of epoch 1
+                return out
+
+            def backward(g):
+                raise NonFiniteError("non-finite values produced by a test op")
+
+            return Tensor._from_op(out.data, (out,), backward, "failing")
+
+        monkeypatch.setattr(training, "sim_loss", failing_sim_loss)
+        with pytest.raises(NonFiniteError, match=re.escape(
+                "aborting at epoch 1 step 2: non-finite values produced by a test op; "
+                "loss value ")):
+            pretrain(samples, _toy_model(gcfg, vocab),
+                     TrainConfig(task="pretrain", batch_size=4, epochs=2, seed=0), vocab)
+        assert len(calls) == 3
 
 
 class TestFinetuneAqa:
