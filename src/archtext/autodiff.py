@@ -10,10 +10,15 @@ layer over an edge list), `attention_block`, `cross_attention_block` and
 packed rows, self-attention optionally causal and extending a `KVCache`),
 `mlp` (the two-layer output heads), `segment_mean` (mean pooling over packed
 rows) and `nll` (a weighted negative log-likelihood). The fused ops share
-their numpy kernels, so each formula is written once. Every op validates
-that its output is finite, and a fused op names the stage of its
-computation where NaN or Inf first appeared; NaN or Inf anywhere is a hard
-error rather than a silent corruption.
+their numpy kernels, so each formula is written once. `gat_layer` reads its
+edge list in the layout `gat_edges` builds once per encode: grouped by
+target for the narrow per-edge softmax sums, and by degree rank for the
+wide per-node sums, each a slice add per rank (a jagged-diagonal order,
+Saad 1989). Either way a node's sums read its own edges only, in an order
+fixed by its own degree, so its values do not depend on its batch-mates.
+Every op validates that its output is finite, and a fused op names the
+stage of its computation where NaN or Inf first appeared; NaN or Inf
+anywhere is a hard error rather than a silent corruption.
 
 Gradients flow through a tape built implicitly by op closures; calling
 `backward` on a scalar seeds the reverse pass. `finite_diff` provides the
@@ -273,7 +278,9 @@ def mean(a: Tensor) -> Tensor:
 
 
 def _leaky_relu(a: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(a > 0, a, slope * a)
+    # for 0 <= slope <= 1 the larger of a and slope * a is the rectifier's
+    # value, signed zeros and NaN included: two passes where np.where takes three
+    return np.maximum(a, slope * a)
 
 
 def _leaky_relu_grad(g: np.ndarray, a: np.ndarray, slope: float) -> np.ndarray:
@@ -512,8 +519,8 @@ def _length_groups(lengths, rows: int, k_lengths=None, k_rows: int = 0,
     return groups
 
 
-def _head_blocks(q, k, v, group: _Group, heads: int, scale: float):
-    return (_by_head(q[group.q], group.n, heads) * scale, _by_head(k[group.k], group.n, heads),
+def _head_blocks(q, k, v, group: _Group, heads: int):
+    return (_by_head(q[group.q], group.n, heads), _by_head(k[group.k], group.n, heads),
             _by_head(v[group.k], group.n, heads))
 
 
@@ -521,11 +528,12 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, groups):
     """The attention output over `groups` (as `_length_groups` gives them),
     and the attention weights of each group, which the gradient reads. A
     hidden key gets exactly zero weight."""
-    scale = 1.0 / math.sqrt(q.shape[1] // heads)
+    # the queries are scaled once, not once per group
+    q = q * (1.0 / math.sqrt(q.shape[1] // heads))
     out = np.empty_like(q)
     weights = []
     for group in groups:
-        qh, kh, vh = _head_blocks(q, k, v, group, heads, scale)
+        qh, kh, vh = _head_blocks(q, k, v, group, heads)
         s = qh @ kh.swapaxes(-1, -2)
         if group.hidden is not None:
             np.copyto(s, -np.inf, where=group.hidden)
@@ -542,9 +550,10 @@ def _attention_grads(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,
     """The gradients of `_attention` for q, k and v, given the output's:
     dS = P * (dP - rowsum(dP * P)) (FlashAttention, arXiv 2205.14135)."""
     scale = 1.0 / math.sqrt(q.shape[1] // heads)
+    q = q * scale
     gq, gk, gv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
     for group, p in zip(groups, weights):
-        qh, kh, vh = _head_blocks(q, k, v, group, heads, scale)
+        qh, kh, vh = _head_blocks(q, k, v, group, heads)
         go = _by_head(g[group.q], group.n, heads)
         dp = go @ vh.swapaxes(-1, -2)
         ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
@@ -797,8 +806,73 @@ def nll(logits: Tensor, targets, weights) -> Tensor:
 # graph attention: each layer is one op
 
 
+class GatEdges(NamedTuple):
+    """A GAT edge list in the two orders `gat_layer` reads, as `gat_edges`
+    builds it.
+
+    In target order, edge e is the pair (seg.ids[e], source[e]), node i's
+    edges forming segment i, and reverse[e] is the edge with e's ends
+    swapped. In rank order, the nodes are sorted by edge count, most first
+    (stably), and block k holds the k-th edge of each node that has more
+    than k: ranked[q] is the target-order index of the edge at rank
+    position q, rank_source and rank_target are its ends, and block k runs
+    over positions ends[k - 1]:ends[k] (0:ends[0] for block 0, which has
+    every node). Block k's targets are a prefix of the node order, so block
+    k adds into the first ends[k] - ends[k - 1] sums, and the sum of node i
+    ends at row node_rank[i]."""
+
+    source: np.ndarray
+    seg: Segments
+    reverse: np.ndarray
+    ranked: np.ndarray
+    rank_source: np.ndarray
+    rank_target: np.ndarray
+    ends: np.ndarray
+    node_rank: np.ndarray
+
+
+def gat_edges(pairs, rows: int) -> GatEdges:
+    """The layout of a GAT edge list, checked: (target, source) pairs over
+    `rows` nodes, sorted by target, symmetric, with at least one pair per
+    node, as `graph.attention_edges` gives them. Built once per encode and
+    shared by its layers. A node's place in the rank order moves with its
+    batch-mates' degrees, but its k-th edge is always in block k, so the
+    sums over the blocks add its terms in the order of its edges and give
+    the same bits alone and in any batch."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    seg = segments(pairs[:, 0])
+    # in (source, target) order, edge k is the reverse of edge k of the list
+    reverse = np.lexsort((pairs[:, 0], pairs[:, 1]))
+    if len(seg.starts) != rows or (pairs[reverse] != pairs[:, ::-1]).any():
+        raise ValueError("GAT edges must be symmetric (target, source) pairs sorted by "
+                         f"target, with at least one for each of {rows} nodes")
+    degree = np.bincount(seg.ids)
+    node_rank = np.empty(rows, dtype=np.int64)
+    node_rank[np.argsort(-degree, kind="stable")] = np.arange(rows)
+    # block k has one entry per node of more than k edges
+    sizes = rows - np.cumsum(np.bincount(degree))[:-1]
+    ends = np.cumsum(sizes)
+    k = np.arange(len(pairs)) - seg.starts[seg.ids]
+    ranked = np.empty(len(pairs), dtype=np.int64)
+    ranked[(ends - sizes)[k] + node_rank[seg.ids]] = np.arange(len(pairs))
+    source = pairs[:, 1]
+    return GatEdges(source, seg, reverse, ranked, source[ranked], seg.ids[ranked], ends, node_rank)
+
+
+def _rank_sum(terms: np.ndarray, edges: GatEdges) -> np.ndarray:
+    """Per-node sums of the per-edge `terms` (E, ...) laid out in rank
+    order, in node order: block 0 plus each later block added in place into
+    its prefix, so node i's terms are added in the order of its edges,
+    whatever nodes share the call. Writes over `terms`."""
+    ends = edges.ends
+    sums = terms[:ends[0]]
+    for lo, hi in zip(ends[:-1].tolist(), ends[1:].tolist()):
+        sums[:hi - lo] += terms[lo:hi]
+    return sums[edges.node_rank]
+
+
 def gat_layer(x: Tensor, ws: list[Tensor], as_: list[Tensor], proj: Tensor,
-              edges: tuple[np.ndarray, Segments, np.ndarray]) -> Tensor:
+              edges: GatEdges) -> Tensor:
     """One multi-head graph attention layer with its residual, as one op
     (Veličković et al., arXiv 1710.10903), over node rows x (R, d).
 
@@ -808,24 +882,27 @@ def gat_layer(x: Tensor, ws: list[Tensor], as_: list[Tensor], proj: Tensor,
     its neighbours' wh rows. The heads' sums, side by side, are projected by
     `proj` (H*dh, d) with no bias and added to x.
 
-    `edges` is (source, seg, reverse) for an edge list of (target, source)
-    pairs grouped by target, node i's edges forming segment i, as
-    `model._gat_edges` gives it. The edge set must be symmetric: reverse[e]
-    is the index of edge e with its ends swapped. So every gradient that
-    flows from edges back to nodes is a segment sum over the reversed
-    edges, with no scattered adds, and each segment is reduced on its own
-    (`reduceat`), so a node's values do not depend on the graphs around it.
+    `edges` is the `gat_edges` layout of a symmetric edge list, so every
+    gradient that flows from edges back to nodes is a sum over the reversed
+    edges, with no scattered adds. The softmax and the score gradients sum
+    each node's narrow (E, H) rows with `reduceat` in target order. The
+    wide (E, H, dh) sums, the neighbour mix and wh's gradient, run over the
+    rank order: one slice add per block, where `reduceat` would run one
+    short inner loop per node and column, and node i's terms are added one
+    by one in the order of its edges. Either way a node's sums read its own
+    edges only, in an order fixed by its own degree, so its values have the
+    same bits alone and in any batch.
 
-    Bits and gradients are those of the single ops the layer was built from,
-    as for `attention_block`. The scores are checked at once: a score that
-    overflowed to -inf takes zero weight and would leave no trace in the
-    result. A NaN or Inf anywhere else reaches the result.
+    The gradients are those of the layer's single ops; wh's three are
+    summed in the order the tape would sum them. The scores are checked at
+    once: a score that overflowed to -inf takes zero weight and would leave
+    no trace in the result. A NaN or Inf anywhere else reaches the result.
     """
-    source, seg, reverse = edges
+    source, seg, reverse = edges.source, edges.seg, edges.reverse
     heads, r = len(ws), x.data.shape[0]
-    if len(as_) != heads or len(seg.starts) != r or len(seg.ids) != len(source):
-        raise ValueError(f"{len(seg.starts)} segments of {len(seg.ids)} edges for {r} nodes "
-                         f"and {len(source)} edges, {heads} W and {len(as_)} a for the heads")
+    if len(as_) != heads or len(seg.starts) != r:
+        raise ValueError(f"edges of {len(seg.starts)} nodes for {r} nodes, {heads} W and "
+                         f"{len(as_)} a for the heads")
     w = np.concatenate([t.data for t in ws], axis=1)
     a = np.concatenate([t.data for t in as_])
     dh = w.shape[1] // heads
@@ -841,19 +918,29 @@ def gat_layer(x: Tensor, ws: list[Tensor], as_: list[Tensor], proj: Tensor,
     z -= np.maximum.reduceat(z, seg.starts, axis=0)[seg.ids]
     e = np.exp(z, out=z)
     p = e / np.add.reduceat(e, seg.starts, axis=0)[seg.ids]
-    mixed = np.add.reduceat(p[:, :, None] * wh[source], seg.starts, axis=0).reshape(r, -1)
+    terms = wh[edges.rank_source]
+    terms *= p[edges.ranked][:, :, None]
+    mixed = _rank_sum(terms, edges).reshape(r, -1)
     o = _rows_matmul(mixed, proj.data)
     stages.append(("output projection", o))
 
     def backward(g):
         gmixed = (g @ proj.data.T).reshape(r, heads, dh)
-        gp = np.einsum("ehk,ehk->eh", gmixed[seg.ids], wh[source])
+        # the edge at rank position q is (i, j) for i = rank_target[q] and
+        # j = rank_source[q]; gmixed[j] serves both the score gradient of its
+        # reverse (j, i) and that edge's term of wh[i]'s gradient, which the
+        # rank sum adds into node i's row
+        g_src = gmixed[edges.rank_source]
+        rank_reverse = reverse[edges.ranked]
+        gp = np.empty_like(p)
+        gp[rank_reverse] = np.einsum("ehk,ehk->eh", g_src, wh[edges.rank_target])
         gz = p * (gp - np.add.reduceat(gp * p, seg.starts, axis=0)[seg.ids])
         gs = _leaky_relu_grad(gz, scores, 0.2)
         gown = np.add.reduceat(gs, seg.starts, axis=0)[:, :, None]
         gother = np.add.reduceat(gs[reverse], seg.starts, axis=0)[:, :, None]
         # wh's three gradients in the order the tape met them: mix, own, other
-        gwh = np.add.reduceat(p[reverse][:, :, None] * gmixed[source], seg.starts, axis=0)
+        g_src *= p[rank_reverse][:, :, None]
+        gwh = _rank_sum(g_src, edges)
         gwh += gown * a_own
         gwh += gother * a_other
         gwh = gwh.reshape(r, -1)

@@ -267,20 +267,6 @@ def embed_nodes_shapes(graphs: list[ArchGraph], params: dict[str, Tensor],
                     [nodes, *buckets.T])
 
 
-def _gat_edges(edges: np.ndarray, rows: int) -> tuple[np.ndarray, ad.Segments, np.ndarray]:
-    """Sources, target segments and reversed-edge permutation of a GAT edge
-    list: (target, source) pairs over `rows` nodes, sorted by target,
-    symmetric, with at least one pair per node."""
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    seg = ad.segments(edges[:, 0])
-    # in (source, target) order, edge k is the reverse of edge k of the list
-    reverse = np.lexsort((edges[:, 0], edges[:, 1]))
-    if len(seg.starts) != rows or (edges[reverse] != edges[:, ::-1]).any():
-        raise ValueError("GAT edges must be symmetric (target, source) pairs sorted by "
-                         f"target, with at least one for each of {rows} nodes")
-    return edges[:, 1], seg, reverse
-
-
 def gat_forward(feats: Tensor, edges: np.ndarray, params: dict[str, Tensor],
                 cfg: ModelConfig) -> Tensor:
     """Multi-head graph attention with residual connections over packed node
@@ -290,9 +276,10 @@ def gat_forward(feats: Tensor, edges: np.ndarray, params: dict[str, Tensor],
     Per head and edge: additive attention logits through a leaky rectifier,
     a softmax over each node's edges, then an attention-weighted sum of the
     neighbours' projected features; the head outputs are projected back to
-    d. Each layer is one `autodiff.gat_layer` op.
+    d. Each layer is one `autodiff.gat_layer` op; the layers share one
+    `autodiff.gat_edges` layout of the edge list, built and checked here.
     """
-    gat_edges = _gat_edges(edges, feats.shape[0])
+    gat_edges = ad.gat_edges(edges, feats.shape[0])
     heads = range(cfg.gat_heads)
     x = feats
     for layer in range(cfg.gat_layers):

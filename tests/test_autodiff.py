@@ -225,13 +225,13 @@ def _flat(norm, proj) -> list[Tensor]:
 def _gat_case(rng, adj, heads, dh, requires_grad=True):
     """Random node rows, per-head W and a and the output projection of one
     GAT layer, and the edge list of the adjacency `adj` made symmetric, with
-    self-loops, as `model._gat_edges` gives it."""
+    self-loops, in the `ad.gat_edges` layout the model runs."""
     def t(*shape):
         return Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
 
     r, d = len(adj), heads * dh
     target, source = np.argwhere(adj | adj.T | np.eye(r, dtype=bool)).T
-    edges = (source, ad.segments(target), np.lexsort((target, source)))
+    edges = ad.gat_edges(np.stack((target, source), axis=1), r)
     return (t(r, d), [t(d, dh) for _ in range(heads)], [t(1, 2 * dh) for _ in range(heads)],
             t(d, d), edges)
 
@@ -350,7 +350,7 @@ class TestFusedOpGradients:
         big = np.finfo(np.float64).max
         x, eye = Tensor([[2.0, 0.0], [0.5, 0.0]]), Tensor(np.eye(2))
         target, source = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
-        edges = (source, ad.segments(target), np.lexsort((target, source)))
+        edges = ad.gat_edges(np.stack((target, source), axis=1), 2)
         with np.errstate(over="ignore"), pytest.raises(
                 NonFiniteError, match=re.escape("gat_layer (scores)")):
             ad.gat_layer(x, [eye], [Tensor([[0.0, 0.0, -big, 0.0]])], eye, edges)
@@ -532,10 +532,12 @@ class TestFiniteness:
 
 
 def _gat_call(x, source, target):
-    """gat_layer of one head of width 2 over rows x (R, 2) and these edges."""
+    """gat_layer of one head of width 2 over rows x (R, 2) and these edges,
+    laid out over the nodes their targets name."""
     one = Tensor(np.ones((2, 2)))
+    pairs = np.stack((target, source), axis=1)
     return ad.gat_layer(x, [one], [Tensor(np.ones((1, 4)))], one,
-                        (np.array(source), ad.segments(target), np.argsort(source)))
+                        ad.gat_edges(pairs, max(target) + 1))
 
 
 # a sublayer's unit layer norm and identity (w, b) pairs, for 2 columns
@@ -552,6 +554,65 @@ def _cache_of_one(rows: np.ndarray) -> ad.KVCache:
     cache = ad.KVCache()
     cache.extend(rows, rows, 1)
     return cache
+
+
+class TestGatEdges:
+    """The degree-ranked layout of `ad.gat_edges` and the sums over it."""
+
+    @staticmethod
+    def hub_and_chain():
+        # node 0 has 22 neighbours, 22-29 form a chain and 30 has only its
+        # self-loop, so the blocks shrink from 31 nodes to 1
+        adj = np.zeros((31, 31), dtype=bool)
+        adj[0, 1:23] = True
+        adj[np.arange(22, 29), np.arange(23, 30)] = True
+        target, source = np.argwhere(adj | adj.T | np.eye(31, dtype=bool)).T
+        return target, source, ad.gat_edges(np.stack((target, source), axis=1), 31)
+
+    def test_block_k_holds_the_k_th_edge_of_a_prefix_of_the_node_order(self):
+        target, source, edges = self.hub_and_chain()
+        degree = np.bincount(target)
+        order = np.argsort(-degree, kind="stable")
+        assert degree[0] == 23 and len(edges.ends) == 23
+        lo = 0
+        for k, hi in enumerate(edges.ends.tolist()):
+            n = hi - lo
+            assert n == (degree > k).sum()
+            np.testing.assert_array_equal(edges.rank_target[lo:hi], order[:n])
+            np.testing.assert_array_equal(edges.ranked[lo:hi], edges.seg.starts[order[:n]] + k)
+            lo = hi
+        assert lo == len(target)
+        np.testing.assert_array_equal(edges.node_rank[order], np.arange(31))
+        np.testing.assert_array_equal(edges.rank_source, source[edges.ranked])
+        np.testing.assert_array_equal(edges.source, source)
+
+    def test_rank_sum_adds_a_node_s_terms_in_edge_order(self):
+        # magnitudes far apart, so another order or grouping changes bits
+        target, _, edges = self.hub_and_chain()
+        rng = np.random.default_rng(8)
+        scale = 10.0 ** rng.integers(-8, 9, (len(target), 1))
+        terms = rng.standard_normal((len(target), 3)) * scale
+        want = np.zeros((31, 3))
+        for i in range(31):
+            rows = terms[target == i]
+            acc = rows[0].copy()
+            for row in rows[1:]:
+                acc += row
+            want[i] = acc
+        got = ad._rank_sum(terms[edges.ranked], edges)
+        assert np.array_equal(got, want)
+
+
+def test_leaky_relu_has_the_bits_of_the_select():
+    # the rectifier as a select, written out here: signed zeros, infinities,
+    # the smallest subnormals, NaN of either sign, and values from 1e-320 to 1e300
+    rng = np.random.default_rng(9)
+    tiny = np.nextafter(0.0, 1.0)
+    mags = 10.0 ** rng.uniform(-320, 300, 200_000)
+    a = np.concatenate([[0.0, -0.0, np.inf, -np.inf, tiny, -tiny, np.nan, -np.nan],
+                        mags * rng.choice([-1.0, 1.0], mags.size)])
+    want = np.where(a > 0, a, 0.2 * a)
+    assert np.array_equal(ad._leaky_relu(a, 0.2).view(np.int64), want.view(np.int64))
 
 
 class TestRowAndSegmentOps:
@@ -572,8 +633,8 @@ class TestRowAndSegmentOps:
         lambda a: ad.segments([1, 1, 2]),
         lambda a: ad.segments([0, 2, 2]),
         lambda a: ad.segments([0, 1, 0]),
-        lambda a: _gat_call(a, [0, 1], [0, 1]),           # 2 segments for 3 nodes
-        lambda a: _gat_call(a, [0, 1], [0, 1, 2]),        # 2 sources for 3 edges
+        lambda a: _gat_call(a, [0, 1], [0, 1]),           # edges of 2 nodes for 3 nodes
+        lambda a: _gat_call(a, [0, 1], [0, 1, 2]),        # 2 sources for 3 targets
         lambda a: ad.segment_sum(a, ad.segments([0, 1])),
         lambda a: ad.segment_sum(a, ad.segments([0, 0, 1, 1])),
         lambda a: ad.segment_mean(a, [2, 2]),

@@ -514,7 +514,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("edit", ["unknown", "missing", "wrong-type", "gat-heads-0", "d-0",
                                       "max-tokens-negative", "enlarged", "text-and-arch-only",
-                                      "eps-cos-0", "heads-split-d", "tau-1"])
+                                      "eps-cos-0", "heads-split-d", "tau-1",
+                                      "vocab-too-small"])
     def test_bad_bundle_config_is_data_error(self, tmp_path, pretrained, capsys, edit):
         data, ckpt = pretrained
         config = ckpt / "config.json"
@@ -546,6 +547,9 @@ class TestErrors:
         elif edit == "tau-1":
             cfg["tau"] = 1.0
             expect = "tau must lie in (0, 1)"
+        elif edit == "vocab-too-small":
+            cfg["node_vocab_size"] = 3
+            expect = "vocabulary too small"
         else:
             # out of range: a zero width or head count divides by zero below the loader
             key, value = {"gat-heads-0": ("gat_heads", 0), "d-0": ("d", 0),

@@ -14,6 +14,7 @@ from archtext.graph import (
     NodeVocab,
     PAD_NODE_ID,
     UNK_NODE_ID,
+    attention_edges,
     attention_mask,
     graph_to_obj,
     parse_graph,
@@ -123,6 +124,12 @@ class TestAttentionMask:
     def test_isolated_nodes_identity(self):
         g = ArchGraph(nodes=[3, 4, 5], edges=[], shapes=[(0, 0, 0, 0)] * 3)
         assert np.array_equal(attention_mask(g), np.eye(3, dtype=bool))
+
+    def test_edge_out_of_range_rejected(self):
+        # a graph built directly, never validated: node 5 of 3
+        g = ArchGraph(nodes=[3, 4, 5], edges=[(0, 5)], shapes=[(0, 0, 0, 0)] * 3)
+        with pytest.raises(ValueError, match="edge index out of range for its graph's nodes"):
+            attention_edges([g])
 
     def test_no_edges_flag_all_true(self):
         g = ArchGraph(nodes=[3, 4, 5], edges=[(0, 1)], shapes=[(0, 0, 0, 0)] * 3)

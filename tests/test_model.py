@@ -810,6 +810,37 @@ class TestBatchedCore:
             alone = encode_texts([seq], params, cfg)[1]
             assert np.array_equal(j_t.data[row], alone.data[0])
 
+    @pytest.mark.parametrize("no_edge", [False, True], ids=["edges", "no-edge"])
+    def test_gat_rows_and_pooled_vectors_independent_of_batch_order(self, no_edge):
+        # a hub of 22 neighbours beside a chain, a 1-node graph and a
+        # 64-node graph, whose 64 nodes each have 64 edges under no_edge:
+        # batch-mates of other degrees change where a node's sums sit in
+        # the degree-ranked blocks, never its bits
+        gcfg = GenConfig(rng_seed=0, ops=SMALL_OPS)
+        hub = ArchGraph(nodes=[3 + i % 4 for i in range(30)],
+                        edges=[(0, j) for j in range(1, 23)] + [(j, j + 1) for j in range(22, 29)],
+                        shapes=[(8, 3, 3, 3)] * 30)
+        graphs = [hub, ArchGraph(nodes=[3], edges=[], shapes=[(8, 3, 3, 3)]),
+                  *_mixed_graphs(gcfg, (64, 9))]
+        cfg = ModelConfig(node_vocab_size=len(gcfg.node_vocab()), text_vocab_size=8, d=16,
+                          gat_heads=2, cross_heads=4, dec_heads=2, no_edge=no_edge)
+        params = Model.initialized(cfg, seed=5).constants()
+
+        def encode(batch):
+            feats = embed_nodes_shapes(batch, params, cfg)
+            gat = gat_forward(feats, attention_edges(batch, not no_edge), params, cfg)
+            return gat.data, encode_graphs(batch, params, cfg)[1].data
+
+        alone = [encode([g]) for g in graphs]
+        for order in ([0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]):
+            gat, pooled = encode([graphs[i] for i in order])
+            lo = 0
+            for row, i in enumerate(order):
+                n = graphs[i].num_nodes
+                assert np.array_equal(gat[lo:lo + n], alone[i][0]), (order, i)
+                assert np.array_equal(pooled[row], alone[i][1][0]), (order, i)
+                lo += n
+
     def test_mixed_length_batch_takes_no_rows(self, tiny, monkeypatch):
         # no layer pads, so no encode has padding rows to select away: a
         # mixed batch runs the ops of a batch of one, and no other

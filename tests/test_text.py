@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from archtext.graph import NodeVocab
 from archtext.text import (
     BOS_ID,
     EOS_ID,
@@ -21,6 +22,14 @@ def test_reserved_ids_fixed():
     v = TextVocab([])
     assert [v.name_of(i) for i in range(5)] == list(RESERVED_TOKENS)
     assert len(v) == 5
+
+
+@pytest.mark.parametrize("vocab", [TextVocab, NodeVocab], ids=["text", "node"])
+def test_duplicate_names_rejected(vocab):
+    # the file loader names a repeated line first, so only a direct build
+    # reaches the constructor's own check
+    with pytest.raises(ValueError, match=f"duplicate names in {vocab.KIND} vocabulary"):
+        vocab(["a", "b", "a"])
 
 
 class TestBuildVocab:
