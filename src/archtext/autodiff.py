@@ -11,14 +11,15 @@ packed rows, self-attention optionally causal and extending a `KVCache`),
 `mlp` (the two-layer output heads), `segment_mean` (mean pooling over packed
 rows) and `nll` (a weighted negative log-likelihood). The fused ops share
 their numpy kernels, so each formula is written once. `gat_layer` reads its
-edge list in the layout `gat_edges` builds once per encode: grouped by
-target for the narrow per-edge softmax sums, and by degree rank for the
-wide per-node sums, each a slice add per rank (a jagged-diagonal order,
-Saad 1989). Either way a node's sums read its own edges only, in an order
-fixed by its own degree, so its values do not depend on its batch-mates.
-Every op validates that its output is finite, and a fused op names the
-stage of its computation where NaN or Inf first appeared; NaN or Inf
-anywhere is a hard error rather than a silent corruption.
+edge list in the `GatEdges` layout, which one function builds from graphs,
+`graph.attention_edges`, once per encode: grouped by target for the narrow
+per-edge softmax sums, and by degree rank for the wide per-node sums, each
+a slice add per rank (a jagged-diagonal order, Saad 1989). Either way a
+node's sums read its own edges only, in an order fixed by its own degree,
+so its values do not depend on its batch-mates. Every op validates that its
+output is finite, and a fused op names the stage of its computation where
+NaN or Inf first appeared; NaN or Inf anywhere is a hard error rather than
+a silent corruption.
 
 Gradients flow through a tape built implicitly by op closures; calling
 `backward` on a scalar seeds the reverse pass. `finite_diff` provides the
@@ -807,8 +808,8 @@ def nll(logits: Tensor, targets, weights) -> Tensor:
 
 
 class GatEdges(NamedTuple):
-    """A GAT edge list in the two orders `gat_layer` reads, as `gat_edges`
-    builds it.
+    """A GAT edge list in the two orders `gat_layer` reads, as
+    `graph.attention_edges` builds it from graphs.
 
     In target order, edge e is the pair (seg.ids[e], source[e]), node i's
     edges forming segment i, and reverse[e] is the edge with e's ends
@@ -829,34 +830,6 @@ class GatEdges(NamedTuple):
     rank_target: np.ndarray
     ends: np.ndarray
     node_rank: np.ndarray
-
-
-def gat_edges(pairs, rows: int) -> GatEdges:
-    """The layout of a GAT edge list, checked: (target, source) pairs over
-    `rows` nodes, sorted by target, symmetric, with at least one pair per
-    node, as `graph.attention_edges` gives them. Built once per encode and
-    shared by its layers. A node's place in the rank order moves with its
-    batch-mates' degrees, but its k-th edge is always in block k, so the
-    sums over the blocks add its terms in the order of its edges and give
-    the same bits alone and in any batch."""
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    seg = segments(pairs[:, 0])
-    # in (source, target) order, edge k is the reverse of edge k of the list
-    reverse = np.lexsort((pairs[:, 0], pairs[:, 1]))
-    if len(seg.starts) != rows or (pairs[reverse] != pairs[:, ::-1]).any():
-        raise ValueError("GAT edges must be symmetric (target, source) pairs sorted by "
-                         f"target, with at least one for each of {rows} nodes")
-    degree = np.bincount(seg.ids)
-    node_rank = np.empty(rows, dtype=np.int64)
-    node_rank[np.argsort(-degree, kind="stable")] = np.arange(rows)
-    # block k has one entry per node of more than k edges
-    sizes = rows - np.cumsum(np.bincount(degree))[:-1]
-    ends = np.cumsum(sizes)
-    k = np.arange(len(pairs)) - seg.starts[seg.ids]
-    ranked = np.empty(len(pairs), dtype=np.int64)
-    ranked[(ends - sizes)[k] + node_rank[seg.ids]] = np.arange(len(pairs))
-    source = pairs[:, 1]
-    return GatEdges(source, seg, reverse, ranked, source[ranked], seg.ids[ranked], ends, node_rank)
 
 
 def _rank_sum(terms: np.ndarray, edges: GatEdges) -> np.ndarray:
@@ -882,7 +855,7 @@ def gat_layer(x: Tensor, ws: list[Tensor], as_: list[Tensor], proj: Tensor,
     its neighbours' wh rows. The heads' sums, side by side, are projected by
     `proj` (H*dh, d) with no bias and added to x.
 
-    `edges` is the `gat_edges` layout of a symmetric edge list, so every
+    `edges` is the `GatEdges` layout of a symmetric edge list, so every
     gradient that flows from edges back to nodes is a sum over the reversed
     edges, with no scattered adds. The softmax and the score gradients sum
     each node's narrow (E, H) rows with `reduceat` in target order. The

@@ -68,7 +68,9 @@ def _coerce(raw: str, typ):
 
 def load_config_file(path: str | None) -> dict[str, dict]:
     """INI-style key=value sections [gen], [model], [train]; unknown keys
-    are rejected. A fault is a ValueError naming the path."""
+    are rejected, and each section's values must be in the ranges its
+    config takes, whether or not the run reads the section. A fault is a
+    ValueError naming the path and, for a value, its section."""
     sections: dict[str, dict] = {"gen": {}, "model": {}, "train": {}}
     if path is None:
         return sections
@@ -92,6 +94,14 @@ def load_config_file(path: str | None) -> dict[str, dict]:
                     sections[section][key] = _coerce(raw, hints[key])
                 except ValueError as e:
                     raise ValueError(f"[{section}] {key}: {e}") from e
+        # the model's vocabularies come from the data: the smallest it takes stand in
+        configs = {"gen": GenConfig, "train": TrainConfig,
+                   "model": lambda **kw: ModelConfig(node_vocab_size=4, text_vocab_size=6, **kw)}
+        for section, make in configs.items():
+            try:
+                make(**sections[section])
+            except ValueError as e:   # named as a type error is, by section
+                raise ValueError(f"[{section}] {e}") from e
     except (configparser.Error, ValueError) as e:   # these, and text that is not UTF-8
         raise ValueError(f"{path}: {e}") from e
     return sections
@@ -226,6 +236,9 @@ def _load_model_config(path: str) -> ModelConfig:
             if type(value) not in ((int, float) if typ is float else (typ,)):
                 raise ValueError(f"key {key!r} must be {typ.__name__}, "
                                  f"got {type(value).__name__} {value!r}")
+            # the model computes in float64, so an integer must fit a float
+            if typ is float and type(value) is int and abs(value) > sys.float_info.max:
+                raise ValueError(f"key {key!r} is out of float range")
         return ModelConfig(**raw)
     except ValueError as e:   # these, invalid JSON or UTF-8, and ModelConfig's range checks
         raise ValueError(f"{path}: {e}") from e
@@ -278,16 +291,21 @@ def _cmd_gen(args) -> int:
     vocab = cfg.node_vocab()
     n = cfg.n_val_archs if args.split == "val" else cfg.n_train_archs
     task = "tvhf" if args.task == "tvhf-mine" else args.task
-    if task == "autonet":
-        samples = datagen.gen_autonet(cfg, n, args.split)
-    elif task == "aqa":
-        samples = datagen.gen_autonet_aqa(cfg, n, args.split)
-    elif task == "acd":
-        samples = datagen.gen_acd_dataset(cfg)
-    elif task == "tvhf":
-        samples = datagen.gen_tvhf(cfg)
-    else:
-        samples = datagen.gen_bacd_dataset(cfg)
+    try:
+        if task == "autonet":
+            samples = datagen.gen_autonet(cfg, n, args.split)
+        elif task == "aqa":
+            samples = datagen.gen_autonet_aqa(cfg, n, args.split)
+        elif task == "acd":
+            samples = datagen.gen_acd_dataset(cfg)
+        elif task == "tvhf":
+            samples = datagen.gen_tvhf(cfg)
+        else:
+            samples = datagen.gen_bacd_dataset(cfg)
+    except ValueError as e:   # [gen] settings in range that this task cannot use
+        if args.config:
+            raise ValueError(f"{args.config}: [gen] {e}") from e
+        raise
     datagen.write_jsonl(samples, vocab, args.out)
     print(f"wrote {len(samples)} records to {args.out}")
     return 0

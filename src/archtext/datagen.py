@@ -77,10 +77,16 @@ class GenConfig:
     def __post_init__(self):
         if self.min_nodes < 1 or self.min_nodes > self.max_nodes:
             raise ValueError("need 1 <= min_nodes <= max_nodes")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
-        if not 0.0 < self.desc_pos_fraction < 1.0:
-            raise ValueError("desc_pos_fraction must lie in (0, 1)")
+        floors = {"rng_seed": 0, "n_train_archs": 1, "n_val_archs": 1, "tvhf_families": 1,
+                  "tvhf_variants": 1}
+        for key, floor in floors.items():
+            if getattr(self, key) < floor:
+                raise ValueError(f"{key} must be at least {floor}, got {getattr(self, key)}")
+        for key in ("desc_pos_fraction", "beta", "acd_pos_fraction", "tvhf_neg_fraction"):
+            if not 0.0 < getattr(self, key) < 1.0:   # false for a NaN too
+                raise ValueError(f"{key} must lie in (0, 1), got {getattr(self, key)}")
+        if not self.ops:
+            raise ValueError("ops must name at least one op")
         unknown = [op for op in self.ops if op not in CATALOG]
         if unknown:
             raise ValueError(f"ops not in catalog: {unknown}")
@@ -483,7 +489,7 @@ def gen_acd_pairs(tagged: list[tuple[ArchGraph, str]], rng: np.random.Generator,
     """Labelled clone pairs: label 1 iff both graphs share a family tag,
     sampled so similar pairs make up the requested fraction."""
     if len(tagged) < 2:
-        raise ValueError("need at least 2 architectures")
+        raise ValueError(f"need at least 2 architectures to pair, got {len(tagged)}")
     pos_idx, neg_idx = [], []
     for i in range(len(tagged)):
         for j in range(i + 1, len(tagged)):

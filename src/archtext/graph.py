@@ -3,7 +3,9 @@
 A graph holds an ordered node list (operation ids into a node vocabulary),
 a set of directed edges, and one 4-tuple of non-negative integers below
 2**53 per node (out-channels, in-channels, kernel-h, kernel-w). Nodes
-without shape attributes carry the sentinel (0, 0, 0, 0).
+without shape attributes carry the sentinel (0, 0, 0, 0). A batch of graphs
+reaches the GAT through `attention_edges`, the one constructor of the
+`autodiff.GatEdges` layout of their attention neighbourhoods.
 
 All values are immutable after construction and safe to share across
 threads. Graphs share their immutable parts through two tables that only
@@ -27,6 +29,7 @@ from itertools import chain
 
 import numpy as np
 
+from .autodiff import GatEdges, Segments
 from .text import Vocab
 
 MASK_NODE = "[MASK_NODE]"
@@ -199,26 +202,31 @@ def _kahn(g: ArchGraph) -> tuple[int, int] | None:
     return next((u, v) for u, v in edges if u not in removed and v not in removed)
 
 
-def attention_edges(graphs: list[ArchGraph], use_edges: bool = True) -> np.ndarray:
+def attention_edges(graphs: list[ArchGraph], use_edges: bool = True) -> GatEdges:
     """The attention neighbourhoods of `graphs` laid end to end, each graph's
-    nodes numbered after those of the graphs before it, as (target, source)
-    index pairs, shape (E, 2), sorted by target, then source: each graph's
-    symmetrized adjacency plus self-loops, so the pair set is symmetric and
-    every node has a pair.
+    nodes numbered after those of the graphs before it, in the
+    `autodiff.GatEdges` layout that the GAT's layers share: each graph's
+    symmetrized adjacency plus self-loops, so the edge set is symmetric and
+    every node has an edge. The one constructor of that layout.
 
     With use_edges=False every position may attend everywhere in its graph
     (the structure-blind ablation).
+
+    A node's place in the rank order moves with its batch-mates' degrees,
+    but its k-th edge is always in block k, so the sums over the blocks add
+    its terms in the order of its edges and give the same bits alone and in
+    any batch.
     """
     sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
     offsets = np.cumsum(sizes) - sizes
     n = int(sizes.sum())
     if use_edges:
         counts = [len(g.edges) for g in graphs]
-        ends = np.fromiter(chain.from_iterable(chain.from_iterable(g.edges for g in graphs)),
-                           dtype=np.int64, count=2 * sum(counts)).reshape(-1, 2)
-        if ((ends < 0) | (ends >= np.repeat(sizes, counts)[:, None])).any():
+        uv = np.fromiter(chain.from_iterable(chain.from_iterable(g.edges for g in graphs)),
+                         dtype=np.int64, count=2 * sum(counts)).reshape(-1, 2)
+        if ((uv < 0) | (uv >= np.repeat(sizes, counts)[:, None])).any():
             raise ValueError("edge index out of range for its graph's nodes")
-        u, v = (ends + np.repeat(offsets, counts)[:, None]).T
+        u, v = (uv + np.repeat(offsets, counts)[:, None]).T
         keys = np.concatenate([u * n + v, v * n + u, np.arange(n) * (n + 1)])
     else:
         keys = np.concatenate([(np.arange(m)[:, None] * n + np.arange(m)).ravel() + o * (n + 1)
@@ -226,15 +234,29 @@ def attention_edges(graphs: list[ArchGraph], use_edges: bool = True) -> np.ndarr
     keys.sort()
     # a sorted unique, without np.unique's hashing, which costs ten times more here
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    return np.stack(np.divmod(keys, n), axis=1)
+    target, source = np.divmod(keys, n)
+    # every node has its self-loop, so node i's edges are segment i
+    seg = Segments(target, np.flatnonzero(np.concatenate(([True], target[1:] != target[:-1]))))
+    # edge e's reverse is the edge whose key is that of (source[e], target[e])
+    reverse = np.searchsorted(keys, source * n + target)
+    degree = np.diff(seg.starts, append=len(keys))
+    node_rank = np.empty(n, dtype=np.int64)
+    node_rank[np.argsort(-degree, kind="stable")] = np.arange(n)
+    # block k has one entry per node of more than k edges
+    widths = n - np.cumsum(np.bincount(degree))[:-1]
+    ends = np.cumsum(widths)
+    k = np.arange(len(keys)) - seg.starts[target]
+    ranked = np.empty(len(keys), dtype=np.int64)
+    ranked[(ends - widths)[k] + node_rank[target]] = np.arange(len(keys))
+    return GatEdges(source, seg, reverse, ranked, source[ranked], target[ranked], ends, node_rank)
 
 
 def attention_mask(g: ArchGraph, use_edges: bool = True) -> np.ndarray:
     """Boolean m x m attention mask of `attention_edges`: row i marks the
     positions node i attends to."""
     mask = np.zeros((g.num_nodes, g.num_nodes), dtype=bool)
-    target, source = attention_edges([g], use_edges).T
-    mask[target, source] = True
+    edges = attention_edges([g], use_edges)
+    mask[edges.seg.ids, edges.source] = True
     return mask
 
 

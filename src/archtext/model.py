@@ -59,8 +59,8 @@ class ModelConfig:
         for key, floor in floors.items():
             if getattr(self, key) < floor:
                 raise ValueError(f"{key} must be at least {floor}, got {getattr(self, key)}")
-        if not self.eps_cos > 0:
-            raise ValueError(f"eps_cos must be positive, got {self.eps_cos}")
+        if not 0.0 < self.eps_cos < math.inf:   # false for a NaN too
+            raise ValueError(f"eps_cos must be finite and positive, got {self.eps_cos}")
         for heads in (self.gat_heads, self.cross_heads, self.dec_heads):
             if self.d % heads != 0:
                 raise ValueError(f"d={self.d} not divisible by head count {heads}")
@@ -267,25 +267,24 @@ def embed_nodes_shapes(graphs: list[ArchGraph], params: dict[str, Tensor],
                     [nodes, *buckets.T])
 
 
-def gat_forward(feats: Tensor, edges: np.ndarray, params: dict[str, Tensor],
+def gat_forward(feats: Tensor, edges: ad.GatEdges, params: dict[str, Tensor],
                 cfg: ModelConfig) -> Tensor:
     """Multi-head graph attention with residual connections over packed node
-    rows: feats (R, d), edges an (E, 2) list of (target, source) pairs over
-    the packed rows, as `graph.attention_edges` gives them.
+    rows: feats (R, d), edges the layout of the rows' neighbourhoods that
+    `graph.attention_edges`, its one constructor, builds from the graphs.
 
     Per head and edge: additive attention logits through a leaky rectifier,
     a softmax over each node's edges, then an attention-weighted sum of the
     neighbours' projected features; the head outputs are projected back to
-    d. Each layer is one `autodiff.gat_layer` op; the layers share one
-    `autodiff.gat_edges` layout of the edge list, built and checked here.
+    d. Each layer is one `autodiff.gat_layer` op, and the layers share the
+    layout.
     """
-    gat_edges = ad.gat_edges(edges, feats.shape[0])
     heads = range(cfg.gat_heads)
     x = feats
     for layer in range(cfg.gat_layers):
         x = ad.gat_layer(x, [params[f"gat.{layer}.{h}.W"] for h in heads],
                          [params[f"gat.{layer}.{h}.a"] for h in heads],
-                         params[f"gat.{layer}.proj"], gat_edges)
+                         params[f"gat.{layer}.proj"], edges)
     return x
 
 

@@ -53,6 +53,8 @@ class TrainConfig:
             raise ValueError(f"unknown task {self.task!r}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
+        if self.seed < 0:   # numpy's generators take no negative seed
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
         if not 0.0 < self.lr < math.inf:   # false for a NaN too
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if not 0.0 <= self.alpha < math.inf:

@@ -14,6 +14,7 @@ from archtext.autodiff import (
     finite_diff,
     zero_grads,
 )
+from archtext.graph import SENTINEL_SHAPE, ArchGraph, attention_edges
 
 import composite_ops as cops
 
@@ -222,18 +223,23 @@ def _flat(norm, proj) -> list[Tensor]:
     return [*norm, *(t for pair in proj for t in pair)]
 
 
+def _layout(nodes, edges=()) -> ad.GatEdges:
+    """The GAT layout the model runs for a graph of `nodes` nodes and these
+    directed edges: made symmetric, with self-loops."""
+    return attention_edges([ArchGraph(nodes=[3] * nodes, edges=edges,
+                                      shapes=[SENTINEL_SHAPE] * nodes)])
+
+
 def _gat_case(rng, adj, heads, dh, requires_grad=True):
     """Random node rows, per-head W and a and the output projection of one
-    GAT layer, and the edge list of the adjacency `adj` made symmetric, with
-    self-loops, in the `ad.gat_edges` layout the model runs."""
+    GAT layer, and the layout of the graph whose edges are the true entries
+    of the adjacency `adj`."""
     def t(*shape):
         return Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
 
     r, d = len(adj), heads * dh
-    target, source = np.argwhere(adj | adj.T | np.eye(r, dtype=bool)).T
-    edges = ad.gat_edges(np.stack((target, source), axis=1), r)
     return (t(r, d), [t(d, dh) for _ in range(heads)], [t(1, 2 * dh) for _ in range(heads)],
-            t(d, d), edges)
+            t(d, d), _layout(r, np.argwhere(adj)))
 
 
 class TestFusedOpGradients:
@@ -349,8 +355,7 @@ class TestFusedOpGradients:
         # still comes
         big = np.finfo(np.float64).max
         x, eye = Tensor([[2.0, 0.0], [0.5, 0.0]]), Tensor(np.eye(2))
-        target, source = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
-        edges = ad.gat_edges(np.stack((target, source), axis=1), 2)
+        edges = _layout(2, [(0, 1)])
         with np.errstate(over="ignore"), pytest.raises(
                 NonFiniteError, match=re.escape("gat_layer (scores)")):
             ad.gat_layer(x, [eye], [Tensor([[0.0, 0.0, -big, 0.0]])], eye, edges)
@@ -531,13 +536,11 @@ class TestFiniteness:
             big * big
 
 
-def _gat_call(x, source, target):
-    """gat_layer of one head of width 2 over rows x (R, 2) and these edges,
-    laid out over the nodes their targets name."""
+def _gat_call(x, nodes, edges=()):
+    """gat_layer of one head of width 2 over rows x (R, 2) and the layout of
+    a graph of `nodes` nodes and these edges."""
     one = Tensor(np.ones((2, 2)))
-    pairs = np.stack((target, source), axis=1)
-    return ad.gat_layer(x, [one], [Tensor(np.ones((1, 4)))], one,
-                        ad.gat_edges(pairs, max(target) + 1))
+    return ad.gat_layer(x, [one], [Tensor(np.ones((1, 4)))], one, _layout(nodes, edges))
 
 
 # a sublayer's unit layer norm and identity (w, b) pairs, for 2 columns
@@ -557,17 +560,26 @@ def _cache_of_one(rows: np.ndarray) -> ad.KVCache:
 
 
 class TestGatEdges:
-    """The degree-ranked layout of `ad.gat_edges` and the sums over it."""
+    """The degree-ranked layout `attention_edges` builds and the sums over it."""
 
     @staticmethod
     def hub_and_chain():
         # node 0 has 22 neighbours, 22-29 form a chain and 30 has only its
-        # self-loop, so the blocks shrink from 31 nodes to 1
+        # self-loop, so the blocks shrink from 31 nodes to 1; the (target,
+        # source) pairs of the neighbourhoods, from the adjacency, in order
         adj = np.zeros((31, 31), dtype=bool)
         adj[0, 1:23] = True
         adj[np.arange(22, 29), np.arange(23, 30)] = True
         target, source = np.argwhere(adj | adj.T | np.eye(31, dtype=bool)).T
-        return target, source, ad.gat_edges(np.stack((target, source), axis=1), 31)
+        return target, source, _layout(31, np.argwhere(adj))
+
+    def test_target_order_holds_the_pairs_and_their_reverses(self):
+        target, source, edges = self.hub_and_chain()
+        np.testing.assert_array_equal(edges.seg.ids, target)
+        np.testing.assert_array_equal(edges.source, source)
+        np.testing.assert_array_equal(edges.seg.starts, np.searchsorted(target, np.arange(31)))
+        np.testing.assert_array_equal(target[edges.reverse], source)
+        np.testing.assert_array_equal(source[edges.reverse], target)
 
     def test_block_k_holds_the_k_th_edge_of_a_prefix_of_the_node_order(self):
         target, source, edges = self.hub_and_chain()
@@ -633,8 +645,8 @@ class TestRowAndSegmentOps:
         lambda a: ad.segments([1, 1, 2]),
         lambda a: ad.segments([0, 2, 2]),
         lambda a: ad.segments([0, 1, 0]),
-        lambda a: _gat_call(a, [0, 1], [0, 1]),           # edges of 2 nodes for 3 nodes
-        lambda a: _gat_call(a, [0, 1], [0, 1, 2]),        # 2 sources for 3 targets
+        lambda a: _gat_call(a, 2),                        # a layout of 2 nodes for 3 rows
+        lambda a: _gat_call(a, 3, [(0, 3)]),              # an edge past the graph's 3 nodes
         lambda a: ad.segment_sum(a, ad.segments([0, 1])),
         lambda a: ad.segment_sum(a, ad.segments([0, 0, 1, 1])),
         lambda a: ad.segment_mean(a, [2, 2]),
@@ -664,7 +676,7 @@ class TestRowAndSegmentOps:
     @pytest.mark.parametrize("op, shape, call", [
         ("take_rows", (2, 2), lambda a: cops.take_rows(a, [0, 1])),
         ("attention", (2, 2), lambda a: cops.attention(a, a, a, 1, lengths=[2])),
-        ("gat_layer", (2, 2), lambda a: _gat_call(a, [0, 1], [0, 1])),
+        ("gat_layer", (2, 2), lambda a: _gat_call(a, 2)),
         ("attention_block", (2, 2), lambda a: ad.attention_block(a, *_IDENTITY_BLOCK, 1, [2])),
         ("segment_sum", (2, 2), lambda a: ad.segment_sum(a, ad.segments([0, 1]))),
         ("attention", (2, 2), lambda a: cops.attention(Tensor(np.ones((3, 2))), a, a, 2,

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 import tracemalloc
 
@@ -515,7 +516,7 @@ class TestErrors:
     @pytest.mark.parametrize("edit", ["unknown", "missing", "wrong-type", "gat-heads-0", "d-0",
                                       "max-tokens-negative", "enlarged", "text-and-arch-only",
                                       "eps-cos-0", "heads-split-d", "tau-1",
-                                      "vocab-too-small"])
+                                      "vocab-too-small", "eps-cos-infinity", "eps-cos-huge-int"])
     def test_bad_bundle_config_is_data_error(self, tmp_path, pretrained, capsys, edit):
         data, ckpt = pretrained
         config = ckpt / "config.json"
@@ -540,7 +541,13 @@ class TestErrors:
             expect = "text_only and arch_only are mutually exclusive"
         elif edit == "eps-cos-0":
             cfg["eps_cos"] = 0.0
-            expect = "eps_cos must be positive, got 0.0"
+            expect = "eps_cos must be finite and positive, got 0.0"
+        elif edit == "eps-cos-infinity":
+            cfg["eps_cos"] = math.inf   # written as JSON's Infinity
+            expect = "eps_cos must be finite and positive, got inf"
+        elif edit == "eps-cos-huge-int":
+            cfg["eps_cos"] = 10 ** 400
+            expect = "key 'eps_cos' is out of float range"
         elif edit == "heads-split-d":
             cfg["cross_heads"] = 3
             expect = "d=16 not divisible by head count 3"
@@ -609,7 +616,7 @@ class TestErrors:
     @pytest.mark.parametrize("argv", [
         ["eval", "--task", "ar", "--checkpoint", "ckpt", "--dataset", "d.jsonl"],
         ["search", "build", "--checkpoint", "ckpt", "--dataset", "d.jsonl", "--out", "i.abix"],
-    ])
+    ], ids=["argv0", "argv1"])
     def test_alpha_outside_train_is_usage_error(self, argv, capsys):
         # only train reads the masked-node loss weight
         assert run([*argv, "--alpha", "7"]) == 1
@@ -778,7 +785,7 @@ class TestErrors:
         (["search", "query", "--checkpoint", "ckpt", "--index", "i.abix"], "--query"),
         (["viz", "pca", "--dataset", "d.jsonl"], "--checkpoint"),
         (["viz", "dot", "--out", "g.dot"], "--graph"),
-    ])
+    ], ids=["argv0---out", "argv1---query", "argv2---checkpoint", "argv3---graph"])
     def test_sub_action_missing_flag_is_usage_error(self, argv, missing, capsys):
         # the message names the missing flag, and none of those given
         assert run(argv) == 1
@@ -789,7 +796,7 @@ class TestErrors:
         ["search", "query", "--checkpoint", "ckpt", "--index", "i.abix", "--query", "x", "--k"],
         ["eval", "--task", "ac", "--dataset", "d.jsonl", "--checkpoint", "ckpt", "--beam"],
         ["caption", "--checkpoint", "ckpt", "--graph", "g.json", "--beam"],
-    ])
+    ], ids=["argv0", "argv1", "argv2"])
     @pytest.mark.parametrize("value", ["0", "-1", "2.5", "ten"])
     def test_count_below_one_is_usage_error(self, argv, value, capsys):
         # refused at parse time, before any file is read, naming the flag
@@ -808,26 +815,53 @@ class TestErrors:
         assert run(argv) == 2
         assert str(tmp_path) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text, expect", [
-        ("[model]\nd = abc\n", "[model] d: invalid literal for int()"),
-        ("[gen]\nrng_seed = 1e3\n", "[gen] rng_seed: invalid literal for int()"),
-        ("[train]\nepochs = 2\n[train]\nepochs = 3\n", "section 'train' already exists"),
-        ("[model]\nd = 16\nd = 32\n", "option 'd' in section 'model' already exists"),
-        ("d = 16\n", "File contains no section headers"),
+    @pytest.mark.parametrize("text, expect, task", [
+        ("[model]\nd = abc\n", "[model] d: invalid literal for int()", "autonet"),
+        ("[gen]\nrng_seed = 1e3\n", "[gen] rng_seed: invalid literal for int()", "autonet"),
+        ("[train]\nepochs = 2\n[train]\nepochs = 3\n", "section 'train' already exists",
+         "autonet"),
+        ("[model]\nd = 16\nd = 32\n", "option 'd' in section 'model' already exists", "autonet"),
+        ("d = 16\n", "File contains no section headers", "autonet"),
         # --task sets the task
-        ("[train]\ntask = aqa\n", "unknown key 'task' in section [train]"),
-        ("[model]\nno_shape = maybe\n", "[model] no_shape: not a boolean: 'maybe'"),
-        (None, "config file not found"),
+        ("[train]\ntask = aqa\n", "unknown key 'task' in section [train]", "autonet"),
+        ("[model]\nno_shape = maybe\n", "[model] no_shape: not a boolean: 'maybe'", "autonet"),
+        (None, "config file not found", "autonet"),
+        # values out of range, in every section whether or not the run reads it
+        ("[gen]\ntvhf_neg_fraction = 1.0\n",
+         "[gen] tvhf_neg_fraction must lie in (0, 1), got 1.0", "tvhf"),
+        ("[gen]\ntvhf_neg_fraction = 1.5\n",
+         "[gen] tvhf_neg_fraction must lie in (0, 1), got 1.5", "tvhf"),
+        ("[gen]\nacd_pos_fraction = -0.5\n",
+         "[gen] acd_pos_fraction must lie in (0, 1), got -0.5", "acd"),
+        ("[gen]\nn_train_archs = -3\n", "[gen] n_train_archs must be at least 1, got -3",
+         "autonet"),
+        ("[gen]\ndesc_pos_fraction = 0\n",
+         "[gen] desc_pos_fraction must lie in (0, 1), got 0.0", "autonet"),
+        ("[model]\nd = 0\n", "[model] d must be at least 1, got 0", "autonet"),
+        ("[model]\neps_cos = inf\n", "[model] eps_cos must be finite and positive, got inf",
+         "autonet"),
+        ("[train]\nepochs = 0\n", "[train] batch_size and epochs must be >= 1", "autonet"),
+        ("[train]\nseed = -4\n", "[train] seed must be at least 0, got -4", "autonet"),
+        # in range, but not for the task: no op the answer catalog lacks, two graphs to pair
+        ("[gen]\nops = conv2d, relu, instancenorm2d\nmin_nodes = 3\nmax_nodes = 5\n"
+         "n_train_archs = 2\n", "[gen] ops outside the answer catalog: ['instancenorm2d']",
+         "aqa"),
+        ("[gen]\ntvhf_families = 1\ntvhf_variants = 1\n",
+         "[gen] need at least 2 architectures to pair, got 1", "acd"),
     ], ids=["int", "int-exponent", "repeated-section", "repeated-key", "no-section", "train-task",
-            "not-a-boolean", "missing"])
-    def test_bad_config_file_is_data_error(self, tmp_path, capsys, text, expect):
+            "not-a-boolean", "missing", "neg-fraction-1", "neg-fraction-1.5",
+            "acd-pos-fraction-negative", "train-archs-negative", "desc-pos-fraction-0", "d-0",
+            "eps-cos-inf", "epochs-0", "train-seed-negative", "aqa-op-without-answers",
+            "acd-one-architecture"])
+    def test_bad_config_file_is_data_error(self, tmp_path, capsys, text, expect, task):
         bad = tmp_path / "bad.ini"
         if text is not None:
             bad.write_text(text)
-        assert run(["gen", "--task", "autonet", "--config", str(bad),
-                    "--out", str(tmp_path / "x.jsonl")]) == 2
+        out = tmp_path / "x.jsonl"
+        assert run(["gen", "--task", task, "--config", str(bad), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and expect in err, err
+        assert not out.exists()
 
     @pytest.mark.parametrize("content, expect", [
         (b'{"nodes": ["conv2d"]', "invalid JSON"),

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -14,6 +15,7 @@ from archtext.datagen import (
     BACDSample,
     BiModalSample,
     GenConfig,
+    _answer_ids,
     captions,
     compute_stats,
     extract_present_ops,
@@ -301,6 +303,11 @@ class TestQA:
         assert by_q["what is the largest kernel size used in this model?"] == {cat.kernel_id["5*5"]}
         assert by_q["what is the smallest kernel size used in this model?"] == {cat.kernel_id["3*3"]}
 
+    def test_unknown_answer_rule_is_refused(self, gen_cfg):
+        g = gen_architecture(gen_cfg, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="unknown answer rule 'nope'"):
+            _answer_ids(g, gen_cfg.node_vocab(), "nope", None, answer_catalog())
+
     def test_answer_sets_never_empty_invariant(self):
         with pytest.raises(ValueError):
             AQASample(graph=ArchGraph(nodes=[3], edges=[], shapes=[(0, 0, 0, 0)]),
@@ -549,3 +556,16 @@ def test_gen_config_invariants():
         GenConfig(beta=1.5)
     with pytest.raises(ValueError):
         GenConfig(ops=("not_a_real_op",))
+    # each refusal names its key
+    for key, value, expect in [
+            ("rng_seed", -1, "rng_seed must be at least 0, got -1"),
+            ("n_train_archs", 0, "n_train_archs must be at least 1, got 0"),
+            ("n_val_archs", -3, "n_val_archs must be at least 1, got -3"),
+            ("tvhf_families", 0, "tvhf_families must be at least 1, got 0"),
+            ("tvhf_variants", 0, "tvhf_variants must be at least 1, got 0"),
+            ("desc_pos_fraction", 1.0, "desc_pos_fraction must lie in (0, 1), got 1.0"),
+            ("acd_pos_fraction", -0.5, "acd_pos_fraction must lie in (0, 1), got -0.5"),
+            ("tvhf_neg_fraction", float("nan"), "tvhf_neg_fraction must lie in (0, 1), got nan"),
+            ("ops", (), "ops must name at least one op")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(expect)}$"):
+            GenConfig(**{key: value})

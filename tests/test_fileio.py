@@ -343,4 +343,4 @@ def test_damaged_bundle_config_loads_or_is_refused_by_name(bundle_config, data):
             assert type(value) in ((int, float) if hints[key] is float else (hints[key],))
             if hints[key] is int:
                 assert value >= 0
-        assert cfg.d >= 1 and cfg.max_tokens >= 3 and cfg.eps_cos > 0 and 0 < cfg.tau < 1
+        assert cfg.d >= 1 and cfg.max_tokens >= 3 and 0 < cfg.eps_cos < float("inf") and 0 < cfg.tau < 1

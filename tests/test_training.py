@@ -440,6 +440,8 @@ def test_train_config_validation():
         TrainConfig(task="nope")
     with pytest.raises(ValueError):
         TrainConfig(task="pretrain", batch_size=0)
+    with pytest.raises(ValueError, match=re.escape("seed must be at least 0, got -1")):
+        TrainConfig(task="pretrain", seed=-1)
     for ratio in (0.0, 1.0):
         with pytest.raises(ValueError, match=re.escape("mask_ratio must lie in (0, 1)")):
             TrainConfig(task="pretrain", mask_ratio=ratio)
