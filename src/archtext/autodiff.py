@@ -7,19 +7,21 @@ gradients that each stand for a whole model stage: `embed` (a sum of rows
 gathered from several tables), `gat_layer` (one multi-head graph attention
 layer over an edge list), `attention_block`, `cross_attention_block` and
 `ffn_block` (the pre-norm residual sublayers of a transformer layer over
-packed rows, self-attention optionally causal and extending a `KVCache`),
-`mlp` (the two-layer output heads), `segment_mean` (mean pooling over packed
-rows) and `nll` (a weighted negative log-likelihood). The fused ops share
-their numpy kernels, so each formula is written once. `gat_layer` reads its
-edge list in the `GatEdges` layout, which one function builds from graphs,
-`graph.attention_edges`, once per encode: grouped by target for the narrow
-per-edge softmax sums, and by degree rank for the wide per-node sums, each
-a slice add per rank (a jagged-diagonal order, Saad 1989). Either way a
-node's sums read its own edges only, in an order fixed by its own degree,
-so its values do not depend on its batch-mates. Every op validates that its
-output is finite, and a fused op names the stage of its computation where
-NaN or Inf first appeared; NaN or Inf anywhere is a hard error rather than
-a silent corruption.
+packed rows, self-attention optionally causal), `mlp` (the two-layer output
+heads), `segment_mean` (mean pooling over packed rows) and `nll` (a weighted
+negative log-likelihood). The fused ops share their numpy kernels, so each
+formula is written once; forward-only code, such as a beam-search step over
+a `KVCache` whose buffers it writes in place, composes the same kernels
+with no tape. `gat_layer` reads its edge list in the `GatEdges` layout,
+which one function builds from graphs, `graph.attention_edges`, once per
+encode: grouped by target for the narrow per-edge softmax sums, and by
+degree rank for the wide per-node sums, each a slice add per rank (a
+jagged-diagonal order, Saad 1989). Either way a node's sums read its own
+edges only, in an order fixed by its own degree, so its values do not
+depend on its batch-mates. Every op validates that its output is finite,
+and a fused op names the stage of its computation where NaN or Inf first
+appeared; NaN or Inf anywhere is a hard error rather than a silent
+corruption.
 
 Gradients flow through a tape built implicitly by op closures; calling
 `backward` on a scalar seeds the reverse pass. `finite_diff` provides the
@@ -317,12 +319,14 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
     return Tensor._from_op(out, (logits,), backward, "bce_with_logits")
 
 
+def _log_softmax(a: np.ndarray) -> np.ndarray:
+    shifted = a - np.maximum.reduce(a, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+
+
 def log_softmax(logits: Tensor) -> Tensor:
     """Log-probabilities along the last axis."""
-    rowmax = logits.data.max(axis=-1, keepdims=True)
-    shifted = logits.data - rowmax
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = shifted - lse
+    out = _log_softmax(logits.data)
 
     def backward(g):
         return ((logits, g - np.exp(out) * g.sum(axis=-1, keepdims=True)),)
@@ -428,9 +432,11 @@ def segment_mean(a: Tensor, lengths) -> Tensor:
 def _layer_norm(x: np.ndarray, scale: np.ndarray, bias: np.ndarray, eps: float):
     """The normalized, scaled and shifted rows, and the normalized rows and
     inverse deviations the gradient reads."""
+    # the ufunc reductions, not the methods: the same sums without the
+    # methods' Python-level wrapper, which costs more than a row of a small batch
     inv_n = 1.0 / x.shape[-1]
-    centered = x - x.sum(axis=-1, keepdims=True) * inv_n
-    inv = 1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_n + eps)
+    centered = x - np.add.reduce(x, axis=-1, keepdims=True) * inv_n
+    inv = 1.0 / np.sqrt(np.add.reduce(centered * centered, axis=-1, keepdims=True) * inv_n + eps)
     xhat = centered * inv
     return xhat * scale + bias, xhat, inv
 
@@ -525,23 +531,37 @@ def _head_blocks(q, k, v, group: _Group, heads: int):
             _by_head(v[group.k], group.n, heads))
 
 
+def _query_scale(width: int, heads: int) -> float:
+    """The factor that scales the queries of `heads` heads over `width`
+    columns: 1 / sqrt of a head's width."""
+    return 1.0 / math.sqrt(width // heads)
+
+
+def _attend(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, hidden: np.ndarray | None):
+    """The attention of per-head query blocks (n, heads, lq, dh), already
+    scaled (`_query_scale`), over key and value blocks (n, heads, lk, dh):
+    the weighted sums of the values, (n, heads, lq, dh), and the weights,
+    which the gradient reads. A key `hidden` (lq, lk) marks gets exactly
+    zero weight."""
+    s = qh @ kh.swapaxes(-1, -2)
+    if hidden is not None:
+        np.copyto(s, -np.inf, where=hidden)
+    s -= np.maximum.reduce(s, axis=-1, keepdims=True)
+    p = np.exp(s, out=s)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
+    return p @ vh, p
+
+
 def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, groups):
     """The attention output over `groups` (as `_length_groups` gives them),
-    and the attention weights of each group, which the gradient reads. A
-    hidden key gets exactly zero weight."""
+    and the attention weights of each group, which the gradient reads."""
     # the queries are scaled once, not once per group
-    q = q * (1.0 / math.sqrt(q.shape[1] // heads))
+    q = q * _query_scale(q.shape[1], heads)
     out = np.empty_like(q)
     weights = []
     for group in groups:
-        qh, kh, vh = _head_blocks(q, k, v, group, heads)
-        s = qh @ kh.swapaxes(-1, -2)
-        if group.hidden is not None:
-            np.copyto(s, -np.inf, where=group.hidden)
-        s -= s.max(axis=-1, keepdims=True)
-        p = np.exp(s, out=s)
-        p /= p.sum(axis=-1, keepdims=True)
-        out[group.q] = _by_row(p @ vh)
+        o, p = _attend(*_head_blocks(q, k, v, group, heads), group.hidden)
+        out[group.q] = _by_row(o)
         weights.append(p)
     return out, weights
 
@@ -550,7 +570,7 @@ def _attention_grads(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,
                      heads: int, groups, weights):
     """The gradients of `_attention` for q, k and v, given the output's:
     dS = P * (dP - rowsum(dP * P)) (FlashAttention, arXiv 2205.14135)."""
-    scale = 1.0 / math.sqrt(q.shape[1] // heads)
+    scale = _query_scale(q.shape[1], heads)
     q = q * scale
     gq, gk, gv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
     for group, p in zip(groups, weights):
@@ -573,37 +593,52 @@ def _check_heads(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> Non
 
 class KVCache:
     """The self-attention keys and values of the positions decoded so far,
-    for B sequences that grow in step: k and v are (B, P, d), sequence-major,
-    so handing each sequence's rows to the sequences that continue it is one
-    gather (`reorder`). An `attention_block` given the cache attends over it
-    and appends its own rows. The rows are constants: a cached block is
-    forward-only."""
+    for n sequences that grow in step (Vaswani et al., arXiv 1706.03762).
+    Keys and values each sit in one (rows, capacity, d) buffer,
+    sequence-major, which the first `extend` allocates: each `extend`
+    writes its rows in place behind the earlier ones (Pope et al., arXiv
+    2211.05102), so no step copies what is cached, and `reorder` hands each
+    sequence's rows to the sequences that continue it, gathering only the
+    positions filled so far. A reorder to more sequences than the buffers
+    have rows moves them to larger ones. The rows are plain arrays: the
+    code that reads them builds no tape."""
 
-    __slots__ = ("k", "v")
+    __slots__ = ("k", "v", "n", "positions", "capacity")
 
-    def __init__(self):
+    def __init__(self, capacity: int = 64):
+        self.capacity = capacity   # positions a sequence can hold
         self.k = self.v = None
-
-    @property
-    def positions(self) -> int:
-        return 0 if self.k is None else self.k.shape[1]
+        self.n = self.positions = 0
 
     def extend(self, k: np.ndarray, v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Append the rows k and v of n sequences, the same number of rows
-        each, end to end; returns every sequence's cached rows then its new
-        ones, packed the same way."""
-        d = k.shape[1]
-        k, v = k.reshape(n, -1, d), v.reshape(n, -1, d)
-        if self.k is not None:
-            if len(self.k) != n:
-                raise ValueError(f"{n} sequences for a cache of {len(self.k)}")
-            k, v = np.concatenate((self.k, k), axis=1), np.concatenate((self.v, v), axis=1)
-        self.k, self.v = k, v
-        return k.reshape(-1, d), v.reshape(-1, d)
+        """Write the rows k and v (R, d) of n sequences, R / n each, end to
+        end, behind each sequence's cached rows; returns every sequence's
+        rows so far, (n, positions, d) views of the buffers."""
+        rows, d = k.shape
+        if n < 1 or rows % n:
+            raise ValueError(f"a cache takes n sequences of one length, got {rows} rows "
+                             f"for n={n}")
+        if self.k is None:
+            self.k, self.v = np.empty((n, self.capacity, d)), np.empty((n, self.capacity, d))
+            self.n = n
+        elif n != self.n:
+            raise ValueError(f"{n} sequences for a cache of {self.n}")
+        start, end = self.positions, self.positions + rows // n
+        if end > self.capacity:
+            raise ValueError(f"{end} positions overflow a cache of {self.capacity}")
+        self.k[:n, start:end] = k.reshape(n, -1, d)
+        self.v[:n, start:end] = v.reshape(n, -1, d)
+        self.positions = end
+        return self.k[:n, :end], self.v[:n, :end]
 
     def reorder(self, parents) -> None:
         """Sequence i continues the cached rows of sequence parents[i]."""
-        self.k, self.v = self.k[parents], self.v[parents]
+        filled = self.positions
+        k, v = self.k[parents, :filled], self.v[parents, :filled]
+        self.n = len(k)
+        if self.n > len(self.k):
+            self.k, self.v = (np.empty((self.n,) + self.k.shape[1:]) for _ in "kv")
+        self.k[:self.n, :filled], self.v[:self.n, :filled] = k, v
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +647,7 @@ class KVCache:
 
 def attention_block(x: Tensor, norm: tuple[Tensor, Tensor],
                     proj: tuple[tuple[Tensor, Tensor], ...], heads: int, lengths,
-                    causal: bool = False, cache: KVCache | None = None) -> Tensor:
+                    causal: bool = False) -> Tensor:
     """The pre-norm self-attention sublayer over packed rows, as one op:
     x + linear_o(attention(linear_q(y), linear_k(y), linear_v(y))) for
     y = layer_norm(x), with `norm` the layer norm's (scale, bias) and `proj`
@@ -622,10 +657,6 @@ def attention_block(x: Tensor, norm: tuple[Tensor, Tensor],
     its own. The sequences of one length run as one dense (n, heads, l, l)
     block, so no row is padding and a sequence gets the same bits alone and
     in any batch (Krell et al., arXiv 2107.02027).
-
-    With `cache`, every sequence has the same number of rows in x, which
-    follow the sequence's rows in the cache: they attend over those as well,
-    and are appended to them (Vaswani et al., arXiv 1706.03762).
 
     The forward pass has the bits of those five ops in turn, and the
     gradients are theirs, summed in the order the tape sums them. A
@@ -639,26 +670,13 @@ def attention_block(x: Tensor, norm: tuple[Tensor, Tensor],
     """
     (scale, bias), ((wq, bq), (wk, bk), (wv, bv), (wo, bo)) = norm, proj
     inputs = (x, scale, bias, wq, bq, wk, bk, wv, bv, wo, bo)
-    rows = x.data.shape[0]
-    if cache is None:
-        groups = _length_groups(lengths, rows, causal=causal)
-    else:
-        lengths = check_lengths(lengths, rows, "rows")
-        if any(t.requires_grad for t in inputs):
-            raise ValueError("a cached attention_block is forward-only")
-        if (lengths != lengths[0]).any():
-            raise ValueError(f"a cached attention_block takes sequences of one length, "
-                             f"got {lengths.tolist()}")
+    groups = _length_groups(lengths, x.data.shape[0], causal=causal)
     y, xhat, inv = _layer_norm(x.data, scale.data, bias.data, _LN_EPS)
     q, k, v = (_linear(y, w.data, b.data) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
     stages = [("layer norm", y), ("q projection", q), ("k projection", k), ("v projection", v)]
     if not _finite(k):
         raise _stage_error("attention_block", stages)
     _check_heads(q, k, v, heads)
-    if cache is not None:
-        k, v = cache.extend(k, v, len(lengths))
-        groups = [_Group(slice(0, rows), slice(0, len(k)), len(lengths),
-                         _hidden(int(lengths[0]), cache.positions, causal))]
     att, weights = _attention(q, k, v, heads, groups)
     o = _linear(att, wo.data, bo.data)
     stages += [("attention", att), ("output projection", o)]
@@ -720,12 +738,17 @@ def cross_attention_block(x: Tensor, kv: tuple[Tensor, Tensor], norm: tuple[Tens
 
 
 def _mlp(x: np.ndarray, proj):
-    """linear_2(leaky_relu(linear_1(x), 0.2)) for the (w, b) pairs `proj`,
-    and the hidden layer before and after the rectifier."""
+    """linear_2(leaky_relu(linear_1(x), 0.2)) for the (w, b) array pairs
+    `proj`, and the hidden layer before and after the rectifier."""
     (w1, b1), (w2, b2) = proj
-    pre = _linear(x, w1.data, b1.data)
+    pre = _linear(x, w1, b1)
     h = _leaky_relu(pre, 0.2)
-    return _linear(h, w2.data, b2.data), pre, h
+    return _linear(h, w2, b2), pre, h
+
+
+def _arrays(proj) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The arrays of (w, b) tensor pairs."""
+    return tuple((w.data, b.data) for w, b in proj)
 
 
 def _mlp_grads(g: np.ndarray, x: np.ndarray, h: np.ndarray, proj):
@@ -733,8 +756,8 @@ def _mlp_grads(g: np.ndarray, x: np.ndarray, h: np.ndarray, proj):
     The rectifier's slope is read from its output h, which is positive
     exactly where its input is, so a backward pass keeps h alone."""
     (w1, b1), (w2, b2) = proj
-    gh, gw2, gb2 = _linear_grads(g, h, w2.data, b2.data)
-    gx, gw1, gb1 = _linear_grads(_leaky_relu_grad(gh, h, 0.2), x, w1.data, b1.data)
+    gh, gw2, gb2 = _linear_grads(g, h, w2, b2)
+    gx, gw1, gb1 = _linear_grads(_leaky_relu_grad(gh, h, 0.2), x, w1, b1)
     return gx, gw1, gb1, gw2, gb2
 
 
@@ -750,10 +773,11 @@ def ffn_block(x: Tensor, norm: tuple[Tensor, Tensor],
     (scale, bias), ((w1, b1), (w2, b2)) = norm, proj
     inputs = (x, scale, bias, w1, b1, w2, b2)
     y, xhat, inv = _layer_norm(x.data, scale.data, bias.data, _LN_EPS)
-    f, pre, h = _mlp(y, proj)
+    arrays = _arrays(proj)
+    f, pre, h = _mlp(y, arrays)
 
     def backward(g):
-        gy, *gw = _mlp_grads(g, y, h, proj)
+        gy, *gw = _mlp_grads(g, y, h, arrays)
         gx, gscale, gbias = _layer_norm_grads(gy, xhat, inv, scale.data, bias.data)
         gx += g
         return zip(inputs, (gx, gscale, gbias, *gw))
@@ -770,10 +794,11 @@ def mlp(x: Tensor, proj: tuple[tuple[Tensor, Tensor], tuple[Tensor, Tensor]]) ->
     linear_2(leaky_relu(linear_1(x), 0.2)), with `proj` the (w, b) pairs of
     the two layers. Bits, gradients and errors as for `ffn_block`."""
     (w1, b1), (w2, b2) = proj
-    f, pre, h = _mlp(x.data, proj)
+    arrays = _arrays(proj)
+    f, pre, h = _mlp(x.data, arrays)
     try:
         return Tensor._from_op(f, (x, w1, b1, w2, b2), lambda g: zip(
-            (x, w1, b1, w2, b2), _mlp_grads(g, x.data, h, proj)), "mlp")
+            (x, w1, b1, w2, b2), _mlp_grads(g, x.data, h, arrays)), "mlp")
     except NonFiniteError:
         raise _stage_error("mlp", [("hidden layer", pre), ("output projection", f)]) from None
 

@@ -61,9 +61,9 @@ class ModelConfig:
                 raise ValueError(f"{key} must be at least {floor}, got {getattr(self, key)}")
         if not 0.0 < self.eps_cos < math.inf:   # false for a NaN too
             raise ValueError(f"eps_cos must be finite and positive, got {self.eps_cos}")
-        for heads in (self.gat_heads, self.cross_heads, self.dec_heads):
-            if self.d % heads != 0:
-                raise ValueError(f"d={self.d} not divisible by head count {heads}")
+        for key in ("gat_heads", "cross_heads", "dec_heads"):
+            if self.d % getattr(self, key):
+                raise ValueError(f"{key}={getattr(self, key)} does not divide d={self.d}")
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
         if self.node_vocab_size < 4 or self.text_vocab_size < 6:
@@ -449,8 +449,9 @@ def aqa_logits(j_t: Tensor, j_g: Tensor, params: dict[str, Tensor]) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # decoder: one layer and the output head, run by teacher forcing over the
-# packed rows of a batch of captions, and by beam search a position at a time
-# against a key/value cache
+# packed rows of a batch of captions as fused ops, and by beam search a
+# position at a time, on the same kernels with no tape, against a key/value
+# cache
 
 
 def _decoder_cross(h_g: Tensor, params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
@@ -461,15 +462,14 @@ def _decoder_cross(h_g: Tensor, params: dict[str, Tensor]) -> tuple[Tensor, Tens
 
 
 def _decoder(x: Tensor, lengths, cross: tuple[Tensor, Tensor], cross_lengths,
-             params: dict[str, Tensor], cfg: ModelConfig,
-             cache: ad.KVCache | None = None) -> Tensor:
+             params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
     """Token logits of the decoder over token rows x: causal self-attention
-    within each of the sequences of x, lengths[b] rows each (after their
-    rows in `cache`, if given), cross-attention over the graph rows `cross`
-    (as `_decoder_cross` gives them) in the pairs of query and key lengths
-    `cross_lengths`, the feed-forward net, then the output head."""
+    within each of the sequences of x, lengths[b] rows each, cross-attention
+    over the graph rows `cross` (as `_decoder_cross` gives them) in the
+    pairs of query and key lengths `cross_lengths`, the feed-forward net,
+    then the output head."""
     x = ad.attention_block(x, _norm(params, "dec.ln.self"), _pairs(params, "dec.attn", "qkvo"),
-                           cfg.dec_heads, lengths, causal=True, cache=cache)
+                           cfg.dec_heads, lengths, causal=True)
     x = ad.cross_attention_block(x, cross, _norm(params, "dec.ln.xattn"),
                                  _pairs(params, "dec.xattn", "qo"), cfg.dec_heads,
                                  *cross_lengths)
@@ -495,23 +495,121 @@ def decoder_logits(h_g: Tensor, input_ids, params: dict[str, Tensor], cfg: Model
     return _decoder(x, lengths, _decoder_cross(h_g, params), (lengths, sizes), params, cfg)
 
 
+def _step_error(ops) -> ad.NonFiniteError:
+    """The error of a decoder step whose values went non-finite, as the
+    fused ops would raise it: `ops` lists each (op, stages) in the order
+    they ran, its stages (name, array) in order and its result last, named
+    None. It names the first op with a non-finite value and that op's first
+    non-finite stage, or no stage when only its result is."""
+    return next(ad._stage_error(op, stages) for op, stages in ops
+                if not all(ad._finite(a) for _, a in stages))
+
+
+class _DecoderStep(NamedTuple):
+    """The arrays that a caption's decoder steps read, gathered once (`of`):
+    the embedding tables, each layer norm's (scale, bias), the (w, b) pairs
+    of the self-attention's q, k and v side by side, its output, the
+    cross-attention's q and output, the feed-forward net and the output
+    head, and the graph's cross-attention keys and values as per-head
+    blocks (1, heads, m, dh)."""
+
+    tok: np.ndarray
+    pos: np.ndarray
+    ln_self: tuple[np.ndarray, np.ndarray]
+    qkv: tuple[np.ndarray, np.ndarray]
+    out: tuple[np.ndarray, np.ndarray]
+    ln_cross: tuple[np.ndarray, np.ndarray]
+    cross_q: tuple[np.ndarray, np.ndarray]
+    cross_out: tuple[np.ndarray, np.ndarray]
+    cross_k: np.ndarray
+    cross_v: np.ndarray
+    ln_ffn: tuple[np.ndarray, np.ndarray]
+    ffn: tuple[tuple[np.ndarray, np.ndarray], ...]
+    head: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    @classmethod
+    def of(cls, cross: tuple[Tensor, Tensor], params: dict[str, Tensor],
+           cfg: ModelConfig) -> "_DecoderStep":
+        """The arrays of `params` and of the graph rows `cross`, as
+        `_decoder_cross` gives them. Decoding builds no tape, so a parameter
+        that requires a gradient is refused."""
+        if any(p.requires_grad for name, p in params.items() if name.startswith("dec.")):
+            raise ValueError("a decoder step is forward-only: pass the model's constants")
+
+        def norm(name: str) -> tuple[np.ndarray, np.ndarray]:
+            return tuple(t.data for t in _norm(params, f"dec.ln.{name}"))
+
+        (wq, bq), (wk, bk), (wv, bv), out = ad._arrays(_pairs(params, "dec.attn", "qkvo"))
+        # one product for q, k and v: each output column is the same dot
+        # product over d as in a product of its own, which BLAS does not
+        # split at these widths, so the bits are those of three products
+        qkv = np.concatenate((wq, wk, wv), axis=1), np.concatenate((bq, bk, bv), axis=1)
+        cross_q, cross_out = ad._arrays(_pairs(params, "dec.xattn", "qo"))
+        k, v = (ad._by_head(t.data, 1, cfg.dec_heads) for t in cross)
+        return cls(params["dec.emb.tok"].data, params["dec.emb.pos"].data, norm("self"), qkv,
+                   out, norm("xattn"), cross_q, cross_out, k, v, norm("ffn"),
+                   ad._arrays(_pairs(params, "dec.ffn", "12")),
+                   ad._arrays(_head(params, "dec.out")))
+
+    def __call__(self, tokens: np.ndarray, cache: ad.KVCache) -> np.ndarray:
+        """Next-token log-probabilities (B, vocab) after the newest tokens
+        of B hypotheses of one graph and one length: `tokens[b]` is
+        hypothesis b's, and `cache` holds the self-attention keys and values
+        of the earlier positions of each, behind which the step writes this
+        position's. The step runs the kernels of `_decoder`'s fused ops, in
+        their order, on the B rows as one batch: self-attention as B
+        sequences of one row over their own cached rows, cross-attention as
+        one sequence of B rows over the graph's. A non-finite value raises
+        `NonFiniteError` naming the op and stage the fused op would name: k
+        at once, as a key that overflowed to -inf takes zero weight and
+        leaves no trace, and the rest once the result is found non-finite."""
+        b, d, heads, eps = len(tokens), self.tok.shape[1], self.cross_k.shape[1], ad._LN_EPS
+        scale = ad._query_scale(d, heads)
+        x = self.tok[tokens] + self.pos[cache.positions]
+        y = ad._layer_norm(x, *self.ln_self, eps)[0]
+        qkv = ad._linear(y, *self.qkv)
+        q, k, v = qkv[:, :d], qkv[:, d:2 * d], qkv[:, 2 * d:]
+        q *= scale   # in place, as finite and non-finite values stay so
+        self_stages = [("layer norm", y), ("q projection", q), ("k projection", k)]
+        if not ad._finite(k):
+            raise _step_error([("embed", [(None, x)]), ("attention_block", self_stages)])
+        keys, values = (ad._by_head(t, b, heads) for t in cache.extend(k, v, b))
+        att = ad._by_row(ad._attend(ad._by_head(q, b, heads), keys, values, None)[0])
+        o = ad._linear(att, *self.out)
+        x1 = o + x
+        y1 = ad._layer_norm(x1, *self.ln_cross, eps)[0]
+        q1 = ad._linear(y1, *self.cross_q)
+        q1 *= scale
+        att1 = ad._by_row(ad._attend(ad._by_head(q1, 1, heads), self.cross_k, self.cross_v,
+                                     None)[0])
+        o1 = ad._linear(att1, *self.cross_out)
+        x2 = o1 + x1
+        y2 = ad._layer_norm(x2, *self.ln_ffn, eps)[0]
+        f, pre, _ = ad._mlp(y2, self.ffn)
+        x3 = f + x2
+        logits, pre3, _ = ad._mlp(x3, self.head)
+        logp = ad._log_softmax(logits)
+        if not ad._finite(logp):
+            raise _step_error([
+                ("embed", [(None, x)]),
+                ("attention_block", self_stages + [("v projection", v), ("attention", att),
+                                                   ("output projection", o), (None, x1)]),
+                ("cross_attention_block", [("layer norm", y1), ("q projection", q1),
+                                           ("attention", att1), ("output projection", o1),
+                                           (None, x2)]),
+                ("ffn_block", [("layer norm", y2), ("hidden layer", pre),
+                               ("output projection", f), (None, x3)]),
+                ("mlp", [("hidden layer", pre3), ("output projection", logits)]),
+                ("log_softmax", [(None, logp)])])
+        return logp
+
+
 def _decoder_step(tokens: np.ndarray, cache: ad.KVCache, cross: tuple[Tensor, Tensor],
                   params: dict[str, Tensor], cfg: ModelConfig) -> np.ndarray:
-    """One incremental step for B hypotheses of one graph and equal length.
-
-    `tokens[b]` is hypothesis b's newest token, and `cache` holds the
-    self-attention keys and values of the earlier positions of each; the
-    step appends this position's. Returns next-token log-probabilities
-    (B, vocab). The B rows run as one batch: self-attention as B sequences
-    of one row over their own cached rows, cross-attention as one sequence
-    of B rows over the graph's.
-    """
-    b = len(tokens)
-    x = ad.embed([params["dec.emb.tok"], params["dec.emb.pos"]],
-                 [tokens, np.full(b, cache.positions)])
-    logits = _decoder(x, np.ones(b, dtype=np.int64), cross, ([b], [cross[0].shape[0]]),
-                      params, cfg, cache)
-    return ad.log_softmax(logits).data
+    """One decoder step (`_DecoderStep`) of the graph rows `cross`, as
+    `_decoder_cross` gives them, with its arrays gathered for it alone;
+    `decode_beam` gathers them once per caption."""
+    return _DecoderStep.of(cross, params, cfg)(tokens, cache)
 
 
 _FORBIDDEN_DECODE_IDS = (PAD_ID, BOS_ID, MASK_ID)
@@ -554,8 +652,11 @@ def decode_beam(h_g: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
     hypothesis reaching it is closed with the end token. beam=1 is greedy
     decoding. All live hypotheses share one length, so each step decodes
     them as one batch against a key/value cache instead of re-running their
-    prefixes. `params` are constants, as
-    `Model.constants()` gives them, so decoding builds no tape.
+    prefixes. The cache is allocated for the length budget, and each step
+    writes its position in place. `params` are constants, as
+    `Model.constants()` gives them: the caption's steps run on their arrays,
+    gathered once with the graph's cross-attention keys and values
+    (`_DecoderStep`), and build no tape.
     """
     if beam < 1:
         raise ValueError("beam width must be >= 1")
@@ -563,19 +664,21 @@ def decode_beam(h_g: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
         raise ValueError("max_len must be >= 1")
     budget = cfg.max_tokens - 1
     max_len = budget if max_len is None else min(max_len, budget)
-    cross = _decoder_cross(Tensor(h_g.data), params)
+    step = _DecoderStep.of(_decoder_cross(Tensor(h_g.data), params), params, cfg)
     allowed = _allowed_ids(cfg.text_vocab_size)
     eos_only = np.array([EOS_ID], dtype=np.int64)
 
     seqs = np.full((1, 1), BOS_ID, dtype=np.int64)   # live prefixes, start token first
     sums = np.zeros(1)                                # their summed log-probabilities
-    cache = ad.KVCache()
+    cache = ad.KVCache(max_len)
     done: list[tuple[tuple[int, ...], float]] = []
     while len(seqs):
-        logp = _decoder_step(seqs[:, -1], cache, cross, params, cfg)
+        logp = step(seqs[:, -1], cache)
         length = seqs.shape[1]   # tokens after the start token once extended
         cands = eos_only if length == max_len else allowed
-        totals = (sums[:, None] + logp[:, cands]).ravel()
+        totals = logp.take(cands, axis=1)
+        totals += sums[:, None]
+        totals = totals.ravel()
         key = totals / length
         # finished and unfinished expansions compete for the same beam slots,
         # so beam=1 degenerates to greedy decoding; ties go to the
@@ -587,10 +690,13 @@ def decode_beam(h_g: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
         toks = cands[toks]
         ended = toks == EOS_ID
         grown = np.concatenate([seqs[parents], toks[:, None]], axis=1)
-        done.extend((tuple(int(t) for t in s[1:]), float(k))
-                    for s, k in zip(grown[ended], key[order][ended]))
-        if not ended.all():
-            cache.reorder(parents[~ended])
-        seqs, sums = grown[~ended], totals[order][~ended]
+        if ended.any():
+            done.extend((tuple(int(t) for t in s[1:]), float(k))
+                        for s, k in zip(grown[ended], key[order[ended]]))
+            live = ~ended
+            parents, order, grown = parents[live], order[live], grown[live]
+        if len(grown):
+            cache.reorder(parents)
+        seqs, sums = grown, totals[order]
     best = min(done, key=lambda c: (-c[1], c[0]))
     return list(best[0])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import archtext.autodiff as ad
+import archtext.model as model_mod
 from archtext.autodiff import (
     AdamState,
     NonFiniteError,
@@ -15,6 +16,7 @@ from archtext.autodiff import (
     zero_grads,
 )
 from archtext.graph import SENTINEL_SHAPE, ArchGraph, attention_edges
+from archtext.text import BOS_ID
 
 import composite_ops as cops
 
@@ -471,33 +473,55 @@ class TestAttention:
         changed = (out != again).any(axis=1)
         assert changed[[3, 7]].all() and not changed[[0, 1, 2, 4, 5, 6]].any()
 
+    @staticmethod
+    def decoder_case(seed):
+        """A small decoder's model, and random rows of a 5-node graph."""
+        cfg = model_mod.ModelConfig(node_vocab_size=10, text_vocab_size=12, d=8, dec_heads=2,
+                                    max_tokens=8)
+        rows = np.random.default_rng(seed).standard_normal((5, cfg.d))
+        return model_mod.Model.initialized(cfg, seed=seed), Tensor(rows)
+
     def test_cached_steps_equal_the_causal_pass(self):
-        # three sequences of five rows, fed one row a step with a cache whose
-        # sequences swap and fork between steps
+        # three captions of five tokens, fed one token a step to the decoder's
+        # step with a cache whose sequences swap and fork between steps
+        model, h_g = self.decoder_case(8)
+        cfg, params = model.cfg, model.constants()
+        cross = model_mod._decoder_cross(h_g, params)
         rng = np.random.default_rng(8)
-        d, steps = 8, 5
-        norm, proj = _norm_proj(rng, d, [(d, d)] * 4, requires_grad=False)
-        rows = rng.standard_normal((3, steps, d))
+        steps = 5
+        tokens = rng.integers(5, cfg.text_vocab_size, size=(3, steps))
         history = np.arange(3)
         cache = ad.KVCache()
         for t in range(steps):
             if t:
                 history = rng.integers(0, 3, size=3)
                 cache.reorder(history)
-                rows[:, :t] = rows[history, :t]
-            out = ad.attention_block(Tensor(rows[:, t]), norm, proj, 2, [1, 1, 1],
-                                     causal=True, cache=cache).data
+                tokens[:, :t] = tokens[history, :t]
+            out = model_mod._decoder_step(tokens[:, t], cache, cross, params, cfg)
             assert cache.positions == t + 1
-            full = ad.attention_block(Tensor(rows[:, :t + 1].reshape(-1, d)), norm, proj, 2,
-                                      [t + 1] * 3, causal=True).data
-            np.testing.assert_allclose(out, full.reshape(3, t + 1, d)[:, -1], rtol=0,
-                                       atol=1e-12)
+            full = [ad.log_softmax(model_mod.decoder_logits(h_g, ids, params, cfg)).data[-1]
+                    for ids in tokens[:, :t + 1]]
+            np.testing.assert_allclose(out, full, rtol=0, atol=1e-12)
 
     def test_cached_block_is_forward_only(self):
-        rng = np.random.default_rng(9)
-        norm, proj = _norm_proj(rng, 4, [(4, 4)] * 4)
+        model, h_g = self.decoder_case(9)
+        cross = model_mod._decoder_cross(h_g, model.constants())
         with pytest.raises(ValueError, match="forward-only"):
-            ad.attention_block(_param(rng, 2, 4), norm, proj, 2, [1, 1], cache=ad.KVCache())
+            model_mod._decoder_step(np.array([BOS_ID, BOS_ID]), ad.KVCache(), cross,
+                                    model.params, model.cfg)
+
+    def test_cache_steps_write_in_place(self):
+        # later steps write into the buffers the first one allocated, and a
+        # reorder to no more sequences gathers into them too
+        cache = ad.KVCache(3)
+        rows = np.arange(6.0).reshape(3, 2)
+        cache.extend(rows, -rows, 3)
+        k_buffer, v_buffer = cache.k, cache.v
+        cache.reorder([2, 0])
+        k, v = cache.extend(rows[:2] + 10, -rows[:2] - 10, 2)
+        assert cache.k is k_buffer and cache.v is v_buffer and cache.positions == 2
+        np.testing.assert_array_equal(k, [[rows[2], rows[0] + 10], [rows[0], rows[1] + 10]])
+        np.testing.assert_array_equal(v, -k)
 
     def test_mask_and_lengths_are_exclusive(self):
         a = Tensor(np.ones((2, 2)))
@@ -655,7 +679,7 @@ class TestRowAndSegmentOps:
         lambda a: ad.embed([], []),
         lambda a: ad.cross_attention_block(a, (a, a), *_CROSS_IDENTITY, 1, [3], [1, 2]),
         lambda a: ad.cross_attention_block(a, (a, a), *_CROSS_IDENTITY, 1, [2, 1], [2, 2]),
-        lambda a: ad.attention_block(a, *_IDENTITY_BLOCK, 1, [2, 1], cache=ad.KVCache()),
+        lambda a: ad.KVCache().extend(a.data, a.data, 2),   # 3 rows for 2 sequences
         lambda a: ad.nll(a, [0, 1, 2], np.ones(3)),
         lambda a: ad.nll(a, [0, 1, -1], np.ones(3)),
         lambda a: ad.nll(a, [0, 1, 1], np.ones(2)),
@@ -663,7 +687,7 @@ class TestRowAndSegmentOps:
         lambda a: ad.embed([a], [[[0, 1, 2]]]),                        # ids not flat
         lambda a: ad.attention_block(a, *_IDENTITY_BLOCK, 3, [3]),       # 2 columns, 3 heads
         lambda a: _cache_of_one(a.data).extend(a.data, a.data, 3),
-    ])
+    ], ids=[f"<lambda>{i}" for i in range(25)])
     def test_bad_indices_rejected(self, call):
         with pytest.raises(ValueError):
             call(Tensor(np.ones((3, 2))))

@@ -516,7 +516,8 @@ class TestErrors:
     @pytest.mark.parametrize("edit", ["unknown", "missing", "wrong-type", "gat-heads-0", "d-0",
                                       "max-tokens-negative", "enlarged", "text-and-arch-only",
                                       "eps-cos-0", "heads-split-d", "tau-1",
-                                      "vocab-too-small", "eps-cos-infinity", "eps-cos-huge-int"])
+                                      "vocab-too-small", "eps-cos-infinity", "eps-cos-huge-int",
+                                      "gat-heads-split-d", "dec-heads-split-d"])
     def test_bad_bundle_config_is_data_error(self, tmp_path, pretrained, capsys, edit):
         data, ckpt = pretrained
         config = ckpt / "config.json"
@@ -548,9 +549,11 @@ class TestErrors:
         elif edit == "eps-cos-huge-int":
             cfg["eps_cos"] = 10 ** 400
             expect = "key 'eps_cos' is out of float range"
-        elif edit == "heads-split-d":
-            cfg["cross_heads"] = 3
-            expect = "d=16 not divisible by head count 3"
+        elif edit.endswith("heads-split-d"):
+            key = {"heads-split-d": "cross_heads", "gat-heads-split-d": "gat_heads",
+                   "dec-heads-split-d": "dec_heads"}[edit]
+            cfg[key] = 3
+            expect = f"{key}=3 does not divide d=16"
         elif edit == "tau-1":
             cfg["tau"] = 1.0
             expect = "tau must lie in (0, 1)"

@@ -500,8 +500,9 @@ class TestFusedOps:
         cache.reorder([0, 0])   # two hypotheses continue the first
         step = self.tape_ops(monkeypatch, lambda: model_mod._decoder_step(
             np.array([7, 9]), cache, cross, params, cfg))
+        # a beam step runs the fused ops' kernels on arrays and records nothing
+        assert step == [], step
         decoder = ["attention_block", "cross_attention_block", "ffn_block", "mlp"]
-        assert step == ["embed", *decoder, "log_softmax"], step
         # a caption fine-tuning batch: the graph encode, then one teacher-forced
         # decoder pass and its loss over the packed captions of the batch
         graphs = _mixed_graphs(gcfg, (3, 12, 1, 7))
@@ -1321,17 +1322,17 @@ class TestBeamSearch:
                   (BOS_ID, 7, 1): {EOS_ID: 0.0},
                   (BOS_ID, 6, 1): {EOS_ID: 0.0}}
 
-        def scripted_step(tokens, cache, cross, params, cfg):
+        def scripted_step(step, tokens, cache):
             # the cache carries each hypothesis's tokens, one row per position
-            col = np.asarray(tokens, dtype=np.float64)[:, None, None]
-            cache.k = cache.v = col if cache.k is None else np.concatenate((cache.k, col), axis=1)
+            col = np.asarray(tokens, dtype=np.float64)[:, None]
+            history, _ = cache.extend(col, col, len(tokens))
             logp = np.full((len(tokens), cfg.text_vocab_size), -100.0)
-            for row, history in zip(logp, cache.k[:, :, 0]):
-                for tok, lp in scores.get(tuple(int(t) for t in history), {}).items():
+            for row, seen in zip(logp, history[:, :, 0]):
+                for tok, lp in scores.get(tuple(int(t) for t in seen), {}).items():
                     row[tok] = lp
             return logp
 
-        monkeypatch.setattr(model_mod, "_decoder_step", scripted_step)
+        monkeypatch.setattr(model_mod._DecoderStep, "__call__", scripted_step)
         assert decode_beam(h_g, model.constants(), cfg, beam=2, max_len=3) == [6, 1, EOS_ID]
 
     def test_beam_must_be_positive(self, decode_setup):
@@ -1343,3 +1344,35 @@ class TestBeamSearch:
         h_g, model, cfg = decode_setup
         with pytest.raises(ValueError):
             decode_beam(h_g, model.constants(), cfg, beam=2, max_len=0)
+
+    @pytest.mark.parametrize("names, stage", [
+        (("dec.ln.self.scale",), "attention_block (layer norm)"),
+        (("dec.attn.wq",), "attention_block (q projection)"),
+        (("dec.attn.wk",), "attention_block (k projection)"),
+        (("dec.attn.wv",), "attention_block (v projection)"),
+        (("dec.attn.wq", "dec.attn.wk"), "attention_block (attention)"),
+        (("dec.xattn.wq",), "cross_attention_block (q projection)"),
+        (("dec.ln.ffn.scale",), "ffn_block (layer norm)"),
+        (("dec.ffn.w1",), "ffn_block (hidden layer)"),
+        (("dec.out.fc1.w",), "mlp (hidden layer)"),
+        (("dec.out.fc2.w",), "mlp (output projection)"),
+    ], ids=["self-attention-norm", "self-attention-q", "self-attention-k", "self-attention-v",
+            "self-attention-scores", "cross-attention-q", "ffn-norm", "ffn-hidden",
+            "head-hidden", "head-output"])
+    def test_decode_overflow_names_the_op_and_stage(self, decode_setup, names, stage):
+        # finite weights whose products overflow in the first step, as in
+        # TestFusedOps; for the head's output, its hidden bias is raised to
+        # 4, so some hidden unit exceeds 1 and its product with the largest
+        # float does not fit
+        h_g, model, cfg = decode_setup
+        rng = np.random.default_rng(0)
+        big = np.finfo(np.float64).max ** (1 / len(names))
+        for name in names:
+            shape = model.params[name].data.shape
+            model.params[name].data = np.where(rng.random(shape) < 0.5, -big, big)
+        if names == ("dec.out.fc2.w",):
+            model.params["dec.out.fc1.b"].data = np.full_like(
+                model.params["dec.out.fc1.b"].data, 4.0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ad.NonFiniteError, match=re.escape(stage)):
+            decode_beam(h_g, model.constants(), cfg, beam=3, max_len=4)
