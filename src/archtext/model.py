@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
 
@@ -604,41 +603,20 @@ class _DecoderStep(NamedTuple):
         return logp
 
 
-def _decoder_step(tokens: np.ndarray, cache: ad.KVCache, cross: tuple[Tensor, Tensor],
-                  params: dict[str, Tensor], cfg: ModelConfig) -> np.ndarray:
-    """One decoder step (`_DecoderStep`) of the graph rows `cross`, as
-    `_decoder_cross` gives them, with its arrays gathered for it alone;
-    `decode_beam` gathers them once per caption."""
-    return _DecoderStep.of(cross, params, cfg)(tokens, cache)
-
-
 _FORBIDDEN_DECODE_IDS = (PAD_ID, BOS_ID, MASK_ID)
 
 
-@lru_cache(maxsize=8)
-def _allowed_ids(vocab_size: int) -> np.ndarray:
-    """The token ids a caption may emit, ascending; built once per vocabulary
-    size and shared, so it is read-only."""
-    ids = np.setdiff1d(np.arange(vocab_size), _FORBIDDEN_DECODE_IDS)
-    ids.flags.writeable = False
-    return ids
-
-
-def _best_expansions(key: np.ndarray, ranks: np.ndarray, cands: np.ndarray,
-                     beam: int) -> np.ndarray:
-    """The flat indices of the `beam` best of len(ranks) x len(cands)
-    expansions, best first: expansion i appends token cands[i % len(cands)]
-    to the hypothesis ranked ranks[i // len(cands)] and scores key[i]. A
-    higher key wins, then the smaller rank, then the smaller token. Only the
-    expansions scoring at least the beam-th best key are sorted; every tie
-    at that cut stays in, so the result is that of sorting them all."""
+def _best_expansions(key: np.ndarray, beam: int) -> np.ndarray:
+    """The indices of the `beam` highest finite keys, best first, a tie
+    going to the smaller index, which in `decode_beam` is the
+    lexicographically smaller expansion. Only the keys at least the
+    beam-th best are sorted, every tie at that cut included, so the result
+    is that of sorting all the finite keys by (-key, index)."""
+    floor = -np.finfo(key.dtype).max   # the least finite key
     if beam < len(key):
-        cut = np.partition(key, len(key) - beam)[len(key) - beam]
-        keep = np.flatnonzero(key >= cut)
-    else:
-        keep = np.arange(len(key))
-    parents, toks = np.divmod(keep, len(cands))
-    return keep[np.lexsort((cands[toks], ranks[parents], -key[keep]))][:beam]
+        floor = max(floor, np.partition(key, len(key) - beam)[len(key) - beam])
+    keep = np.flatnonzero(key >= floor)
+    return keep[np.argsort(-key[keep], kind="stable")][:beam]
 
 
 def decode_beam(h_g: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
@@ -657,6 +635,13 @@ def decode_beam(h_g: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
     `Model.constants()` gives them: the caption's steps run on their arrays,
     gathered once with the graph's cross-attention keys and values
     (`_DecoderStep`), and build no tape.
+
+    The live hypotheses are kept in lexicographic order. Expansion i of a
+    step appends token i % V to live hypothesis i // V, for V the
+    vocabulary size, so expansion i is the lexicographically smaller
+    sequence of two exactly when its i is, and a tie in score goes to the
+    smaller i. The ids a caption may not emit score -inf, and so does every
+    id but the end token at the length budget.
     """
     if beam < 1:
         raise ValueError("beam width must be >= 1")
@@ -665,38 +650,32 @@ def decode_beam(h_g: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
     budget = cfg.max_tokens - 1
     max_len = budget if max_len is None else min(max_len, budget)
     step = _DecoderStep.of(_decoder_cross(Tensor(h_g.data), params), params, cfg)
-    allowed = _allowed_ids(cfg.text_vocab_size)
-    eos_only = np.array([EOS_ID], dtype=np.int64)
+    vocab = cfg.text_vocab_size
 
     seqs = np.full((1, 1), BOS_ID, dtype=np.int64)   # live prefixes, start token first
     sums = np.zeros(1)                                # their summed log-probabilities
     cache = ad.KVCache(max_len)
     done: list[tuple[tuple[int, ...], float]] = []
     while len(seqs):
-        logp = step(seqs[:, -1], cache)
+        totals = step(seqs[:, -1], cache)
         length = seqs.shape[1]   # tokens after the start token once extended
-        cands = eos_only if length == max_len else allowed
-        totals = logp.take(cands, axis=1)
+        if length == max_len:
+            totals[:, :EOS_ID] = totals[:, EOS_ID + 1:] = -np.inf
+        else:
+            totals[:, _FORBIDDEN_DECODE_IDS] = -np.inf
         totals += sums[:, None]
         totals = totals.ravel()
         key = totals / length
         # finished and unfinished expansions compete for the same beam slots,
-        # so beam=1 degenerates to greedy decoding; ties go to the
-        # lexicographically smaller sequence: parent first, then token
-        rank = np.empty(len(seqs), dtype=np.int64)
-        rank[np.lexsort(seqs.T[::-1])] = np.arange(len(seqs))
-        order = _best_expansions(key, rank, cands, beam)
-        parents, toks = np.divmod(order, len(cands))
-        toks = cands[toks]
-        ended = toks == EOS_ID
-        grown = np.concatenate([seqs[parents], toks[:, None]], axis=1)
-        if ended.any():
-            done.extend((tuple(int(t) for t in s[1:]), float(k))
-                        for s, k in zip(grown[ended], key[order[ended]]))
-            live = ~ended
-            parents, order, grown = parents[live], order[live], grown[live]
-        if len(grown):
+        # so beam=1 degenerates to greedy decoding
+        order = _best_expansions(key, beam)
+        ended = order % vocab == EOS_ID
+        done.extend((tuple(seqs[i // vocab, 1:].tolist()) + (EOS_ID,), float(key[i]))
+                    for i in order[ended])
+        order = np.sort(order[~ended])
+        parents, toks = np.divmod(order, vocab)
+        if len(order):
             cache.reorder(parents)
-        seqs, sums = grown, totals[order]
+        seqs, sums = np.concatenate([seqs[parents], toks[:, None]], axis=1), totals[order]
     best = min(done, key=lambda c: (-c[1], c[0]))
     return list(best[0])

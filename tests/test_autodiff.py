@@ -497,7 +497,7 @@ class TestAttention:
                 history = rng.integers(0, 3, size=3)
                 cache.reorder(history)
                 tokens[:, :t] = tokens[history, :t]
-            out = model_mod._decoder_step(tokens[:, t], cache, cross, params, cfg)
+            out = model_mod._DecoderStep.of(cross, params, cfg)(tokens[:, t], cache)
             assert cache.positions == t + 1
             full = [ad.log_softmax(model_mod.decoder_logits(h_g, ids, params, cfg)).data[-1]
                     for ids in tokens[:, :t + 1]]
@@ -507,8 +507,8 @@ class TestAttention:
         model, h_g = self.decoder_case(9)
         cross = model_mod._decoder_cross(h_g, model.constants())
         with pytest.raises(ValueError, match="forward-only"):
-            model_mod._decoder_step(np.array([BOS_ID, BOS_ID]), ad.KVCache(), cross,
-                                    model.params, model.cfg)
+            model_mod._DecoderStep.of(cross, model.params, model.cfg)(
+                np.array([BOS_ID, BOS_ID]), ad.KVCache())
 
     def test_cache_steps_write_in_place(self):
         # later steps write into the buffers the first one allocated, and a

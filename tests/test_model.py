@@ -496,10 +496,10 @@ class TestFusedOps:
         h_g, _ = encode_graphs([g], params, cfg)
         cross = model_mod._decoder_cross(h_g, params)
         cache = ad.KVCache()
-        model_mod._decoder_step(np.array([BOS_ID]), cache, cross, params, cfg)
+        model_mod._DecoderStep.of(cross, params, cfg)(np.array([BOS_ID]), cache)
         cache.reorder([0, 0])   # two hypotheses continue the first
-        step = self.tape_ops(monkeypatch, lambda: model_mod._decoder_step(
-            np.array([7, 9]), cache, cross, params, cfg))
+        step = self.tape_ops(monkeypatch, lambda: model_mod._DecoderStep.of(
+            cross, params, cfg)(np.array([7, 9]), cache))
         # a beam step runs the fused ops' kernels on arrays and records nothing
         assert step == [], step
         decoder = ["attention_block", "cross_attention_block", "ffn_block", "mlp"]
@@ -1052,20 +1052,17 @@ def _exhaustive_reference(h_g, params, cfg, max_len):
     return list(best[0])
 
 
-def _full_prefix_beam_reference(h_g, params, cfg, beam, max_len):
-    """The beam search decode_beam replaced: every step re-runs the
-    teacher-forced decoder over each live hypothesis's whole prefix and
-    sorts Python tuples."""
-    max_len = min(max_len, cfg.max_tokens - 1)
-    h_g_const = Tensor(h_g.data)
-    allowed = [i for i in range(cfg.text_vocab_size) if i not in _FORBIDDEN_DECODE_IDS]
+def _tuple_beam_reference(logp_of, vocab_size, beam, max_len):
+    """Beam search over Python tuples: logp_of(prefix) gives the
+    next-token log-probabilities after a prefix, start token first, and
+    every step sorts all expansions by (-mean log-probability, sequence)."""
+    allowed = [i for i in range(vocab_size) if i not in _FORBIDDEN_DECODE_IDS]
     live = [((), 0.0)]
     done = []
     while live:
         expansions = []
         for ids, logp_sum in live:
-            logits = decoder_logits(h_g_const, [BOS_ID] + list(ids), params, cfg)
-            logp = ad.log_softmax(logits).data[-1]
+            logp = logp_of((BOS_ID,) + ids)
             candidates = [EOS_ID] if len(ids) == max_len - 1 else allowed
             for tok in candidates:
                 expansions.append((ids + (tok,), logp_sum + float(logp[tok])))
@@ -1081,6 +1078,19 @@ def _full_prefix_beam_reference(h_g, params, cfg, beam, max_len):
         if cand[1] > best[1] or (cand[1] == best[1] and cand[0] < best[0]):
             best = cand
     return list(best[0])
+
+
+def _full_prefix_beam_reference(h_g, params, cfg, beam, max_len):
+    """The beam search decode_beam replaced: every step re-runs the
+    teacher-forced decoder over each live hypothesis's whole prefix and
+    sorts Python tuples."""
+    h_g_const = Tensor(h_g.data)
+
+    def logp_of(prefix):
+        return ad.log_softmax(decoder_logits(h_g_const, list(prefix), params, cfg)).data[-1]
+
+    return _tuple_beam_reference(logp_of, cfg.text_vocab_size, beam,
+                                 min(max_len, cfg.max_tokens - 1))
 
 
 @pytest.fixture(scope="module")
@@ -1107,13 +1117,6 @@ def tuned_decoder():
     return model, cfg, encoded
 
 
-def test_allowed_decode_ids_built_once_per_vocabulary_size():
-    ids = model_mod._allowed_ids(12)
-    assert ids is model_mod._allowed_ids(12) and not ids.flags.writeable
-    assert ids.tolist() == [i for i in range(12) if i not in _FORBIDDEN_DECODE_IDS]
-    assert model_mod._allowed_ids(9).tolist() == ids.tolist()[:-3]
-
-
 class TestIncrementalDecoder:
     @pytest.mark.parametrize("beam", [1, 3, 10])
     def test_matches_full_prefix_reference(self, tuned_decoder, beam):
@@ -1137,7 +1140,7 @@ class TestIncrementalDecoder:
         cache = ad.KVCache()
         for step in range(6):
             tokens = np.array([p[-1] for p in prefixes])
-            logp = model_mod._decoder_step(tokens, cache, cross, params, cfg)
+            logp = model_mod._DecoderStep.of(cross, params, cfg)(tokens, cache)
             assert logp.shape == (len(prefixes), cfg.text_vocab_size)
             for row, prefix in zip(logp, prefixes):
                 full = ad.log_softmax(decoder_logits(h_g, prefix, params, cfg)).data[-1]
@@ -1238,45 +1241,88 @@ class TestPackedDecoder:
             decoder_logits(encoded[0], [BOS_ID, 5, 6, 7], model.constants(), cfg, lengths=lengths)
 
 
-def _full_sort_expansions(key, ranks, cands, beam):
-    return np.lexsort((np.tile(cands, len(ranks)), np.repeat(ranks, len(cands)), -key))[:beam]
+def _full_sort_expansions(key, beam):
+    finite = np.flatnonzero(np.isfinite(key))
+    return finite[np.lexsort((finite, -key[finite]))][:beam]
 
 
 @st.composite
 def _expansions(draw):
-    """Keys of hypotheses x candidates, with exact ties forced in by
-    drawing from a few values; sometimes the end token alone."""
-    width = draw(st.integers(1, 6))
-    cands = (np.array([EOS_ID]) if draw(st.booleans())
-             else np.array(sorted(draw(st.sets(st.integers(1, 40), min_size=1, max_size=8)))))
-    values = draw(st.lists(st.floats(-50, 0, allow_nan=False), min_size=1, max_size=4))
-    key = np.array(draw(st.lists(st.sampled_from(values), min_size=width * len(cands),
-                                 max_size=width * len(cands))))
-    ranks = np.array(draw(st.permutations(range(width))))
-    return key, ranks, cands, draw(st.integers(1, width * len(cands) + 3))
+    """Keys with exact ties forced in by drawing from a few values, -inf
+    among them at times, and a beam up to wider than the finite keys."""
+    n = draw(st.integers(1, 48))
+    value = st.floats(-50, 0, allow_nan=False) | st.just(-np.inf)
+    values = draw(st.lists(value, min_size=1, max_size=4))
+    key = np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+    return key, draw(st.integers(1, n + 3))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_expansions())
 def test_partitioned_beam_selection_equals_full_sort(case):
-    # beams wider than the candidates included
-    key, ranks, cands, beam = case
-    got = model_mod._best_expansions(key, ranks, cands, beam)
-    assert got.tolist() == _full_sort_expansions(key, ranks, cands, beam).tolist()
+    key, beam = case
+    got = model_mod._best_expansions(key, beam)
+    assert got.tolist() == _full_sort_expansions(key, beam).tolist()
+
+
+def _scripted_step(logp_of):
+    """A stand-in for `_DecoderStep.__call__` that returns logp_of(prefix)
+    for each hypothesis's prefix, start token first: the cache carries the
+    hypotheses' tokens, one row per position."""
+    def step(self, tokens, cache):
+        col = np.asarray(tokens, dtype=np.float64)[:, None]
+        history, _ = cache.extend(col, col, len(tokens))
+        return np.array([logp_of(tuple(int(t) for t in seen)) for seen in history[:, :, 0]])
+    return step
+
+
+def _beam_case():
+    vocab = TextVocab(["aa", "bb", "cc"])  # vocab size 8: ids 5,6,7 are words
+    cfg = ModelConfig(node_vocab_size=10, text_vocab_size=len(vocab), d=8,
+                      gat_layers=1, gat_heads=2, cross_layers=1, cross_heads=2,
+                      dec_heads=2, max_nodes=8, max_tokens=8, n_answers=6,
+                      shape_buckets=4)
+    model = Model.initialized(cfg, seed=9)
+    g = ArchGraph(nodes=[3, 4], edges=[(0, 1)], shapes=[(4, 2, 3, 3), (0, 0, 0, 0)])
+    h_g, _ = encode_graph(g, model.params, cfg)
+    return h_g, model, cfg
+
+
+@pytest.fixture(scope="module")
+def fixed_beam_case():
+    return _beam_case()
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(-4, 0, allow_nan=False), min_size=2, max_size=3, unique=True),
+       seed=st.integers(0, 2**32 - 1), beam=st.integers(1, 12), max_len=st.integers(1, 4))
+def test_ties_go_to_the_lexicographically_smaller_sequence(fixed_beam_case, values, seed, beam,
+                                                           max_len):
+    # log-probabilities from 2-3 values tie within and across parents at
+    # every depth; beam 12 is wider than the 5 first-step expansions
+    h_g, model, cfg = fixed_beam_case
+
+    def logged(prefixes):
+        def logp_of(prefix):
+            prefixes.append(prefix)
+            rng = np.random.default_rng([seed, *prefix])
+            return np.array(values)[rng.integers(len(values), size=cfg.text_vocab_size)]
+        return logp_of
+
+    want_live, live = [], []
+    want = _tuple_beam_reference(logged(want_live), cfg.text_vocab_size, beam, max_len)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_mod._DecoderStep, "__call__", _scripted_step(logged(live)))
+        got = decode_beam(h_g, model.constants(), cfg, beam=beam, max_len=max_len)
+    # each step decodes the reference's live hypotheses, in lexicographic order
+    assert live == sorted(want_live, key=lambda prefix: (len(prefix), prefix))
+    assert got == want
 
 
 class TestBeamSearch:
     @pytest.fixture
     def decode_setup(self):
-        vocab = TextVocab(["aa", "bb", "cc"])  # vocab size 8: ids 5,6,7 are words
-        cfg = ModelConfig(node_vocab_size=10, text_vocab_size=len(vocab), d=8,
-                          gat_layers=1, gat_heads=2, cross_layers=1, cross_heads=2,
-                          dec_heads=2, max_nodes=8, max_tokens=8, n_answers=6,
-                          shape_buckets=4)
-        model = Model.initialized(cfg, seed=9)
-        g = ArchGraph(nodes=[3, 4], edges=[(0, 1)], shapes=[(4, 2, 3, 3), (0, 0, 0, 0)])
-        h_g, _ = encode_graph(g, model.params, cfg)
-        return h_g, model, cfg
+        return _beam_case()
 
     def test_beam_one_equals_greedy(self, decode_setup):
         h_g, model, cfg = decode_setup
@@ -1322,17 +1368,13 @@ class TestBeamSearch:
                   (BOS_ID, 7, 1): {EOS_ID: 0.0},
                   (BOS_ID, 6, 1): {EOS_ID: 0.0}}
 
-        def scripted_step(step, tokens, cache):
-            # the cache carries each hypothesis's tokens, one row per position
-            col = np.asarray(tokens, dtype=np.float64)[:, None]
-            history, _ = cache.extend(col, col, len(tokens))
-            logp = np.full((len(tokens), cfg.text_vocab_size), -100.0)
-            for row, seen in zip(logp, history[:, :, 0]):
-                for tok, lp in scores.get(tuple(int(t) for t in seen), {}).items():
-                    row[tok] = lp
-            return logp
+        def logp_of(prefix):
+            row = np.full(cfg.text_vocab_size, -100.0)
+            for tok, lp in scores.get(prefix, {}).items():
+                row[tok] = lp
+            return row
 
-        monkeypatch.setattr(model_mod._DecoderStep, "__call__", scripted_step)
+        monkeypatch.setattr(model_mod._DecoderStep, "__call__", _scripted_step(logp_of))
         assert decode_beam(h_g, model.constants(), cfg, beam=2, max_len=3) == [6, 1, EOS_ID]
 
     def test_beam_must_be_positive(self, decode_setup):
